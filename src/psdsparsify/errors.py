@@ -74,6 +74,10 @@ class TimeBudgetExceeded(SparsifyError):
     """The configured wall-clock guard expired mid-run."""
 
 
+class DegenerateCertificate(SparsifyError):
+    """A solver's certificate has a non-finite or non-positive lambda_min."""
+
+
 class ParseError(SparsifyError):
     """Malformed input text; carries the offending 1-based line number."""
 

@@ -36,17 +36,21 @@ def default_rank_tol(dim: int) -> float:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return 0.5*(M + M^T), which is exactly symmetric entrywise."""
+    """Return 0.5*(M + M^T), which is exactly symmetric entrywise.
+
+    A (k, n, n) stack is symmetrized member by member.
+    """
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix, or of a stack of them.
 
-    ``eigenvalues`` is ascending; ``eigenvectors`` has the matching
-    orthonormal columns, so Q diag(w) Q^T reconstructs the input.
+    ``eigenvalues`` is ascending along its last axis; ``eigenvectors`` has
+    the matching orthonormal columns, so Q diag(w) Q^T reconstructs the
+    input (member by member for a stack).
     """
 
     eigenvalues: np.ndarray
@@ -54,10 +58,16 @@ class Spectrum:
 
 
 def eigh(m: np.ndarray) -> Spectrum:
-    """Eigendecompose a symmetric matrix, ascending eigenvalue order."""
+    """Eigendecompose a symmetric matrix, ascending eigenvalue order.
+
+    A (k, n, n) stack is decomposed in one batched call.  Each member goes
+    through the same LAPACK routine on the same bytes as a call on that
+    member alone, so the stacked result equals the per-matrix results bit
+    for bit.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise InvalidMatrix(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidMatrix("matrix has non-finite entries")
     w, q = np.linalg.eigh(m)

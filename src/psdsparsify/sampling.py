@@ -14,11 +14,12 @@ runs are bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TNotLargeEnough
+from .errors import TimeBudgetExceeded, TNotLargeEnough
 from .linalg import (
     ReducedInstance,
     SandwichCertificate,
@@ -121,10 +122,10 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
     return _result_from_counts(counts, reduced, plan.t_random)
 
 
-def _ln_trace_exp(w: np.ndarray) -> float:
-    """log(sum exp(w_i)) computed stably."""
-    top = float(np.max(w))
-    return top + math.log(float(np.sum(np.exp(w - top))))
+def _ln_sum_exp(w: np.ndarray) -> np.ndarray:
+    """log(sum exp(w)) along the last axis, computed stably."""
+    top = np.max(w, axis=-1)
+    return top + np.log(np.sum(np.exp(w - top[..., None]), axis=-1))
 
 
 @dataclass
@@ -135,6 +136,9 @@ class PeState:
     the upper-tail exponent exp(+t' X).  The two exponent accumulators
     hold -t * sum(picks) and +t' * sum(picks); the estimator values are
     assembled in log space so the norm powers cannot underflow.
+    ``live`` lists the candidates with positive probability and ``units``
+    holds their unit-trace matrices X_j = C_j / tr(C_j) as one
+    (len(live), r, r) stack.
     """
 
     plan: SamplingPlan
@@ -145,6 +149,8 @@ class PeState:
     log_norm_plus: float
     exp_sum_lower: np.ndarray
     exp_sum_upper: np.ndarray
+    live: np.ndarray
+    units: np.ndarray
     picks: list = field(default_factory=list)
     estimator_trace: list = field(default_factory=list)
 
@@ -152,22 +158,22 @@ class PeState:
     def t(self) -> int:
         return len(self.picks)
 
-    def _value(self, exp_lower: np.ndarray, exp_upper: np.ndarray, i: int) -> float:
+    def _estimate(self, w_lower: np.ndarray, w_upper: np.ndarray, i: int) -> np.ndarray:
+        """phi + psi after i picks, from the spectra of the two exponent sums.
+
+        Takes one spectrum per argument or a (k, r) stack of them, and
+        returns one value per spectrum.
+        """
         plan = self.plan
         t_total = self.t_total
         c_phi = self.t_minus * t_total * (1.0 - plan.eps) * plan.mu
         c_psi = -self.t_plus * t_total * (1.0 + plan.eps) * plan.mu
-        ln_phi = (
-            c_phi
-            + _ln_trace_exp(eigh(exp_lower).eigenvalues)
-            + (t_total - i) * self.log_norm_minus
-        )
-        ln_psi = (
-            c_psi
-            + _ln_trace_exp(eigh(exp_upper).eigenvalues)
-            + (t_total - i) * self.log_norm_plus
-        )
-        return math.exp(ln_phi) + math.exp(ln_psi)
+        ln_phi = c_phi + _ln_sum_exp(w_lower) + (t_total - i) * self.log_norm_minus
+        ln_psi = c_psi + _ln_sum_exp(w_upper) + (t_total - i) * self.log_norm_plus
+        return np.exp(ln_phi) + np.exp(ln_psi)
+
+    def _value(self, exp_lower: np.ndarray, exp_upper: np.ndarray, i: int) -> float:
+        return float(self._estimate(eigh(exp_lower).eigenvalues, eigh(exp_upper).eigenvalues, i))
 
     def current_value(self) -> float:
         return self._value(self.exp_sum_lower, self.exp_sum_upper, self.t)
@@ -189,15 +195,14 @@ def pe_params(reduced: ReducedInstance, eps: float, t_total: int | None = None) 
     t_minus, t_plus = pe_exponents(mu, eps)
 
     r = reduced.rank
+    live = np.flatnonzero(plan.probabilities > 0.0)
+    units = (reduced.flattened[live] / reduced.traces[live, None]).reshape(-1, r, r)
+    spec = eigh(units)
     mean_minus = np.zeros((r, r))
     mean_plus = np.zeros((r, r))
-    for prob, c, tr in zip(plan.probabilities, reduced.matrices, reduced.traces):
-        if prob <= 0.0:
-            continue
-        spec = eigh(c / tr)
-        q = spec.eigenvectors
-        mean_minus += prob * ((q * np.exp(-t_minus * spec.eigenvalues)) @ q.T)
-        mean_plus += prob * ((q * np.exp(t_plus * spec.eigenvalues)) @ q.T)
+    for prob, w, q in zip(plan.probabilities[live], spec.eigenvalues, spec.eigenvectors):
+        mean_minus += prob * ((q * np.exp(-t_minus * w)) @ q.T)
+        mean_plus += prob * ((q * np.exp(t_plus * w)) @ q.T)
     log_norm_minus = math.log(float(eigh(symmetrize(mean_minus)).eigenvalues[-1]))
     log_norm_plus = math.log(float(eigh(symmetrize(mean_plus)).eigenvalues[-1]))
 
@@ -210,6 +215,8 @@ def pe_params(reduced: ReducedInstance, eps: float, t_total: int | None = None) 
         log_norm_plus=log_norm_plus,
         exp_sum_lower=np.zeros((r, r)),
         exp_sum_upper=np.zeros((r, r)),
+        live=live,
+        units=units,
     )
     start = state.current_value()
     if start >= 1.0:
@@ -225,39 +232,31 @@ def pe_params(reduced: ReducedInstance, eps: float, t_total: int | None = None) 
     return state
 
 
-def pe_greedy_step(state: PeState, reduced: ReducedInstance) -> int:
+def pe_greedy_step(state: PeState) -> int:
     """Append the pick minimizing phi + psi (lowest index on ties).
 
-    The estimator property guarantees the minimum does not exceed the
-    probability-weighted average, hence never exceeds the current value.
+    Every live candidate is scored at once: one stacked eigendecomposition
+    per tail, then both estimators in log space.  The estimator property
+    guarantees the minimum does not exceed the probability-weighted
+    average, hence never exceeds the current value.
     """
-    i_next = state.t + 1
-    best_j = -1
-    best_val = math.inf
-    for j, (prob, c, tr) in enumerate(
-        zip(state.plan.probabilities, reduced.matrices, reduced.traces)
-    ):
-        if prob <= 0.0:
-            continue
-        x = c / tr
-        val = state._value(
-            symmetrize(state.exp_sum_lower - state.t_minus * x),
-            symmetrize(state.exp_sum_upper + state.t_plus * x),
-            i_next,
-        )
-        if val < best_val:
-            best_val = val
-            best_j = j
-    x = reduced.matrices[best_j] / reduced.traces[best_j]
-    state.exp_sum_lower = symmetrize(state.exp_sum_lower - state.t_minus * x)
-    state.exp_sum_upper = symmetrize(state.exp_sum_upper + state.t_plus * x)
+    lower = symmetrize(state.exp_sum_lower - state.t_minus * state.units)
+    upper = symmetrize(state.exp_sum_upper + state.t_plus * state.units)
+    values = state._estimate(eigh(lower).eigenvalues, eigh(upper).eigenvalues, state.t + 1)
+    k = int(np.argmin(values))
+    state.exp_sum_lower = lower[k].copy()
+    state.exp_sum_upper = upper[k].copy()
+    best_j = int(state.live[k])
     state.picks.append(best_j)
-    state.estimator_trace.append(best_val)
+    state.estimator_trace.append(float(values[k]))
     return best_j
 
 
 def pe_sparsify(
-    reduced: ReducedInstance, eps: float, t_total: int | None = None
+    reduced: ReducedInstance,
+    eps: float,
+    t_total: int | None = None,
+    max_seconds: float | None = None,
 ) -> SparsifierResult:
     """Deterministic sparsifier via T greedy pessimistic-estimator steps.
 
@@ -265,10 +264,14 @@ def pe_sparsify(
     final estimator value stays below 1, the certificate eigenvalues are
     guaranteed to lie inside [1-eps, 1+eps] with no randomness involved.
     Raises TNotLargeEnough when the budget cannot force success; retry
-    once with the exception's ``suggested_t``.
+    once with the exception's ``suggested_t``.  Raises TimeBudgetExceeded
+    when ``max_seconds`` run out before the last step.
     """
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     state = pe_params(reduced, eps, t_total=t_total)
     counts = np.zeros(len(reduced), dtype=int)
-    for _ in range(state.t_total):
-        counts[pe_greedy_step(state, reduced)] += 1
+    for t in range(1, state.t_total + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(f"pe exceeded {max_seconds} s at step {t}")
+        counts[pe_greedy_step(state)] += 1
     return _result_from_counts(counts, reduced, state.t_total)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bss import bss_sparsify
-from .errors import TNotLargeEnough
+from .errors import DegenerateCertificate, TNotLargeEnough
 from .linalg import (
     PsdCollection,
     SandwichCertificate,
@@ -57,9 +57,9 @@ def run_algorithm(
         # single retry: the closed-form budget can miss phi_0 + psi_0 < 1;
         # the exception carries an instance-calibrated budget that cannot
         try:
-            return pe_sparsify(reduced, eps)
+            return pe_sparsify(reduced, eps, max_seconds=max_seconds)
         except TNotLargeEnough as exc:
-            return pe_sparsify(reduced, eps, t_total=exc.suggested_t)
+            return pe_sparsify(reduced, eps, t_total=exc.suggested_t, max_seconds=max_seconds)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 
@@ -93,6 +93,10 @@ def sparsify_sum(
     reduced = reduce_to_identity(coll, rank_tol=rank_tol)
     raw = run_algorithm(reduced, internal_epsilon(eps), algo, seed=seed, max_seconds=max_seconds)
     lam_min = raw.certificate.lambda_min
+    if not (np.isfinite(lam_min) and lam_min > 0.0):
+        raise DegenerateCertificate(
+            f"{algo} returned lambda_min = {lam_min}; the weights cannot be rescaled"
+        )
     y = raw.weights / lam_min
     cert = SandwichCertificate(
         lambda_min=1.0,

@@ -212,7 +212,7 @@ def test_criterion_08_pessimistic_estimators():
         assert state.estimator_trace[0] < 1.0
         counts = np.zeros(len(reduced), dtype=int)
         for _ in range(state.t_total):
-            counts[pe_greedy_step(state, reduced)] += 1
+            counts[pe_greedy_step(state)] += 1
         for prev, cur in zip(state.estimator_trace, state.estimator_trace[1:]):
             assert cur < prev + 1e-12
         y = np.zeros(len(reduced))

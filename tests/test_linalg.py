@@ -49,6 +49,26 @@ class TestEigh:
         with pytest.raises(InvalidMatrix):
             eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_stack_matches_members_exactly(self):
+        rng = np.random.default_rng(3)
+        stack = symmetrize(rng.standard_normal((6, 5, 5)))
+        spec = eigh(stack)
+        for k, m in enumerate(stack):
+            single = eigh(m)
+            assert np.array_equal(spec.eigenvalues[k], single.eigenvalues)
+            assert np.array_equal(spec.eigenvectors[k], single.eigenvectors)
+
+    def test_stack_with_one_nonfinite_member_rejected(self):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(InvalidMatrix):
+            eigh(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 2, 2, 2)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(InvalidMatrix):
+            eigh(np.zeros(shape))
+
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_reconstruction_and_orthonormality(self, n, seed):

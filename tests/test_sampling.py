@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from psdsparsify.errors import TNotLargeEnough
+from psdsparsify.errors import TimeBudgetExceeded, TNotLargeEnough
 from psdsparsify.instances import identity_decomposition, random_psd_collection
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
+from psdsparsify.solve import sparsify_sum
 from psdsparsify.sampling import (
     SamplingPlan,
     aw_iteration_count,
@@ -126,7 +127,7 @@ class TestPeGreedy:
     def test_estimator_decreases(self, reduced_random):
         state = pe_params(reduced_random, 0.45)
         for _ in range(state.t_total):
-            pe_greedy_step(state, reduced_random)
+            pe_greedy_step(state)
         trace = state.estimator_trace
         for prev, cur in zip(trace, trace[1:]):
             assert cur < prev + 1e-12
@@ -151,7 +152,7 @@ class TestPeGreedy:
                 )
             average = sum(state.plan.probabilities[j] * v for j, v in values.items())
             before = state.current_value()
-            picked = pe_greedy_step(state, reduced_random)
+            picked = pe_greedy_step(state)
             assert values[picked] <= average * (1 + 1e-12)
             assert average <= before * (1 + 1e-12)
 
@@ -186,3 +187,64 @@ class TestPeGreedy:
             unit = reduced_random.rank / (t_total * traces[j])
             ratio = res.weights[j] / unit
             assert ratio == pytest.approx(round(ratio), rel=1e-12)
+
+
+def _ln_sum_exp_scalar(w):
+    top = max(w)
+    return top + math.log(sum(math.exp(v - top) for v in w))
+
+
+def _reference_step(state, reduced):
+    """(pick, phi + psi) of one greedy step, one candidate and one eigh at a time."""
+    plan, t_total, i = state.plan, state.t_total, state.t + 1
+    c_phi = state.t_minus * t_total * (1.0 - plan.eps) * plan.mu
+    c_psi = -state.t_plus * t_total * (1.0 + plan.eps) * plan.mu
+    best_j, best_val = -1, math.inf
+    for j, (prob, c, tr) in enumerate(zip(plan.probabilities, reduced.matrices, reduced.traces)):
+        if prob <= 0.0:
+            continue
+        lower = state.exp_sum_lower - state.t_minus * (c / tr)
+        upper = state.exp_sum_upper + state.t_plus * (c / tr)
+        w_lower = np.linalg.eigh(0.5 * (lower + lower.T))[0].tolist()
+        w_upper = np.linalg.eigh(0.5 * (upper + upper.T))[0].tolist()
+        ln_phi = c_phi + _ln_sum_exp_scalar(w_lower) + (t_total - i) * state.log_norm_minus
+        ln_psi = c_psi + _ln_sum_exp_scalar(w_upper) + (t_total - i) * state.log_norm_plus
+        val = math.exp(ln_phi) + math.exp(ln_psi)
+        if val < best_val:
+            best_j, best_val = j, val
+    return best_j, best_val
+
+
+class TestPeBatchedScoring:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_candidate_reference(self, seed):
+        red = reduce_to_identity(random_psd_collection(5, 25, seed=seed))
+        state = pe_params(red, 0.45)
+        for _ in range(state.t_total):
+            ref_pick, ref_val = _reference_step(state, red)
+            assert pe_greedy_step(state) == ref_pick
+            assert state.estimator_trace[-1] == pytest.approx(ref_val, rel=1e-12, abs=0.0)
+
+    def test_exact_ties_pick_lowest_index(self):
+        red = reduce_to_identity(identity_decomposition(4))
+        with pytest.raises(TNotLargeEnough) as err:
+            pe_params(red, 0.45)
+        state = pe_params(red, 0.45, t_total=err.value.suggested_t)
+        for _ in range(8):
+            pe_greedy_step(state)
+        assert state.picks == [0, 1, 2, 3, 0, 1, 2, 3]
+
+
+class TestPeDeadline:
+    def test_expired_budget_raises(self, reduced_random):
+        with pytest.raises(TimeBudgetExceeded):
+            pe_sparsify(reduced_random, 0.45, max_seconds=1e-9)
+
+    def test_ample_budget_changes_nothing(self, reduced_random):
+        timed = pe_sparsify(reduced_random, 0.45, max_seconds=600.0)
+        assert np.array_equal(timed.weights, pe_sparsify(reduced_random, 0.45).weights)
+
+    def test_wrapper_forwards_budget(self):
+        coll = random_psd_collection(5, 25, seed=0)
+        with pytest.raises(TimeBudgetExceeded):
+            sparsify_sum(coll, 0.5, algo="pe", max_seconds=1e-9)
