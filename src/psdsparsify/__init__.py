@@ -18,11 +18,9 @@ from .linalg import (
     Spectrum,
     eigh,
     is_psd,
-    pinv_sqrt,
     reduce_to_identity,
     sym_exp,
     symmetrize,
-    trace_inner,
     verify_sandwich,
 )
 from .mmwum_block import BlockParams, block_sparsify, oracle_width_fixture
@@ -51,13 +49,11 @@ __all__ = [
     "pe_sparsify",
     "phi_lower",
     "phi_upper",
-    "pinv_sqrt",
     "reduce_to_identity",
     "run_algorithm",
     "sparsify_sum",
     "sym_exp",
     "symmetrize",
-    "trace_inner",
     "verify_sandwich",
     "wf_sparsify",
 ]

@@ -36,6 +36,9 @@ from .solve import sparsify_sum
 
 CUT_ENUMERATION_LIMIT = 20
 
+# relative slack every application check allows for rounding
+CHECK_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -147,7 +150,27 @@ class CostWindow:
 
 
 @dataclass(frozen=True)
-class GraphSparsification:
+class Sparsification:
+    """Weights from one application run and the checks that judge them.
+
+    ``weights`` is the per-member output vector, ``certificate`` the
+    sandwich certificate of the application's own matrix, and
+    ``lifted_rank`` the whitened dimension the solver worked in.
+    ``checks`` holds ordered (report line, ok) pairs for every condition
+    the application adds to the certificate (cost windows, member
+    certificates, SDP objective and feasibility, simplex sum); ``passed``
+    is true when the certificate meets its window and every check is ok.
+    """
+
+    weights: np.ndarray
+    certificate: SandwichCertificate
+    lifted_rank: int
+    passed: bool
+    checks: tuple
+
+
+@dataclass(frozen=True)
+class GraphSparsification(Sparsification):
     """Reweighted subgraph plus the certificates backing it.
 
     ``weights`` is the per-edge multiplier vector y (edge order of the
@@ -156,31 +179,35 @@ class GraphSparsification:
     """
 
     subgraph: WeightedGraph
-    certificate: SandwichCertificate
-    weights: np.ndarray
-    lifted_rank: int
     cost_windows: list | None = None
     member_certificates: list | None = None
 
 
 @dataclass(frozen=True)
-class HypergraphSparsification:
+class HypergraphSparsification(Sparsification):
     subhypergraph: WeightedHypergraph
-    certificate: SandwichCertificate
-    weights: np.ndarray
-    lifted_rank: int
+
+
+def _verdict(certificate_ok: bool, checks) -> bool:
+    return certificate_ok and all(ok for _, ok in checks)
 
 
 def sparsify_graph(
-    g: WeightedGraph, eps: float, algo: str = "bss", seed: int = 0
+    g: WeightedGraph,
+    eps: float,
+    algo: str = "bss",
+    seed: int = 0,
+    max_seconds: float | None = None,
 ) -> GraphSparsification:
     """Spectral sparsifier: L_G(w) <= L_H(w_H) <= (1+eps) L_G(w)."""
-    result = sparsify_sum(edge_collection(g), eps, algo=algo, seed=seed)
+    result = sparsify_sum(edge_collection(g), eps, algo=algo, seed=seed, max_seconds=max_seconds)
     return GraphSparsification(
-        subgraph=_reweighted_graph(g, result.weights),
-        certificate=result.certificate,
         weights=result.weights,
+        certificate=result.certificate,
         lifted_rank=result.reduced_rank,
+        passed=result.certificate.passes(eps, CHECK_TOL),
+        checks=(),
+        subgraph=_reweighted_graph(g, result.weights),
     )
 
 
@@ -210,6 +237,7 @@ def sparsify_with_costs(
     eps: float,
     algo: str = "bss",
     seed: int = 0,
+    max_seconds: float | None = None,
 ) -> GraphSparsification:
     """Sparsify while preserving each cost total within [1, 1+eps].
 
@@ -219,7 +247,7 @@ def sparsify_with_costs(
     """
     costs = [np.asarray(c, dtype=float) for c in costs]
     coll = cost_lifted_collection(g, costs)
-    result = sparsify_sum(coll, eps, algo=algo, seed=seed)
+    result = sparsify_sum(coll, eps, algo=algo, seed=seed, max_seconds=max_seconds)
     y = result.weights
 
     lap_cert = certificate_for(reduce_to_identity(edge_collection(g)), y)
@@ -231,11 +259,20 @@ def sparsify_with_costs(
         )
         for c in costs
     ]
+    checks = tuple(
+        (
+            f"cost {i} original {win.original:.16e} sparsified {win.sparsified:.16e}",
+            win.within(eps, CHECK_TOL),
+        )
+        for i, win in enumerate(windows)
+    )
     return GraphSparsification(
-        subgraph=_reweighted_graph(g, y),
-        certificate=lap_cert,
         weights=y,
+        certificate=lap_cert,
         lifted_rank=result.reduced_rank,
+        passed=_verdict(lap_cert.passes(eps, CHECK_TOL), checks),
+        checks=checks,
+        subgraph=_reweighted_graph(g, y),
         cost_windows=windows,
     )
 
@@ -246,6 +283,7 @@ def rainbow_sparsify(
     eps: float,
     algo: str = "bss",
     seed: int = 0,
+    max_seconds: float | None = None,
 ) -> GraphSparsification:
     """Sparsify while preserving each color class weight within [1-eps, 1+eps].
 
@@ -266,7 +304,7 @@ def rainbow_sparsify(
     if any(count != 1 for count in covered):
         bad = [i for i, count in enumerate(covered) if count != 1]
         raise InvalidColoring(f"edges {bad} are not covered exactly once")
-    return sparsify_with_costs(g, indicators, eps, algo=algo, seed=seed)
+    return sparsify_with_costs(g, indicators, eps, algo=algo, seed=seed, max_seconds=max_seconds)
 
 
 def clique_laplacian(vertices, n: int) -> np.ndarray:
@@ -292,20 +330,28 @@ def hyperedge_collection(h: WeightedHypergraph) -> PsdCollection:
 
 
 def sparsify_hypergraph(
-    h: WeightedHypergraph, eps: float, algo: str = "bss", seed: int = 0
+    h: WeightedHypergraph,
+    eps: float,
+    algo: str = "bss",
+    seed: int = 0,
+    max_seconds: float | None = None,
 ) -> HypergraphSparsification:
     """Sub-hypergraph whose clique-expansion Laplacian sandwiches the input."""
-    result = sparsify_sum(hyperedge_collection(h), eps, algo=algo, seed=seed)
+    result = sparsify_sum(
+        hyperedge_collection(h), eps, algo=algo, seed=seed, max_seconds=max_seconds
+    )
     kept = [
         (verts, yi * w)
         for (verts, w), yi in zip(h.hyperedges, result.weights)
         if yi > 0.0
     ]
     return HypergraphSparsification(
-        subhypergraph=WeightedHypergraph(n=h.n, hyperedges=kept),
-        certificate=result.certificate,
         weights=result.weights,
+        certificate=result.certificate,
         lifted_rank=result.reduced_rank,
+        passed=result.certificate.passes(eps, CHECK_TOL),
+        checks=(),
+        subhypergraph=WeightedHypergraph(n=h.n, hyperedges=kept),
     )
 
 
@@ -427,17 +473,42 @@ def sdp_lifted_collection(inst: SdpInstance) -> PsdCollection:
 
 
 def sparse_sdp(
-    inst: SdpInstance, eps: float, algo: str = "bss", seed: int = 0
-) -> np.ndarray:
+    inst: SdpInstance,
+    eps: float,
+    algo: str = "bss",
+    seed: int = 0,
+    max_seconds: float | None = None,
+) -> Sparsification:
     """Thin a feasible SDP solution to O(n/eps^2) support.
 
-    Returns z_bar with sum(z_bar_i A_i) >= B and
+    The result's weights are z_bar with sum(z_bar_i A_i) >= B and
     c^T z_bar <= (1+eps) c^T z_star, built by sparsifying the blocks
-    diag(z*_i A_i, c_i z*_i).
+    diag(z*_i A_i, c_i z*_i); its checks report both objectives and the
+    feasibility of z_bar.
     """
     coll = sdp_lifted_collection(inst)
-    result = sparsify_sum(coll, eps, algo=algo, seed=seed)
-    return result.weights * np.asarray(inst.z_star, dtype=float)
+    result = sparsify_sum(coll, eps, algo=algo, seed=seed, max_seconds=max_seconds)
+    z_star = np.asarray(inst.z_star, dtype=float)
+    z_bar = result.weights * z_star
+    cost = np.asarray(inst.cost, dtype=float)
+    base_obj = float(cost @ z_star)
+    new_obj = float(cost @ z_bar)
+    slack = symmetrize(sum(z * a for z, a in zip(z_bar, inst.matrices)) - inst.target)
+    feasible = is_psd(slack, DEFAULT_PSD_TOL)
+    checks = (
+        (
+            f"objective original {base_obj:.16e} sparsified {new_obj:.16e}",
+            new_obj <= (1.0 + eps) * base_obj * (1.0 + CHECK_TOL) + CHECK_TOL,
+        ),
+        (f"feasible {'true' if feasible else 'false'}", feasible),
+    )
+    return Sparsification(
+        weights=z_bar,
+        certificate=result.certificate,
+        lifted_rank=result.reduced_rank,
+        passed=_verdict(result.certificate.passes(eps, CHECK_TOL), checks),
+        checks=checks,
+    )
 
 
 def renormalize_simplex(vec: np.ndarray) -> np.ndarray:
@@ -469,13 +540,41 @@ def caratheodory_lifted(lambdas, coll: PsdCollection) -> PsdCollection:
 
 
 def caratheodory(
-    lambdas, coll: PsdCollection, eps: float, algo: str = "bss", seed: int = 0
-) -> np.ndarray:
+    lambdas,
+    coll: PsdCollection,
+    eps: float,
+    algo: str = "bss",
+    seed: int = 0,
+    max_seconds: float | None = None,
+) -> Sparsification:
     """Sparse convex reweighting mu with (1-eps) B <= sum(mu_i B_i) <= (1+eps) B
-    where B = sum(lambda_i B_i)."""
-    lifted = caratheodory_lifted(lambdas, coll)
-    result = sparsify_sum(lifted, eps, algo=algo, seed=seed)
-    return renormalize_simplex(result.weights * np.asarray(lambdas, dtype=float))
+    where B = sum(lambda_i B_i).
+
+    The result's weights are mu, and its certificate is that of
+    sum(mu_i B_i) whitened against B, judged on the two-sided window.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    lifted = caratheodory_lifted(lam, coll)
+    result = sparsify_sum(lifted, eps, algo=algo, seed=seed, max_seconds=max_seconds)
+    mu = renormalize_simplex(result.weights * lam)
+    scaled = PsdCollection.from_matrices(
+        [li * b for li, b in zip(lam, coll.matrices)], validate=False
+    )
+    ratio = np.divide(mu, lam, out=np.zeros_like(mu), where=lam > 0.0)
+    cert = certificate_for(reduce_to_identity(scaled), ratio)
+    in_window = (
+        cert.lambda_min >= (1.0 - eps) * (1.0 - CHECK_TOL)
+        and cert.lambda_max <= (1.0 + eps) * (1.0 + CHECK_TOL)
+    )
+    total = float(mu.sum())
+    checks = ((f"simplex_sum {total!r}", abs(total - 1.0) <= CHECK_TOL),)
+    return Sparsification(
+        weights=mu,
+        certificate=cert,
+        lifted_rank=result.reduced_rank,
+        passed=_verdict(in_window, checks),
+        checks=checks,
+    )
 
 
 def family_lifted_collection(g: WeightedGraph, family):
@@ -526,6 +625,7 @@ def subgraph_family_sparsify(
     eps: float,
     algo: str = "bss",
     seed: int = 0,
+    max_seconds: float | None = None,
 ) -> GraphSparsification:
     """One reweighting that sparsifies G and every family member at once.
 
@@ -537,7 +637,7 @@ def subgraph_family_sparsify(
     """
     edge_index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
     coll, members = family_lifted_collection(g, family)
-    result = sparsify_sum(coll, eps, algo=algo, seed=seed)
+    result = sparsify_sum(coll, eps, algo=algo, seed=seed, max_seconds=max_seconds)
     y = result.weights
 
     cert_g = certificate_for(reduce_to_identity(edge_collection(g)), y)
@@ -557,11 +657,20 @@ def subgraph_family_sparsify(
         member_certs.append(
             certificate_for(reduce_to_identity(f_coll), np.array(f_weights))
         )
+    checks = tuple(
+        (
+            f"member {i} lambda_min {cert.lambda_min:.16e} lambda_max {cert.lambda_max:.16e}",
+            cert.passes(eps, CHECK_TOL),
+        )
+        for i, cert in enumerate(member_certs)
+    )
     return GraphSparsification(
-        subgraph=_reweighted_graph(g, y),
-        certificate=cert_g,
         weights=y,
+        certificate=cert_g,
         lifted_rank=result.reduced_rank,
+        passed=_verdict(cert_g.passes(eps, CHECK_TOL), checks),
+        checks=checks,
+        subgraph=_reweighted_graph(g, y),
         member_certificates=member_certs,
     )
 

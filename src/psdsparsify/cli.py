@@ -10,49 +10,36 @@ weight lines with 17 significant digits, certificate block); wall time is
 printed to stdout only.  Exit status 0 means the certificate met the
 requested epsilon (for ``bss`` under its documented ratio bound
 ((2+eps)/(2-eps))^2), 1 means it did not, 2 means the run failed.
-The environment variable SPARSIFY_MAX_MINUTES overrides the wall-clock
-guard (default 30 minutes).
+The environment variable SPARSIFY_MAX_MINUTES sets the wall-clock budget
+of the solver loop (default 30 minutes, zero or less for none); a run that
+exceeds it exits 2.  Every solver except ``aw-sample`` checks it once per
+iteration, in any thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import applications as apps
 from . import io_formats as io
-from .errors import SparsifyError, TimeBudgetExceeded, TNotLargeEnough
 from .bss import BssParams
-from .linalg import (
-    DEFAULT_PSD_TOL,
-    PsdCollection,
-    SandwichCertificate,
-    certificate_for,
-    is_psd,
-    reduce_to_identity,
-    symmetrize,
-)
+from .errors import SparsifyError
+from .linalg import reduce_to_identity
 from .mmwum_block import BlockParams
 from .mmwum_wf import WfParams
-from .sampling import (
-    aw_iteration_count,
-    pe_exponents,
-    pe_iteration_count,
-    pe_sparsify,
-)
+from .sampling import aw_iteration_count, pe_exponents, pe_iteration_count
 from .solve import (
     ALGORITHMS,
     DETERMINISTIC,
     certificate_passes,
     internal_epsilon,
     run_algorithm,
-    sparsify_sum,
 )
 
 KINDS = ("matrices", "graph", "hypergraph", "sdp", "simplex")
@@ -60,13 +47,15 @@ KINDS = ("matrices", "graph", "hypergraph", "sdp", "simplex")
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """CLI-facing knobs; epsilon must lie in (0, 1)."""
+    """CLI-facing knobs; epsilon must lie in (0, 1).
+
+    ``max_minutes`` is the wall-clock budget of the solver loop; zero or
+    less means no budget.
+    """
 
     algorithm: str
     epsilon: float
     seed: int = 0
-    psd_tol: float = DEFAULT_PSD_TOL
-    rank_tol: float | None = None
     max_minutes: float = 30.0
 
     def __post_init__(self):
@@ -75,57 +64,38 @@ class AlgorithmConfig:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
 
+    @property
+    def max_seconds(self) -> float | None:
+        return self.max_minutes * 60.0 if self.max_minutes > 0 else None
+
 
 @dataclass
 class RunReport:
-    """Everything one invocation produced, emitted as deterministic text."""
+    """Everything one invocation produced, emitted as deterministic text.
+
+    ``result`` carries the weights, the certificate, the verdict and the
+    ordered check lines; ``result.lifted_rank`` is the rank reported as
+    the input rank.
+    """
 
     algorithm: str
     epsilon: float
     seed: int
     n: int
     m: int
-    rank: int
     params: list
-    deterministic: bool
-    weights: np.ndarray
-    certificate: SandwichCertificate
-    passed: bool
+    result: apps.Sparsification
     wall_time_s: float = 0.0
-    extras: list = field(default_factory=list)
+
+
+_SCHEDULES = {"bss": BssParams, "mmwum-wf": WfParams, "mmwum-block": BlockParams}
 
 
 def param_dump(algo: str, eps: float, rank: int) -> list:
     """Ordered (name, value) pairs of the derived schedule for one run."""
-    if algo == "bss":
-        p = BssParams.from_epsilon(eps, rank)
-        return [
-            ("delta_L", p.delta_L),
-            ("eps_L", p.eps_L),
-            ("ell_0", p.ell_0),
-            ("delta_U", p.delta_U),
-            ("eps_U", p.eps_U),
-            ("u_0", p.u_0),
-            ("T", p.T),
-        ]
-    if algo == "mmwum-wf":
-        p = WfParams.from_epsilon(eps, rank)
-        return [
-            ("eta", p.eta),
-            ("delta_U", p.delta_U),
-            ("delta_L", p.delta_L),
-            ("T", p.T),
-            ("gamma", p.gamma),
-        ]
-    if algo == "mmwum-block":
-        p = BlockParams.from_epsilon(eps, rank)
-        return [
-            ("beta", p.beta),
-            ("eta", p.eta),
-            ("ell", p.ell),
-            ("rho", p.rho),
-            ("T", p.T),
-        ]
+    if algo in _SCHEDULES:
+        p = _SCHEDULES[algo].from_epsilon(eps, rank)
+        return [(f.name, getattr(p, f.name)) for f in fields(p) if f.name not in ("eps", "n")]
     if algo == "aw-sample":
         return [("mu", 1.0 / rank), ("T", aw_iteration_count(rank, eps))]
     if algo == "pe":
@@ -140,177 +110,70 @@ def param_dump(algo: str, eps: float, rank: int) -> list:
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _wrapped_params(algo: str, eps: float, rank: int) -> list:
-    eps_int = internal_epsilon(eps)
-    return [("internal_epsilon", eps_int)] + param_dump(algo, eps_int, rank)
-
-
 def run(config: AlgorithmConfig, data, kind: str = "matrices", costs=None, family=None) -> RunReport:
-    """Dispatch one parsed input through the requested algorithm."""
+    """Run one parsed input through the library call its kind maps to."""
     start = time.monotonic()
-    algo, eps, seed = config.algorithm, config.epsilon, config.seed
-    tol = 1e-6
-
+    algo, eps = config.algorithm, config.epsilon
+    kw = dict(algo=algo, seed=config.seed, max_seconds=config.max_seconds)
     if kind == "matrices":
-        coll: PsdCollection = data
-        reduced = reduce_to_identity(coll, rank_tol=config.rank_tol)
-        extras = []
-        if algo == "pe":
-            # single retry with an instance-calibrated budget
-            try:
-                result = pe_sparsify(reduced, eps)
-                t_used = pe_iteration_count(reduced.rank, eps)
-            except TNotLargeEnough as exc:
-                result = pe_sparsify(reduced, eps, t_total=exc.suggested_t)
-                t_used = exc.suggested_t
-            extras.append(f"t_used {t_used}")
-        else:
-            result = run_algorithm(reduced, eps, algo, seed=seed)
-        report = RunReport(
-            algorithm=algo,
-            epsilon=eps,
-            seed=seed,
-            n=coll.dim,
-            m=len(coll),
-            rank=reduced.rank,
-            params=param_dump(algo, eps, reduced.rank),
-            deterministic=DETERMINISTIC[algo],
-            weights=result.weights,
-            certificate=result.certificate,
-            passed=certificate_passes(algo, eps, result.certificate, tol),
-            extras=extras,
+        n, m = data.dim, len(data)
+        reduced = reduce_to_identity(data)
+        raw = run_algorithm(reduced, eps, **kw)
+        result = apps.Sparsification(
+            weights=raw.weights,
+            certificate=raw.certificate,
+            lifted_rank=reduced.rank,
+            passed=certificate_passes(algo, eps, raw.certificate),
+            checks=((f"t_used {raw.t_used}", True),) if algo == "pe" else (),
         )
     elif kind == "graph":
-        g: apps.WeightedGraph = data
+        n, m = data.n, data.m
         if costs is not None and family is not None:
             raise ValueError("--costs and --family are mutually exclusive")
         if costs is not None:
-            sp = apps.sparsify_with_costs(g, costs, eps, algo=algo, seed=seed)
+            result = apps.sparsify_with_costs(data, costs, eps, **kw)
         elif family is not None:
-            sp = apps.subgraph_family_sparsify(g, family, eps, algo=algo, seed=seed)
+            result = apps.subgraph_family_sparsify(data, family, eps, **kw)
         else:
-            sp = apps.sparsify_graph(g, eps, algo=algo, seed=seed)
-        passed = sp.certificate.passes(eps, tol)
-        extras = []
-        if sp.cost_windows is not None:
-            for i, win in enumerate(sp.cost_windows):
-                extras.append(
-                    f"cost {i} original {win.original:.16e} sparsified {win.sparsified:.16e}"
-                )
-                passed = passed and win.within(eps, tol)
-        if sp.member_certificates is not None:
-            for i, cert in enumerate(sp.member_certificates):
-                extras.append(
-                    f"member {i} lambda_min {cert.lambda_min:.16e}"
-                    f" lambda_max {cert.lambda_max:.16e}"
-                )
-                passed = passed and cert.passes(eps, tol)
-        report = RunReport(
-            algorithm=algo,
-            epsilon=eps,
-            seed=seed,
-            n=g.n,
-            m=g.m,
-            rank=sp.lifted_rank,
-            params=_wrapped_params(algo, eps, sp.lifted_rank),
-            deterministic=DETERMINISTIC[algo],
-            weights=sp.weights,
-            certificate=sp.certificate,
-            passed=passed,
-            extras=extras,
-        )
+            result = apps.sparsify_graph(data, eps, **kw)
     elif kind == "hypergraph":
-        h: apps.WeightedHypergraph = data
-        sp = apps.sparsify_hypergraph(h, eps, algo=algo, seed=seed)
-        report = RunReport(
-            algorithm=algo,
-            epsilon=eps,
-            seed=seed,
-            n=h.n,
-            m=h.m,
-            rank=sp.lifted_rank,
-            params=_wrapped_params(algo, eps, sp.lifted_rank),
-            deterministic=DETERMINISTIC[algo],
-            weights=sp.weights,
-            certificate=sp.certificate,
-            passed=sp.certificate.passes(eps, tol),
-        )
+        n, m = data.n, data.m
+        result = apps.sparsify_hypergraph(data, eps, **kw)
     elif kind == "sdp":
-        inst: apps.SdpInstance = data
-        lifted = apps.sdp_lifted_collection(inst)
-        result = sparsify_sum(lifted, eps, algo=algo, seed=seed)
-        z_star = np.asarray(inst.z_star, dtype=float)
-        z_bar = result.weights * z_star
-        cost = np.asarray(inst.cost, dtype=float)
-        base_obj = float(cost @ z_star)
-        new_obj = float(cost @ z_bar)
-        slack = symmetrize(
-            sum(z * a for z, a in zip(z_bar, inst.matrices)) - inst.target
-        )
-        feasible = is_psd(slack, config.psd_tol)
-        passed = (
-            result.certificate.passes(eps, tol)
-            and feasible
-            and new_obj <= (1.0 + eps) * base_obj * (1.0 + tol) + tol
-        )
-        report = RunReport(
-            algorithm=algo,
-            epsilon=eps,
-            seed=seed,
-            n=inst.matrices[0].shape[0],
-            m=len(inst.matrices),
-            rank=result.reduced_rank,
-            params=_wrapped_params(algo, eps, result.reduced_rank),
-            deterministic=DETERMINISTIC[algo],
-            weights=z_bar,
-            certificate=result.certificate,
-            passed=passed,
-            extras=[
-                f"objective original {base_obj:.16e} sparsified {new_obj:.16e}",
-                f"feasible {'true' if feasible else 'false'}",
-            ],
-        )
+        n, m = data.matrices[0].shape[0], len(data.matrices)
+        result = apps.sparse_sdp(data, eps, **kw)
     elif kind == "simplex":
         lam, coll = data
-        lifted = apps.caratheodory_lifted(lam, coll)
-        result = sparsify_sum(lifted, eps, algo=algo, seed=seed)
-        mu = apps.renormalize_simplex(result.weights * lam)
-        # certificate of sum(mu_i B_i) whitened against B = sum(lambda_i B_i)
-        scaled = PsdCollection.from_matrices(
-            [li * b for li, b in zip(lam, coll.matrices)], validate=False
-        )
-        ratio = np.divide(mu, lam, out=np.zeros_like(mu), where=lam > 0.0)
-        cert = certificate_for(reduce_to_identity(scaled), ratio)
-        passed = cert.lambda_min >= (1.0 - eps) * (1.0 - tol) and cert.lambda_max <= (
-            1.0 + eps
-        ) * (1.0 + tol)
-        report = RunReport(
-            algorithm=algo,
-            epsilon=eps,
-            seed=seed,
-            n=coll.dim,
-            m=len(coll),
-            rank=result.reduced_rank,
-            params=_wrapped_params(algo, eps, result.reduced_rank),
-            deterministic=DETERMINISTIC[algo],
-            weights=mu,
-            certificate=cert,
-            passed=passed,
-            extras=[f"simplex_sum {repr(float(mu.sum()))}"],
-        )
+        n, m = coll.dim, len(coll)
+        result = apps.caratheodory(lam, coll, eps, **kw)
     else:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
 
-    report.wall_time_s = time.monotonic() - start
-    return report
+    rank = result.lifted_rank
+    if kind == "matrices":
+        params = param_dump(algo, eps, rank)
+    else:
+        params = [("internal_epsilon", internal_epsilon(eps))]
+        params += param_dump(algo, internal_epsilon(eps), rank)
+    return RunReport(
+        algorithm=algo,
+        epsilon=eps,
+        seed=config.seed,
+        n=n,
+        m=m,
+        params=params,
+        result=result,
+        wall_time_s=time.monotonic() - start,
+    )
 
 
 def emit(report: RunReport) -> str:
     """Deterministic text form of a report (wall time deliberately absent)."""
+    result = report.result
     lines = [
         f"input n {report.n}",
         f"input m {report.m}",
-        f"input rank {report.rank}",
+        f"input rank {result.lifted_rank}",
         f"algorithm {report.algorithm}",
         f"epsilon {repr(report.epsilon)}",
         f"seed {report.seed}",
@@ -318,18 +181,18 @@ def emit(report: RunReport) -> str:
     for name, value in report.params:
         text = str(value) if isinstance(value, int) else f"{value:.16e}"
         lines.append(f"param {name} {text}")
-    lines.append(f"deterministic: {'true' if report.deterministic else 'false'}")
+    lines.append(f"deterministic: {'true' if DETERMINISTIC[report.algorithm] else 'false'}")
     lines.append("weights")
-    for idx in np.flatnonzero(report.weights > 0.0):
-        lines.append(f"{idx} {report.weights[idx]:.16e}")
-    cert = report.certificate
+    for idx in np.flatnonzero(result.weights > 0.0):
+        lines.append(f"{idx} {result.weights[idx]:.16e}")
+    cert = result.certificate
     lines.append("certificate")
     lines.append(f"lambda_min {cert.lambda_min:.16e}")
     lines.append(f"lambda_max {cert.lambda_max:.16e}")
     lines.append(f"support_size {cert.support_size}")
     lines.append(f"epsilon_achieved {cert.epsilon_achieved:.16e}")
-    lines.extend(report.extras)
-    lines.append(f"passed {'true' if report.passed else 'false'}")
+    lines.extend(line for line, _ in result.checks)
+    lines.append(f"passed {'true' if result.passed else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -355,26 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--costs", default=None, help="cost vectors (graph kind only)")
     parser.add_argument("--family", default=None, help="subgraph family (graph kind only)")
-    parser.add_argument("--psd-tol", type=float, default=DEFAULT_PSD_TOL)
-    parser.add_argument("--rank-tol", type=float, default=None)
     return parser
-
-
-def _alarm_handler(signum, frame):
-    raise TimeBudgetExceeded("wall-clock guard expired")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        max_minutes = float(os.environ.get("SPARSIFY_MAX_MINUTES", "30"))
         config = AlgorithmConfig(
             algorithm=args.algo,
             epsilon=args.eps,
             seed=args.seed,
-            psd_tol=args.psd_tol,
-            rank_tol=args.rank_tol,
-            max_minutes=max_minutes,
+            max_minutes=float(os.environ.get("SPARSIFY_MAX_MINUTES", "30")),
         )
         if (args.costs or args.family) and args.kind != "graph":
             raise ValueError("--costs/--family apply only to --kind graph")
@@ -387,25 +241,17 @@ def main(argv=None) -> int:
         if args.family:
             with open(args.family, encoding="utf-8") as fh:
                 family = io.parse_family(fh.read())
-
-        if max_minutes > 0 and hasattr(signal, "SIGALRM"):
-            signal.signal(signal.SIGALRM, _alarm_handler)
-            signal.alarm(max(1, int(max_minutes * 60)))
-        try:
-            report = run(config, data, kind=args.kind, costs=costs, family=family)
-        finally:
-            if max_minutes > 0 and hasattr(signal, "SIGALRM"):
-                signal.alarm(0)
-
+        report = run(config, data, kind=args.kind, costs=costs, family=family)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit(report))
+        result, cert = report.result, report.result.certificate
         print(
-            f"{args.algo} on {args.kind} (n={report.n} m={report.m} rank={report.rank}):"
-            f" support {report.certificate.support_size},"
-            f" window [{report.certificate.lambda_min:.6f}, {report.certificate.lambda_max:.6f}],"
-            f" {'pass' if report.passed else 'FAIL'} in {report.wall_time_s:.2f}s"
+            f"{args.algo} on {args.kind} (n={report.n} m={report.m} rank={result.lifted_rank}):"
+            f" support {cert.support_size},"
+            f" window [{cert.lambda_min:.6f}, {cert.lambda_max:.6f}],"
+            f" {'pass' if result.passed else 'FAIL'} in {report.wall_time_s:.2f}s"
         )
-        return 0 if report.passed else 1
+        return 0 if result.passed else 1
     except (SparsifyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

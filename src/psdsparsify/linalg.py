@@ -83,28 +83,6 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
     return bool(w[0] >= -tol * scale)
 
 
-def pinv_sqrt(m: np.ndarray, rank_tol: float | None = None) -> tuple[np.ndarray, int]:
-    """Pseudoinverse square root of a PSD matrix.
-
-    Eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero.
-    Returns the matrix Q diag(w_kept^-1/2) Q^T and the retained rank.
-    """
-    spec = eigh(m)
-    n = spec.eigenvalues.size
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n)
-    w, q = spec.eigenvalues, spec.eigenvectors
-    lam_max = float(w[-1]) if n else 0.0
-    cutoff = rank_tol * max(lam_max, 0.0)
-    if w[0] < -max(cutoff, rank_tol):
-        raise NotPsd(f"lambda_min = {w[0]:.3e} below PSD tolerance")
-    keep = w > cutoff
-    inv_sqrt = np.zeros_like(w)
-    inv_sqrt[keep] = 1.0 / np.sqrt(w[keep])
-    root = symmetrize((q * inv_sqrt) @ q.T)
-    return root, int(np.count_nonzero(keep))
-
-
 def sym_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential via eigendecomposition (exact for symmetric M)."""
     spec = eigh(m)
@@ -116,13 +94,13 @@ def sym_exp(m: np.ndarray) -> np.ndarray:
     return symmetrize((q * np.exp(spec.eigenvalues)) @ q.T)
 
 
-def trace_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Trace inner product <X, Y> = sum_ij X_ij Y_ij = trace(XY)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return float(np.sum(x * y))
+def ln_sum_exp(w: np.ndarray) -> np.ndarray:
+    """log(sum exp(w)) along the last axis, computed stably.
+
+    A (k, n) stack gives one value per row.
+    """
+    top = np.max(w, axis=-1)
+    return top + np.log(np.sum(np.exp(w - top[..., None]), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -259,12 +237,15 @@ class SparsifierResult:
     """Nonnegative weights, their support, and the spectral certificate.
 
     ``reduced_rank`` records the whitened dimension the run worked in when
-    the caller went through the reduction wrapper.
+    the caller went through the reduction wrapper; ``t_used`` records the
+    number of draws or greedy steps a sampling run quantized its weights
+    by.
     """
 
     weights: np.ndarray
     certificate: SandwichCertificate
     reduced_rank: int | None = None
+    t_used: int | None = None
 
     @property
     def support(self) -> np.ndarray:

@@ -24,9 +24,8 @@ from .errors import OracleInfeasible, TimeBudgetExceeded
 from .linalg import (
     PsdCollection,
     ReducedInstance,
-    SandwichCertificate,
     SparsifierResult,
-    eigh,
+    certificate_for,
     sym_exp,
     symmetrize,
 )
@@ -152,13 +151,7 @@ def block_sparsify(
                 BlockIterate(t=t, j=j, alpha=alpha, width=alpha * reduced.traces[j])
             )
     y_bar = y_sum / params.T
-    w = eigh(reduced.weighted_sum(y_bar)).eigenvalues
-    cert = SandwichCertificate(
-        lambda_min=float(w[0]),
-        lambda_max=float(w[-1]),
-        support_size=int(np.count_nonzero(y_bar > 0.0)),
-    )
-    return SparsifierResult(weights=y_bar, certificate=cert)
+    return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .linalg import (
     SandwichCertificate,
     SparsifierResult,
     eigh,
+    ln_sum_exp,
     symmetrize,
 )
 
@@ -122,11 +123,6 @@ def psi_lower(a: np.ndarray, ell: float, gamma: float) -> float:
     return _trace_exp_eigs(-gamma * eigh(a).eigenvalues, shift=-ell)
 
 
-def _ln_sum_exp(w: np.ndarray) -> float:
-    top = float(np.max(w))
-    return top + math.log(float(np.sum(np.exp(w - top))))
-
-
 def check_potential_equivalence(
     a: np.ndarray,
     x: np.ndarray,
@@ -158,12 +154,12 @@ def check_potential_equivalence(
     # log-space margins; >= 0 means the condition holds.  The shifted
     # route folds the moving barrier into each exponent before summing,
     # so the two formulations take distinct numerical paths.
-    m_mult_u = big_u + _ln_sum_exp(gamma * w_here) - _ln_sum_exp(gamma * w_next)
-    m_mult_l = -big_l + _ln_sum_exp(-gamma * w_here) - _ln_sum_exp(-gamma * w_next)
-    m_shift_u = _ln_sum_exp(gamma * w_here - t * big_u) - _ln_sum_exp(
+    m_mult_u = big_u + ln_sum_exp(gamma * w_here) - ln_sum_exp(gamma * w_next)
+    m_mult_l = -big_l + ln_sum_exp(-gamma * w_here) - ln_sum_exp(-gamma * w_next)
+    m_shift_u = ln_sum_exp(gamma * w_here - t * big_u) - ln_sum_exp(
         gamma * w_next - (t + 1) * big_u
     )
-    m_shift_l = _ln_sum_exp(t * big_l - gamma * w_here) - _ln_sum_exp(
+    m_shift_l = ln_sum_exp(t * big_l - gamma * w_here) - ln_sum_exp(
         (t + 1) * big_l - gamma * w_next
     )
 

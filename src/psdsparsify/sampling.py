@@ -22,9 +22,10 @@ import numpy as np
 from .errors import TimeBudgetExceeded, TNotLargeEnough
 from .linalg import (
     ReducedInstance,
-    SandwichCertificate,
     SparsifierResult,
+    certificate_for,
     eigh,
+    ln_sum_exp,
     symmetrize,
 )
 
@@ -93,13 +94,9 @@ def _result_from_counts(
     counts: np.ndarray, reduced: ReducedInstance, t_total: int
 ) -> SparsifierResult:
     y = _quantized_weights(counts, reduced, t_total)
-    w = eigh(reduced.weighted_sum(y)).eigenvalues
-    cert = SandwichCertificate(
-        lambda_min=float(w[0]),
-        lambda_max=float(w[-1]),
-        support_size=int(np.count_nonzero(y > 0.0)),
+    return SparsifierResult(
+        weights=y, certificate=certificate_for(reduced, y), t_used=t_total
     )
-    return SparsifierResult(weights=y, certificate=cert)
 
 
 def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> SparsifierResult:
@@ -120,12 +117,6 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
     idx = np.minimum(idx, last)
     counts = np.bincount(idx, minlength=len(reduced))
     return _result_from_counts(counts, reduced, plan.t_random)
-
-
-def _ln_sum_exp(w: np.ndarray) -> np.ndarray:
-    """log(sum exp(w)) along the last axis, computed stably."""
-    top = np.max(w, axis=-1)
-    return top + np.log(np.sum(np.exp(w - top[..., None]), axis=-1))
 
 
 @dataclass
@@ -168,8 +159,8 @@ class PeState:
         t_total = self.t_total
         c_phi = self.t_minus * t_total * (1.0 - plan.eps) * plan.mu
         c_psi = -self.t_plus * t_total * (1.0 + plan.eps) * plan.mu
-        ln_phi = c_phi + _ln_sum_exp(w_lower) + (t_total - i) * self.log_norm_minus
-        ln_psi = c_psi + _ln_sum_exp(w_upper) + (t_total - i) * self.log_norm_plus
+        ln_phi = c_phi + ln_sum_exp(w_lower) + (t_total - i) * self.log_norm_minus
+        ln_psi = c_psi + ln_sum_exp(w_upper) + (t_total - i) * self.log_norm_plus
         return np.exp(ln_phi) + np.exp(ln_psi)
 
     def _value(self, exp_lower: np.ndarray, exp_upper: np.ndarray, i: int) -> float:

@@ -292,7 +292,7 @@ def test_criterion_11_lifted_constructions():
         cost = rng_i.uniform(0.0, 1.0, 50)
         target = symmetrize(sum(z * a for z, a in zip(z_star, mats)) * 0.9)
         inst = apps.SdpInstance(matrices=mats, target=target, cost=cost, z_star=z_star)
-        z_bar = apps.sparse_sdp(inst, eps)
+        z_bar = apps.sparse_sdp(inst, eps).weights
         slack = symmetrize(sum(z * a for z, a in zip(z_bar, mats)) - target)
         assert is_psd(slack, tol=1e-7)
         assert float(cost @ z_bar) <= (1 + eps) * float(cost @ z_star) * (1 + 1e-6)
@@ -303,7 +303,7 @@ def test_criterion_11_lifted_constructions():
         coll = PsdCollection.from_matrices(mats, validate=False)
         lam = rng_i.uniform(0.1, 1.0, 40)
         lam /= lam.sum()
-        mu = apps.caratheodory(lam, coll, eps)
+        mu = apps.caratheodory(lam, coll, eps).weights
         assert float(mu.sum()) == 1.0
         target = sum(l * b for l, b in zip(lam, mats))
         combo = sum(m * b for m, b in zip(mu, mats))

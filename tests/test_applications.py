@@ -246,7 +246,7 @@ class TestSparseSdp:
             cost=np.array([1.0]),
             z_star=np.array([1.0]),
         )
-        z_bar = sparse_sdp(inst, 0.5)
+        z_bar = sparse_sdp(inst, 0.5).weights
         assert 1.0 - 1e-9 <= z_bar[0] <= 1.5 + 1e-6
 
     def test_zero_cost_still_feasible(self):
@@ -255,7 +255,7 @@ class TestSparseSdp:
         z_star = rng.uniform(0.5, 1.5, 8)
         target = symmetrize(sum(z * a for z, a in zip(z_star, mats)) * 0.8)
         inst = SdpInstance(matrices=mats, target=target, cost=np.zeros(8), z_star=z_star)
-        z_bar = sparse_sdp(inst, 0.5)
+        z_bar = sparse_sdp(inst, 0.5).weights
         slack = sum(z * a for z, a in zip(z_bar, mats)) - target
         assert is_psd(symmetrize(slack), tol=1e-7)
 
@@ -266,7 +266,7 @@ class TestSparseSdp:
         z_star = rng.uniform(0.1, 1.0, 50)
         target = symmetrize(sum(z * a for z, a in zip(z_star, mats)) * 0.9)
         inst = SdpInstance(matrices=mats, target=target, cost=cost, z_star=z_star)
-        z_bar = sparse_sdp(inst, 0.5)
+        z_bar = sparse_sdp(inst, 0.5).weights
         assert float(cost @ z_bar) <= 1.5 * float(cost @ z_star) * (1 + 1e-6)
         slack = sum(z * a for z, a in zip(z_bar, mats)) - target
         assert is_psd(symmetrize(slack), tol=1e-7)
@@ -285,12 +285,12 @@ class TestSparseSdp:
 class TestCaratheodory:
     def test_single_matrix(self):
         coll = PsdCollection.from_matrices([np.eye(3)])
-        mu = caratheodory(np.array([1.0]), coll, 0.5)
+        mu = caratheodory(np.array([1.0]), coll, 0.5).weights
         np.testing.assert_allclose(mu, [1.0])
 
     def test_equal_matrices_ratio_one(self):
         coll = PsdCollection.from_matrices([np.eye(2)] * 5)
-        mu = caratheodory(np.full(5, 0.2), coll, 0.5)
+        mu = caratheodory(np.full(5, 0.2), coll, 0.5).weights
         assert mu.sum() == 1.0
         combined = sum(m * b for m, b in zip(mu, coll.matrices))
         np.testing.assert_allclose(combined, np.eye(2), atol=1e-9)
@@ -301,7 +301,7 @@ class TestCaratheodory:
         coll = PsdCollection.from_matrices(mats, validate=False)
         lam = rng.uniform(0.2, 1.0, 100)
         lam /= lam.sum()
-        mu = caratheodory(lam, coll, 0.5)
+        mu = caratheodory(lam, coll, 0.5).weights
         assert mu.sum() == 1.0
         assert np.all(mu >= 0.0)
         target = sum(l * b for l, b in zip(lam, mats))

@@ -1,5 +1,7 @@
 """Text formats, round trips, and the batch command line."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from psdsparsify.io_formats import (
     parse_sdp,
     parse_simplex,
 )
-from psdsparsify.instances import complete_graph, random_psd_collection
+from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 
 
 class TestMatrixFormat:
@@ -297,6 +299,46 @@ class TestCli:
         )
         assert code == 0
         assert "member 0 lambda_min" in text
+
+    def test_runs_outside_the_main_thread(self, tmp_path, identity_pair_file):
+        out = tmp_path / "out.txt"
+        argv = ["--algo", "bss", "--eps", "0.5", "--input", str(identity_pair_file),
+                "--output", str(out)]
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert codes == [0]
+        assert "passed true" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("matrices", emit_matrix_collection(identity_decomposition(4))),
+            ("graph", emit_graph(complete_graph(5))),
+        ],
+        ids=["matrices", "graph"],
+    )
+    def test_budget_below_a_second_stops_pe(self, tmp_path, monkeypatch, kind, text):
+        inp = tmp_path / "in.txt"
+        inp.write_text(text)
+        monkeypatch.setenv("SPARSIFY_MAX_MINUTES", "1e-6")
+        code, _ = self.run_cli(
+            tmp_path, "--algo", "pe", "--eps", "0.5", "--kind", kind, "--input", str(inp)
+        )
+        assert code == 2
+
+    def test_pe_retry_reports_the_budget_it_used(self, tmp_path):
+        # the closed-form T = 57 misses phi_0 + psi_0 < 1 here, so the run
+        # retries with the calibrated budget the exception suggests
+        inp = tmp_path / "id4.txt"
+        inp.write_text(emit_matrix_collection(identity_decomposition(4)))
+        code, text = self.run_cli(tmp_path, "--algo", "pe", "--eps", "0.45", "--input", str(inp))
+        assert code == 0
+        lines = text.splitlines()
+        assert "param T 57" in lines
+        assert "t_used 67" in lines
 
 
 class TestRunReportInvariant:

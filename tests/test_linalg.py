@@ -18,11 +18,9 @@ from psdsparsify.linalg import (
     certificate_for,
     eigh,
     is_psd,
-    pinv_sqrt,
     reduce_to_identity,
     sym_exp,
     symmetrize,
-    trace_inner,
     verify_sandwich,
 )
 
@@ -100,47 +98,6 @@ class TestIsPsd:
         assert is_psd(random_psd(rng, n), tol=1e-9)
 
 
-class TestPinvSqrt:
-    def test_rank_deficient_diagonal(self):
-        root, rank = pinv_sqrt(np.diag([4.0, 0.0]), rank_tol=1e-10)
-        np.testing.assert_allclose(root, np.diag([0.5, 0.0]), atol=1e-14)
-        assert rank == 1
-
-    def test_identity(self):
-        root, rank = pinv_sqrt(np.eye(3))
-        np.testing.assert_allclose(root, np.eye(3), atol=1e-14)
-        assert rank == 3
-
-    def test_two_by_two(self):
-        # [[2,1],[1,2]] has eigenvalues {1, 3}; result keeps the
-        # eigenvectors with eigenvalues {1, 1/sqrt(3)}
-        root, rank = pinv_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert rank == 2
-        w = np.linalg.eigvalsh(root)
-        np.testing.assert_allclose(sorted(w), sorted([1.0, 1.0 / np.sqrt(3.0)]), atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPsd):
-            pinv_sqrt(np.diag([1.0, -1.0]))
-
-    @given(
-        st.integers(min_value=1, max_value=7),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_projector_identity(self, n, rank, seed):
-        # R M R equals the projector onto the retained eigenspace
-        rng = np.random.default_rng(seed)
-        m = random_psd(rng, n, rank=min(rank, n))
-        root, r = pinv_sqrt(m)
-        spec = eigh(m)
-        keep = spec.eigenvalues > 1e-10 * n * spec.eigenvalues[-1]
-        p = spec.eigenvectors[:, keep]
-        assert r == int(np.count_nonzero(keep))
-        assert np.linalg.norm(root @ m @ root - p @ p.T, "fro") <= 1e-7
-
-
 class TestReduceToIdentity:
     def test_diagonal_pair(self, diag_split):
         red = reduce_to_identity(diag_split)
@@ -196,32 +153,6 @@ class TestSymExp:
     def test_overflow_guard(self):
         with pytest.raises(ExpOverflow):
             sym_exp(np.diag([800.0, 0.0]))
-
-
-class TestTraceInner:
-    def test_identity_pair(self):
-        assert trace_inner(np.eye(5), np.eye(5)) == 5.0
-
-    def test_diagonal(self):
-        assert trace_inner(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 11.0
-
-    def test_zero(self):
-        rng = np.random.default_rng(0)
-        x = random_psd(rng, 4)
-        assert trace_inner(x, np.zeros((4, 4))) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            trace_inner(np.eye(2), np.eye(3))
-
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_exact_symmetry_and_trace_identity(self, n, seed):
-        rng = np.random.default_rng(seed)
-        x = symmetrize(rng.standard_normal((n, n)))
-        y = symmetrize(rng.standard_normal((n, n)))
-        assert trace_inner(x, y) == trace_inner(y, x)
-        assert trace_inner(x, y) == pytest.approx(np.trace(x @ y), rel=1e-12, abs=1e-12)
 
 
 class TestVerifySandwich:
