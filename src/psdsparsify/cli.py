@@ -19,6 +19,7 @@ iteration, in any thread.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -50,7 +51,7 @@ class AlgorithmConfig:
     """CLI-facing knobs; epsilon must lie in (0, 1).
 
     ``max_minutes`` is the wall-clock budget of the solver loop; zero or
-    less means no budget.
+    less means no budget, and NaN is rejected.
     """
 
     algorithm: str
@@ -63,6 +64,8 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if math.isnan(self.max_minutes):
+            raise ValueError("max_minutes (SPARSIFY_MAX_MINUTES) must be a number, got nan")
 
     @property
     def max_seconds(self) -> float | None:

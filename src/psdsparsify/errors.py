@@ -62,12 +62,15 @@ class TNotLargeEnough(SparsifyError):
     """The derandomized iteration budget does not force success.
 
     ``suggested_t`` is a budget that provably does, computed from the
-    measured decay rates of the two estimators.
+    measured decay rates of the two estimators.  ``instance`` holds the
+    budget-free pieces they were measured on (a ``sampling.PeInstance``),
+    so a retry at ``suggested_t`` need not build them again.
     """
 
-    def __init__(self, message, suggested_t=None):
+    def __init__(self, message, suggested_t=None, instance=None):
         super().__init__(message)
         self.suggested_t = suggested_t
+        self.instance = instance
 
 
 class TimeBudgetExceeded(SparsifyError):

@@ -1,11 +1,13 @@
 """Whitespace-delimited text formats for every input kind.
 
 All formats share the conventions: blank lines and full-line ``#``
-comments are ignored, matrix indices are 0-based, vertex indices are
-1-based, and matrices are given by upper-triangle entries that are
-mirrored on parse.  The ``emit_*`` functions produce the canonical form
-(sorted nonzero entries, shortest round-trip float repr), so parsing an
-emitted file reproduces the object bit for bit.
+comments are ignored (a ``#`` after content on the same line is not a
+comment and makes the line malformed), matrix indices are 0-based, vertex
+indices are 1-based, and matrices are given by upper-triangle entries
+that are mirrored on parse.  Malformed text raises ``ParseError`` naming
+the first offending line.  The ``emit_*`` functions produce the
+canonical form (sorted nonzero entries, shortest round-trip float repr),
+so parsing an emitted file reproduces the object bit for bit.
 
 matrices     n m | repeated blocks:  mat <k>  then  i j value
 graph        n   | lines:  u v weight
@@ -14,9 +16,19 @@ costs        k m | k lines of m values (edge order of the graph file)
 family       f   | per member:  e  then e lines of  u v
 sdp          sdp n m | m mat blocks | target block | cost ... | feasible ...
 simplex      simplex n m | lambda ... | m mat blocks
+
+The entry blocks of the matrices, sdp and simplex formats are read in
+bulk: one ``numpy.loadtxt`` call per block, then the range, finiteness
+and duplicate checks over every block at once.  Python's ``int`` and
+``float`` define the valid tokens; a block whose tokens ``loadtxt``
+rejects is scanned line by line with them to find the offending line.
 """
 
 from __future__ import annotations
+
+import re
+import warnings
+from bisect import bisect_left
 
 import numpy as np
 
@@ -24,14 +36,31 @@ from .applications import SdpInstance, WeightedGraph, WeightedHypergraph
 from .errors import ParseError
 from .linalg import PsdCollection, symmetrize
 
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
-def _content_lines(text: str):
-    """Yield (1-based line number, stripped content) skipping blanks/comments."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line
+
+def _loadtxt_rejects_float_indices() -> bool:
+    """Whether loadtxt rejects '1.0' in an integer column, as Python's int does.
+
+    numpy 1.23 deprecated reading it as 1; a release that still does so
+    only warns.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(["1.0"], dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+# where loadtxt would read the index '1.0' as 1, every block is scanned
+_BULK = _loadtxt_rejects_float_indices()
+
+# A line whose first token is ASCII digits after optional signs is an entry
+# line; every line these patterns do not vouch for is classified in Python.
+_PLAIN_ENTRY = re.compile(r"[ \t]*[+-]*[0-9]+(?:[ \t\n]|\Z)")
+_OTHER_LINE = re.compile(r"\n(?![ \t]*[+-]*[0-9]+(?:[ \t\n]|\Z))")
 
 
 def _parse_float(token: str, no: int, what: str) -> float:
@@ -51,71 +80,197 @@ def _parse_int(token: str, no: int, what: str) -> int:
         raise ParseError(no, f"bad {what} {token!r}") from None
 
 
+def _out_of_range(i: int, j: int, n: int) -> str:
+    return f"entry ({i}, {j}) out of range for n = {n}"
+
+
 class _Cursor:
+    """The content lines of a text, taken one at a time or a block at once.
+
+    The text is split into lines once, and one regex pass finds the lines
+    that do not start with an integer token.  Only those are looked at in
+    Python: blank lines and comments go to ``skip``, and the rest, the
+    keyword lines that end an entry block, go to ``stops``.  ``entries``
+    records a block without reading it; ``load`` reads every recorded block.
+    """
+
     def __init__(self, text: str):
-        self.lines = list(_content_lines(text))
+        self.text = text
+        self.lines = text.splitlines()
+        flat = text
+        if len(self.lines) != text.count("\n") + (not text.endswith("\n")):
+            flat = "\n".join(self.lines)  # splitlines also breaks at \r, \f, ...
+        others = [] if _PLAIN_ENTRY.match(flat) else [0]
+        k = prev = 0
+        for hit in _OTHER_LINE.finditer(flat):
+            k += flat.count("\n", prev, hit.start()) + 1
+            prev = hit.start() + 1
+            others.append(k)
+        self.skip = []
+        self.stops = []
+        for k in others[: bisect_left(others, len(self.lines))]:
+            line = self.lines[k].strip()
+            if not line or line.startswith("#"):
+                self.skip.append(k)
+            elif not line.split()[0].lstrip("+-").isdigit():
+                self.stops.append(k)
+        self.skipped = set(self.skip)
         self.pos = 0
+        self.n = 0
+        self.blocks = []
+
+    def _next(self) -> int:
+        while self.pos in self.skipped:
+            self.pos += 1
+        return self.pos
 
     def done(self) -> bool:
-        return self.pos >= len(self.lines)
-
-    def peek(self):
-        return self.lines[self.pos]
+        return self._next() >= len(self.lines)
 
     def take(self, what: str):
         if self.done():
-            last = self.lines[-1][0] if self.lines else 1
-            raise ParseError(last, f"unexpected end of input, expected {what}")
-        item = self.lines[self.pos]
+            content = (k for k in reversed(range(len(self.lines))) if k not in self.skipped)
+            raise ParseError(next(content, 0) + 1, f"unexpected end of input, expected {what}")
+        k = self.pos
         self.pos += 1
-        return item
+        return k + 1, self.lines[k].strip()
+
+    def expect_end(self):
+        if not self.done():
+            line = self.lines[self.pos].strip()
+            raise ParseError(self.pos + 1, f"unexpected trailing content {line!r}")
+
+    def entries(self, n: int, context: str):
+        """Record the 'i j value' lines up to the next keyword line as one block."""
+        start = self._next()
+        at = bisect_left(self.stops, start)
+        end = self.stops[at] if at < len(self.stops) else len(self.lines)
+        gaps = self.skip[bisect_left(self.skip, start) : bisect_left(self.skip, end)]
+        rows = range(start, end)
+        if gaps:
+            rows = [k for k in rows if k not in self.skipped]
+        self.n = n
+        self.blocks.append((rows, context))
+        self.pos = end
+
+    def load(self):
+        """Read the recorded blocks into one (blocks, n, n) stack, mirrored.
+
+        This is the cursor's last step: it drops the line list before the
+        checks, which keeps the peak memory of a large file down.  Raises
+        the ParseError of the first offending entry line.
+        """
+        if not self.blocks:
+            return None
+        stack = np.zeros((len(self.blocks), self.n, self.n))
+        loaded, error = [], None
+        for rows, context in self.blocks:
+            entries, error = self._load_block(rows, context)
+            loaded.append(entries)
+            if error is not None:
+                break
+        self.lines = None
+        sizes = [len(e) for e in loaded]
+        entries = np.concatenate(loaded)
+        del loaded
+        self._scatter(entries, sizes, stack)  # an error on an earlier line wins
+        if error is not None:
+            raise error
+        return stack
+
+    def _load_block(self, rows, context: str):
+        if isinstance(rows, range):
+            lines = self.lines[rows.start : rows.stop]
+        else:
+            lines = [self.lines[k] for k in rows]
+        if not lines:
+            return np.zeros(0, _ENTRY), None
+        if _BULK:
+            try:
+                return np.loadtxt(lines, dtype=_ENTRY, ndmin=1, comments=None), None
+            except ValueError:
+                pass
+        return self._scan(rows, context)
+
+    def _scan(self, rows, context: str):
+        """Read a block with Python's int and float, up to its first bad token.
+
+        Returns the entries before the offending line and that line's
+        ParseError, or all entries and None.
+        """
+        n = self.n
+        out = []
+        for k in rows:
+            no, parts = k + 1, self.lines[k].split()
+            try:
+                if len(parts) != 3:
+                    raise ParseError(no, f"expected 'i j value' in {context}")
+                i = _parse_int(parts[0], no, "row index")
+                j = _parse_int(parts[1], no, "column index")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ParseError(no, _out_of_range(i, j, n))
+                out.append((i, j, _parse_float(parts[2], no, "entry value")))
+            except ParseError as exc:
+                return np.array(out, dtype=_ENTRY), exc
+        return np.array(out, dtype=_ENTRY), None
+
+    def _scatter(self, entries: np.ndarray, sizes: list, stack: np.ndarray):
+        """Check the entries of the blocks and write them, mirrored, into ``stack``.
+
+        ``sizes`` holds the entry count of each block.  Entries on one line
+        are checked in the order range, finiteness, duplicates.  A repeated
+        entry must repeat its value, and its last occurrence is written.
+        """
+        n = self.n
+        i, j, v = entries["i"], entries["j"], entries["v"]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        flat = np.repeat(np.arange(len(sizes)) * (n * n), sizes)  # (block, lo, hi) in the stack
+        flat += lo * n + hi
+        order = np.argsort(flat, kind="stable")
+        flat_sorted, v_sorted = flat[order], v[order]
+        same = flat_sorted[1:] == flat_sorted[:-1]
+        clash = order[1:][same & (v_sorted[1:] != v_sorted[:-1])]
+        bad = (np.flatnonzero((lo < 0) | (hi >= n)), np.flatnonzero(~np.isfinite(v)), clash)
+        first = [(int(rows.min()), check) for check, rows in enumerate(bad) if rows.size]
+        if first:
+            row, check = min(first)
+            ends = np.cumsum(sizes)
+            b = int(np.searchsorted(ends, row, side="right"))
+            k = self.blocks[b][0][row - (int(ends[b - 1]) if b else 0)]
+            if check == 0:
+                message = _out_of_range(int(i[row]), int(j[row]), n)
+            elif check == 1:
+                message = f"non-finite entry value {self.text.splitlines()[k].split()[2]!r}"
+            else:
+                message = f"asymmetric duplicate entry at {(int(lo[row]), int(hi[row]))}"
+            raise ParseError(k + 1, message)
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = ~same
+        keep = order[last]
+        out = stack.reshape(-1)
+        out[flat[keep]] = v[keep]
+        out[flat[keep] + (hi[keep] - lo[keep]) * (n - 1)] = v[keep]  # (block, hi, lo)
 
 
-def _parse_entry_block(cur: _Cursor, n: int, context: str) -> np.ndarray:
-    """Read 'i j value' lines until the next keyword line; mirror entries."""
-    mat = np.zeros((n, n))
-    seen = {}
-    while not cur.done():
-        no, line = cur.peek()
-        parts = line.split()
-        if not parts[0].lstrip("+-").isdigit():
-            break
-        cur.take("entry")
-        if len(parts) != 3:
-            raise ParseError(no, f"expected 'i j value' in {context}")
-        i = _parse_int(parts[0], no, "row index")
-        j = _parse_int(parts[1], no, "column index")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(no, f"entry ({i}, {j}) out of range for n = {n}")
-        v = _parse_float(parts[2], no, "entry value")
-        key = (min(i, j), max(i, j))
-        if key in seen and seen[key] != v:
-            raise ParseError(no, f"asymmetric duplicate entry at {key}")
-        seen[key] = v
-        mat[key[0], key[1]] = v
-        mat[key[1], key[0]] = v
-    return mat
+def _read(text: str, walk):
+    """Walk the keyword structure of ``text``, then load its entry blocks.
 
-
-def parse_matrix_collection(text: str) -> PsdCollection:
+    An error the walk meets is raised only after the blocks before it are
+    read, so the first offending line is the one reported.  Returns what
+    ``walk`` returns and the stack of blocks.
+    """
     cur = _Cursor(text)
-    no, header = cur.take("header 'n m'")
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(no, "header must be 'n m'")
-    n = _parse_int(parts[0], no, "dimension")
-    m = _parse_int(parts[1], no, "matrix count")
-    if n < 1 or m < 1:
-        raise ParseError(no, "n and m must be positive")
-    mats = _parse_mat_blocks(cur, n, m)
-    if not cur.done():
-        no, line = cur.peek()
-        raise ParseError(no, f"unexpected trailing content {line!r}")
-    return PsdCollection.from_matrices(mats)
+    try:
+        result, late = walk(cur), None
+    except ParseError as exc:
+        result, late = None, exc
+    stack = cur.load()
+    if late is not None:
+        raise late
+    return result, stack
 
 
-def _parse_mat_blocks(cur: _Cursor, n: int, m: int) -> list:
-    mats = []
+def _mat_blocks(cur: _Cursor, n: int, m: int):
     for k in range(m):
         no, line = cur.take(f"'mat {k}' header")
         parts = line.split()
@@ -123,8 +278,24 @@ def _parse_mat_blocks(cur: _Cursor, n: int, m: int) -> list:
             raise ParseError(no, f"expected 'mat {k}' header, got {line!r}")
         if _parse_int(parts[1], no, "matrix index") != k:
             raise ParseError(no, f"matrix headers must run 0..{m - 1} in order")
-        mats.append(_parse_entry_block(cur, n, f"mat {k}"))
-    return mats
+        cur.entries(n, f"mat {k}")
+
+
+def parse_matrix_collection(text: str) -> PsdCollection:
+    def walk(cur):
+        no, header = cur.take("header 'n m'")
+        parts = header.split()
+        if len(parts) != 2:
+            raise ParseError(no, "header must be 'n m'")
+        n = _parse_int(parts[0], no, "dimension")
+        m = _parse_int(parts[1], no, "matrix count")
+        if n < 1 or m < 1:
+            raise ParseError(no, "n and m must be positive")
+        _mat_blocks(cur, n, m)
+        cur.expect_end()
+
+    _, stack = _read(text, walk)
+    return PsdCollection.from_matrices(stack)
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -199,9 +370,7 @@ def parse_costs(text: str) -> list:
         if len(values) != m:
             raise ParseError(no, f"cost vector {i} has {len(values)} entries, expected {m}")
         costs.append(np.array([_parse_float(v, no, "cost") for v in values]))
-    if not cur.done():
-        no, line = cur.peek()
-        raise ParseError(no, f"unexpected trailing content {line!r}")
+    cur.expect_end()
     return costs
 
 
@@ -223,61 +392,61 @@ def parse_family(text: str) -> list:
                 (_parse_int(parts[0], no, "vertex"), _parse_int(parts[1], no, "vertex"))
             )
         family.append(member)
-    if not cur.done():
-        no, line = cur.peek()
-        raise ParseError(no, f"unexpected trailing content {line!r}")
+    cur.expect_end()
     return family
 
 
 def parse_sdp(text: str) -> SdpInstance:
-    cur = _Cursor(text)
-    no, header = cur.take("header 'sdp n m'")
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "sdp":
-        raise ParseError(no, "sdp header must be 'sdp n m'")
-    n = _parse_int(parts[1], no, "dimension")
-    m = _parse_int(parts[2], no, "matrix count")
-    mats = _parse_mat_blocks(cur, n, m)
-    no, line = cur.take("'target' header")
-    if line != "target":
-        raise ParseError(no, f"expected 'target', got {line!r}")
-    target = _parse_entry_block(cur, n, "target")
-    no, line = cur.take("'cost ...' line")
-    parts = line.split()
-    if parts[0] != "cost" or len(parts) != m + 1:
-        raise ParseError(no, f"expected 'cost' with {m} values")
-    cost = np.array([_parse_float(v, no, "cost") for v in parts[1:]])
-    no, line = cur.take("'feasible ...' line")
-    parts = line.split()
-    if parts[0] != "feasible" or len(parts) != m + 1:
-        raise ParseError(no, f"expected 'feasible' with {m} values")
-    z_star = np.array([_parse_float(v, no, "feasible value") for v in parts[1:]])
-    if not cur.done():
-        no, line = cur.peek()
-        raise ParseError(no, f"unexpected trailing content {line!r}")
+    def walk(cur):
+        no, header = cur.take("header 'sdp n m'")
+        parts = header.split()
+        if len(parts) != 3 or parts[0] != "sdp":
+            raise ParseError(no, "sdp header must be 'sdp n m'")
+        n = _parse_int(parts[1], no, "dimension")
+        m = _parse_int(parts[2], no, "matrix count")
+        _mat_blocks(cur, n, m)
+        no, line = cur.take("'target' header")
+        if line != "target":
+            raise ParseError(no, f"expected 'target', got {line!r}")
+        cur.entries(n, "target")
+        no, line = cur.take("'cost ...' line")
+        parts = line.split()
+        if parts[0] != "cost" or len(parts) != m + 1:
+            raise ParseError(no, f"expected 'cost' with {m} values")
+        cost = np.array([_parse_float(v, no, "cost") for v in parts[1:]])
+        no, line = cur.take("'feasible ...' line")
+        parts = line.split()
+        if parts[0] != "feasible" or len(parts) != m + 1:
+            raise ParseError(no, f"expected 'feasible' with {m} values")
+        z_star = np.array([_parse_float(v, no, "feasible value") for v in parts[1:]])
+        cur.expect_end()
+        return cost, z_star
+
+    (cost, z_star), stack = _read(text, walk)
     return SdpInstance(
-        matrices=[symmetrize(a) for a in mats], target=target, cost=cost, z_star=z_star
+        matrices=list(symmetrize(stack[:-1])), target=stack[-1], cost=cost, z_star=z_star
     )
 
 
 def parse_simplex(text: str) -> tuple[np.ndarray, PsdCollection]:
-    cur = _Cursor(text)
-    no, header = cur.take("header 'simplex n m'")
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "simplex":
-        raise ParseError(no, "simplex header must be 'simplex n m'")
-    n = _parse_int(parts[1], no, "dimension")
-    m = _parse_int(parts[2], no, "matrix count")
-    no, line = cur.take("'lambda ...' line")
-    parts = line.split()
-    if parts[0] != "lambda" or len(parts) != m + 1:
-        raise ParseError(no, f"expected 'lambda' with {m} values")
-    lam = np.array([_parse_float(v, no, "lambda value") for v in parts[1:]])
-    mats = _parse_mat_blocks(cur, n, m)
-    if not cur.done():
-        no, line = cur.peek()
-        raise ParseError(no, f"unexpected trailing content {line!r}")
-    return lam, PsdCollection.from_matrices(mats)
+    def walk(cur):
+        no, header = cur.take("header 'simplex n m'")
+        parts = header.split()
+        if len(parts) != 3 or parts[0] != "simplex":
+            raise ParseError(no, "simplex header must be 'simplex n m'")
+        n = _parse_int(parts[1], no, "dimension")
+        m = _parse_int(parts[2], no, "matrix count")
+        no, line = cur.take("'lambda ...' line")
+        parts = line.split()
+        if parts[0] != "lambda" or len(parts) != m + 1:
+            raise ParseError(no, f"expected 'lambda' with {m} values")
+        lam = np.array([_parse_float(v, no, "lambda value") for v in parts[1:]])
+        _mat_blocks(cur, n, m)
+        cur.expect_end()
+        return lam
+
+    lam, stack = _read(text, walk)
+    return lam, PsdCollection.from_matrices([] if stack is None else stack)
 
 
 def _fmt(value: float) -> str:

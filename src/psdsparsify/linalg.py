@@ -74,13 +74,18 @@ def eigh(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=q)
 
 
-def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True iff lambda_min(M) >= -tol * max(1, spectral radius of M)."""
+def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL):
+    """True iff lambda_min(M) >= -tol * max(1, spectral radius of M).
+
+    A (k, n, n) stack is checked with one stacked eigendecomposition and
+    gives a boolean array with one verdict per member.
+    """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     w = eigh(m).eigenvalues
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return bool(w[0] >= -tol * scale)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
+    verdict = w[..., 0] >= -tol * scale
+    return bool(verdict) if verdict.ndim == 0 else verdict
 
 
 def sym_exp(m: np.ndarray) -> np.ndarray:
@@ -126,16 +131,34 @@ class PsdCollection:
         factors=None,
         validate: bool = True,
     ) -> "PsdCollection":
-        mats = [symmetrize(m) for m in matrices]
+        """Symmetrize and check a sequence of (n, n) matrices or an (m, n, n) stack.
+
+        The members are views of one symmetrized stack.  ``validate``
+        checks them all with one stacked eigendecomposition; the first
+        member that is not PSD raises NotPsd.
+        """
+        mats = [np.asarray(m, dtype=float) for m in matrices]
         if not mats:
             raise EmptyProblem("collection has no matrices")
         dim = mats[0].shape[0]
         for i, m in enumerate(mats):
             if m.shape != (dim, dim):
                 raise DimMismatch(f"matrix {i} has shape {m.shape}, expected {(dim, dim)}")
-            if validate and not is_psd(m, psd_tol):
-                raise NotPsd(f"matrix {i} is not PSD at tolerance {psd_tol}")
-        return PsdCollection(dim=dim, matrices=mats, factors=factors)
+        # symmetrize(m) member by member, written straight into one stack
+        stack = np.empty((len(mats), dim, dim))
+        for k, m in enumerate(mats):
+            np.add(m, m.T, out=stack[k])
+        stack *= 0.5
+        if validate:
+            # members before the first non-finite one are judged first
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            upto = int(np.argmin(finite)) if not finite.all() else len(stack)
+            psd = is_psd(stack[:upto], psd_tol) if upto else np.ones(0, dtype=bool)
+            if not psd.all():
+                raise NotPsd(f"matrix {int(np.argmin(psd))} is not PSD at tolerance {psd_tol}")
+            if upto < len(stack):
+                eigh(stack[upto])
+        return PsdCollection(dim=dim, matrices=list(stack), factors=factors)
 
     def total(self) -> np.ndarray:
         """B = sum_i B_i."""

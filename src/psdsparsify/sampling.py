@@ -170,13 +170,26 @@ class PeState:
         return self._value(self.exp_sum_lower, self.exp_sum_upper, self.t)
 
 
-def pe_params(reduced: ReducedInstance, eps: float, t_total: int | None = None) -> PeState:
-    """Initialize the pessimistic-estimator state and check phi_0 + psi_0 < 1.
+@dataclass(frozen=True)
+class PeInstance:
+    """The part of the pe state that does not depend on the budget T.
 
-    When the budget fails the check, the raised TNotLargeEnough carries a
-    ``suggested_t`` computed from the measured per-step decay rates of the
-    two estimators, which does satisfy it.
+    ``live``, ``units`` and the exponents are those of ``PeState``; the
+    log norms are those of the expected one-step factors E[exp(-t X)]
+    and E[exp(t' X)].  A retry at a larger budget reuses it as it is.
     """
+
+    plan: SamplingPlan
+    t_minus: float
+    t_plus: float
+    log_norm_minus: float
+    log_norm_plus: float
+    live: np.ndarray
+    units: np.ndarray
+
+
+def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
+    """Build the unit-trace stack, its one batched eigh, and both log norms."""
     plan = SamplingPlan.from_instance(reduced, eps)
     mu = plan.mu
     if mu >= 1.0:
@@ -194,30 +207,57 @@ def pe_params(reduced: ReducedInstance, eps: float, t_total: int | None = None) 
     for prob, w, q in zip(plan.probabilities[live], spec.eigenvalues, spec.eigenvectors):
         mean_minus += prob * ((q * np.exp(-t_minus * w)) @ q.T)
         mean_plus += prob * ((q * np.exp(t_plus * w)) @ q.T)
-    log_norm_minus = math.log(float(eigh(symmetrize(mean_minus)).eigenvalues[-1]))
-    log_norm_plus = math.log(float(eigh(symmetrize(mean_plus)).eigenvalues[-1]))
+    return PeInstance(
+        plan=plan,
+        t_minus=t_minus,
+        t_plus=t_plus,
+        log_norm_minus=math.log(float(eigh(symmetrize(mean_minus)).eigenvalues[-1])),
+        log_norm_plus=math.log(float(eigh(symmetrize(mean_plus)).eigenvalues[-1])),
+        live=live,
+        units=units,
+    )
 
+
+def pe_params(
+    reduced: ReducedInstance,
+    eps: float,
+    t_total: int | None = None,
+    instance: PeInstance | None = None,
+) -> PeState:
+    """Initialize the pessimistic-estimator state and check phi_0 + psi_0 < 1.
+
+    ``instance`` is built from ``reduced`` and ``eps`` when not given.
+    When the budget fails the check, the raised TNotLargeEnough carries a
+    ``suggested_t`` computed from the measured per-step decay rates of the
+    two estimators, which does satisfy it, and the ``instance`` to retry
+    with.
+    """
+    if instance is None:
+        instance = pe_instance(reduced, eps)
+    plan, r = instance.plan, reduced.rank
     state = PeState(
         plan=plan,
         t_total=plan.t_derand if t_total is None else int(t_total),
-        t_minus=t_minus,
-        t_plus=t_plus,
-        log_norm_minus=log_norm_minus,
-        log_norm_plus=log_norm_plus,
+        t_minus=instance.t_minus,
+        t_plus=instance.t_plus,
+        log_norm_minus=instance.log_norm_minus,
+        log_norm_plus=instance.log_norm_plus,
         exp_sum_lower=np.zeros((r, r)),
         exp_sum_upper=np.zeros((r, r)),
-        live=live,
-        units=units,
+        live=instance.live,
+        units=instance.units,
     )
     start = state.current_value()
     if start >= 1.0:
         # per-step decay rates of ln phi and ln psi; both are positive
-        rate_lower = -(t_minus * (1.0 - eps) * mu + log_norm_minus)
-        rate_upper = t_plus * (1.0 + eps) * mu - log_norm_plus
+        mu = plan.mu
+        rate_lower = -(state.t_minus * (1.0 - eps) * mu + state.log_norm_minus)
+        rate_upper = state.t_plus * (1.0 + eps) * mu - state.log_norm_plus
         suggested = math.floor(math.log(2.0 * r) / min(rate_lower, rate_upper)) + 1
         raise TNotLargeEnough(
             f"phi_0 + psi_0 = {start} >= 1 for T = {state.t_total}",
             suggested_t=max(suggested, state.t_total + 1),
+            instance=instance,
         )
     state.estimator_trace.append(start)
     return state
@@ -248,6 +288,7 @@ def pe_sparsify(
     eps: float,
     t_total: int | None = None,
     max_seconds: float | None = None,
+    instance: PeInstance | None = None,
 ) -> SparsifierResult:
     """Deterministic sparsifier via T greedy pessimistic-estimator steps.
 
@@ -255,11 +296,11 @@ def pe_sparsify(
     final estimator value stays below 1, the certificate eigenvalues are
     guaranteed to lie inside [1-eps, 1+eps] with no randomness involved.
     Raises TNotLargeEnough when the budget cannot force success; retry
-    once with the exception's ``suggested_t``.  Raises TimeBudgetExceeded
-    when ``max_seconds`` run out before the last step.
+    once with the exception's ``suggested_t`` and ``instance``.  Raises
+    TimeBudgetExceeded when ``max_seconds`` run out before the last step.
     """
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    state = pe_params(reduced, eps, t_total=t_total)
+    state = pe_params(reduced, eps, t_total=t_total, instance=instance)
     counts = np.zeros(len(reduced), dtype=int)
     for t in range(1, state.t_total + 1):
         if deadline is not None and time.monotonic() > deadline:

@@ -55,11 +55,18 @@ def run_algorithm(
         return aw_sample(reduced, eps, seed=seed)
     if algo == "pe":
         # single retry: the closed-form budget can miss phi_0 + psi_0 < 1;
-        # the exception carries an instance-calibrated budget that cannot
+        # the exception carries an instance-calibrated budget that cannot,
+        # and the budget-free pieces, which the retry reuses
         try:
             return pe_sparsify(reduced, eps, max_seconds=max_seconds)
         except TNotLargeEnough as exc:
-            return pe_sparsify(reduced, eps, t_total=exc.suggested_t, max_seconds=max_seconds)
+            return pe_sparsify(
+                reduced,
+                eps,
+                t_total=exc.suggested_t,
+                max_seconds=max_seconds,
+                instance=exc.instance,
+            )
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 

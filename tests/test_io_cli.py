@@ -1,12 +1,15 @@
 """Text formats, round trips, and the batch command line."""
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psdsparsify import cli
-from psdsparsify.errors import ParseError
+from psdsparsify import cli, io_formats
+from psdsparsify.errors import InvalidMatrix, NotPsd, ParseError
 from psdsparsify.io_formats import (
     emit_costs,
     emit_graph,
@@ -21,6 +24,7 @@ from psdsparsify.io_formats import (
     parse_simplex,
 )
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
+from psdsparsify.linalg import PsdCollection
 
 
 class TestMatrixFormat:
@@ -58,6 +62,183 @@ class TestMatrixFormat:
         assert emit_matrix_collection(again) == text
         for a, b in zip(coll.matrices, again.matrices):
             assert np.array_equal(a, b)
+
+
+_M = "2 1\nmat 0\n"
+_SDP = "sdp 2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n"
+_SPX = "simplex 2 2\nlambda 0.5 0.5\nmat 0\n0 0 1\n"
+_PARSE = {"matrices": parse_matrix_collection, "sdp": parse_sdp, "simplex": parse_simplex}
+
+# (kind, text, line, message): the first offending line and its error
+_MAT_BLOCK_ERRORS = {
+    "two-tokens": ("matrices", _M + "0 0 1\n1 1\n", 4, "expected 'i j value' in mat 0"),
+    "four-tokens": ("matrices", _M + "0 0 1 5\n", 3, "expected 'i j value' in mat 0"),
+    "trailing-comment": ("matrices", _M + "0 0 1 # c\n1 1 1\n", 3, "expected 'i j value' in mat 0"),
+    "glued-comment": ("matrices", _M + "0 0 1#c\n", 3, "bad entry value '1#c'"),
+    "float-column": ("matrices", _M + "0 1.0 1\n", 3, "bad column index '1.0'"),
+    "letter-column": ("matrices", _M + "0 x 1\n", 3, "bad column index 'x'"),
+    "digit-letter-column": ("matrices", _M + "0 1a 1\n", 3, "bad column index '1a'"),
+    "float-row": ("matrices", _M + "0 0 1\n1.0 1 1\n", 4, "unexpected trailing content '1.0 1 1'"),
+    "letter-row": ("matrices", _M + "x 0 1\n", 3, "unexpected trailing content 'x 0 1'"),
+    "digit-letter-row": ("sdp", _SDP + "1a 0 1\ntarget\ncost 1 1\nfeasible 1 1\n", 6,
+        "expected 'target', got '1a 0 1'"),
+    "double-sign-row": ("matrices", _M + "+-1 0 1\n", 3, "bad row index '+-1'"),
+    "bad-value": ("matrices", _M + "0 0 1,5\n", 3, "bad entry value '1,5'"),
+    "out-of-range": ("matrices", _M + "0 0 1\n0 2 1\n", 4, "entry (0, 2) out of range for n = 2"),
+    "negative-index": ("matrices", _M + "-1 0 1\n", 3, "entry (-1, 0) out of range for n = 2"),
+    "huge-index": ("matrices", _M + "0 99999999999999999999 1\n", 3,
+        "entry (0, 99999999999999999999) out of range for n = 2"),
+    "range-before-value": ("matrices", _M + "0 5 abc\n", 3, "entry (0, 5) out of range for n = 2"),
+    "range-before-non-finite": ("matrices", _M + "0 5 nan\n", 3,
+        "entry (0, 5) out of range for n = 2"),
+    "non-finite-before-duplicate": ("matrices", _M + "0 1 1\n1 0 inf\n", 4,
+        "non-finite entry value 'inf'"),
+    "nan": ("matrices", _M + "0 0 nan\n", 3, "non-finite entry value 'nan'"),
+    "inf": ("matrices", _M + "0 0 1\n1 1 -inf\n", 4, "non-finite entry value '-inf'"),
+    "overflow": ("matrices", _M + "0 0 1e999\n", 3, "non-finite entry value '1e999'"),
+    "asymmetric-duplicate": ("matrices", _M + "0 1 0.5\n1 0 0.25\n0 0 1\n1 1 1\n", 4,
+        "asymmetric duplicate entry at (0, 1)"),
+    "asymmetric-third": ("matrices", _M + "0 1 0.5\n1 0 0.5\n0 0 1\n0 1 0.25\n", 6,
+        "asymmetric duplicate entry at (0, 1)"),
+    "headers-out-of-order": ("matrices", "2 2\nmat 1\n1 1 1\nmat 0\n0 0 1\n", 2,
+        "matrix headers must run 0..1 in order"),
+    "header-not-mat": ("matrices", "2 2\nmat 0\n0 0 1\nmat\n1 1 1\n", 4,
+        "expected 'mat 1' header, got 'mat'"),
+    "missing-block": ("matrices", "2 2\nmat 0\n0 0 1\n", 3,
+        "unexpected end of input, expected 'mat 1' header"),
+    "trailing-content": ("matrices", _M + "0 0 1\nextra stuff\n", 4,
+        "unexpected trailing content 'extra stuff'"),
+    "entry-error-before-header-error": ("matrices", "2 2\nmat 0\n0 0 nan\nmat 5\n", 3,
+        "non-finite entry value 'nan'"),
+    "duplicate-before-end-of-input": ("matrices", "2 2\nmat 0\n0 1 1\n1 0 2\n", 4,
+        "asymmetric duplicate entry at (0, 1)"),
+    "blank-and-comment-lines-count": (
+        "matrices", "# head\n2 1\n\nmat 0\n# c\n\n0 0 1\n  \n0 3 1\n", 9,
+        "entry (0, 3) out of range for n = 2",
+    ),
+    "error-in-second-block": ("matrices", "2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n1 1 2\n", 6,
+        "asymmetric duplicate entry at (1, 1)"),
+    "sdp-bad-target": ("sdp", _SDP + "targets\n0 0 1\ncost 1 1\nfeasible 1 1\n", 6,
+        "expected 'target', got 'targets'"),
+    "sdp-target-entry": ("sdp", _SDP + "target\n0 0 inf\ncost 1 1\nfeasible 1 1\n", 7,
+        "non-finite entry value 'inf'"),
+    "sdp-cost-count": ("sdp", _SDP + "target\n0 0 1\ncost 1\nfeasible 1 1\n", 8,
+        "expected 'cost' with 2 values"),
+    "sdp-cost-value": ("sdp", _SDP + "target\n0 0 1\ncost 1 x\nfeasible 1 1\n", 8, "bad cost 'x'"),
+    "sdp-missing-cost": ("sdp", _SDP + "target\n0 0 1\nfeasible 1 1\n", 8,
+        "expected 'cost' with 2 values"),
+    "sdp-feasible-value": ("sdp", _SDP + "target\n0 0 1\ncost 1 1\nfeasible 1 nan\n", 9,
+        "non-finite feasible value 'nan'"),
+    "sdp-feasible-count": ("sdp", _SDP + "target\n0 0 1\ncost 1 1\nfeasible 1 1 1\n", 9,
+        "expected 'feasible' with 2 values"),
+    "sdp-end-of-input": ("sdp", _SDP + "target\n0 0 1\ncost 1 1\n", 8,
+        "unexpected end of input, expected 'feasible ...' line"),
+    "simplex-lambda-count": ("simplex", "simplex 2 2\nlambda 0.5\nmat 0\n0 0 1\n", 2,
+        "expected 'lambda' with 2 values"),
+    "simplex-lambda-value": ("simplex", "simplex 2 2\nlambda 0.5 abc\nmat 0\n0 0 1\n", 2,
+        "bad lambda value 'abc'"),
+    "simplex-missing-lambda": ("simplex", "simplex 2 2\nmat 0\n0 0 1\n", 2,
+        "expected 'lambda' with 2 values"),
+    "simplex-entry": ("simplex", _SPX + "mat 1\n1 1 1\n1 7 1\n", 7,
+        "entry (1, 7) out of range for n = 2"),
+    "simplex-missing-block": ("simplex", _SPX, 4,
+        "unexpected end of input, expected 'mat 1' header"),
+}
+
+
+@pytest.fixture(params=["bulk", "scan"])
+def reader(request, monkeypatch):
+    """Read mat blocks with loadtxt, or with the line scan alone (as where loadtxt reads 1.0)."""
+    if request.param == "scan":
+        monkeypatch.setattr(io_formats, "_BULK", False)
+    return request.param
+
+
+class TestMatBlockErrors:
+    """A malformed mat block raises ParseError naming its first offending line."""
+
+    @pytest.mark.parametrize("case", list(_MAT_BLOCK_ERRORS), ids=list(_MAT_BLOCK_ERRORS))
+    def test_first_offending_line(self, reader, case):
+        kind, text, line, message = _MAT_BLOCK_ERRORS[case]
+        with pytest.raises(ParseError) as err:
+            _PARSE[kind](text)
+        assert err.value.line_no == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (_M + "+1 +1 1\n0 0 1\n", [[[1.0, 0.0], [0.0, 1.0]]]),
+            (_M + "0 1 0.5\n1 0 0.5\n0 0 1\n1 1 1\n", [[[1.0, 0.5], [0.5, 1.0]]]),
+            ("2 2\nmat 0\nmat 1\n1 1 1\n", [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+            (_M + "  0 0 1\n\t1 1 1\n", [[[1.0, 0.0], [0.0, 1.0]]]),
+        ],
+        ids=["plus-signed-index", "equal-duplicate", "empty-block", "indented-entries"],
+    )
+    def test_accepted(self, reader, text, expected):
+        assert [m.tolist() for m in parse_matrix_collection(text).matrices] == expected
+
+    def test_equal_duplicate_keeps_the_last_zero_sign(self):
+        coll = parse_matrix_collection(_M + "0 0 1\n0 1 0.0\n1 0 -0.0\n1 1 1\n")
+        assert np.signbit(coll.matrices[0][0, 1]) and np.signbit(coll.matrices[0][1, 0])
+
+    def test_third_member_not_psd(self):
+        good = "0 0 1\n1 1 1\n"
+        text = f"2 4\nmat 0\n{good}mat 1\n{good}mat 2\n0 0 1\n0 1 2\n1 1 1\nmat 3\n{good}"
+        with pytest.raises(NotPsd, match="matrix 2 "):
+            parse_matrix_collection(text)
+
+    def test_stacked_validation_names_the_first_failure(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        mats = [np.eye(2), np.eye(2), indefinite, -np.eye(2)]
+        with pytest.raises(NotPsd, match="matrix 2 "):
+            PsdCollection.from_matrices(mats)
+        # a non-finite member only wins when no member before it fails
+        with pytest.raises(NotPsd, match="matrix 2 "):
+            PsdCollection.from_matrices(mats[:3] + [np.full((2, 2), np.inf)])
+        with pytest.raises(InvalidMatrix):
+            PsdCollection.from_matrices([np.eye(2), np.full((2, 2), np.nan), indefinite])
+
+    def test_members_share_one_stack(self):
+        coll = parse_matrix_collection("2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n")
+        assert coll.matrices[0].base is coll.matrices[1].base is not None
+
+
+_FILLER = ["", "   ", "\t", "# note", "  # indented note", "#"]
+
+
+@st.composite
+def _collections(draw):
+    """Diagonally dominant (so PSD) members with signed entries of mixed exponent."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    mats = []
+    for _ in range(m):
+        values = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(-12, 13, (n, n))
+        off = np.triu(np.where(rng.random((n, n)) < density, values, 0.0), 1)
+        off = off + off.T
+        extra = np.where(rng.random(n) < density, np.abs(values.diagonal()), 0.0)
+        mats.append(off + np.diag(np.abs(off).sum(axis=1) * 2.0 + extra))
+    return PsdCollection.from_matrices(mats, validate=False)
+
+
+class TestMatrixRoundTrip:
+    @given(_collections(), st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(_FILLER))))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical(self, coll, filler):
+        text = emit_matrix_collection(coll)
+        lines = text.splitlines()
+        for position, line in filler:
+            lines.insert(position % (len(lines) + 1), line)
+        padded = "\n".join(lines)
+        with mock.patch.object(io_formats, "_BULK", False):
+            scanned = parse_matrix_collection(padded)
+        for again in (parse_matrix_collection(text), parse_matrix_collection(padded), scanned):
+            assert (again.dim, len(again)) == (coll.dim, len(coll))
+            for a, b in zip(coll.matrices, again.matrices):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestGraphFormat:
@@ -328,6 +509,22 @@ class TestCli:
             tmp_path, "--algo", "pe", "--eps", "0.5", "--kind", kind, "--input", str(inp)
         )
         assert code == 2
+
+    def test_nan_budget_exits_2(self, tmp_path, monkeypatch, identity_pair_file):
+        monkeypatch.setenv("SPARSIFY_MAX_MINUTES", "nan")
+        code, text = self.run_cli(
+            tmp_path, "--algo", "pe", "--eps", "0.45", "--input", str(identity_pair_file)
+        )
+        assert code == 2
+        assert text == ""
+
+    def test_budget_values(self):
+        config = cli.AlgorithmConfig
+        assert config("bss", 0.5, max_minutes=0.5).max_seconds == 30.0
+        assert config("bss", 0.5, max_minutes=0.0).max_seconds is None
+        assert config("bss", 0.5, max_minutes=-1.0).max_seconds is None
+        with pytest.raises(ValueError, match="nan"):
+            config("bss", 0.5, max_minutes=float("nan"))
 
     def test_pe_retry_reports_the_budget_it_used(self, tmp_path):
         # the closed-form T = 57 misses phi_0 + psi_0 < 1 here, so the run

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from psdsparsify import solve
+from psdsparsify import sampling, solve
 from psdsparsify.errors import DegenerateCertificate, SparsifyError
-from psdsparsify.instances import random_psd_collection
-from psdsparsify.linalg import SandwichCertificate, SparsifierResult
+from psdsparsify.instances import identity_decomposition, random_psd_collection
+from psdsparsify.linalg import SandwichCertificate, SparsifierResult, reduce_to_identity
 
 
 @pytest.mark.parametrize("lam_min", [0.0, -0.25, math.nan, math.inf])
@@ -23,3 +23,23 @@ def test_degenerate_lambda_min_raises(monkeypatch, lam_min):
     with pytest.raises(DegenerateCertificate) as err:
         solve.sparsify_sum(coll, 0.5)
     assert isinstance(err.value, SparsifyError)
+
+
+def test_pe_retry_decomposes_the_unit_stack_once(monkeypatch):
+    # the closed-form T = 57 misses phi_0 + psi_0 < 1 here, so the run retries
+    reduced = reduce_to_identity(identity_decomposition(4))
+    units = (reduced.flattened / reduced.traces[:, None]).reshape(-1, reduced.rank, reduced.rank)
+    real_eigh = sampling.eigh
+    of_units = []
+
+    def counting_eigh(m):
+        of_units.append(m.shape == units.shape and np.array_equal(m, units))
+        return real_eigh(m)
+
+    monkeypatch.setattr(sampling, "eigh", counting_eigh)
+    result = solve.run_algorithm(reduced, 0.45, "pe")
+    assert result.t_used == 67
+    assert sum(of_units) == 1
+    monkeypatch.undo()
+    fresh = sampling.pe_sparsify(reduced, 0.45, t_total=67)
+    assert np.array_equal(result.weights, fresh.weights)
