@@ -115,12 +115,10 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 def edge_collection(g: WeightedGraph) -> PsdCollection:
     """One rank-one Laplacian per edge, in edge order."""
     mats = []
-    factors = []
     for u, v, w in g.edges:
         x = _edge_vector(g.n, u, v)
         mats.append(w * np.outer(x, x))
-        factors.append((np.sqrt(w) * x)[np.newaxis, :])
-    return PsdCollection.from_matrices(mats, factors=factors, validate=False)
+    return PsdCollection.from_matrices(mats, validate=False)
 
 
 def graph_cut_weight(g: WeightedGraph, s) -> float:

@@ -5,6 +5,13 @@ while two moving barriers u_t = u_0 + t*delta_U and ell_t = ell_0 +
 t*delta_L trap the spectrum.  Trace-inverse potentials measure how close
 eigenvalues crowd each barrier; the shift bounds U_A(X) and L_A(X) give
 the closed-form step-size window that keeps both potentials from rising.
+
+U_A(X) and L_A(X) are trace inner products of X with two matrices that
+are functions of A, Q diag(c_U) Q^T and Q diag(c_L) Q^T for A = Q diag(w)
+Q^T.  Each step therefore decomposes A once, turns w into c_U and c_L,
+and scores every candidate in that eigenbasis through its factor rows
+(``ReducedInstance.scores_in_basis``); the dense members are used only to
+update A.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .linalg import (
     ReducedInstance,
     SandwichCertificate,
     SparsifierResult,
+    Spectrum,
     eigh,
     symmetrize,
 )
@@ -114,23 +122,19 @@ def phi_lower(a: np.ndarray, ell: float) -> float:
     return float(np.sum(1.0 / (w - ell)))
 
 
-def _upper_score_matrix(a: np.ndarray, u: float, delta_U: float) -> np.ndarray:
-    """Matrix V with U_A(X) = <V, X> for the barrier shift u -> u + delta_U."""
-    spec = eigh(a)
-    w, q = spec.eigenvalues, spec.eigenvectors
+def _upper_coefficients(w: np.ndarray, u: float, delta_U: float) -> np.ndarray:
+    """Coefficients c with U_A(X) = <Q diag(c) Q^T, X> for the barrier shift
+    u -> u + delta_U, from the spectrum w of A (eigenvectors Q)."""
     if u <= w[-1]:
         raise BarrierViolated(f"u = {u} is not above lambda_max = {w[-1]}")
-    u_next = u + delta_U
-    inv = 1.0 / (u_next - w)
+    inv = 1.0 / (u + delta_U - w)
     drop = float(np.sum(1.0 / (u - w)) - np.sum(inv))
-    coeff = inv**2 / drop + inv
-    return symmetrize((q * coeff) @ q.T)
+    return inv**2 / drop + inv
 
 
-def _lower_score_matrix(a: np.ndarray, ell: float, delta_L: float) -> np.ndarray:
-    """Matrix V with L_A(X) = <V, X> for the barrier shift ell -> ell + delta_L."""
-    spec = eigh(a)
-    w, q = spec.eigenvalues, spec.eigenvectors
+def _lower_coefficients(w: np.ndarray, ell: float, delta_L: float) -> np.ndarray:
+    """Coefficients c with L_A(X) = <Q diag(c) Q^T, X> for the barrier shift
+    ell -> ell + delta_L, from the spectrum w of A (eigenvectors Q)."""
     if ell >= w[0]:
         raise BarrierViolated(f"ell = {ell} is not below lambda_min = {w[0]}")
     phi_here = float(np.sum(1.0 / (w - ell)))
@@ -138,10 +142,27 @@ def _lower_score_matrix(a: np.ndarray, ell: float, delta_L: float) -> np.ndarray
         raise PotentialTooLarge(
             f"phi_lower = {phi_here} exceeds 1/delta_L = {1.0 / delta_L}"
         )
-    ell_next = ell + delta_L
-    inv = 1.0 / (w - ell_next)
+    inv = 1.0 / (w - (ell + delta_L))
     rise = float(np.sum(inv) - phi_here)
-    coeff = inv**2 / rise - inv
+    return inv**2 / rise - inv
+
+
+def _barrier_scores(
+    a: np.ndarray, reduced: ReducedInstance, u: float, ell: float, params: BssParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum of A and U_A(C_j), L_A(C_j) for every member, from one eigh."""
+    spec = eigh(a)
+    w = spec.eigenvalues
+    coeffs = np.column_stack(
+        (_upper_coefficients(w, u, params.delta_U), _lower_coefficients(w, ell, params.delta_L))
+    )
+    scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
+    return w, scores[:, 0], scores[:, 1]
+
+
+def _in_basis(spec: Spectrum, coeff: np.ndarray) -> np.ndarray:
+    """Q diag(coeff) Q^T for the eigenvectors Q of ``spec``."""
+    q = spec.eigenvectors
     return symmetrize((q * coeff) @ q.T)
 
 
@@ -151,14 +172,16 @@ def upper_shift_bound(a: np.ndarray, x: np.ndarray, u: float, delta_U: float) ->
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         raise ZeroDirection("direction matrix X is zero")
-    return float(np.sum(_upper_score_matrix(a, u, delta_U) * x))
+    spec = eigh(a)
+    return float(np.sum(_in_basis(spec, _upper_coefficients(spec.eigenvalues, u, delta_U)) * x))
 
 
 def lower_shift_bound(a: np.ndarray, x: np.ndarray, ell: float, delta_L: float) -> float:
     """L_A(X): any 0 < 1/alpha <= L_A(X) lifts lambda_min past the raised
     barrier without increasing the lower potential."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(_lower_score_matrix(a, ell, delta_L) * x))
+    spec = eigh(a)
+    return float(np.sum(_in_basis(spec, _lower_coefficients(spec.eigenvalues, ell, delta_L)) * x))
 
 
 def bss_step(
@@ -169,14 +192,20 @@ def bss_step(
     Scores every candidate by the feasibility gap L_A(C_j) - U_A(C_j) and
     returns the widest gap (lowest index on ties) with 1/alpha set to the
     midpoint (U + L)/2, the point of maximal margin for both one-sided
-    guarantees.
+    guarantees.  Both score matrices are functions of A, so one
+    eigendecomposition of A gives both coefficient vectors, and every
+    candidate is scored in that eigenbasis through its factor rows.
     """
     u = params.upper_barrier(state.t)
     ell = params.lower_barrier(state.t)
-    v_upper = _upper_score_matrix(state.A, u, params.delta_U)
-    v_lower = _lower_score_matrix(state.A, ell, params.delta_L)
-    scores_u = reduced.score_all(v_upper)
-    scores_l = reduced.score_all(v_lower)
+    _, scores_u, scores_l = _barrier_scores(state.A, reduced, u, ell, params)
+    return _bss_pick(scores_u, scores_l, reduced)
+
+
+def _bss_pick(
+    scores_u: np.ndarray, scores_l: np.ndarray, reduced: ReducedInstance
+) -> tuple[int, float]:
+    """``bss_step`` from the scores U_A(C_j) and L_A(C_j)."""
     nonzero = reduced.traces > 0.0
     feasible = nonzero & (scores_u > 0.0) & (scores_l >= scores_u)
     if not np.any(feasible):
@@ -237,12 +266,8 @@ def bss_sparsify(
         if history is not None:
             u_t = params.upper_barrier(t)
             ell_t = params.lower_barrier(t)
-            w = eigh(state.A).eigenvalues
             # post-hoc scan sums for the feasibility invariant
-            v_upper = _upper_score_matrix(state.A, u_t, params.delta_U)
-            v_lower = _lower_score_matrix(state.A, ell_t, params.delta_L)
-            sum_u = float(reduced.score_all(v_upper).sum())
-            sum_l = float(reduced.score_all(v_lower).sum())
+            w, scores_u, scores_l = _barrier_scores(state.A, reduced, u_t, ell_t, params)
             history.append(
                 BssIterate(
                     t=t,
@@ -250,12 +275,12 @@ def bss_sparsify(
                     alpha=alpha,
                     u=u_t,
                     ell=ell_t,
-                    phi_u=phi_upper(state.A, u_t),
-                    phi_l=phi_lower(state.A, ell_t),
+                    phi_u=float(np.sum(1.0 / (u_t - w))),
+                    phi_l=float(np.sum(1.0 / (w - ell_t))),
                     lam_min=float(w[0]),
                     lam_max=float(w[-1]),
-                    sum_upper=sum_u,
-                    sum_lower=sum_l,
+                    sum_upper=float(scores_u.sum()),
+                    sum_lower=float(scores_l.sum()),
                 )
             )
     w = eigh(state.A).eigenvalues

@@ -404,6 +404,8 @@ def parse_sdp(text: str) -> SdpInstance:
             raise ParseError(no, "sdp header must be 'sdp n m'")
         n = _parse_int(parts[1], no, "dimension")
         m = _parse_int(parts[2], no, "matrix count")
+        if n < 1 or m < 1:
+            raise ParseError(no, "n and m must be positive")
         _mat_blocks(cur, n, m)
         no, line = cur.take("'target' header")
         if line != "target":
@@ -436,6 +438,8 @@ def parse_simplex(text: str) -> tuple[np.ndarray, PsdCollection]:
             raise ParseError(no, "simplex header must be 'simplex n m'")
         n = _parse_int(parts[1], no, "dimension")
         m = _parse_int(parts[2], no, "matrix count")
+        if n < 1 or m < 1:
+            raise ParseError(no, "n and m must be positive")
         no, line = cur.take("'lambda ...' line")
         parts = line.split()
         if parts[0] != "lambda" or len(parts) != m + 1:

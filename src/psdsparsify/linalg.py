@@ -6,6 +6,16 @@ conjugates each B_i by the pseudoinverse square root of B restricted to
 range(B), producing matrices C_1, ..., C_m of dimension r = rank(B) with
 sum(C_i) = I_r.  All matrices are plain float64 ``numpy`` arrays kept
 exactly symmetric.
+
+The scanning solvers score every member against matrices that are
+functions of one running sum A, so each is Q diag(c) Q^T in A's
+eigenbasis Q and <C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2 for a
+factor G_j with C_j = G_j^T G_j.  ``ReducedInstance`` keeps the factor
+rows of all members stacked, built from one eigendecomposition per
+member; eigenvalues at or below ``FACTOR_CUT`` times a member's largest
+are dropped, which moves a score by at most r * FACTOR_CUT * tr(C_j) *
+max|c|.  The dense members stay the source of every update of A and of
+every certificate.
 """
 
 from __future__ import annotations
@@ -28,6 +38,14 @@ DEFAULT_PSD_TOL = 1e-9
 
 # exp(710) overflows float64; stay a little below
 EXP_OVERFLOW_LIMIT = 700.0
+
+# a member's eigenvalues at or below this fraction of its largest are left
+# out of its factor rows
+FACTOR_CUT = 1e-12
+
+# members decomposed per batched eigh while building the factor rows,
+# which bounds the transient (batch, r, r) copies
+FACTOR_BATCH = 64
 
 
 def default_rank_tol(dim: int) -> float:
@@ -110,16 +128,10 @@ def ln_sum_exp(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PsdCollection:
-    """Ordered list of PSD matrices sharing one dimension.
-
-    ``factors`` optionally stores, for each member, a (k_i, n) array of
-    row vectors v with B_i = sum_v v v^T; graph builders populate it so
-    callers can recover the rank-one structure cheaply.
-    """
+    """Ordered list of PSD matrices sharing one dimension."""
 
     dim: int
     matrices: list[np.ndarray]
-    factors: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -128,7 +140,6 @@ class PsdCollection:
     def from_matrices(
         matrices,
         psd_tol: float = DEFAULT_PSD_TOL,
-        factors=None,
         validate: bool = True,
     ) -> "PsdCollection":
         """Symmetrize and check a sequence of (n, n) matrices or an (m, n, n) stack.
@@ -158,7 +169,7 @@ class PsdCollection:
                 raise NotPsd(f"matrix {int(np.argmin(psd))} is not PSD at tolerance {psd_tol}")
             if upto < len(stack):
                 eigh(stack[upto])
-        return PsdCollection(dim=dim, matrices=list(stack), factors=factors)
+        return PsdCollection(dim=dim, matrices=list(stack))
 
     def total(self) -> np.ndarray:
         """B = sum_i B_i."""
@@ -186,17 +197,55 @@ class ReducedInstance:
         return len(self.matrices)
 
     @cached_property
-    def flattened(self) -> np.ndarray:
-        """(m, r*r) stack of the whitened matrices for fast batch scoring."""
-        return np.stack(self.matrices).reshape(len(self.matrices), -1)
-
-    @cached_property
     def traces(self) -> np.ndarray:
         return np.array([float(np.trace(c)) for c in self.matrices])
 
+    @cached_property
+    def factor_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked factor rows ``g`` (K, r), each member's first row, and
+        which members have rows.
+
+        Member j owns the rows sqrt(w_k) q_k^T of its eigenpairs with
+        w_k > FACTOR_CUT * max(w), so those rows g satisfy
+        sum g g^T = C_j up to the dropped eigenvalues.
+        """
+        rows, counts = [], []
+        for lo in range(0, len(self.matrices), FACTOR_BATCH):
+            spec = eigh(np.stack(self.matrices[lo : lo + FACTOR_BATCH]))
+            w, q = spec.eigenvalues, spec.eigenvectors
+            keep = (w > FACTOR_CUT * w[:, -1:]) & (w[:, -1:] > 0.0)
+            scaled = q.swapaxes(1, 2) * np.sqrt(np.where(keep, w, 0.0))[:, :, None]
+            rows.append(scaled[keep])
+            counts.append(keep.sum(axis=1))
+        counts = np.concatenate(counts)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        return np.concatenate(rows), starts, counts > 0
+
+    def _segment_sums(self, per_row: np.ndarray) -> np.ndarray:
+        """Sum ``per_row`` over each member's rows; a member without rows gets 0."""
+        _, starts, has_rows = self.factor_rows
+        if has_rows.all():
+            return np.add.reduceat(per_row, starts, axis=0)
+        out = np.zeros((len(starts),) + per_row.shape[1:])
+        out[has_rows] = np.add.reduceat(per_row, starts[has_rows], axis=0)
+        return out
+
+    def scores_in_basis(self, q: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """<C_j, Q diag(c) Q^T> for every member j and every column c of coeffs.
+
+        ``q`` holds orthonormal columns q_k and ``coeffs`` one row per
+        column of ``q``; the result has one row per member and one column
+        per column of ``coeffs`` (a 1-D ``coeffs`` gives a 1-D result).
+        """
+        g = self.factor_rows[0]
+        p = g @ q
+        np.square(p, out=p)
+        return self._segment_sums(p @ coeffs)
+
     def score_all(self, v: np.ndarray) -> np.ndarray:
         """Trace inner product of every member with the matrix v."""
-        return self.flattened @ v.ravel()
+        g = self.factor_rows[0]
+        return self._segment_sums(np.einsum("ki,ki->k", g @ v, g))
 
     def weighted_sum(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros((self.rank, self.rank))

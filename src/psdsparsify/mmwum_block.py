@@ -5,7 +5,18 @@ negation, each through an exponential weight matrix
 W_k = exp(-beta/(ell+rho) * S_k) over its accumulated loss S_k.  The
 oracle answers with a single index chosen by two Markov-style conditions
 and a step alpha = 1/p_j, whose width alpha*trace(C_j) never exceeds
-rho = (1+eta) n / eta.  ``oracle_width_fixture`` builds the rank-one
+rho = (1+eta) n / eta.
+
+Block 1's loss at a step is alpha C_j - I + ell I and block 2's is its
+exact negation, so S_2 = -S_1.  The identity terms shift every
+eigenvalue of S_1 alike, which scales W_1 and W_2 by positive constants
+that neither Markov condition nor the width sees; the loop therefore
+keeps only S = sum alpha C_j.  One eigendecomposition S = Q diag(s) Q^T
+per step gives both W_1 = Q diag(e^w) Q^T and W_2 = Q diag(e^-w) Q^T,
+w = -beta/(ell+rho) s, and every candidate is scored in that basis
+through its factor rows (``ReducedInstance.scores_in_basis``).
+
+``oracle_width_fixture`` builds the rank-one
 instance showing that no oracle can do better than rho = Omega(n/eta):
 with X1 = Diag(1, eta^3, 3 eta) (x) I_k and X2 = X1^-1, the rotated pair
 vectors are infeasible and the bare third coordinate costs width at least
@@ -20,17 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleInfeasible, TimeBudgetExceeded
+from .errors import ExpOverflow, OracleInfeasible, TimeBudgetExceeded
 from .linalg import (
+    EXP_OVERFLOW_LIMIT,
     PsdCollection,
     ReducedInstance,
     SparsifierResult,
     certificate_for,
-    sym_exp,
+    eigh,
     symmetrize,
 )
-
-NUM_BLOCKS = 2  # block 1 carries (C_i, I), block 2 the negated copy
 
 
 @dataclass(frozen=True)
@@ -86,13 +96,26 @@ def block_oracle(
     (1+eta) n / eta.  Among the feasible, the smallest width user
     trace(C_j)/p_j wins, lowest index on ties; alpha = 1/p_j.
     """
+    return _block_pick(
+        reduced.score_all(x1), reduced.score_all(x2),
+        float(np.trace(x1)), float(np.trace(x2)), reduced, eta,
+    )
+
+
+def _block_pick(
+    scores_1: np.ndarray,
+    scores_2: np.ndarray,
+    tr_x1: float,
+    tr_x2: float,
+    reduced: ReducedInstance,
+    eta: float,
+) -> tuple[int, float]:
+    """``block_oracle`` from the scores <X1, C_j>, <X2, C_j> and both traces."""
     traces = reduced.traces
     nonzero = traces > 0.0
-    tr_x1 = float(np.trace(x1))
-    tr_x2 = float(np.trace(x2))
-    p = reduced.score_all(x1) / tr_x1
+    p = scores_1 / tr_x1
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond_x2 = reduced.score_all(x2) / p
+        cond_x2 = scores_2 / p
         widths = traces / p
     rho = (1.0 + eta) * reduced.rank / eta
     feasible = nonzero & (p > 0.0) & (cond_x2 <= (1.0 + eta) * tr_x2) & (widths <= rho)
@@ -126,11 +149,8 @@ def block_sparsify(
     """
     params = BlockParams.from_epsilon(eps, reduced.rank)
     r = reduced.rank
-    eye = np.eye(r)
-    # accumulated losses per block; block signs mirror (C_i, I) vs (-C_i, -I)
-    exponent_sums = [np.zeros((r, r)) for _ in range(NUM_BLOCKS)]
-    block_sign = [1.0, -1.0]
-    block_level = [params.ell, -params.ell]
+    # sum of alpha C_j over the picks: block 1's loss sum up to a multiple of I
+    loss_sum = np.zeros((r, r))
     y_sum = np.zeros(len(reduced))
     scale = -params.beta / (params.ell + params.rho)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
@@ -139,12 +159,17 @@ def block_sparsify(
             raise TimeBudgetExceeded(
                 f"mmwum-block exceeded {max_seconds} s at iteration {t}"
             )
-        weight_mats = [sym_exp(scale * exponent_sums[k]) for k in range(NUM_BLOCKS)]
-        j, alpha = block_oracle(weight_mats[0], weight_mats[1], reduced, params.eta)
-        step = alpha * reduced.matrices[j]
-        for k in range(NUM_BLOCKS):
-            loss = block_sign[k] * step - block_sign[k] * eye + block_level[k] * eye
-            exponent_sums[k] = symmetrize(exponent_sums[k] + loss)
+        spec = eigh(loss_sum)
+        exponents = scale * spec.eigenvalues
+        top = max(float(np.max(exponents)), -float(np.min(exponents)))
+        if top > EXP_OVERFLOW_LIMIT:
+            raise ExpOverflow(f"largest exponent {top:.2f} exceeds {EXP_OVERFLOW_LIMIT}")
+        # W1 = exp(scale S) and W2 = exp(-scale S) share the eigenbasis of S
+        coeffs = np.column_stack((np.exp(exponents), np.exp(-exponents)))
+        scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
+        tr_w1, tr_w2 = coeffs.sum(axis=0)
+        j, alpha = _block_pick(scores[:, 0], scores[:, 1], tr_w1, tr_w2, reduced, params.eta)
+        loss_sum = symmetrize(loss_sum + alpha * reduced.matrices[j])
         y_sum[j] += alpha
         if history is not None:
             history.append(
@@ -204,13 +229,11 @@ def oracle_width_fixture(k: int, eta: float) -> WidthFixture:
         np.array([0.0, 0.0, 1.0]),
     ]
     mats = []
-    factors = []
     for profile in profiles:
         for jj in range(k):
             v = np.kron(profile, eye_k[jj])
             mats.append(np.outer(v, v))
-            factors.append(v[np.newaxis, :])
-    coll = PsdCollection.from_matrices(mats, factors=factors)
+    coll = PsdCollection.from_matrices(mats)
     n = 3 * k
     return WidthFixture(
         collection=coll,

@@ -4,7 +4,10 @@ Each round forms the two exponential weight densities X_U, X_L from the
 running sum A, asks the oracle for one (index, step) pair whose update
 multiplies trace(exp(gamma*A)) by at most (1 + delta_U) and
 trace(exp(-gamma*A)) by at most (1 - delta_L), and accumulates.  After T
-rounds the scaled average lands inside [1 - eps, 1 + eps].
+rounds the scaled average lands inside [1 - eps, 1 + eps].  Both
+densities are Q diag(exp(+-gamma w) / sum) Q^T for A = Q diag(w) Q^T, so a
+round decomposes A once and scores every candidate in that eigenbasis
+through its factor rows (``ReducedInstance.scores_in_basis``).
 
 The same potentials can be phrased as shifted-barrier functions
 Psi^u = trace exp(-uI + gamma*A) and Psi_ell = trace exp(ell*I - gamma*A)
@@ -83,8 +86,13 @@ def wf_oracle(
     1/delta_L - n - 1/delta_U >= 0); alpha makes the upper multiplicative
     bound hold with equality, which forces the lower bound as well.
     """
-    scores_l = reduced.score_all(x_lower)
-    scores_u = reduced.score_all(x_upper)
+    return _wf_pick(reduced.score_all(x_upper), reduced.score_all(x_lower), reduced, params)
+
+
+def _wf_pick(
+    scores_u: np.ndarray, scores_l: np.ndarray, reduced: ReducedInstance, params: WfParams
+) -> tuple[int, float]:
+    """``wf_oracle`` from the scores <X_U, C_j> and <X_L, C_j>."""
     traces = reduced.traces
     candidates = traces > 0.0
     slack = np.where(
@@ -216,9 +224,10 @@ def wf_sparsify(
             raise ExpOverflow("gamma * lambda_max exceeds the overflow guard")
         exp_plus = np.exp(params.gamma * w_here)
         exp_minus = np.exp(-params.gamma * w_here)
-        x_upper = symmetrize((q * (exp_plus / exp_plus.sum())) @ q.T)
-        x_lower = symmetrize((q * (exp_minus / exp_minus.sum())) @ q.T)
-        j, alpha = wf_oracle(x_upper, x_lower, reduced, params)
+        # X_U and X_L are Q diag(exp(+-gamma w) / sum) Q^T
+        coeffs = np.column_stack((exp_plus / exp_plus.sum(), exp_minus / exp_minus.sum()))
+        scores = reduced.scores_in_basis(q, coeffs)
+        j, alpha = _wf_pick(scores[:, 0], scores[:, 1], reduced, params)
         a = symmetrize(a + alpha * reduced.matrices[j])
         y[j] += alpha
         if history is not None:

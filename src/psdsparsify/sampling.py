@@ -200,7 +200,7 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
 
     r = reduced.rank
     live = np.flatnonzero(plan.probabilities > 0.0)
-    units = (reduced.flattened[live] / reduced.traces[live, None]).reshape(-1, r, r)
+    units = np.stack([reduced.matrices[j] for j in live]) / reduced.traces[live, None, None]
     spec = eigh(units)
     mean_minus = np.zeros((r, r))
     mean_plus = np.zeros((r, r))

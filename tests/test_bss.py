@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdsparsify import bss
 from psdsparsify.bss import (
     BssParams,
     BssState,
@@ -15,7 +16,7 @@ from psdsparsify.bss import (
     phi_upper,
     upper_shift_bound,
 )
-from psdsparsify.errors import BarrierViolated, ZeroDirection
+from psdsparsify.errors import BarrierViolated, PotentialTooLarge, StepNotFound, ZeroDirection
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 
 from conftest import random_psd
@@ -181,6 +182,40 @@ class TestStep:
         state = BssState(A=np.zeros((3, 3)), y=np.zeros(m))
         j, _ = bss_step(state, red, params)
         assert j == 0
+
+    def test_one_eigh_per_step(self, reduced_random, monkeypatch):
+        calls = []
+        real_eigh = bss.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return real_eigh(m)
+
+        monkeypatch.setattr(bss, "eigh", counting_eigh)
+        params = BssParams.from_epsilon(0.5, reduced_random.rank)
+        state = BssState(A=np.zeros((6, 6)), y=np.zeros(len(reduced_random)))
+        bss_step(state, reduced_random, params)
+        assert calls == [(6, 6)]
+        calls.clear()
+        bss_sparsify(reduced_random, 0.5)
+        # one per step and one for the certificate
+        assert len(calls) == params.T + 1
+
+    # pair instance at eps 0.5: u_0 = 40/3, ell_0 = -8, delta_L = 1
+    @pytest.mark.parametrize(
+        "diagonal,error,message",
+        [
+            ([-9.0, 14.0], BarrierViolated, "u = "),
+            ([-9.0, 1.0], BarrierViolated, "ell = "),
+            ([-7.5, 1.0], PotentialTooLarge, "phi_lower"),
+            ([13.3, 13.3], StepNotFound, "no candidate"),
+        ],
+    )
+    def test_errors_keep_their_order(self, reduced_pair, diagonal, error, message):
+        params = BssParams.from_epsilon(0.5, 2)
+        state = BssState(A=np.diag(diagonal), y=np.zeros(2))
+        with pytest.raises(error, match=message):
+            bss_step(state, reduced_pair, params)
 
 
 class TestSparsify:

@@ -311,6 +311,22 @@ class TestSdpAndSimplexFormats:
         np.testing.assert_allclose(lam, [0.25, 0.75])
         assert len(coll) == 2
 
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (parse_sdp, "sdp 0 1\nmat 0\ntarget\ncost 1\nfeasible 1\n"),
+            (parse_sdp, "sdp -1 1\nmat 0\ntarget\ncost 1\nfeasible 1\n"),
+            (parse_sdp, "sdp 2 0\ntarget\n0 0 1\ncost\nfeasible\n"),
+            (parse_simplex, "simplex 0 1\nlambda 1\nmat 0\n"),
+            (parse_simplex, "simplex -2 1\nlambda 1\nmat 0\n"),
+            (parse_simplex, "simplex 2 0\nlambda\n"),
+        ],
+    )
+    def test_nonpositive_sizes_rejected(self, parse, text):
+        with pytest.raises(ParseError, match="n and m must be positive") as err:
+            parse(text)
+        assert err.value.line_no == 1
+
 
 @pytest.fixture
 def identity_pair_file(tmp_path):
@@ -390,6 +406,23 @@ class TestCli:
         bad.write_text("2 1\n0 0 1.0\n")
         code, _ = self.run_cli(tmp_path, "--algo", "bss", "--eps", "0.5", "--input", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            ("simplex", "simplex 0 1\nlambda 1\nmat 0\n"),
+            ("sdp", "sdp 0 1\nmat 0\ntarget\ncost 1\nfeasible 1\n"),
+            ("sdp", "sdp 2 0\ntarget\n0 0 1\ncost\nfeasible\n"),
+        ],
+    )
+    def test_nonpositive_sizes_exit_2(self, tmp_path, capsys, kind, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, _ = self.run_cli(
+            tmp_path, "--algo", "bss", "--eps", "0.5", "--kind", kind, "--input", str(bad)
+        )
+        assert code == 2
+        assert "n and m must be positive" in capsys.readouterr().err
 
     def test_bad_epsilon_exit_code(self, tmp_path, identity_pair_file):
         code, _ = self.run_cli(

@@ -13,8 +13,13 @@ from psdsparsify.errors import (
     NegativeWeight,
     NotPsd,
 )
+from psdsparsify.applications import edge_collection
+from psdsparsify.bss import bss_sparsify
+from psdsparsify.instances import complete_graph, random_psd_collection
 from psdsparsify.linalg import (
+    FACTOR_CUT,
     PsdCollection,
+    ReducedInstance,
     certificate_for,
     eigh,
     is_psd,
@@ -24,7 +29,10 @@ from psdsparsify.linalg import (
     verify_sandwich,
 )
 
-from conftest import random_psd
+from psdsparsify.mmwum_block import block_sparsify
+from psdsparsify.mmwum_wf import wf_sparsify
+
+from conftest import random_psd, random_sym
 
 
 class TestEigh:
@@ -213,3 +221,92 @@ class TestPsdCollection:
 
     def test_total(self, diag_split):
         np.testing.assert_allclose(diag_split.total(), np.diag([1.0, 2.0]))
+
+
+def _dense_scores(reduced, q, coeffs):
+    """<C_j, Q diag(c) Q^T> for every member and column c, by einsum."""
+    stack = np.stack(reduced.matrices)
+    return np.einsum("jab,ak,bk,kc->jc", stack, q, q, coeffs)
+
+
+def _assert_scores_match(reduced, rng, columns=2):
+    """Both kernels against einsum, to 1e-12 of tr(C_j) times the largest coefficient."""
+    r = reduced.rank
+    q = eigh(random_sym(rng, r)).eigenvectors
+    coeffs = rng.standard_normal((r, columns)) * np.logspace(0, 3, r)[:, None]
+    got = reduced.scores_in_basis(q, coeffs)
+    bound = 1e-12 * reduced.traces[:, None] * np.abs(coeffs).max(axis=0)
+    assert got.shape == (len(reduced), columns)
+    assert np.all(np.abs(got - _dense_scores(reduced, q, coeffs)) <= bound)
+    v = random_sym(rng, r)
+    want = np.einsum("jab,ab->j", np.stack(reduced.matrices), v)
+    bound = 1e-12 * reduced.traces * np.abs(np.linalg.eigvalsh(v)).max()
+    assert np.all(np.abs(reduced.score_all(v) - want) <= bound)
+
+
+def _with_zero_member(position):
+    mats = list(random_psd_collection(4, 9, seed=5).matrices)
+    mats.insert(position, np.zeros((4, 4)))
+    return reduce_to_identity(PsdCollection.from_matrices(mats))
+
+
+class TestFactoredScoring:
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 5), (6, 40), (12, 30), (30, 100)])
+    def test_random_collections(self, n, m):
+        reduced = reduce_to_identity(random_psd_collection(n, m, seed=n + m))
+        _assert_scores_match(reduced, np.random.default_rng(m))
+
+    def test_full_rank_member_spanning_1e8(self):
+        rng = np.random.default_rng(11)
+        n = 6
+        q = eigh(random_sym(rng, n)).eigenvectors
+        wide = symmetrize((q * np.logspace(0, -8, n)) @ q.T)
+        mats = [wide] + [random_psd(rng, n, rank=2) for _ in range(4)]
+        reduced = ReducedInstance(rank=n, matrices=mats, basis=np.eye(n), whitener=np.eye(n))
+        _, starts, _ = reduced.factor_rows
+        assert starts[1] == n  # no eigenvalue of the wide member falls below the cut
+        assert 1e-8 > FACTOR_CUT
+        _assert_scores_match(reduced, rng, columns=3)
+
+    def test_edge_laplacians_give_one_row_each(self):
+        reduced = reduce_to_identity(edge_collection(complete_graph(5)))
+        g, starts, has_rows = reduced.factor_rows
+        assert g.shape == (10, 4)
+        assert np.array_equal(starts, np.arange(10)) and has_rows.all()
+        _assert_scores_match(reduced, np.random.default_rng(5))
+
+    def test_one_dimensional_coefficients(self):
+        reduced = reduce_to_identity(random_psd_collection(4, 8, seed=2))
+        q = np.eye(4)
+        coeffs = np.arange(1.0, 5.0)
+        got = reduced.scores_in_basis(q, coeffs)
+        assert got.shape == (8,)
+        np.testing.assert_allclose(got, reduced.scores_in_basis(q, coeffs[:, None])[:, 0])
+
+    @pytest.mark.parametrize("position", [0, 4, 9])
+    def test_zero_member_scores_exactly_zero(self, position):
+        reduced = _with_zero_member(position)
+        assert reduced.traces[position] == 0.0
+        assert not reduced.factor_rows[2][position]
+        rng = np.random.default_rng(position)
+        q = eigh(random_sym(rng, 4)).eigenvectors
+        coeffs = rng.uniform(1.0, 2.0, (4, 2))
+        assert np.all(reduced.scores_in_basis(q, coeffs)[position] == 0.0)
+        assert reduced.score_all(random_sym(rng, 4))[position] == 0.0
+        _assert_scores_match(reduced, rng)
+
+    def test_member_without_positive_eigenvalues_scores_zero(self):
+        # -1e-13 I passes the PSD check at its default tolerance
+        mats = [np.eye(3), -1e-13 * np.eye(3), np.diag([1.0, 2.0, 0.0])]
+        reduced = ReducedInstance(rank=3, matrices=mats, basis=np.eye(3), whitener=np.eye(3))
+        assert reduced.factor_rows[2].tolist() == [True, False, True]
+        scores = reduced.scores_in_basis(np.eye(3), np.ones((3, 2)))
+        assert np.all(scores[1] == 0.0)
+        np.testing.assert_allclose(scores, [[3.0, 3.0], [0.0, 0.0], [3.0, 3.0]], rtol=1e-15)
+
+    @pytest.mark.parametrize("solve", [bss_sparsify, wf_sparsify, block_sparsify])
+    @pytest.mark.parametrize("position", [0, 4, 9])
+    def test_zero_member_never_picked(self, solve, position):
+        result = solve(_with_zero_member(position), 0.5)
+        assert result.weights[position] == 0.0
+        assert np.count_nonzero(result.weights) > 0

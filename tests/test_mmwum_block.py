@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from psdsparsify import mmwum_block
+from psdsparsify.errors import ExpOverflow
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 from psdsparsify.mmwum_block import (
     BlockParams,
@@ -109,6 +111,26 @@ class TestSparsify:
         cert = res.certificate
         assert cert.lambda_min >= 1.0 - err - 1e-9
         assert cert.lambda_max <= 1.0 + err + 1e-9
+
+    def test_one_eigh_per_iteration(self, reduced_random, monkeypatch):
+        calls = []
+        real_eigh = mmwum_block.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return real_eigh(m)
+
+        monkeypatch.setattr(mmwum_block, "eigh", counting_eigh)
+        block_sparsify(reduced_random, 0.5)
+        params = BlockParams.from_epsilon(0.5, reduced_random.rank)
+        assert calls == [(6, 6)] * params.T
+
+    def test_overflow_guard_sees_the_negated_block(self, reduced_pair, monkeypatch):
+        # the exponents -beta/(ell+rho) s are never positive, so only block
+        # 2's exponents +beta/(ell+rho) s can cross the limit
+        monkeypatch.setattr(mmwum_block, "EXP_OVERFLOW_LIMIT", 0.5)
+        with pytest.raises(ExpOverflow):
+            block_sparsify(reduced_pair, 0.5)
 
 
 class TestWidthFixture:

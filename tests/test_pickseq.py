@@ -1,0 +1,70 @@
+"""Pick sequences of the scanning solvers under the factored kernel.
+
+The dense reference scores candidates the way the solvers did before the
+factored kernel, so these tests pin down which output files that kernel
+leaves unchanged (``bss``) and why it may change the others.
+"""
+
+import numpy as np
+import pytest
+
+from psdsparsify.applications import edge_collection
+from psdsparsify.instances import complete_graph, random_psd_collection
+from psdsparsify.linalg import reduce_to_identity
+from psdsparsify.mmwum_wf import WfParams
+
+from pickseq import compare_picks
+
+INSTANCES = {
+    **{f"random-{s}": (lambda s=s: random_psd_collection(6, 40, seed=s)) for s in range(3)},
+    "k5": lambda: edge_collection(complete_graph(5)),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bss_picks_and_weights_match_the_dense_reference(seed):
+    reduced = reduce_to_identity(random_psd_collection(6, 40, seed=seed))
+    report = compare_picks("bss", reduced, 0.5)
+    assert report.first_difference is None, (report.picks, report.score_gap)
+    assert len(report.kernel) == len(report.reference) > 0
+    assert report.alpha_rel_max <= 1e-12
+    got, want = report.weights
+    assert np.array_equal(got > 0.0, want > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_bss_on_k5_moves_a_pick_only_at_an_exact_tie():
+    # K5 is edge-transitive, so at A = 0 all ten gaps L - U are equal and
+    # rounding alone picks among them, differently under the two kernels.
+    reduced = reduce_to_identity(edge_collection(complete_graph(5)))
+    report = compare_picks("bss", reduced, 0.5)
+    scores_u, scores_l = report.kernel[0].args[:2]
+    np.testing.assert_allclose(scores_l - scores_u, (scores_l - scores_u)[0], rtol=1e-12)
+    if report.first_difference is not None:
+        assert report.score_gap <= 1e-12
+        assert report.alpha_rel_max <= 1e-12
+    got, want = report.weights
+    assert np.count_nonzero(got) == np.count_nonzero(want)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_first_wf_and_block_picks_are_exact_ties(name):
+    # At A = 0 both densities are I/r, so every slack is
+    # tr(C_j) (1/delta_L - r - 1/delta_U) / r = 0 and every width is r:
+    # rounding alone picks the first index, under either kernel.
+    reduced = reduce_to_identity(INSTANCES[name]())
+    r = reduced.rank
+    params = WfParams.from_epsilon(0.5, r)
+    wf = compare_picks("mmwum-wf", reduced, 0.5, max_steps=1)
+    scores_u, scores_l = wf.kernel[0].args[:2]
+    slack = scores_l / params.delta_L - reduced.traces - scores_u / params.delta_U
+    size = scores_l / params.delta_L + reduced.traces + scores_u / params.delta_U
+    assert np.all(np.abs(slack) <= 1e-12 * size)
+
+    block = compare_picks("mmwum-block", reduced, 0.5, max_steps=1)
+    scores_1, _, tr_x1 = block.kernel[0].args[:3]
+    widths = reduced.traces / (scores_1 / tr_x1)
+    np.testing.assert_allclose(widths, r, rtol=1e-12)
+    for report in (wf, block):
+        if report.first_difference is not None:
+            assert report.score_gap <= 1e-12

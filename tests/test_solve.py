@@ -28,7 +28,7 @@ def test_degenerate_lambda_min_raises(monkeypatch, lam_min):
 def test_pe_retry_decomposes_the_unit_stack_once(monkeypatch):
     # the closed-form T = 57 misses phi_0 + psi_0 < 1 here, so the run retries
     reduced = reduce_to_identity(identity_decomposition(4))
-    units = (reduced.flattened / reduced.traces[:, None]).reshape(-1, reduced.rank, reduced.rank)
+    units = np.stack(reduced.matrices) / reduced.traces[:, None, None]
     real_eigh = sampling.eigh
     of_units = []
 
