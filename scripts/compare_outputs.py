@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Run the ``sparsify`` CLI from two source trees on the same inputs and compare.
+
+    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+The inputs are small fixtures, each run with every algorithm at eps 0.45
+and 0.5, and the inputs of every benchmark workload for seeds 1-3, each
+run with that workload's job list (``bench/workloads.py``, imported and
+used as it is).  The inputs are written once, with the writers of
+CHANGE_SRC.  Every run is one ``python -m psdsparsify.cli`` subprocess
+with ``PYTHONPATH`` set to one side's source tree and one BLAS thread,
+one run at a time.
+
+Each output gets one line: whether the two files are byte-identical and,
+if not, the largest relative weight difference (a weight present on one
+side only counts as 1); the support size on both sides; lambda_max /
+lambda_min on both sides; and the exit codes when they differ.  With
+``--work DIR`` the inputs and outputs are kept in DIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ALGORITHMS = ("bss", "mmwum-wf", "mmwum-block", "aw-sample", "pe")
+FIXTURE_EPS = (0.45, 0.5)
+WORKLOAD_SEEDS = (1, 2, 3)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fixture_files(directory: Path) -> dict:
+    """name -> (kind, {option: path}) for the fixtures, written into ``directory``."""
+    from psdsparsify import instances
+    from psdsparsify import io_formats as io
+
+    k4 = io.emit_graph(instances.complete_graph(4))
+    texts = {
+        "pair": ("matrices", {"input": "2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n"}),
+        "identity4": (
+            "matrices",
+            {"input": io.emit_matrix_collection(instances.identity_decomposition(4))},
+        ),
+        "random4x12": (
+            "matrices",
+            {"input": io.emit_matrix_collection(instances.random_psd_collection(4, 12, seed=3))},
+        ),
+        "k5": ("graph", {"input": io.emit_graph(instances.complete_graph(5))}),
+        "k6": ("graph", {"input": io.emit_graph(instances.complete_graph(6))}),
+        "k4-costs": ("graph", {"input": k4, "costs": "1 6\n1 1 1 1 1 1\n"}),
+        "k4-family": ("graph", {"input": k4, "family": "1\n3\n1 2\n2 3\n1 3\n"}),
+        "hypergraph": (
+            "hypergraph",
+            {"input": io.emit_hypergraph(instances.random_uniform_hypergraph(6, 8, 3, seed=0))},
+        ),
+        "sdp": (
+            "sdp",
+            {
+                "input": "sdp 2 3\nmat 0\n0 0 1.0\nmat 1\n1 1 1.0\nmat 2\n0 0 0.5\n1 1 0.5\n"
+                "target\n0 0 0.5\n1 1 0.5\ncost 1.0 2.0 0.5\nfeasible 1.0 1.0 1.0\n"
+            },
+        ),
+        "simplex": (
+            "simplex",
+            {
+                "input": "simplex 2 2\nlambda 0.5 0.5\n"
+                "mat 0\n0 0 1.0\n1 1 1.0\nmat 1\n0 0 2.0\n1 1 2.0\n"
+            },
+        ),
+    }
+    files = {}
+    for name, (kind, parts) in texts.items():
+        paths = {}
+        for option, text in parts.items():
+            path = directory / f"{name}.{option}.txt"
+            path.write_text(text, encoding="utf-8")
+            paths[option] = str(path)
+        files[name] = (kind, paths)
+    return files
+
+
+def jobs(directory: Path) -> list:
+    """(name, argv without --output) of every run."""
+    out = []
+    for name, (kind, paths) in fixture_files(directory).items():
+        files = [a for option, path in paths.items() for a in (f"--{option}", path)]
+        for eps in FIXTURE_EPS:
+            for algo in ALGORITHMS:
+                argv = ["--algo", algo, "--eps", repr(eps), "--kind", kind, *files]
+                out.append((f"{name} {algo} eps={eps}", argv))
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    for w in workloads.WORKLOADS.values():
+        for seed in WORKLOAD_SEEDS:
+            sub = directory / f"{w.name}-{seed}"
+            sub.mkdir(exist_ok=True)
+            inputs = workloads.write_inputs(w, seed, str(sub))
+            for index, algo in enumerate(w.algos):
+                argv = workloads.job_argv(w, inputs, index, seed, output="")
+                at = argv.index("--output")
+                out.append((f"{w.name} seed={seed} {algo}", argv[:at] + argv[at + 2 :]))
+    return out
+
+
+def run_side(src: str, argv: list, output: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=src, **{v: "1" for v in THREAD_VARS})
+    cmd = [sys.executable, "-m", "psdsparsify.cli", *argv, "--output", str(output)]
+    return subprocess.run(cmd, env=env, capture_output=True).returncode
+
+
+def read_output(path: Path):
+    """(weights by index, support size, lambda_max / lambda_min), or None."""
+    if not path.exists():
+        return None
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start, stop = lines.index("weights") + 1, lines.index("certificate")
+    weights = {int(i): float(v) for i, v in (line.split() for line in lines[start:stop])}
+    fields = dict(line.split(maxsplit=1) for line in lines[stop + 1 :] if " " in line)
+    ratio = float(fields["lambda_max"]) / float(fields["lambda_min"])
+    return weights, int(fields["support_size"]), ratio
+
+
+def weight_difference(a: dict, b: dict) -> float:
+    diff = 0.0
+    for i in a.keys() | b.keys():
+        x, y = a.get(i, 0.0), b.get(i, 0.0)
+        diff = max(diff, abs(x - y) / max(abs(x), abs(y)))
+    return diff
+
+
+def compare(name: str, parent: Path, change: Path, codes: tuple) -> bool:
+    """Print one line for one output; True when the two files are byte-identical."""
+    same = parent.exists() == change.exists() and (
+        not parent.exists() or parent.read_bytes() == change.read_bytes()
+    )
+    a, b = read_output(parent), read_output(change)
+    parts = [f"{name:<34}", "identical" if same else "DIFFERS"]
+    if a is not None and b is not None:
+        if not same:
+            parts.append(f"weight rel diff {weight_difference(a[0], b[0]):.2e}")
+        parts.append(f"support {a[1]}/{b[1]}")
+        parts.append(f"lambda_max/lambda_min {a[2]:.10f}/{b[2]:.10f}")
+    if codes[0] != codes[1] or a is None or b is None:
+        parts.append(f"exit {codes[0]}/{codes[1]}")
+    print("  ".join(parts), flush=True)
+    return same
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--work", default=None, help="keep inputs and outputs in this directory")
+    args = parser.parse_args()
+    sides = [str(Path(src).resolve()) for src in (args.parent_src, args.change_src)]
+    sys.path.insert(0, sides[1])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(args.work or tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        identical = total = 0
+        for k, (name, argv) in enumerate(jobs(work)):
+            outputs = [work / f"out-{k}-{side}.txt" for side in ("parent", "change")]
+            codes = tuple(run_side(src, argv, out) for src, out in zip(sides, outputs))
+            identical += compare(name, *outputs, codes)
+            total += 1
+    print(f"{identical} of {total} outputs byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

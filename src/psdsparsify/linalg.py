@@ -75,6 +75,16 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
+def _checked_square(m: np.ndarray) -> np.ndarray:
+    """``m`` as a float array, if it is a finite square matrix or stack of them."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise InvalidMatrix(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidMatrix("matrix has non-finite entries")
+    return m
+
+
 def eigh(m: np.ndarray) -> Spectrum:
     """Eigendecompose a symmetric matrix, ascending eigenvalue order.
 
@@ -83,13 +93,17 @@ def eigh(m: np.ndarray) -> Spectrum:
     member alone, so the stacked result equals the per-matrix results bit
     for bit.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise InvalidMatrix(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidMatrix("matrix has non-finite entries")
-    w, q = np.linalg.eigh(m)
+    w, q = np.linalg.eigh(_checked_square(m))
     return Spectrum(eigenvalues=w, eigenvectors=q)
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues alone of a symmetric matrix or stack, ascending.
+
+    Takes the inputs ``eigh`` takes and raises what it raises; a stack
+    equals the per-matrix results bit for bit, as there.
+    """
+    return np.linalg.eigvalsh(_checked_square(m))
 
 
 def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL):

@@ -4,7 +4,13 @@
 trace(C_i) and succeeds with probability > 1/2; ``pe_sparsify`` replaces
 the coin flips by a greedy walk that always moves the sum of two
 pessimistic estimators (one per spectral tail event) downward, turning
-the same quantized weights into a deterministic guarantee.
+the same quantized weights into a deterministic guarantee.  Both tail
+exponents are multiples of one matrix, the sum P of the unit-trace picks
+so far, so a step scores every candidate j from the eigenvalues of
+P + X_j alone: one eigenvalue-only decomposition per step serves both
+tails.  The walk takes the lowest index among values that are equal bit
+for bit; among candidates that tie only in exact arithmetic (as on
+edge-transitive graphs), rounding decides.
 
 RNG contract: PCG64 via ``numpy.random.default_rng(seed)``; indices come
 from inverse-CDF lookups against the cumulative probability vector, so
@@ -25,6 +31,7 @@ from .linalg import (
     SparsifierResult,
     certificate_for,
     eigh,
+    eigvalsh,
     ln_sum_exp,
     symmetrize,
 )
@@ -124,12 +131,14 @@ class PeState:
     """Greedy derandomization state.
 
     ``t_minus`` scales the lower-tail exponent exp(-t X) and ``t_plus``
-    the upper-tail exponent exp(+t' X).  The two exponent accumulators
-    hold -t * sum(picks) and +t' * sum(picks); the estimator values are
-    assembled in log space so the norm powers cannot underflow.
-    ``live`` lists the candidates with positive probability and ``units``
-    holds their unit-trace matrices X_j = C_j / tr(C_j) as one
-    (len(live), r, r) stack.
+    the upper-tail exponent exp(+t' X).  ``picked_sum`` is P, the sum of
+    the unit-trace matrices picked so far; the two exponent sums are
+    -t P and +t' P (read-only as ``exp_sum_lower`` and ``exp_sum_upper``),
+    so both tails take their spectra from the eigenvalues of P.  The
+    estimator values are assembled in log space so the norm powers cannot
+    underflow.  ``live`` lists the candidates with positive probability
+    and ``units`` holds their unit-trace matrices X_j = C_j / tr(C_j) as
+    one (len(live), r, r) stack.
     """
 
     plan: SamplingPlan
@@ -138,8 +147,7 @@ class PeState:
     t_plus: float
     log_norm_minus: float
     log_norm_plus: float
-    exp_sum_lower: np.ndarray
-    exp_sum_upper: np.ndarray
+    picked_sum: np.ndarray
     live: np.ndarray
     units: np.ndarray
     picks: list = field(default_factory=list)
@@ -148,6 +156,14 @@ class PeState:
     @property
     def t(self) -> int:
         return len(self.picks)
+
+    @property
+    def exp_sum_lower(self) -> np.ndarray:
+        return -self.t_minus * self.picked_sum
+
+    @property
+    def exp_sum_upper(self) -> np.ndarray:
+        return self.t_plus * self.picked_sum
 
     def _estimate(self, w_lower: np.ndarray, w_upper: np.ndarray, i: int) -> np.ndarray:
         """phi + psi after i picks, from the spectra of the two exponent sums.
@@ -167,7 +183,8 @@ class PeState:
         return float(self._estimate(eigh(exp_lower).eigenvalues, eigh(exp_upper).eigenvalues, i))
 
     def current_value(self) -> float:
-        return self._value(self.exp_sum_lower, self.exp_sum_upper, self.t)
+        w = eigvalsh(self.picked_sum)
+        return float(self._estimate(-self.t_minus * w, self.t_plus * w, self.t))
 
 
 @dataclass(frozen=True)
@@ -242,8 +259,7 @@ def pe_params(
         t_plus=instance.t_plus,
         log_norm_minus=instance.log_norm_minus,
         log_norm_plus=instance.log_norm_plus,
-        exp_sum_lower=np.zeros((r, r)),
-        exp_sum_upper=np.zeros((r, r)),
+        picked_sum=np.zeros((r, r)),
         live=instance.live,
         units=instance.units,
     )
@@ -264,19 +280,22 @@ def pe_params(
 
 
 def pe_greedy_step(state: PeState) -> int:
-    """Append the pick minimizing phi + psi (lowest index on ties).
+    """Append the pick minimizing phi + psi.
 
-    Every live candidate is scored at once: one stacked eigendecomposition
-    per tail, then both estimators in log space.  The estimator property
+    Every live candidate j is scored at once from the eigenvalues lam of
+    its pick sum P + X_j: one stacked eigenvalue-only decomposition, whose
+    -t lam and t' lam are the spectra of the two tail exponents.  P and
+    every X_j are exactly symmetric, and so is their sum.  Among values
+    equal bit for bit the lowest index wins; where candidates tie in
+    exact arithmetic, rounding decides.  The estimator property
     guarantees the minimum does not exceed the probability-weighted
     average, hence never exceeds the current value.
     """
-    lower = symmetrize(state.exp_sum_lower - state.t_minus * state.units)
-    upper = symmetrize(state.exp_sum_upper + state.t_plus * state.units)
-    values = state._estimate(eigh(lower).eigenvalues, eigh(upper).eigenvalues, state.t + 1)
+    sums = state.picked_sum + state.units
+    w = eigvalsh(sums)
+    values = state._estimate(-state.t_minus * w, state.t_plus * w, state.t + 1)
     k = int(np.argmin(values))
-    state.exp_sum_lower = lower[k].copy()
-    state.exp_sum_upper = upper[k].copy()
+    state.picked_sum = sums[k].copy()
     best_j = int(state.live[k])
     state.picks.append(best_j)
     state.estimator_trace.append(float(values[k]))

@@ -22,6 +22,7 @@ from psdsparsify.linalg import (
     ReducedInstance,
     certificate_for,
     eigh,
+    eigvalsh,
     is_psd,
     reduce_to_identity,
     sym_exp,
@@ -86,6 +87,31 @@ class TestEigh:
         assert np.linalg.norm(rebuilt - m, "fro") <= 1e-9 * (1 + np.linalg.norm(m, "fro"))
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-9
         assert np.all(np.diff(w) >= 0)
+
+
+class TestEigvalsh:
+    def test_stack_matches_members_exactly(self):
+        rng = np.random.default_rng(4)
+        stack = symmetrize(rng.standard_normal((6, 5, 5)))
+        w = eigvalsh(stack)
+        assert w.shape == (6, 5)
+        for k, m in enumerate(stack):
+            assert np.array_equal(w[k], eigvalsh(m))
+
+    def test_matches_eigh_eigenvalues(self):
+        m = random_psd(np.random.default_rng(5), 6)
+        np.testing.assert_allclose(eigvalsh(m), eigh(m).eigenvalues, rtol=0.0, atol=1e-12)
+
+    def test_stack_with_one_nonfinite_member_rejected(self):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(InvalidMatrix):
+            eigvalsh(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 2, 2, 2)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(InvalidMatrix):
+            eigvalsh(np.zeros(shape))
 
 
 class TestIsPsd:

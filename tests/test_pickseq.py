@@ -1,8 +1,10 @@
-"""Pick sequences of the scanning solvers under the factored kernel.
+"""Pick sequences of the solvers under their kernels and a reference arithmetic.
 
-The dense reference scores candidates the way the solvers did before the
-factored kernel, so these tests pin down which output files that kernel
-leaves unchanged (``bss``) and why it may change the others.
+The dense reference scores candidates the way the scanning solvers did
+before the factored kernel, and the two-``eigh`` reference scores ``pe``
+candidates the way it did before its one eigenvalue-only decomposition
+per step.  So these tests pin down which output files the kernels leave
+unchanged and why they may change the others.
 """
 
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 
 from psdsparsify.applications import edge_collection
 from psdsparsify.instances import complete_graph, random_psd_collection
-from psdsparsify.linalg import reduce_to_identity
+from psdsparsify.linalg import certificate_for, reduce_to_identity
 from psdsparsify.mmwum_wf import WfParams
+from psdsparsify.solve import internal_epsilon
 
-from pickseq import compare_picks
+from pickseq import compare_pe_picks, compare_picks, pe_lockstep_moves
 
 INSTANCES = {
     **{f"random-{s}": (lambda s=s: random_psd_collection(6, 40, seed=s)) for s in range(3)},
@@ -68,3 +71,32 @@ def test_first_wf_and_block_picks_are_exact_ties(name):
     for report in (wf, block):
         if report.first_difference is not None:
             assert report.score_gap <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pe_picks_match_the_two_eigh_reference(seed):
+    reduced = reduce_to_identity(random_psd_collection(5, 25, seed=seed))
+    report = compare_pe_picks(reduced, 0.45)
+    assert report.first_difference is None, (report.picks, report.score_gap)
+    assert len(report.kernel) == len(report.reference) > 0
+    assert pe_lockstep_moves(report) == []
+    got, want = report.weights
+    assert np.array_equal(got, want)
+
+
+def test_pe_on_k5_moves_picks_only_at_ties():
+    # K5 is edge-transitive: at P = 0 all ten values are equal bit for bit,
+    # and later steps keep tying in exact arithmetic, so rounding picks.
+    reduced = reduce_to_identity(edge_collection(complete_graph(5)))
+    eps = internal_epsilon(0.45)
+    report = compare_pe_picks(reduced, eps)
+    (first_values,) = report.kernel[0].args
+    assert np.all(first_values == first_values[0])
+    if report.first_difference is not None:
+        assert report.score_gap <= 1e-12
+    for step, _, _, gap in pe_lockstep_moves(report):
+        assert gap <= 1e-12, step
+    got, want = report.weights
+    assert np.count_nonzero(got) == np.count_nonzero(want)
+    for weights in (got, want):
+        assert certificate_for(reduced, weights).within_window(1.0 - eps, 1.0 + eps)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from psdsparsify.errors import TimeBudgetExceeded, TNotLargeEnough
+from psdsparsify import sampling
+from psdsparsify.errors import InvalidMatrix, TimeBudgetExceeded, TNotLargeEnough
 from psdsparsify.instances import identity_decomposition, random_psd_collection
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 from psdsparsify.solve import sparsify_sum
@@ -233,6 +234,39 @@ class TestPeBatchedScoring:
         for _ in range(8):
             pe_greedy_step(state)
         assert state.picks == [0, 1, 2, 3, 0, 1, 2, 3]
+
+
+class TestPeSpectrumOfPickSums:
+    def test_one_eigvalsh_and_no_eigh_per_step(self, reduced_random, monkeypatch):
+        state = pe_params(reduced_random, 0.45)
+        calls = {"eigvalsh": 0, "eigh": 0}
+        for name in calls:
+
+            def counting(m, name=name, real=getattr(sampling, name)):
+                calls[name] += 1
+                return real(m)
+
+            monkeypatch.setattr(sampling, name, counting)
+        pe_greedy_step(state)
+        assert calls == {"eigvalsh": 1, "eigh": 0}
+
+    def test_nan_in_the_unit_stack_raises(self, reduced_random):
+        state = pe_params(reduced_random, 0.45)
+        state.units = state.units.copy()
+        state.units[3, 1, 2] = np.nan
+        with pytest.raises(InvalidMatrix):
+            pe_greedy_step(state)
+
+    def test_exponent_sums_are_multiples_of_the_pick_sum(self, reduced_random):
+        state = pe_params(reduced_random, 0.45)
+        for _ in range(5):
+            pe_greedy_step(state)
+        p = state.picked_sum
+        assert np.array_equal(p, p.T)
+        units = [reduced_random.matrices[j] / reduced_random.traces[j] for j in state.picks]
+        np.testing.assert_allclose(p, sum(units), rtol=0.0, atol=1e-14)
+        assert np.array_equal(state.exp_sum_lower, -state.t_minus * p)
+        assert np.array_equal(state.exp_sum_upper, state.t_plus * p)
 
 
 class TestPeDeadline:
