@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the ``sparsify`` CLI from two source trees on the same inputs and compare.
 
-    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR] [--algos A,B]
 
 The inputs are small fixtures, each run with every algorithm at eps 0.45
 and 0.5, and the inputs of every benchmark workload for seeds 1-3, each
@@ -15,7 +15,8 @@ Each output gets one line: whether the two files are byte-identical and,
 if not, the largest relative weight difference (a weight present on one
 side only counts as 1); the support size on both sides; lambda_max /
 lambda_min on both sides; and the exit codes when they differ.  With
-``--work DIR`` the inputs and outputs are kept in DIR.
+``--work DIR`` the inputs and outputs are kept in DIR.  ``--algos`` runs
+only the runs of the listed algorithms (comma-separated; default all).
 """
 
 from __future__ import annotations
@@ -84,13 +85,13 @@ def fixture_files(directory: Path) -> dict:
     return files
 
 
-def jobs(directory: Path) -> list:
-    """(name, argv without --output) of every run."""
+def jobs(directory: Path, algos=ALGORITHMS) -> list:
+    """(name, argv without --output) of every run of an algorithm in ``algos``."""
     out = []
     for name, (kind, paths) in fixture_files(directory).items():
         files = [a for option, path in paths.items() for a in (f"--{option}", path)]
         for eps in FIXTURE_EPS:
-            for algo in ALGORITHMS:
+            for algo in (a for a in ALGORITHMS if a in algos):
                 argv = ["--algo", algo, "--eps", repr(eps), "--kind", kind, *files]
                 out.append((f"{name} {algo} eps={eps}", argv))
 
@@ -98,11 +99,15 @@ def jobs(directory: Path) -> list:
     import workloads
 
     for w in workloads.WORKLOADS.values():
+        if not set(w.algos) & set(algos):
+            continue
         for seed in WORKLOAD_SEEDS:
             sub = directory / f"{w.name}-{seed}"
             sub.mkdir(exist_ok=True)
             inputs = workloads.write_inputs(w, seed, str(sub))
             for index, algo in enumerate(w.algos):
+                if algo not in algos:
+                    continue
                 argv = workloads.job_argv(w, inputs, index, seed, output="")
                 at = argv.index("--output")
                 out.append((f"{w.name} seed={seed} {algo}", argv[:at] + argv[at + 2 :]))
@@ -158,7 +163,14 @@ def main() -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--work", default=None, help="keep inputs and outputs in this directory")
+    parser.add_argument(
+        "--algos", default=",".join(ALGORITHMS), help="comma-separated algorithms to run"
+    )
     args = parser.parse_args()
+    algos = args.algos.split(",")
+    unknown = sorted(set(algos) - set(ALGORITHMS))
+    if unknown:
+        parser.error(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
     sides = [str(Path(src).resolve()) for src in (args.parent_src, args.change_src)]
     sys.path.insert(0, sides[1])
 
@@ -166,7 +178,7 @@ def main() -> int:
         work = Path(args.work or tmp)
         work.mkdir(parents=True, exist_ok=True)
         identical = total = 0
-        for k, (name, argv) in enumerate(jobs(work)):
+        for k, (name, argv) in enumerate(jobs(work, algos)):
             outputs = [work / f"out-{k}-{side}.txt" for side in ("parent", "change")]
             codes = tuple(run_side(src, argv, out) for src, out in zip(sides, outputs))
             identical += compare(name, *outputs, codes)

@@ -6,27 +6,24 @@ t*delta_L trap the spectrum.  Trace-inverse potentials measure how close
 eigenvalues crowd each barrier; the shift bounds U_A(X) and L_A(X) give
 the closed-form step-size window that keeps both potentials from rising.
 
-U_A(X) and L_A(X) are trace inner products of X with two matrices that
-are functions of A, Q diag(c_U) Q^T and Q diag(c_L) Q^T for A = Q diag(w)
-Q^T.  Each step therefore decomposes A once, turns w into c_U and c_L,
-and scores every candidate in that eigenbasis through its factor rows
-(``ReducedInstance.scores_in_basis``); the dense members are used only to
-update A.
+U_A(X) and L_A(X) are trace inner products of X with Q diag(c_U) Q^T and
+Q diag(c_L) Q^T for A = Q diag(w) Q^T, so the solver is one potential of
+the shared loop ``scan.drive``: it maps w to c_U and c_L and picks the
+widest gap L_A(C_j) - U_A(C_j).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import scan
 from .errors import (
     BarrierViolated,
     PotentialTooLarge,
     StepNotFound,
-    TimeBudgetExceeded,
     ZeroDirection,
 )
 from .linalg import (
@@ -147,19 +144,6 @@ def _lower_coefficients(w: np.ndarray, ell: float, delta_L: float) -> np.ndarray
     return inv**2 / rise - inv
 
 
-def _barrier_scores(
-    a: np.ndarray, reduced: ReducedInstance, u: float, ell: float, params: BssParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrum of A and U_A(C_j), L_A(C_j) for every member, from one eigh."""
-    spec = eigh(a)
-    w = spec.eigenvalues
-    coeffs = np.column_stack(
-        (_upper_coefficients(w, u, params.delta_U), _lower_coefficients(w, ell, params.delta_L))
-    )
-    scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
-    return w, scores[:, 0], scores[:, 1]
-
-
 def _in_basis(spec: Spectrum, coeff: np.ndarray) -> np.ndarray:
     """Q diag(coeff) Q^T for the eigenvectors Q of ``spec``."""
     q = spec.eigenvectors
@@ -196,19 +180,17 @@ def bss_step(
     eigendecomposition of A gives both coefficient vectors, and every
     candidate is scored in that eigenbasis through its factor rows.
     """
-    u = params.upper_barrier(state.t)
-    ell = params.lower_barrier(state.t)
-    _, scores_u, scores_l = _barrier_scores(state.A, reduced, u, ell, params)
-    return _bss_pick(scores_u, scores_l, reduced)
+    coeffs = np.empty((reduced.rank, 2))
+    return scan.step(reduced, _Barriers(params, reduced), state.A, state.t, coeffs)
 
 
 def _bss_pick(
     scores_u: np.ndarray, scores_l: np.ndarray, reduced: ReducedInstance
 ) -> tuple[int, float]:
     """``bss_step`` from the scores U_A(C_j) and L_A(C_j)."""
-    nonzero = reduced.traces > 0.0
+    nonzero = reduced.has_trace
     feasible = nonzero & (scores_u > 0.0) & (scores_l >= scores_u)
-    if not np.any(feasible):
+    if not feasible.any():
         raise StepNotFound(
             "no candidate satisfies L >= U > 0 "
             f"(sum U = {scores_u[nonzero].sum()}, sum L = {scores_l[nonzero].sum()})",
@@ -238,6 +220,46 @@ class BssIterate:
     sum_lower: float
 
 
+class _Barriers:
+    """The ``scan`` potential of ``bss``: coefficients c_U, c_L and ``_bss_pick``."""
+
+    name = "bss"
+
+    def __init__(self, params: BssParams, reduced: ReducedInstance):
+        self.params, self.reduced, self.T = params, reduced, params.T
+
+    def coefficients(self, w: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        p = self.params
+        return (
+            _upper_coefficients(w, p.upper_barrier(t), p.delta_U),
+            _lower_coefficients(w, p.lower_barrier(t), p.delta_L),
+        )
+
+    def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
+        return _bss_pick(scores[:, 0], scores[:, 1], self.reduced)
+
+    def record(self, t: int, j: int, alpha: float, a: np.ndarray) -> BssIterate:
+        # post-hoc scan sums for the feasibility invariant
+        spec = eigh(a)
+        w = spec.eigenvalues
+        coeffs = np.column_stack(self.coefficients(w, t))
+        scores = self.reduced.scores_in_basis(spec.eigenvectors, coeffs)
+        u_t, ell_t = self.params.upper_barrier(t), self.params.lower_barrier(t)
+        return BssIterate(
+            t=t,
+            j=j,
+            alpha=alpha,
+            u=u_t,
+            ell=ell_t,
+            phi_u=float(np.sum(1.0 / (u_t - w))),
+            phi_l=float(np.sum(1.0 / (w - ell_t))),
+            lam_min=float(w[0]),
+            lam_max=float(w[-1]),
+            sum_upper=float(scores[:, 0].sum()),
+            sum_lower=float(scores[:, 1].sum()),
+        )
+
+
 def bss_sparsify(
     reduced: ReducedInstance,
     eps: float,
@@ -251,41 +273,10 @@ def bss_sparsify(
     Support is at most T = ceil(4r/eps^2).
     """
     params = BssParams.from_epsilon(eps, reduced.rank)
-    state = BssState(
-        A=np.zeros((reduced.rank, reduced.rank)),
-        y=np.zeros(len(reduced)),
-    )
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    for t in range(1, params.T + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(f"bss exceeded {max_seconds} s at iteration {t}")
-        j, alpha = bss_step(state, reduced, params)
-        state.A = symmetrize(state.A + alpha * reduced.matrices[j])
-        state.y[j] += alpha
-        state.t = t
-        if history is not None:
-            u_t = params.upper_barrier(t)
-            ell_t = params.lower_barrier(t)
-            # post-hoc scan sums for the feasibility invariant
-            w, scores_u, scores_l = _barrier_scores(state.A, reduced, u_t, ell_t, params)
-            history.append(
-                BssIterate(
-                    t=t,
-                    j=j,
-                    alpha=alpha,
-                    u=u_t,
-                    ell=ell_t,
-                    phi_u=float(np.sum(1.0 / (u_t - w))),
-                    phi_l=float(np.sum(1.0 / (w - ell_t))),
-                    lam_min=float(w[0]),
-                    lam_max=float(w[-1]),
-                    sum_upper=float(scores_u.sum()),
-                    sum_lower=float(scores_l.sum()),
-                )
-            )
-    w = eigh(state.A).eigenvalues
+    a, y = scan.drive(reduced, _Barriers(params, reduced), max_seconds, history)
+    w = scan.eigh(a).eigenvalues
     lam_min = float(w[0])
-    y = state.y / lam_min
+    y = y / lam_min
     cert = SandwichCertificate(
         lambda_min=float(w[0] / lam_min),
         lambda_max=float(w[-1] / lam_min),

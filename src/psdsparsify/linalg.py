@@ -80,7 +80,7 @@ def _checked_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise InvalidMatrix(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return m
 
@@ -215,6 +215,11 @@ class ReducedInstance:
         return np.array([float(np.trace(c)) for c in self.matrices])
 
     @cached_property
+    def has_trace(self) -> np.ndarray:
+        """traces > 0: the members a scanning solver may pick."""
+        return self.traces > 0.0
+
+    @cached_property
     def factor_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked factor rows ``g`` (K, r), each member's first row, and
         which members have rows.
@@ -235,10 +240,14 @@ class ReducedInstance:
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         return np.concatenate(rows), starts, counts > 0
 
+    @cached_property
+    def _all_have_rows(self) -> bool:
+        return bool(self.factor_rows[2].all())
+
     def _segment_sums(self, per_row: np.ndarray) -> np.ndarray:
         """Sum ``per_row`` over each member's rows; a member without rows gets 0."""
         _, starts, has_rows = self.factor_rows
-        if has_rows.all():
+        if self._all_have_rows:
             return np.add.reduceat(per_row, starts, axis=0)
         out = np.zeros((len(starts),) + per_row.shape[1:])
         out[has_rows] = np.add.reduceat(per_row, starts[has_rows], axis=0)

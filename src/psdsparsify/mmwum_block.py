@@ -11,10 +11,9 @@ Block 1's loss at a step is alpha C_j - I + ell I and block 2's is its
 exact negation, so S_2 = -S_1.  The identity terms shift every
 eigenvalue of S_1 alike, which scales W_1 and W_2 by positive constants
 that neither Markov condition nor the width sees; the loop therefore
-keeps only S = sum alpha C_j.  One eigendecomposition S = Q diag(s) Q^T
-per step gives both W_1 = Q diag(e^w) Q^T and W_2 = Q diag(e^-w) Q^T,
-w = -beta/(ell+rho) s, and every candidate is scored in that basis
-through its factor rows (``ReducedInstance.scores_in_basis``).
+keeps only S = sum alpha C_j.  For S = Q diag(s) Q^T, W_1 = Q diag(e^w) Q^T
+and W_2 = Q diag(e^-w) Q^T with w = -beta/(ell+rho) s, so the solver is
+one potential of the shared loop ``scan.drive``.
 
 ``oracle_width_fixture`` builds the rank-one
 instance showing that no oracle can do better than rho = Omega(n/eta):
@@ -26,20 +25,18 @@ vectors are infeasible and the bare third coordinate costs width at least
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpOverflow, OracleInfeasible, TimeBudgetExceeded
+from . import scan
+from .errors import ExpOverflow, OracleInfeasible
 from .linalg import (
     EXP_OVERFLOW_LIMIT,
     PsdCollection,
     ReducedInstance,
     SparsifierResult,
     certificate_for,
-    eigh,
-    symmetrize,
 )
 
 
@@ -96,10 +93,11 @@ def block_oracle(
     (1+eta) n / eta.  Among the feasible, the smallest width user
     trace(C_j)/p_j wins, lowest index on ties; alpha = 1/p_j.
     """
-    return _block_pick(
-        reduced.score_all(x1), reduced.score_all(x2),
-        float(np.trace(x1)), float(np.trace(x2)), reduced, eta,
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _block_pick(
+            reduced.score_all(x1), reduced.score_all(x2),
+            float(np.trace(x1)), float(np.trace(x2)), reduced, eta,
+        )
 
 
 def _block_pick(
@@ -110,19 +108,22 @@ def _block_pick(
     reduced: ReducedInstance,
     eta: float,
 ) -> tuple[int, float]:
-    """``block_oracle`` from the scores <X1, C_j>, <X2, C_j> and both traces."""
+    """``block_oracle`` from the scores <X1, C_j>, <X2, C_j> and both traces.
+
+    Divides by p_j = 0 for members with no weight under X1: call it with
+    numpy's divide and invalid warnings off.
+    """
     traces = reduced.traces
-    nonzero = traces > 0.0
     p = scores_1 / tr_x1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_x2 = scores_2 / p
-        widths = traces / p
+    cond_x2 = scores_2 / p
+    widths = traces / p
     rho = (1.0 + eta) * reduced.rank / eta
-    feasible = nonzero & (p > 0.0) & (cond_x2 <= (1.0 + eta) * tr_x2) & (widths <= rho)
-    if not np.any(feasible):
+    feasible = reduced.has_trace & (p > 0.0) & (cond_x2 <= (1.0 + eta) * tr_x2) & (widths <= rho)
+    widths[~feasible] = np.inf
+    # a feasible width is at most rho, so the smallest is feasible iff any is
+    j = int(widths.argmin())
+    if not feasible[j]:
         raise OracleInfeasible("no index satisfies both Markov conditions")
-    widths = np.where(feasible, widths, np.inf)
-    j = int(np.argmin(widths))
     return j, float(1.0 / p[j])
 
 
@@ -134,6 +135,31 @@ class BlockIterate:
     j: int
     alpha: float
     width: float
+
+
+class _BlockWeights:
+    """The ``scan`` potential of ``mmwum-block``: the weights W_1, W_2 and ``_block_pick``."""
+
+    name = "mmwum-block"
+
+    def __init__(self, params: BlockParams, reduced: ReducedInstance):
+        self.eta, self.reduced, self.T = params.eta, reduced, params.T
+        self.scale = -params.beta / (params.ell + params.rho)
+
+    def coefficients(self, s: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        exponents = self.scale * s
+        # scale < 0, so the exponents descend along the ascending spectrum s
+        top = max(float(exponents[0]), -float(exponents[-1]))
+        if top > EXP_OVERFLOW_LIMIT:
+            raise ExpOverflow(f"largest exponent {top:.2f} exceeds {EXP_OVERFLOW_LIMIT}")
+        return np.exp(exponents), np.exp(-exponents)
+
+    def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
+        tr_w1, tr_w2 = coeffs.sum(axis=0)
+        return _block_pick(scores[:, 0], scores[:, 1], tr_w1, tr_w2, self.reduced, self.eta)
+
+    def record(self, t: int, j: int, alpha: float, a: np.ndarray) -> BlockIterate:
+        return BlockIterate(t=t, j=j, alpha=alpha, width=alpha * self.reduced.traces[j])
 
 
 def block_sparsify(
@@ -148,33 +174,8 @@ def block_sparsify(
     most T = ceil(2 (rho + ell) ln n / (beta eps)).
     """
     params = BlockParams.from_epsilon(eps, reduced.rank)
-    r = reduced.rank
-    # sum of alpha C_j over the picks: block 1's loss sum up to a multiple of I
-    loss_sum = np.zeros((r, r))
-    y_sum = np.zeros(len(reduced))
-    scale = -params.beta / (params.ell + params.rho)
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    for t in range(1, params.T + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(
-                f"mmwum-block exceeded {max_seconds} s at iteration {t}"
-            )
-        spec = eigh(loss_sum)
-        exponents = scale * spec.eigenvalues
-        top = max(float(np.max(exponents)), -float(np.min(exponents)))
-        if top > EXP_OVERFLOW_LIMIT:
-            raise ExpOverflow(f"largest exponent {top:.2f} exceeds {EXP_OVERFLOW_LIMIT}")
-        # W1 = exp(scale S) and W2 = exp(-scale S) share the eigenbasis of S
-        coeffs = np.column_stack((np.exp(exponents), np.exp(-exponents)))
-        scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
-        tr_w1, tr_w2 = coeffs.sum(axis=0)
-        j, alpha = _block_pick(scores[:, 0], scores[:, 1], tr_w1, tr_w2, reduced, params.eta)
-        loss_sum = symmetrize(loss_sum + alpha * reduced.matrices[j])
-        y_sum[j] += alpha
-        if history is not None:
-            history.append(
-                BlockIterate(t=t, j=j, alpha=alpha, width=alpha * reduced.traces[j])
-            )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, y_sum = scan.drive(reduced, _BlockWeights(params, reduced), max_seconds, history)
     y_bar = y_sum / params.T
     return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
 

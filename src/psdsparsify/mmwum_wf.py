@@ -5,9 +5,8 @@ running sum A, asks the oracle for one (index, step) pair whose update
 multiplies trace(exp(gamma*A)) by at most (1 + delta_U) and
 trace(exp(-gamma*A)) by at most (1 - delta_L), and accumulates.  After T
 rounds the scaled average lands inside [1 - eps, 1 + eps].  Both
-densities are Q diag(exp(+-gamma w) / sum) Q^T for A = Q diag(w) Q^T, so a
-round decomposes A once and scores every candidate in that eigenbasis
-through its factor rows (``ReducedInstance.scores_in_basis``).
+densities are Q diag(exp(+-gamma w) / sum) Q^T for A = Q diag(w) Q^T, so
+the solver is one potential of the shared loop ``scan.drive``.
 
 The same potentials can be phrased as shifted-barrier functions
 Psi^u = trace exp(-uI + gamma*A) and Psi_ell = trace exp(ell*I - gamma*A)
@@ -19,12 +18,12 @@ formulations and insists they agree.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EquivalenceBroken, ExpOverflow, OracleInfeasible, TimeBudgetExceeded
+from . import scan
+from .errors import EquivalenceBroken, ExpOverflow, OracleInfeasible
 from .linalg import (
     EXP_OVERFLOW_LIMIT,
     ReducedInstance,
@@ -94,7 +93,7 @@ def _wf_pick(
 ) -> tuple[int, float]:
     """``wf_oracle`` from the scores <X_U, C_j> and <X_L, C_j>."""
     traces = reduced.traces
-    candidates = traces > 0.0
+    candidates = reduced.has_trace
     slack = np.where(
         candidates,
         scores_l / params.delta_L - traces - scores_u / params.delta_U,
@@ -197,6 +196,40 @@ class WfIterate:
     phi_l_after: float
 
 
+class _Densities:
+    """The ``scan`` potential of ``mmwum-wf``: the densities X_U, X_L and ``_wf_pick``."""
+
+    name = "mmwum-wf"
+
+    def __init__(self, params: WfParams, reduced: ReducedInstance):
+        self.params, self.reduced, self.T = params, reduced, params.T
+
+    def coefficients(self, w: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        gamma = self.params.gamma
+        if gamma * float(w[-1]) > EXP_OVERFLOW_LIMIT:
+            raise ExpOverflow("gamma * lambda_max exceeds the overflow guard")
+        exp_plus = np.exp(gamma * w)
+        exp_minus = np.exp(-gamma * w)
+        # trace exp(+-gamma A), kept for ``record``
+        self.sums = exp_plus.sum(), exp_minus.sum()
+        return exp_plus / self.sums[0], exp_minus / self.sums[1]
+
+    def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
+        return _wf_pick(scores[:, 0], scores[:, 1], self.reduced, self.params)
+
+    def record(self, t: int, j: int, alpha: float, a: np.ndarray) -> WfIterate:
+        w_next = eigh(a).eigenvalues
+        return WfIterate(
+            t=t,
+            j=j,
+            alpha=alpha,
+            phi_u_before=float(self.sums[0]),
+            phi_u_after=_trace_exp_eigs(self.params.gamma * w_next),
+            phi_l_before=float(self.sums[1]),
+            phi_l_after=_trace_exp_eigs(-self.params.gamma * w_next),
+        )
+
+
 def wf_sparsify(
     reduced: ReducedInstance,
     eps: float,
@@ -211,41 +244,10 @@ def wf_sparsify(
     [1 - eps, 1 + eps] and support is at most T.
     """
     params = WfParams.from_epsilon(eps, reduced.rank, gamma=gamma)
-    r = reduced.rank
-    a = np.zeros((r, r))
-    y = np.zeros(len(reduced))
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    for t in range(1, params.T + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(f"mmwum-wf exceeded {max_seconds} s at iteration {t}")
-        spec = eigh(a)
-        w_here, q = spec.eigenvalues, spec.eigenvectors
-        if params.gamma * float(w_here[-1]) > EXP_OVERFLOW_LIMIT:
-            raise ExpOverflow("gamma * lambda_max exceeds the overflow guard")
-        exp_plus = np.exp(params.gamma * w_here)
-        exp_minus = np.exp(-params.gamma * w_here)
-        # X_U and X_L are Q diag(exp(+-gamma w) / sum) Q^T
-        coeffs = np.column_stack((exp_plus / exp_plus.sum(), exp_minus / exp_minus.sum()))
-        scores = reduced.scores_in_basis(q, coeffs)
-        j, alpha = _wf_pick(scores[:, 0], scores[:, 1], reduced, params)
-        a = symmetrize(a + alpha * reduced.matrices[j])
-        y[j] += alpha
-        if history is not None:
-            w_next = eigh(a).eigenvalues
-            history.append(
-                WfIterate(
-                    t=t,
-                    j=j,
-                    alpha=alpha,
-                    phi_u_before=float(exp_plus.sum()),
-                    phi_u_after=_trace_exp_eigs(params.gamma * w_next),
-                    phi_l_before=float(exp_minus.sum()),
-                    phi_l_after=_trace_exp_eigs(-params.gamma * w_next),
-                )
-            )
-    scale = r * params.gamma / (params.eta * params.T)
+    a, y = scan.drive(reduced, _Densities(params, reduced), max_seconds, history)
+    scale = reduced.rank * params.gamma / (params.eta * params.T)
     y_bar = y * scale
-    w = eigh(a).eigenvalues * scale
+    w = scan.eigh(a).eigenvalues * scale
     cert = SandwichCertificate(
         lambda_min=float(w[0]),
         lambda_max=float(w[-1]),

@@ -1,0 +1,61 @@
+"""The one loop of the scanning solvers ``bss``, ``mmwum-wf`` and ``mmwum-block``.
+
+A step decomposes the running sum A = Q diag(w) Q^T once, turns w into
+two coefficient columns c, scores every member j by <C_j, Q diag(c) Q^T>
+(``ReducedInstance.scores_in_basis``), picks one pair (j, alpha) and adds
+alpha C_j.  The solvers differ only in their potential (Allen-Zhu, Liao
+and Orecchia, arXiv 1506.04838, read BSS and MMWU as
+follow-the-regularized-leader with two regularizers): an object with a
+``name``, a step count ``T``, ``coefficients(w, t)`` giving both columns
+from the spectrum of A after t steps or raising the solver's typed
+errors, ``pick(scores, coeffs)`` giving (j, alpha) from the (m, 2) scores,
+and ``record(t, j, alpha, a)`` giving the ``history=`` entry of step t
+from A after it.
+
+A + alpha C_j is not symmetrized: when A and C_j are exactly symmetric,
+entries (i, k) and (k, i) of the sum round from the same operands.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from .errors import TimeBudgetExceeded
+from .linalg import ReducedInstance, eigh, symmetrize
+
+
+def step(
+    reduced: ReducedInstance, potential, a: np.ndarray, t: int, coeffs: np.ndarray
+) -> tuple[int, float]:
+    """(j, alpha) at A after t steps; ``coeffs`` is the (r, 2) column buffer."""
+    spec = eigh(a)
+    coeffs[:, 0], coeffs[:, 1] = potential.coefficients(spec.eigenvalues, t)
+    return potential.pick(reduced.scores_in_basis(spec.eigenvectors, coeffs), coeffs)
+
+
+def drive(
+    reduced: ReducedInstance, potential, max_seconds: float | None, history: list | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``potential.T`` steps from A = 0; return A and the weights y.
+
+    Raises TimeBudgetExceeded when ``max_seconds`` run out before the last step.
+    """
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    # whitened members are exactly symmetric; a hand-built one may not be
+    members = [c if (c == c.T).all() else symmetrize(c) for c in reduced.matrices]
+    a = np.zeros((reduced.rank, reduced.rank))
+    y = np.zeros(len(reduced))
+    coeffs = np.empty((reduced.rank, 2))
+    for t in range(potential.T):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(
+                f"{potential.name} exceeded {max_seconds} s at iteration {t + 1}"
+            )
+        j, alpha = step(reduced, potential, a, t, coeffs)
+        a = a + alpha * members[j]
+        y[j] += alpha
+        if history is not None:
+            history.append(potential.record(t + 1, j, alpha, a))
+    return a, y

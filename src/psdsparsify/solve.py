@@ -110,4 +110,6 @@ def sparsify_sum(
         lambda_max=raw.certificate.lambda_max / lam_min,
         support_size=int(np.count_nonzero(y > 0.0)),
     )
-    return SparsifierResult(weights=y, certificate=cert, reduced_rank=reduced.rank)
+    return SparsifierResult(
+        weights=y, certificate=cert, reduced_rank=reduced.rank, t_used=raw.t_used
+    )

@@ -15,17 +15,44 @@ decomposes their symmetrized candidate stacks with two stacked ``eigh``.
 The report gives the first step whose pick differs, the relative gap of
 the solver's pick criterion between the two picks there, and the largest
 relative difference of the step size while the picks agree.
+
+``reference_bss_sparsify``, ``reference_wf_sparsify`` and
+``reference_block_sparsify`` are the three scanning loops as they were
+before ``scan.drive`` took them over, with their step and pick functions,
+copied verbatim: each keeps its own loop, deadline and symmetrized update.
+``compare_with_reference`` runs a solver and its reference loop on the
+same instance.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from psdsparsify import bss, mmwum_block, mmwum_wf, sampling
-from psdsparsify.linalg import ReducedInstance, eigh, symmetrize
+from psdsparsify.bss import (
+    BssIterate,
+    BssParams,
+    BssState,
+    _lower_coefficients,
+    _upper_coefficients,
+)
+from psdsparsify.errors import ExpOverflow, OracleInfeasible, StepNotFound, TimeBudgetExceeded
+from psdsparsify.linalg import (
+    EXP_OVERFLOW_LIMIT,
+    ReducedInstance,
+    SandwichCertificate,
+    SparsifierResult,
+    certificate_for,
+    eigh,
+    symmetrize,
+)
+from psdsparsify.mmwum_block import BlockIterate, BlockParams
+from psdsparsify.mmwum_wf import WfIterate, WfParams, _trace_exp_eigs
 from psdsparsify.solve import run_algorithm
 
 
@@ -248,3 +275,309 @@ def pe_lockstep_moves(report: PickComparison) -> list:
         if best != step.j:
             moves.append((t, step.j, best, _gap(_pe_criterion, step.args, step.j, best)))
     return moves
+
+
+def _reference_barrier_scores(
+    a: np.ndarray, reduced: ReducedInstance, u: float, ell: float, params: BssParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum of A and U_A(C_j), L_A(C_j) for every member, from one eigh."""
+    spec = eigh(a)
+    w = spec.eigenvalues
+    coeffs = np.column_stack(
+        (_upper_coefficients(w, u, params.delta_U), _lower_coefficients(w, ell, params.delta_L))
+    )
+    scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
+    return w, scores[:, 0], scores[:, 1]
+
+
+def _reference_bss_step(
+    state: BssState, reduced: ReducedInstance, params: BssParams
+) -> tuple[int, float]:
+    """Pick the next (index, step size) pair.
+
+    Scores every candidate by the feasibility gap L_A(C_j) - U_A(C_j) and
+    returns the widest gap (lowest index on ties) with 1/alpha set to the
+    midpoint (U + L)/2, the point of maximal margin for both one-sided
+    guarantees.  Both score matrices are functions of A, so one
+    eigendecomposition of A gives both coefficient vectors, and every
+    candidate is scored in that eigenbasis through its factor rows.
+    """
+    u = params.upper_barrier(state.t)
+    ell = params.lower_barrier(state.t)
+    _, scores_u, scores_l = _reference_barrier_scores(state.A, reduced, u, ell, params)
+    return _reference_bss_pick(scores_u, scores_l, reduced)
+
+
+def _reference_bss_pick(
+    scores_u: np.ndarray, scores_l: np.ndarray, reduced: ReducedInstance
+) -> tuple[int, float]:
+    """``_reference_bss_step`` from the scores U_A(C_j) and L_A(C_j)."""
+    nonzero = reduced.traces > 0.0
+    feasible = nonzero & (scores_u > 0.0) & (scores_l >= scores_u)
+    if not np.any(feasible):
+        raise StepNotFound(
+            "no candidate satisfies L >= U > 0 "
+            f"(sum U = {scores_u[nonzero].sum()}, sum L = {scores_l[nonzero].sum()})",
+            sum_upper=float(scores_u[nonzero].sum()),
+            sum_lower=float(scores_l[nonzero].sum()),
+        )
+    gaps = np.where(feasible, scores_l - scores_u, -np.inf)
+    j = int(np.argmax(gaps))
+    alpha = 2.0 / (scores_u[j] + scores_l[j])
+    return j, alpha
+
+
+def reference_bss_sparsify(
+    reduced: ReducedInstance,
+    eps: float,
+    history: list | None = None,
+    max_seconds: float | None = None,
+) -> SparsifierResult:
+    """Run the barrier-potential sparsifier to completion.
+
+    Returns weights scaled by 1/lambda_min(A(T)), so the certificate has
+    lambda_min = 1 and lambda_max <= ((2+eps)/(2-eps))^2 up to rounding.
+    Support is at most T = ceil(4r/eps^2).
+    """
+    params = BssParams.from_epsilon(eps, reduced.rank)
+    state = BssState(
+        A=np.zeros((reduced.rank, reduced.rank)),
+        y=np.zeros(len(reduced)),
+    )
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    for t in range(1, params.T + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(f"bss exceeded {max_seconds} s at iteration {t}")
+        j, alpha = _reference_bss_step(state, reduced, params)
+        state.A = symmetrize(state.A + alpha * reduced.matrices[j])
+        state.y[j] += alpha
+        state.t = t
+        if history is not None:
+            u_t = params.upper_barrier(t)
+            ell_t = params.lower_barrier(t)
+            # post-hoc scan sums for the feasibility invariant
+            w, scores_u, scores_l = _reference_barrier_scores(state.A, reduced, u_t, ell_t, params)
+            history.append(
+                BssIterate(
+                    t=t,
+                    j=j,
+                    alpha=alpha,
+                    u=u_t,
+                    ell=ell_t,
+                    phi_u=float(np.sum(1.0 / (u_t - w))),
+                    phi_l=float(np.sum(1.0 / (w - ell_t))),
+                    lam_min=float(w[0]),
+                    lam_max=float(w[-1]),
+                    sum_upper=float(scores_u.sum()),
+                    sum_lower=float(scores_l.sum()),
+                )
+            )
+    w = eigh(state.A).eigenvalues
+    lam_min = float(w[0])
+    y = state.y / lam_min
+    cert = SandwichCertificate(
+        lambda_min=float(w[0] / lam_min),
+        lambda_max=float(w[-1] / lam_min),
+        support_size=int(np.count_nonzero(y > 0.0)),
+    )
+    return SparsifierResult(weights=y, certificate=cert)
+
+
+def _reference_wf_pick(
+    scores_u: np.ndarray, scores_l: np.ndarray, reduced: ReducedInstance, params: WfParams
+) -> tuple[int, float]:
+    """``wf_oracle`` from the scores <X_U, C_j> and <X_L, C_j>."""
+    traces = reduced.traces
+    candidates = traces > 0.0
+    slack = np.where(
+        candidates,
+        scores_l / params.delta_L - traces - scores_u / params.delta_U,
+        -np.inf,
+    )
+    j = int(np.argmax(slack))
+    # the averaging identity can hold with exact equality, so allow the
+    # best slack to sit a rounding error below zero
+    magnitude = scores_l[j] / params.delta_L + traces[j] + scores_u[j] / params.delta_U
+    if not np.isfinite(slack[j]) or slack[j] < -1e-9 * magnitude:
+        raise OracleInfeasible(
+            f"no index satisfies the averaging inequality (best slack {slack[j]})"
+        )
+    tr = traces[j]
+    alpha = math.log1p(params.delta_U * tr / scores_u[j]) / (params.gamma * tr)
+    return j, alpha
+
+
+def reference_wf_sparsify(
+    reduced: ReducedInstance,
+    eps: float,
+    gamma: float | None = None,
+    history: list | None = None,
+    max_seconds: float | None = None,
+) -> SparsifierResult:
+    """Run the width-free update for T rounds and return the scaled average.
+
+    The final weights are y * (r * gamma / (eta * T)); with the default
+    gamma = eta/r this is y/T.  Certificate eigenvalues land inside
+    [1 - eps, 1 + eps] and support is at most T.
+    """
+    params = WfParams.from_epsilon(eps, reduced.rank, gamma=gamma)
+    r = reduced.rank
+    a = np.zeros((r, r))
+    y = np.zeros(len(reduced))
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    for t in range(1, params.T + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(f"mmwum-wf exceeded {max_seconds} s at iteration {t}")
+        spec = eigh(a)
+        w_here, q = spec.eigenvalues, spec.eigenvectors
+        if params.gamma * float(w_here[-1]) > EXP_OVERFLOW_LIMIT:
+            raise ExpOverflow("gamma * lambda_max exceeds the overflow guard")
+        exp_plus = np.exp(params.gamma * w_here)
+        exp_minus = np.exp(-params.gamma * w_here)
+        # X_U and X_L are Q diag(exp(+-gamma w) / sum) Q^T
+        coeffs = np.column_stack((exp_plus / exp_plus.sum(), exp_minus / exp_minus.sum()))
+        scores = reduced.scores_in_basis(q, coeffs)
+        j, alpha = _reference_wf_pick(scores[:, 0], scores[:, 1], reduced, params)
+        a = symmetrize(a + alpha * reduced.matrices[j])
+        y[j] += alpha
+        if history is not None:
+            w_next = eigh(a).eigenvalues
+            history.append(
+                WfIterate(
+                    t=t,
+                    j=j,
+                    alpha=alpha,
+                    phi_u_before=float(exp_plus.sum()),
+                    phi_u_after=_trace_exp_eigs(params.gamma * w_next),
+                    phi_l_before=float(exp_minus.sum()),
+                    phi_l_after=_trace_exp_eigs(-params.gamma * w_next),
+                )
+            )
+    scale = r * params.gamma / (params.eta * params.T)
+    y_bar = y * scale
+    w = eigh(a).eigenvalues * scale
+    cert = SandwichCertificate(
+        lambda_min=float(w[0]),
+        lambda_max=float(w[-1]),
+        support_size=int(np.count_nonzero(y_bar > 0.0)),
+    )
+    return SparsifierResult(weights=y_bar, certificate=cert)
+
+
+def _reference_block_pick(
+    scores_1: np.ndarray,
+    scores_2: np.ndarray,
+    tr_x1: float,
+    tr_x2: float,
+    reduced: ReducedInstance,
+    eta: float,
+) -> tuple[int, float]:
+    """``block_oracle`` from the scores <X1, C_j>, <X2, C_j> and both traces."""
+    traces = reduced.traces
+    nonzero = traces > 0.0
+    p = scores_1 / tr_x1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond_x2 = scores_2 / p
+        widths = traces / p
+    rho = (1.0 + eta) * reduced.rank / eta
+    feasible = nonzero & (p > 0.0) & (cond_x2 <= (1.0 + eta) * tr_x2) & (widths <= rho)
+    if not np.any(feasible):
+        raise OracleInfeasible("no index satisfies both Markov conditions")
+    widths = np.where(feasible, widths, np.inf)
+    j = int(np.argmin(widths))
+    return j, float(1.0 / p[j])
+
+
+def reference_block_sparsify(
+    reduced: ReducedInstance,
+    eps: float,
+    history: list | None = None,
+    max_seconds: float | None = None,
+) -> SparsifierResult:
+    """Run the two-block update for T rounds and average the oracle answers.
+
+    Certificate eigenvalues land inside [1 - eps, 1 + eps]; support is at
+    most T = ceil(2 (rho + ell) ln n / (beta eps)).
+    """
+    params = BlockParams.from_epsilon(eps, reduced.rank)
+    r = reduced.rank
+    # sum of alpha C_j over the picks: block 1's loss sum up to a multiple of I
+    loss_sum = np.zeros((r, r))
+    y_sum = np.zeros(len(reduced))
+    scale = -params.beta / (params.ell + params.rho)
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    for t in range(1, params.T + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(
+                f"mmwum-block exceeded {max_seconds} s at iteration {t}"
+            )
+        spec = eigh(loss_sum)
+        exponents = scale * spec.eigenvalues
+        top = max(float(np.max(exponents)), -float(np.min(exponents)))
+        if top > EXP_OVERFLOW_LIMIT:
+            raise ExpOverflow(f"largest exponent {top:.2f} exceeds {EXP_OVERFLOW_LIMIT}")
+        # W1 = exp(scale S) and W2 = exp(-scale S) share the eigenbasis of S
+        coeffs = np.column_stack((np.exp(exponents), np.exp(-exponents)))
+        scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
+        tr_w1, tr_w2 = coeffs.sum(axis=0)
+        j, alpha = _reference_block_pick(
+            scores[:, 0], scores[:, 1], tr_w1, tr_w2, reduced, params.eta
+        )
+        loss_sum = symmetrize(loss_sum + alpha * reduced.matrices[j])
+        y_sum[j] += alpha
+        if history is not None:
+            history.append(
+                BlockIterate(t=t, j=j, alpha=alpha, width=alpha * reduced.traces[j])
+            )
+    y_bar = y_sum / params.T
+    return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
+
+
+REFERENCES = {
+    "bss": reference_bss_sparsify,
+    "mmwum-wf": reference_wf_sparsify,
+    "mmwum-block": reference_block_sparsify,
+}
+
+
+@dataclass(frozen=True)
+class ReferenceRun:
+    """A solver against its reference loop on one instance.
+
+    ``result`` and ``picks`` come from the solver without ``history=``,
+    the picks as its pick function returned them; ``history`` is the
+    solver's ``history=`` list from a second run.  The ``reference_*``
+    fields are the reference loop's, its picks read from its history.
+    """
+
+    result: SparsifierResult
+    picks: list
+    history: list
+    reference_result: SparsifierResult
+    reference_picks: list
+    reference_history: list
+
+
+def compare_with_reference(solver: str, reduced: ReducedInstance, eps: float) -> ReferenceRun:
+    module, pick_name, solve, _ = SOLVERS[solver]
+    pick = getattr(module, pick_name)
+    picks = []
+
+    def recording_pick(*args):
+        picks.append(pick(*args))
+        return picks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, pick_name, recording_pick)
+        result = solve(reduced, eps)
+    history, reference_history = [], []
+    solve(reduced, eps, history=history)
+    reference_result = REFERENCES[solver](reduced, eps, history=reference_history)
+    return ReferenceRun(
+        result=result,
+        picks=picks,
+        history=history,
+        reference_result=reference_result,
+        reference_picks=[(rec.j, rec.alpha) for rec in reference_history],
+        reference_history=reference_history,
+    )

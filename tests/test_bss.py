@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdsparsify import bss
+from psdsparsify import scan
 from psdsparsify.bss import (
     BssParams,
     BssState,
@@ -185,13 +185,13 @@ class TestStep:
 
     def test_one_eigh_per_step(self, reduced_random, monkeypatch):
         calls = []
-        real_eigh = bss.eigh
+        real_eigh = scan.eigh
 
         def counting_eigh(m):
             calls.append(m.shape)
             return real_eigh(m)
 
-        monkeypatch.setattr(bss, "eigh", counting_eigh)
+        monkeypatch.setattr(scan, "eigh", counting_eigh)
         params = BssParams.from_epsilon(0.5, reduced_random.rank)
         state = BssState(A=np.zeros((6, 6)), y=np.zeros(len(reduced_random)))
         bss_step(state, reduced_random, params)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from psdsparsify import mmwum_block
+from psdsparsify import mmwum_block, scan
 from psdsparsify.errors import ExpOverflow
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 from psdsparsify.mmwum_block import (
@@ -114,13 +114,13 @@ class TestSparsify:
 
     def test_one_eigh_per_iteration(self, reduced_random, monkeypatch):
         calls = []
-        real_eigh = mmwum_block.eigh
+        real_eigh = scan.eigh
 
         def counting_eigh(m):
             calls.append(m.shape)
             return real_eigh(m)
 
-        monkeypatch.setattr(mmwum_block, "eigh", counting_eigh)
+        monkeypatch.setattr(scan, "eigh", counting_eigh)
         block_sparsify(reduced_random, 0.5)
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)
         assert calls == [(6, 6)] * params.T

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from psdsparsify import mmwum_wf
 from psdsparsify.errors import ExpOverflow
 from psdsparsify.linalg import PsdCollection, eigh, reduce_to_identity, symmetrize
 from psdsparsify.mmwum_wf import (
@@ -178,3 +179,9 @@ class TestSparsify:
         assert res_a.certificate.lambda_max == pytest.approx(
             res_b.certificate.lambda_max, rel=1e-9
         )
+
+    def test_overflow_guard(self, reduced_pair, monkeypatch):
+        # gamma * lambda_max starts at 0 and grows to about 2.9 on this run
+        monkeypatch.setattr(mmwum_wf, "EXP_OVERFLOW_LIMIT", 0.5)
+        with pytest.raises(ExpOverflow, match="gamma"):
+            wf_sparsify(reduced_pair, 0.5)

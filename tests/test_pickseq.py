@@ -4,19 +4,27 @@ The dense reference scores candidates the way the scanning solvers did
 before the factored kernel, and the two-``eigh`` reference scores ``pe``
 candidates the way it did before its one eigenvalue-only decomposition
 per step.  So these tests pin down which output files the kernels leave
-unchanged and why they may change the others.
+unchanged and why they may change the others.  The reference loops of
+``bss``, ``mmwum-wf`` and ``mmwum-block`` pin down that the shared driver
+``scan.drive`` changes no bit of theirs.
 """
 
 import numpy as np
 import pytest
 
 from psdsparsify.applications import edge_collection
-from psdsparsify.instances import complete_graph, random_psd_collection
+from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 from psdsparsify.linalg import certificate_for, reduce_to_identity
 from psdsparsify.mmwum_wf import WfParams
 from psdsparsify.solve import internal_epsilon
 
-from pickseq import compare_pe_picks, compare_picks, pe_lockstep_moves
+from pickseq import (
+    REFERENCES,
+    compare_pe_picks,
+    compare_picks,
+    compare_with_reference,
+    pe_lockstep_moves,
+)
 
 INSTANCES = {
     **{f"random-{s}": (lambda s=s: random_psd_collection(6, 40, seed=s)) for s in range(3)},
@@ -100,3 +108,22 @@ def test_pe_on_k5_moves_picks_only_at_ties():
     assert np.count_nonzero(got) == np.count_nonzero(want)
     for weights in (got, want):
         assert certificate_for(reduced, weights).within_window(1.0 - eps, 1.0 + eps)
+
+
+REFERENCE_INSTANCES = {
+    **INSTANCES,
+    "identity4": lambda: identity_decomposition(4),
+}
+
+
+@pytest.mark.parametrize("eps", [0.45, 0.5])
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+@pytest.mark.parametrize("solver", sorted(REFERENCES))
+def test_driver_matches_the_reference_loop_bit_for_bit(solver, name, eps):
+    reduced = reduce_to_identity(REFERENCE_INSTANCES[name]())
+    run = compare_with_reference(solver, reduced, eps)
+    assert len(run.picks) == len(run.reference_picks) > 0
+    assert run.picks == run.reference_picks
+    assert run.result.weights.tobytes() == run.reference_result.weights.tobytes()
+    assert run.result.certificate == run.reference_result.certificate
+    assert run.history == run.reference_history

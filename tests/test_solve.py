@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from psdsparsify import sampling, solve
+from psdsparsify.applications import edge_collection
 from psdsparsify.errors import DegenerateCertificate, SparsifyError
-from psdsparsify.instances import identity_decomposition, random_psd_collection
+from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 from psdsparsify.linalg import SandwichCertificate, SparsifierResult, reduce_to_identity
 
 
@@ -43,3 +44,22 @@ def test_pe_retry_decomposes_the_unit_stack_once(monkeypatch):
     monkeypatch.undo()
     fresh = sampling.pe_sparsify(reduced, 0.45, t_total=67)
     assert np.array_equal(result.weights, fresh.weights)
+
+
+@pytest.mark.parametrize("algo", ["pe", "aw-sample"])
+def test_sparsify_sum_reports_the_budget_used(algo):
+    coll = identity_decomposition(4)
+    raw = solve.run_algorithm(reduce_to_identity(coll), solve.internal_epsilon(0.45), algo)
+    assert raw.t_used is not None
+    assert solve.sparsify_sum(coll, 0.45, algo=algo).t_used == raw.t_used
+
+
+def test_sparsify_sum_reports_the_pe_retry_budget():
+    # K5 misses phi_0 + psi_0 < 1 at the closed-form T and retries
+    result = solve.sparsify_sum(edge_collection(complete_graph(5)), 0.45, algo="pe")
+    closed_form = sampling.pe_iteration_count(result.reduced_rank, solve.internal_epsilon(0.45))
+    assert result.t_used > closed_form
+
+
+def test_sparsify_sum_reports_no_budget_for_bss():
+    assert solve.sparsify_sum(identity_decomposition(4), 0.45).t_used is None
