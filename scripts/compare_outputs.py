@@ -17,6 +17,9 @@ side only counts as 1); the support size on both sides; lambda_max /
 lambda_min on both sides; and the exit codes when they differ.  With
 ``--work DIR`` the inputs and outputs are kept in DIR.  ``--algos`` runs
 only the runs of the listed algorithms (comma-separated; default all).
+
+Exits 0 when every output is byte-identical and every run exits with the
+same code on both sides, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -177,14 +180,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work or tmp)
         work.mkdir(parents=True, exist_ok=True)
-        identical = total = 0
+        identical = total = code_changes = 0
         for k, (name, argv) in enumerate(jobs(work, algos)):
             outputs = [work / f"out-{k}-{side}.txt" for side in ("parent", "change")]
             codes = tuple(run_side(src, argv, out) for src, out in zip(sides, outputs))
             identical += compare(name, *outputs, codes)
+            code_changes += codes[0] != codes[1]
             total += 1
-    print(f"{identical} of {total} outputs byte-identical")
-    return 0
+    print(f"{identical} of {total} outputs byte-identical, {code_changes} exit codes differ")
+    return 0 if identical == total and not code_changes else 1
 
 
 if __name__ == "__main__":

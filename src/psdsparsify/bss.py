@@ -203,23 +203,6 @@ def _bss_pick(
     return j, alpha
 
 
-@dataclass(frozen=True)
-class BssIterate:
-    """Per-iteration trace record used by the property and acceptance tests."""
-
-    t: int
-    j: int
-    alpha: float
-    u: float
-    ell: float
-    phi_u: float
-    phi_l: float
-    lam_min: float
-    lam_max: float
-    sum_upper: float
-    sum_lower: float
-
-
 class _Barriers:
     """The ``scan`` potential of ``bss``: coefficients c_U, c_L and ``_bss_pick``."""
 
@@ -238,27 +221,6 @@ class _Barriers:
     def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
         return _bss_pick(scores[:, 0], scores[:, 1], self.reduced)
 
-    def record(self, t: int, j: int, alpha: float, a: np.ndarray) -> BssIterate:
-        # post-hoc scan sums for the feasibility invariant
-        spec = eigh(a)
-        w = spec.eigenvalues
-        coeffs = np.column_stack(self.coefficients(w, t))
-        scores = self.reduced.scores_in_basis(spec.eigenvectors, coeffs)
-        u_t, ell_t = self.params.upper_barrier(t), self.params.lower_barrier(t)
-        return BssIterate(
-            t=t,
-            j=j,
-            alpha=alpha,
-            u=u_t,
-            ell=ell_t,
-            phi_u=float(np.sum(1.0 / (u_t - w))),
-            phi_l=float(np.sum(1.0 / (w - ell_t))),
-            lam_min=float(w[0]),
-            lam_max=float(w[-1]),
-            sum_upper=float(scores[:, 0].sum()),
-            sum_lower=float(scores[:, 1].sum()),
-        )
-
 
 def bss_sparsify(
     reduced: ReducedInstance,
@@ -271,6 +233,7 @@ def bss_sparsify(
     Returns weights scaled by 1/lambda_min(A(T)), so the certificate has
     lambda_min = 1 and lambda_max <= ((2+eps)/(2-eps))^2 up to rounding.
     Support is at most T = ceil(4r/eps^2).
+    A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = BssParams.from_epsilon(eps, reduced.rank)
     a, y = scan.drive(reduced, _Barriers(params, reduced), max_seconds, history)

@@ -151,11 +151,7 @@ class PsdCollection:
         return len(self.matrices)
 
     @staticmethod
-    def from_matrices(
-        matrices,
-        psd_tol: float = DEFAULT_PSD_TOL,
-        validate: bool = True,
-    ) -> "PsdCollection":
+    def from_matrices(matrices, validate: bool = True) -> "PsdCollection":
         """Symmetrize and check a sequence of (n, n) matrices or an (m, n, n) stack.
 
         The members are views of one symmetrized stack.  ``validate``
@@ -178,9 +174,11 @@ class PsdCollection:
             # members before the first non-finite one are judged first
             finite = np.isfinite(stack).all(axis=(1, 2))
             upto = int(np.argmin(finite)) if not finite.all() else len(stack)
-            psd = is_psd(stack[:upto], psd_tol) if upto else np.ones(0, dtype=bool)
+            psd = is_psd(stack[:upto]) if upto else np.ones(0, dtype=bool)
             if not psd.all():
-                raise NotPsd(f"matrix {int(np.argmin(psd))} is not PSD at tolerance {psd_tol}")
+                raise NotPsd(
+                    f"matrix {int(np.argmin(psd))} is not PSD at tolerance {DEFAULT_PSD_TOL}"
+                )
             if upto < len(stack):
                 eigh(stack[upto])
         return PsdCollection(dim=dim, matrices=list(stack))
@@ -278,12 +276,9 @@ class ReducedInstance:
         return symmetrize(out)
 
 
-def reduce_to_identity(
-    coll: PsdCollection, rank_tol: float | None = None
-) -> ReducedInstance:
+def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     """Whiten a collection so its members sum to the identity on range(B)."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol(coll.dim)
+    rank_tol = default_rank_tol(coll.dim)
     b = coll.total()
     spec = eigh(b)
     w, q = spec.eigenvalues, spec.eigenvectors
@@ -358,11 +353,7 @@ def certificate_for(reduced: ReducedInstance, y: np.ndarray) -> SandwichCertific
     )
 
 
-def verify_sandwich(
-    coll: PsdCollection,
-    y: np.ndarray,
-    rank_tol: float | None = None,
-) -> SandwichCertificate:
+def verify_sandwich(coll: PsdCollection, y: np.ndarray) -> SandwichCertificate:
     """Whiten sum(y_i B_i) against B = sum(B_i) and report the extremes.
 
     The returned certificate ``passes(eps, tol)`` iff
@@ -373,5 +364,5 @@ def verify_sandwich(
         raise DimMismatch(f"weight vector has shape {y.shape}, expected ({len(coll)},)")
     if np.any(y < 0.0):
         raise NegativeWeight("weight vector has a negative entry")
-    reduced = reduce_to_identity(coll, rank_tol=rank_tol)
+    reduced = reduce_to_identity(coll)
     return certificate_for(reduced, y)

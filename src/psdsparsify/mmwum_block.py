@@ -127,16 +127,6 @@ def _block_pick(
     return j, float(1.0 / p[j])
 
 
-@dataclass(frozen=True)
-class BlockIterate:
-    """Per-iteration record: chosen pair and its width alpha * trace(C_j)."""
-
-    t: int
-    j: int
-    alpha: float
-    width: float
-
-
 class _BlockWeights:
     """The ``scan`` potential of ``mmwum-block``: the weights W_1, W_2 and ``_block_pick``."""
 
@@ -158,9 +148,6 @@ class _BlockWeights:
         tr_w1, tr_w2 = coeffs.sum(axis=0)
         return _block_pick(scores[:, 0], scores[:, 1], tr_w1, tr_w2, self.reduced, self.eta)
 
-    def record(self, t: int, j: int, alpha: float, a: np.ndarray) -> BlockIterate:
-        return BlockIterate(t=t, j=j, alpha=alpha, width=alpha * self.reduced.traces[j])
-
 
 def block_sparsify(
     reduced: ReducedInstance,
@@ -172,6 +159,7 @@ def block_sparsify(
 
     Certificate eigenvalues land inside [1 - eps, 1 + eps]; support is at
     most T = ceil(2 (rho + ell) ln n / (beta eps)).
+    A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = BlockParams.from_epsilon(eps, reduced.rank)
     with np.errstate(divide="ignore", invalid="ignore"):

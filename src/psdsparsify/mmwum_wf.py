@@ -183,19 +183,6 @@ def check_potential_equivalence(
     )
 
 
-@dataclass(frozen=True)
-class WfIterate:
-    """Per-iteration record: chosen pair and both potentials around the step."""
-
-    t: int
-    j: int
-    alpha: float
-    phi_u_before: float
-    phi_u_after: float
-    phi_l_before: float
-    phi_l_after: float
-
-
 class _Densities:
     """The ``scan`` potential of ``mmwum-wf``: the densities X_U, X_L and ``_wf_pick``."""
 
@@ -210,24 +197,10 @@ class _Densities:
             raise ExpOverflow("gamma * lambda_max exceeds the overflow guard")
         exp_plus = np.exp(gamma * w)
         exp_minus = np.exp(-gamma * w)
-        # trace exp(+-gamma A), kept for ``record``
-        self.sums = exp_plus.sum(), exp_minus.sum()
-        return exp_plus / self.sums[0], exp_minus / self.sums[1]
+        return exp_plus / exp_plus.sum(), exp_minus / exp_minus.sum()
 
     def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
         return _wf_pick(scores[:, 0], scores[:, 1], self.reduced, self.params)
-
-    def record(self, t: int, j: int, alpha: float, a: np.ndarray) -> WfIterate:
-        w_next = eigh(a).eigenvalues
-        return WfIterate(
-            t=t,
-            j=j,
-            alpha=alpha,
-            phi_u_before=float(self.sums[0]),
-            phi_u_after=_trace_exp_eigs(self.params.gamma * w_next),
-            phi_l_before=float(self.sums[1]),
-            phi_l_after=_trace_exp_eigs(-self.params.gamma * w_next),
-        )
 
 
 def wf_sparsify(
@@ -242,6 +215,7 @@ def wf_sparsify(
     The final weights are y * (r * gamma / (eta * T)); with the default
     gamma = eta/r this is y/T.  Certificate eigenvalues land inside
     [1 - eps, 1 + eps] and support is at most T.
+    A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = WfParams.from_epsilon(eps, reduced.rank, gamma=gamma)
     a, y = scan.drive(reduced, _Densities(params, reduced), max_seconds, history)

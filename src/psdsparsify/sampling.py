@@ -151,7 +151,6 @@ class PeState:
     live: np.ndarray
     units: np.ndarray
     picks: list = field(default_factory=list)
-    estimator_trace: list = field(default_factory=list)
 
     @property
     def t(self) -> int:
@@ -275,7 +274,6 @@ def pe_params(
             suggested_t=max(suggested, state.t_total + 1),
             instance=instance,
         )
-    state.estimator_trace.append(start)
     return state
 
 
@@ -298,7 +296,6 @@ def pe_greedy_step(state: PeState) -> int:
     state.picked_sum = sums[k].copy()
     best_j = int(state.live[k])
     state.picks.append(best_j)
-    state.estimator_trace.append(float(values[k]))
     return best_j
 
 

@@ -8,9 +8,9 @@ and Orecchia, arXiv 1506.04838, read BSS and MMWU as
 follow-the-regularized-leader with two regularizers): an object with a
 ``name``, a step count ``T``, ``coefficients(w, t)`` giving both columns
 from the spectrum of A after t steps or raising the solver's typed
-errors, ``pick(scores, coeffs)`` giving (j, alpha) from the (m, 2) scores,
-and ``record(t, j, alpha, a)`` giving the ``history=`` entry of step t
-from A after it.
+errors, and ``pick(scores, coeffs)`` giving (j, alpha) from the (m, 2)
+scores.  A ``history=`` list gets the pair (j, alpha) of every step; A,
+and every quantity derived from it, can be rebuilt from the pairs.
 
 A + alpha C_j is not symmetrized: when A and C_j are exactly symmetric,
 entries (i, k) and (k, i) of the sum round from the same operands.
@@ -40,6 +40,7 @@ def drive(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run ``potential.T`` steps from A = 0; return A and the weights y.
 
+    Appends each step's (j, alpha) to ``history`` when it is a list.
     Raises TimeBudgetExceeded when ``max_seconds`` run out before the last step.
     """
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
@@ -57,5 +58,5 @@ def drive(
         a = a + alpha * members[j]
         y[j] += alpha
         if history is not None:
-            history.append(potential.record(t + 1, j, alpha, a))
+            history.append((j, alpha))
     return a, y

@@ -93,11 +93,10 @@ def sparsify_sum(
     eps: float,
     algo: str = "bss",
     seed: int = 0,
-    rank_tol: float | None = None,
     max_seconds: float | None = None,
 ) -> SparsifierResult:
     """Solve B <= sum(y_i B_i) <= (1+eps) B with few nonzero weights."""
-    reduced = reduce_to_identity(coll, rank_tol=rank_tol)
+    reduced = reduce_to_identity(coll)
     raw = run_algorithm(reduced, internal_epsilon(eps), algo, seed=seed, max_seconds=max_seconds)
     lam_min = raw.certificate.lambda_min
     if not (np.isfinite(lam_min) and lam_min > 0.0):

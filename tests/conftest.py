@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psdsparsify import bss, linalg, mmwum_wf, scan
 from psdsparsify.instances import random_psd_collection
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 
@@ -20,6 +21,20 @@ def reduced_pair(diag_split):
 def reduced_random():
     """A 6-dimensional, 30-matrix mixed-rank instance."""
     return reduce_to_identity(random_psd_collection(6, 30, seed=7))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices decomposed by ``eigh`` in the modules of the scanning solvers."""
+    calls = []
+
+    def counting_eigh(m):
+        calls.append(m.shape)
+        return linalg.eigh(m)
+
+    for module in (scan, bss, mmwum_wf):
+        monkeypatch.setattr(module, "eigh", counting_eigh)
+    return calls
 
 
 def random_sym(rng, n, scale=1.0):

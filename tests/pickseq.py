@@ -19,9 +19,12 @@ relative difference of the step size while the picks agree.
 ``reference_bss_sparsify``, ``reference_wf_sparsify`` and
 ``reference_block_sparsify`` are the three scanning loops as they were
 before ``scan.drive`` took them over, with their step and pick functions,
-copied verbatim: each keeps its own loop, deadline and symmetrized update.
+copied verbatim: each keeps its own loop, deadline and symmetrized update,
+and appends the same (j, alpha) pairs to ``history``.
 ``compare_with_reference`` runs a solver and its reference loop on the
-same instance.
+same instance.  ``replay`` rebuilds the running sum A of every step from
+a ``history=`` list; ``assert_bss_invariants`` and ``assert_wf_chain``
+check the invariants of ``bss`` and ``mmwum-wf`` on it.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ import pytest
 
 from psdsparsify import bss, mmwum_block, mmwum_wf, sampling
 from psdsparsify.bss import (
-    BssIterate,
     BssParams,
     BssState,
     _lower_coefficients,
     _upper_coefficients,
+    phi_lower,
+    phi_upper,
 )
 from psdsparsify.errors import ExpOverflow, OracleInfeasible, StepNotFound, TimeBudgetExceeded
 from psdsparsify.linalg import (
@@ -51,8 +55,8 @@ from psdsparsify.linalg import (
     eigh,
     symmetrize,
 )
-from psdsparsify.mmwum_block import BlockIterate, BlockParams
-from psdsparsify.mmwum_wf import WfIterate, WfParams, _trace_exp_eigs
+from psdsparsify.mmwum_block import BlockParams
+from psdsparsify.mmwum_wf import WfParams, psi_lower, psi_upper
 from psdsparsify.solve import run_algorithm
 
 
@@ -226,7 +230,6 @@ def _run_pe(reduced: ReducedInstance, eps: float, max_steps: int | None, referen
             sums["lower"], sums["upper"] = lower[k].copy(), upper[k].copy()
             j = int(state.live[k])
             state.picks.append(j)
-            state.estimator_trace.append(float(values[k]))
         else:
             # the reference's scores on the kernel's own history
             values = reference_pe_values(state, state.exp_sum_lower, state.exp_sum_upper)[0]
@@ -353,25 +356,7 @@ def reference_bss_sparsify(
         state.y[j] += alpha
         state.t = t
         if history is not None:
-            u_t = params.upper_barrier(t)
-            ell_t = params.lower_barrier(t)
-            # post-hoc scan sums for the feasibility invariant
-            w, scores_u, scores_l = _reference_barrier_scores(state.A, reduced, u_t, ell_t, params)
-            history.append(
-                BssIterate(
-                    t=t,
-                    j=j,
-                    alpha=alpha,
-                    u=u_t,
-                    ell=ell_t,
-                    phi_u=float(np.sum(1.0 / (u_t - w))),
-                    phi_l=float(np.sum(1.0 / (w - ell_t))),
-                    lam_min=float(w[0]),
-                    lam_max=float(w[-1]),
-                    sum_upper=float(scores_u.sum()),
-                    sum_lower=float(scores_l.sum()),
-                )
-            )
+            history.append((j, alpha))
     w = eigh(state.A).eigenvalues
     lam_min = float(w[0])
     y = state.y / lam_min
@@ -441,18 +426,7 @@ def reference_wf_sparsify(
         a = symmetrize(a + alpha * reduced.matrices[j])
         y[j] += alpha
         if history is not None:
-            w_next = eigh(a).eigenvalues
-            history.append(
-                WfIterate(
-                    t=t,
-                    j=j,
-                    alpha=alpha,
-                    phi_u_before=float(exp_plus.sum()),
-                    phi_u_after=_trace_exp_eigs(params.gamma * w_next),
-                    phi_l_before=float(exp_minus.sum()),
-                    phi_l_after=_trace_exp_eigs(-params.gamma * w_next),
-                )
-            )
+            history.append((j, alpha))
     scale = r * params.gamma / (params.eta * params.T)
     y_bar = y * scale
     w = eigh(a).eigenvalues * scale
@@ -526,9 +500,7 @@ def reference_block_sparsify(
         loss_sum = symmetrize(loss_sum + alpha * reduced.matrices[j])
         y_sum[j] += alpha
         if history is not None:
-            history.append(
-                BlockIterate(t=t, j=j, alpha=alpha, width=alpha * reduced.traces[j])
-            )
+            history.append((j, alpha))
     y_bar = y_sum / params.T
     return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
 
@@ -539,22 +511,26 @@ REFERENCES = {
     "mmwum-block": reference_block_sparsify,
 }
 
+# solver: its schedule, whose ``from_epsilon(eps, rank).T`` is the step count
+PARAMS = {"bss": BssParams, "mmwum-wf": WfParams, "mmwum-block": BlockParams}
+
 
 @dataclass(frozen=True)
 class ReferenceRun:
     """A solver against its reference loop on one instance.
 
     ``result`` and ``picks`` come from the solver without ``history=``,
-    the picks as its pick function returned them; ``history`` is the
-    solver's ``history=`` list from a second run.  The ``reference_*``
-    fields are the reference loop's, its picks read from its history.
+    the picks as its pick function returned them; ``history`` and
+    ``history_result`` come from a second run with ``history=[]``.
+    ``reference_result`` and ``reference_history`` are the reference
+    loop's, from one run with ``history=[]``.
     """
 
     result: SparsifierResult
     picks: list
     history: list
+    history_result: SparsifierResult
     reference_result: SparsifierResult
-    reference_picks: list
     reference_history: list
 
 
@@ -571,13 +547,72 @@ def compare_with_reference(solver: str, reduced: ReducedInstance, eps: float) ->
         mp.setattr(module, pick_name, recording_pick)
         result = solve(reduced, eps)
     history, reference_history = [], []
-    solve(reduced, eps, history=history)
+    history_result = solve(reduced, eps, history=history)
     reference_result = REFERENCES[solver](reduced, eps, history=reference_history)
     return ReferenceRun(
         result=result,
         picks=picks,
         history=history,
+        history_result=history_result,
         reference_result=reference_result,
-        reference_picks=[(rec.j, rec.alpha) for rec in reference_history],
         reference_history=reference_history,
     )
+
+
+def replay(reduced: ReducedInstance, history: list):
+    """Yield (t, j, alpha, A before, A after) for every step t of a ``history=`` list.
+
+    A starts at 0 and takes A + alpha C_j in the driver's arithmetic, not
+    symmetrized, so with exactly symmetric members (whitened ones are)
+    each A has the bits of the driver's A at that step.
+    """
+    a = np.zeros((reduced.rank, reduced.rank))
+    for t, (j, alpha) in enumerate(history, start=1):
+        before, a = a, a + alpha * reduced.matrices[j]
+        yield t, j, alpha, before, a
+
+
+def assert_bss_invariants(reduced: ReducedInstance, eps: float, history: list) -> int:
+    """Assert the barrier invariants of ``bss`` after every step of ``history``.
+
+    After step t, both potentials at the barriers u_t and ell_t are at most
+    their values a step earlier (eps_U and eps_L at the start), the
+    spectrum of A lies strictly between the barriers, and the scan sums
+    over all members, sum L_A(C_j) and sum U_A(C_j), keep sum L >= sum U,
+    so the next step has a feasible candidate.  Returns the step count.
+    """
+    params = BssParams.from_epsilon(eps, reduced.rank)
+    prev_u, prev_l = params.eps_U, params.eps_L
+    for t, _, _, _, a in replay(reduced, history):
+        u, ell = params.upper_barrier(t), params.lower_barrier(t)
+        phi_u, phi_l = phi_upper(a, u), phi_lower(a, ell)
+        assert phi_u <= prev_u * (1 + 1e-9)
+        assert phi_l <= prev_l * (1 + 1e-9)
+        spec = eigh(a)
+        w = spec.eigenvalues
+        assert w[-1] < u
+        assert w[0] > ell
+        coeffs = np.column_stack(
+            (_upper_coefficients(w, u, params.delta_U), _lower_coefficients(w, ell, params.delta_L))
+        )
+        scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
+        assert scores[:, 1].sum() >= scores[:, 0].sum() * (1 - 1e-9)
+        prev_u, prev_l = phi_u, phi_l
+    return len(history)
+
+
+def assert_wf_chain(reduced: ReducedInstance, params: WfParams, history: list) -> None:
+    """Assert the multiplicative chain of ``mmwum-wf`` over every step of ``history``.
+
+    Each step multiplies trace exp(gamma A) by at most 1 + delta_U and
+    trace exp(-gamma A) by at most 1 - delta_L, up to 1e-8 relative; both
+    are ``psi_upper`` and ``psi_lower`` with the barrier at 0.
+    """
+    gamma = params.gamma
+    a = np.zeros((reduced.rank, reduced.rank))
+    before = psi_upper(a, 0.0, gamma), psi_lower(a, 0.0, gamma)
+    for *_, a in replay(reduced, history):
+        after = psi_upper(a, 0.0, gamma), psi_lower(a, 0.0, gamma)
+        assert after[0] <= (1.0 + params.delta_U) * before[0] * (1 + 1e-8)
+        assert after[1] <= (1.0 - params.delta_L) * before[1] * (1 + 1e-8)
+        before = after

@@ -28,6 +28,7 @@ from psdsparsify.mmwum_wf import WfParams, check_potential_equivalence, wf_spars
 from psdsparsify.sampling import aw_sample, pe_greedy_step, pe_params
 
 from conftest import random_psd
+from pickseq import assert_bss_invariants, assert_wf_chain, replay
 
 
 def report(num, ok, detail=""):
@@ -87,15 +88,7 @@ def test_criterion_02_bss_potential_monotonicity(bss_runs):
         zero = np.zeros((reduced.rank, reduced.rank))
         assert phi_upper(zero, params.u_0) == pytest.approx(params.eps_U, rel=1e-9)
         assert phi_lower(zero, params.ell_0) == pytest.approx(params.eps_L, rel=1e-9)
-        prev_u, prev_l = params.eps_U, params.eps_L
-        for rec in history:
-            assert rec.phi_u <= prev_u * (1 + 1e-9)
-            assert rec.phi_l <= prev_l * (1 + 1e-9)
-            assert rec.lam_max < rec.u
-            assert rec.lam_min > rec.ell
-            assert rec.sum_lower >= rec.sum_upper * (1 - 1e-9)
-            prev_u, prev_l = rec.phi_u, rec.phi_l
-            checked += 1
+        checked += assert_bss_invariants(reduced, eps, history)
     report(2, True, f"barriers and potentials monotone across {checked} iterations")
 
 
@@ -111,13 +104,9 @@ def test_criterion_03_width_free_mmwum(instance_family):
         assert cert.support_size <= math.ceil(reduced.rank * math.log(reduced.rank) / eta**2)
         assert cert.lambda_min >= 1.0 - eps - 1e-6
         assert cert.lambda_max <= 1.0 + eps + 1e-6
-        a = np.zeros((reduced.rank, reduced.rank))
-        for rec in history:
-            assert rec.phi_u_after <= (1.0 + params.delta_U) * rec.phi_u_before * (1 + 1e-8)
-            assert rec.phi_l_after <= (1.0 - params.delta_L) * rec.phi_l_before * (1 + 1e-8)
-            x = reduced.matrices[rec.j]
-            assert check_potential_equivalence(a, x, rec.alpha, rec.t - 1, params)
-            a = symmetrize(a + rec.alpha * x)
+        assert_wf_chain(reduced, params, history)
+        for t, j, alpha, a, _ in replay(reduced, history):
+            assert check_potential_equivalence(a, reduced.matrices[j], alpha, t - 1, params)
             steps_checked += 1
     elapsed = time.monotonic() - start
     report(
@@ -133,7 +122,7 @@ def test_criterion_04_gamma_invariance(instance_family):
     hist_a, hist_b = [], []
     res_a = wf_sparsify(reduced, 0.5, history=hist_a)
     res_b = wf_sparsify(reduced, 0.5, gamma=10.0 * base.gamma, history=hist_b)
-    same_indices = [r.j for r in hist_a] == [r.j for r in hist_b]
+    same_indices = [j for j, _ in hist_a] == [j for j, _ in hist_b]
     assert same_indices
     np.testing.assert_allclose(res_a.weights, res_b.weights, rtol=1e-9)
     report(4, True, f"index sequences identical over {len(hist_a)} steps, weights at 1e-9")
@@ -151,8 +140,8 @@ def test_criterion_05_block_mmwum():
         assert cert.lambda_min >= 1.0 - 0.5 - 1e-6
         assert cert.lambda_max <= 1.0 + 0.5 + 1e-6
         width_cap = (1.0 + params.eta) * reduced.rank / params.eta
-        for rec in history:
-            assert rec.width <= width_cap * (1 + 1e-12)
+        for j, alpha in history:
+            assert alpha * reduced.traces[j] <= width_cap * (1 + 1e-12)
     elapsed = time.monotonic() - start
     report(5, elapsed < 600.0, f"3 runs (T up to {params.T}) in {elapsed:.1f}s (< 600s)")
 
@@ -209,11 +198,13 @@ def test_criterion_08_pessimistic_estimators():
             state = pe_params(reduced, eps)
         except TNotLargeEnough as err:
             state = pe_params(reduced, eps, t_total=err.suggested_t)
-        assert state.estimator_trace[0] < 1.0
+        values = [state.current_value()]
+        assert values[0] < 1.0
         counts = np.zeros(len(reduced), dtype=int)
         for _ in range(state.t_total):
             counts[pe_greedy_step(state)] += 1
-        for prev, cur in zip(state.estimator_trace, state.estimator_trace[1:]):
+            values.append(state.current_value())
+        for prev, cur in zip(values, values[1:]):
             assert cur < prev + 1e-12
         y = np.zeros(len(reduced))
         picked = counts > 0

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdsparsify import scan
 from psdsparsify.bss import (
     BssParams,
     BssState,
@@ -20,6 +19,7 @@ from psdsparsify.errors import BarrierViolated, PotentialTooLarge, StepNotFound,
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 
 from conftest import random_psd
+from pickseq import assert_bss_invariants
 
 
 class TestParams:
@@ -183,23 +183,16 @@ class TestStep:
         j, _ = bss_step(state, red, params)
         assert j == 0
 
-    def test_one_eigh_per_step(self, reduced_random, monkeypatch):
-        calls = []
-        real_eigh = scan.eigh
-
-        def counting_eigh(m):
-            calls.append(m.shape)
-            return real_eigh(m)
-
-        monkeypatch.setattr(scan, "eigh", counting_eigh)
+    @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
+    def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
         params = BssParams.from_epsilon(0.5, reduced_random.rank)
         state = BssState(A=np.zeros((6, 6)), y=np.zeros(len(reduced_random)))
         bss_step(state, reduced_random, params)
-        assert calls == [(6, 6)]
-        calls.clear()
-        bss_sparsify(reduced_random, 0.5)
+        assert eigh_calls == [(6, 6)]
+        eigh_calls.clear()
+        bss_sparsify(reduced_random, 0.5, history=history)
         # one per step and one for the certificate
-        assert len(calls) == params.T + 1
+        assert eigh_calls == [(6, 6)] * (params.T + 1)
 
     # pair instance at eps 0.5: u_0 = 40/3, ell_0 = -8, delta_L = 1
     @pytest.mark.parametrize(
@@ -248,12 +241,4 @@ class TestSparsify:
     def test_monotone_potentials_and_barriers(self, reduced_random):
         history = []
         bss_sparsify(reduced_random, 0.5, history=history)
-        params = BssParams.from_epsilon(0.5, reduced_random.rank)
-        prev_u, prev_l = params.eps_U, params.eps_L
-        for rec in history:
-            assert rec.phi_u <= prev_u * (1 + 1e-9)
-            assert rec.phi_l <= prev_l * (1 + 1e-9)
-            assert rec.lam_max < rec.u
-            assert rec.lam_min > rec.ell
-            assert rec.sum_lower >= rec.sum_upper * (1 - 1e-9)
-            prev_u, prev_l = rec.phi_u, rec.phi_l
+        assert_bss_invariants(reduced_random, 0.5, history)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from psdsparsify import mmwum_block, scan
+from psdsparsify import mmwum_block
 from psdsparsify.errors import ExpOverflow
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 from psdsparsify.mmwum_block import (
@@ -89,8 +89,8 @@ class TestSparsify:
         assert 0.5 - 1e-6 <= cert.lambda_min <= cert.lambda_max <= 1.5 + 1e-6
         params = BlockParams.from_epsilon(0.5, 2)
         assert cert.support_size <= params.T
-        for rec in history:
-            assert rec.width <= params.rho * (1 + 1e-12)
+        for j, alpha in history:
+            assert alpha * reduced_pair.traces[j] <= params.rho * (1 + 1e-12)
 
     def test_single_matrix(self):
         red = reduce_to_identity(PsdCollection.from_matrices([np.eye(2)]))
@@ -102,8 +102,8 @@ class TestSparsify:
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)
         history = []
         res = block_sparsify(reduced_random, 0.5, history=history)
-        for rec in history:
-            step = rec.alpha * reduced_random.matrices[rec.j]
+        for j, alpha in history:
+            step = alpha * reduced_random.matrices[j]
             w = np.linalg.eigvalsh(step - np.eye(reduced_random.rank))
             assert w[0] >= -params.ell - 1e-12
             assert w[-1] <= params.rho + 1e-12
@@ -112,18 +112,11 @@ class TestSparsify:
         assert cert.lambda_min >= 1.0 - err - 1e-9
         assert cert.lambda_max <= 1.0 + err + 1e-9
 
-    def test_one_eigh_per_iteration(self, reduced_random, monkeypatch):
-        calls = []
-        real_eigh = scan.eigh
-
-        def counting_eigh(m):
-            calls.append(m.shape)
-            return real_eigh(m)
-
-        monkeypatch.setattr(scan, "eigh", counting_eigh)
-        block_sparsify(reduced_random, 0.5)
+    @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
+    def test_one_eigh_per_iteration(self, reduced_random, eigh_calls, history):
+        block_sparsify(reduced_random, 0.5, history=history)
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)
-        assert calls == [(6, 6)] * params.T
+        assert eigh_calls == [(6, 6)] * params.T
 
     def test_overflow_guard_sees_the_negated_block(self, reduced_pair, monkeypatch):
         # the exponents -beta/(ell+rho) s are never positive, so only block

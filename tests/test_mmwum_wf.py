@@ -18,6 +18,7 @@ from psdsparsify.mmwum_wf import (
 )
 
 from conftest import random_psd
+from pickseq import assert_wf_chain, replay
 
 
 def scalar_params():
@@ -123,11 +124,9 @@ class TestEquivalence:
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
         history = []
         wf_sparsify(reduced_random, 0.5, history=history)
-        a = np.zeros((reduced_random.rank, reduced_random.rank))
-        for rec in history[:40]:
-            x = reduced_random.matrices[rec.j]
-            assert check_potential_equivalence(a, x, rec.alpha, rec.t - 1, params)
-            a = symmetrize(a + rec.alpha * x)
+        for t, j, alpha, a, _ in replay(reduced_random, history[:40]):
+            x = reduced_random.matrices[j]
+            assert check_potential_equivalence(a, x, alpha, t - 1, params)
 
 
 class TestSparsify:
@@ -151,8 +150,8 @@ class TestSparsify:
         res = wf_sparsify(reduced_random, 0.5, history=history)
         # rebuild A(T) from the raw picks and compare against the bound
         a = np.zeros((reduced_random.rank, reduced_random.rank))
-        for rec in history:
-            a = symmetrize(a + rec.alpha * reduced_random.matrices[rec.j])
+        for j, alpha in history:
+            a = symmetrize(a + alpha * reduced_random.matrices[j])
         lam_max = float(np.linalg.eigvalsh(a)[-1]) / params.T
         bound = (
             math.log1p(params.delta_U) / params.gamma
@@ -165,20 +164,25 @@ class TestSparsify:
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
         history = []
         wf_sparsify(reduced_random, 0.5, history=history)
-        for rec in history:
-            assert rec.phi_u_after <= (1.0 + params.delta_U) * rec.phi_u_before * (1 + 1e-8)
-            assert rec.phi_l_after <= (1.0 - params.delta_L) * rec.phi_l_before * (1 + 1e-8)
+        assert_wf_chain(reduced_random, params, history)
 
     def test_gamma_invariance(self, reduced_random):
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
         hist_a, hist_b = [], []
         res_a = wf_sparsify(reduced_random, 0.5, history=hist_a)
         res_b = wf_sparsify(reduced_random, 0.5, gamma=10.0 * params.gamma, history=hist_b)
-        assert [r.j for r in hist_a] == [r.j for r in hist_b]
+        assert [j for j, _ in hist_a] == [j for j, _ in hist_b]
         np.testing.assert_allclose(res_a.weights, res_b.weights, rtol=1e-9)
         assert res_a.certificate.lambda_max == pytest.approx(
             res_b.certificate.lambda_max, rel=1e-9
         )
+
+    @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
+    def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
+        wf_sparsify(reduced_random, 0.5, history=history)
+        params = WfParams.from_epsilon(0.5, reduced_random.rank)
+        # one per step and one for the certificate
+        assert eigh_calls == [(6, 6)] * (params.T + 1)
 
     def test_overflow_guard(self, reduced_pair, monkeypatch):
         # gamma * lambda_max starts at 0 and grows to about 2.9 on this run

@@ -19,6 +19,7 @@ from psdsparsify.mmwum_wf import WfParams
 from psdsparsify.solve import internal_epsilon
 
 from pickseq import (
+    PARAMS,
     REFERENCES,
     compare_pe_picks,
     compare_picks,
@@ -122,8 +123,11 @@ REFERENCE_INSTANCES = {
 def test_driver_matches_the_reference_loop_bit_for_bit(solver, name, eps):
     reduced = reduce_to_identity(REFERENCE_INSTANCES[name]())
     run = compare_with_reference(solver, reduced, eps)
-    assert len(run.picks) == len(run.reference_picks) > 0
-    assert run.picks == run.reference_picks
-    assert run.result.weights.tobytes() == run.reference_result.weights.tobytes()
-    assert run.result.certificate == run.reference_result.certificate
-    assert run.history == run.reference_history
+    steps = PARAMS[solver].from_epsilon(eps, reduced.rank).T
+    assert len(run.picks) == len(run.history) == len(run.reference_history) == steps > 0
+    assert run.picks == run.history == run.reference_history
+    weights = run.result.weights.tobytes()
+    assert run.history_result.weights.tobytes() == weights
+    assert run.reference_result.weights.tobytes() == weights
+    assert run.history_result.certificate == run.result.certificate
+    assert run.reference_result.certificate == run.result.certificate

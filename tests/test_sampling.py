@@ -93,7 +93,7 @@ class TestAwSample:
 class TestPeParams:
     def test_initial_value_below_one(self, reduced_random):
         state = pe_params(reduced_random, 0.45)
-        assert state.estimator_trace[0] < 1.0
+        assert state.current_value() < 1.0
 
     def test_budget_failure_carries_suggestion(self, reduced_identity_10):
         with pytest.raises(TNotLargeEnough) as err:
@@ -127,9 +127,10 @@ class TestPeGreedy:
 
     def test_estimator_decreases(self, reduced_random):
         state = pe_params(reduced_random, 0.45)
+        trace = [state.current_value()]
         for _ in range(state.t_total):
             pe_greedy_step(state)
-        trace = state.estimator_trace
+            trace.append(state.current_value())
         for prev, cur in zip(trace, trace[1:]):
             assert cur < prev + 1e-12
         assert trace[-1] < 1.0
@@ -224,7 +225,7 @@ class TestPeBatchedScoring:
         for _ in range(state.t_total):
             ref_pick, ref_val = _reference_step(state, red)
             assert pe_greedy_step(state) == ref_pick
-            assert state.estimator_trace[-1] == pytest.approx(ref_val, rel=1e-12, abs=0.0)
+            assert state.current_value() == pytest.approx(ref_val, rel=1e-12, abs=0.0)
 
     def test_exact_ties_pick_lowest_index(self):
         red = reduce_to_identity(identity_decomposition(4))
