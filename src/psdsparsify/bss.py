@@ -7,9 +7,10 @@ eigenvalues crowd each barrier; the shift bounds U_A(X) and L_A(X) give
 the closed-form step-size window that keeps both potentials from rising.
 
 U_A(X) and L_A(X) are trace inner products of X with Q diag(c_U) Q^T and
-Q diag(c_L) Q^T for A = Q diag(w) Q^T, so the solver is one potential of
-the shared loop ``scan.drive``: it maps w to c_U and c_L and picks the
-widest gap L_A(C_j) - U_A(C_j).
+Q diag(c_L) Q^T for A = Q diag(w) Q^T, where ``_upper_coefficients`` and
+``_lower_coefficients`` map w to c_U and c_L.  So the solver is one
+potential of the shared loop ``scan.drive``: it picks the widest gap
+L_A(C_j) - U_A(C_j).
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ from .errors import (
     BarrierViolated,
     PotentialTooLarge,
     StepNotFound,
-    ZeroDirection,
 )
 from .linalg import (
     ReducedInstance,
     SandwichCertificate,
     SparsifierResult,
-    Spectrum,
     eigh,
-    symmetrize,
 )
 
 
@@ -94,15 +92,6 @@ class BssParams:
         return self.ell_0 + t * self.delta_L
 
 
-@dataclass
-class BssState:
-    """Mutable loop state: accumulated A, weights, and iteration count."""
-
-    A: np.ndarray
-    y: np.ndarray
-    t: int = 0
-
-
 def phi_upper(a: np.ndarray, u: float) -> float:
     """Upper barrier potential trace((uI - A)^-1) = sum 1/(u - lambda_i)."""
     w = eigh(a).eigenvalues
@@ -144,50 +133,10 @@ def _lower_coefficients(w: np.ndarray, ell: float, delta_L: float) -> np.ndarray
     return inv**2 / rise - inv
 
 
-def _in_basis(spec: Spectrum, coeff: np.ndarray) -> np.ndarray:
-    """Q diag(coeff) Q^T for the eigenvectors Q of ``spec``."""
-    q = spec.eigenvectors
-    return symmetrize((q * coeff) @ q.T)
-
-
-def upper_shift_bound(a: np.ndarray, x: np.ndarray, u: float, delta_U: float) -> float:
-    """U_A(X): any 1/alpha >= U_A(X) keeps lambda_max below the raised barrier
-    and does not increase the upper potential."""
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ZeroDirection("direction matrix X is zero")
-    spec = eigh(a)
-    return float(np.sum(_in_basis(spec, _upper_coefficients(spec.eigenvalues, u, delta_U)) * x))
-
-
-def lower_shift_bound(a: np.ndarray, x: np.ndarray, ell: float, delta_L: float) -> float:
-    """L_A(X): any 0 < 1/alpha <= L_A(X) lifts lambda_min past the raised
-    barrier without increasing the lower potential."""
-    x = np.asarray(x, dtype=float)
-    spec = eigh(a)
-    return float(np.sum(_in_basis(spec, _lower_coefficients(spec.eigenvalues, ell, delta_L)) * x))
-
-
-def bss_step(
-    state: BssState, reduced: ReducedInstance, params: BssParams
-) -> tuple[int, float]:
-    """Pick the next (index, step size) pair.
-
-    Scores every candidate by the feasibility gap L_A(C_j) - U_A(C_j) and
-    returns the widest gap (lowest index on ties) with 1/alpha set to the
-    midpoint (U + L)/2, the point of maximal margin for both one-sided
-    guarantees.  Both score matrices are functions of A, so one
-    eigendecomposition of A gives both coefficient vectors, and every
-    candidate is scored in that eigenbasis through its factor rows.
-    """
-    coeffs = np.empty((reduced.rank, 2))
-    return scan.step(reduced, _Barriers(params, reduced), state.A, state.t, coeffs)
-
-
 def _bss_pick(
     scores_u: np.ndarray, scores_l: np.ndarray, reduced: ReducedInstance
 ) -> tuple[int, float]:
-    """``bss_step`` from the scores U_A(C_j) and L_A(C_j)."""
+    """Widest feasible gap L_A(C_j) - U_A(C_j), lowest index on ties; 1/alpha = (U + L)/2."""
     nonzero = reduced.has_trace
     feasible = nonzero & (scores_u > 0.0) & (scores_l >= scores_u)
     if not feasible.any():

@@ -245,8 +245,9 @@ def main(argv=None) -> int:
             with open(args.family, encoding="utf-8") as fh:
                 family = io.parse_family(fh.read())
         report = run(config, data, kind=args.kind, costs=costs, family=family)
+        text = emit(report)  # before open: an emit that raises leaves no empty file
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(emit(report))
+            fh.write(text)
         result, cert = report.result, report.result.certificate
         print(
             f"{args.algo} on {args.kind} (n={report.n} m={report.m} rank={result.lifted_rank}):"

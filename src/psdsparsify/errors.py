@@ -33,10 +33,6 @@ class BarrierViolated(SparsifyError):
     """An eigenvalue crossed a barrier the potential assumes it cannot."""
 
 
-class ZeroDirection(SparsifyError):
-    """A step direction matrix is zero."""
-
-
 class PotentialTooLarge(SparsifyError):
     """Lower potential exceeds the bound required for a safe step."""
 
@@ -56,6 +52,10 @@ class OracleInfeasible(SparsifyError):
 
 class EquivalenceBroken(SparsifyError):
     """The two potential formulations disagreed beyond tolerance."""
+
+
+class RankTooSmall(SparsifyError):
+    """The whitened rank is below what the algorithm needs."""
 
 
 class TNotLargeEnough(SparsifyError):

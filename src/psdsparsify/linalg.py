@@ -120,6 +120,7 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL):
     return bool(verdict) if verdict.ndim == 0 else verdict
 
 
+# no solver calls it; kept for the benchmark's kernel timings (bench/spans.py)
 def sym_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential via eigendecomposition (exact for symmetric M)."""
     spec = eigh(m)
@@ -263,6 +264,7 @@ class ReducedInstance:
         np.square(p, out=p)
         return self._segment_sums(p @ coeffs)
 
+    # no solver calls it; kept for the benchmark's kernel timings (bench/spans.py)
     def score_all(self, v: np.ndarray) -> np.ndarray:
         """Trace inner product of every member with the matrix v."""
         g = self.factor_rows[0]
@@ -312,7 +314,7 @@ class SandwichCertificate:
 
     @property
     def epsilon_achieved(self) -> float:
-        return self.lambda_max / self.lambda_min - 1.0
+        return float("inf") if self.lambda_min <= 0.0 else self.lambda_max / self.lambda_min - 1.0
 
     def passes(self, eps: float, tol: float = 1e-6) -> bool:
         """B <= sum(y_i B_i) <= (1+eps) B up to relative slack tol."""

@@ -80,26 +80,6 @@ class BlockParams:
             )
 
 
-def block_oracle(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    reduced: ReducedInstance,
-    eta: float,
-) -> tuple[int, float]:
-    """Single-index oracle for the two-block update.
-
-    With p_i = <X1, C_i>/trace(X1), a feasible j must satisfy both Markov
-    conditions <X2, C_j>/p_j <= (1+eta) trace(X2) and trace(C_j)/p_j <=
-    (1+eta) n / eta.  Among the feasible, the smallest width user
-    trace(C_j)/p_j wins, lowest index on ties; alpha = 1/p_j.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _block_pick(
-            reduced.score_all(x1), reduced.score_all(x2),
-            float(np.trace(x1)), float(np.trace(x2)), reduced, eta,
-        )
-
-
 def _block_pick(
     scores_1: np.ndarray,
     scores_2: np.ndarray,
@@ -108,10 +88,13 @@ def _block_pick(
     reduced: ReducedInstance,
     eta: float,
 ) -> tuple[int, float]:
-    """``block_oracle`` from the scores <X1, C_j>, <X2, C_j> and both traces.
+    """Two-block oracle from the scores <X1, C_j>, <X2, C_j> and both traces.
 
-    Divides by p_j = 0 for members with no weight under X1: call it with
-    numpy's divide and invalid warnings off.
+    With p_i = <X1, C_i>/trace(X1), a feasible j must satisfy both Markov
+    conditions <X2, C_j>/p_j <= (1+eta) trace(X2) and trace(C_j)/p_j <=
+    (1+eta) n / eta.  Among the feasible, the smallest width user
+    trace(C_j)/p_j wins, lowest index on ties; alpha = 1/p_j.  Divides by
+    p_j = 0 for members with no weight under X1: silence divide and invalid.
     """
     traces = reduced.traces
     p = scores_1 / tr_x1

@@ -71,27 +71,16 @@ class WfParams:
             raise ValueError(f"delta balance violated: {lhs} != {rhs}")
 
 
-def wf_oracle(
-    x_upper: np.ndarray,
-    x_lower: np.ndarray,
-    reduced: ReducedInstance,
-    params: WfParams,
-) -> tuple[int, float]:
-    """One-nonzero oracle for the width-free update.
-
-    Selects the index whose slack
-    <X_L, C_j>/delta_L - trace(C_j) - <X_U, C_j>/delta_U
-    is largest (nonnegative slack always exists because the slacks sum to
-    1/delta_L - n - 1/delta_U >= 0); alpha makes the upper multiplicative
-    bound hold with equality, which forces the lower bound as well.
-    """
-    return _wf_pick(reduced.score_all(x_upper), reduced.score_all(x_lower), reduced, params)
-
-
 def _wf_pick(
     scores_u: np.ndarray, scores_l: np.ndarray, reduced: ReducedInstance, params: WfParams
 ) -> tuple[int, float]:
-    """``wf_oracle`` from the scores <X_U, C_j> and <X_L, C_j>."""
+    """Width-free oracle from the scores <X_U, C_j> and <X_L, C_j>.
+
+    Selects the index whose slack <X_L, C_j>/delta_L - trace(C_j) -
+    <X_U, C_j>/delta_U is largest (nonnegative slack always exists because
+    the slacks sum to 1/delta_L - n - 1/delta_U >= 0); alpha makes the upper
+    multiplicative bound hold with equality, which forces the lower bound.
+    """
     traces = reduced.traces
     candidates = reduced.has_trace
     slack = np.where(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TimeBudgetExceeded, TNotLargeEnough
+from .errors import RankTooSmall, TimeBudgetExceeded, TNotLargeEnough
 from .linalg import (
     ReducedInstance,
     SparsifierResult,
@@ -133,8 +133,8 @@ class PeState:
     ``t_minus`` scales the lower-tail exponent exp(-t X) and ``t_plus``
     the upper-tail exponent exp(+t' X).  ``picked_sum`` is P, the sum of
     the unit-trace matrices picked so far; the two exponent sums are
-    -t P and +t' P (read-only as ``exp_sum_lower`` and ``exp_sum_upper``),
-    so both tails take their spectra from the eigenvalues of P.  The
+    -t P and +t' P, so both tails take their spectra from the
+    eigenvalues of P.  The
     estimator values are assembled in log space so the norm powers cannot
     underflow.  ``live`` lists the candidates with positive probability
     and ``units`` holds their unit-trace matrices X_j = C_j / tr(C_j) as
@@ -156,14 +156,6 @@ class PeState:
     def t(self) -> int:
         return len(self.picks)
 
-    @property
-    def exp_sum_lower(self) -> np.ndarray:
-        return -self.t_minus * self.picked_sum
-
-    @property
-    def exp_sum_upper(self) -> np.ndarray:
-        return self.t_plus * self.picked_sum
-
     def _estimate(self, w_lower: np.ndarray, w_upper: np.ndarray, i: int) -> np.ndarray:
         """phi + psi after i picks, from the spectra of the two exponent sums.
 
@@ -177,9 +169,6 @@ class PeState:
         ln_phi = c_phi + ln_sum_exp(w_lower) + (t_total - i) * self.log_norm_minus
         ln_psi = c_psi + ln_sum_exp(w_upper) + (t_total - i) * self.log_norm_plus
         return np.exp(ln_phi) + np.exp(ln_psi)
-
-    def _value(self, exp_lower: np.ndarray, exp_upper: np.ndarray, i: int) -> float:
-        return float(self._estimate(eigh(exp_lower).eigenvalues, eigh(exp_upper).eigenvalues, i))
 
     def current_value(self) -> float:
         w = eigvalsh(self.picked_sum)
@@ -209,7 +198,7 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
     plan = SamplingPlan.from_instance(reduced, eps)
     mu = plan.mu
     if mu >= 1.0:
-        raise ValueError("derandomization needs rank at least 2")
+        raise RankTooSmall("derandomization needs rank at least 2")
     if (1.0 + eps) * mu >= 1.0:
         raise ValueError("(1 + eps) * mu must stay below 1 for a finite exponent")
     t_minus, t_plus = pe_exponents(mu, eps)

@@ -46,3 +46,11 @@ def random_psd(rng, n, rank=None):
     k = rank or n
     g = rng.standard_normal((n, k))
     return g @ g.T
+
+
+def scores_of(reduced, x):
+    """<X, C_j> for every member, scored as the solvers score: ``scores_in_basis``
+    on X = Q diag(c) Q^T.  Returns the scores and trace(X) = sum(c)."""
+    spec = linalg.eigh(x)
+    scores = reduced.scores_in_basis(spec.eigenvectors, spec.eigenvalues)
+    return scores, float(spec.eigenvalues.sum())

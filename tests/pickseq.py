@@ -20,7 +20,8 @@ relative difference of the step size while the picks agree.
 ``reference_block_sparsify`` are the three scanning loops as they were
 before ``scan.drive`` took them over, with their step and pick functions,
 copied verbatim: each keeps its own loop, deadline and symmetrized update,
-and appends the same (j, alpha) pairs to ``history``.
+and appends the same (j, alpha) pairs to ``history``.  ``BssState`` is the
+loop state of ``reference_bss_sparsify``.
 ``compare_with_reference`` runs a solver and its reference loop on the
 same instance.  ``replay`` rebuilds the running sum A of every step from
 a ``history=`` list; ``assert_bss_invariants`` and ``assert_wf_chain``
@@ -39,7 +40,6 @@ import pytest
 from psdsparsify import bss, mmwum_block, mmwum_wf, sampling
 from psdsparsify.bss import (
     BssParams,
-    BssState,
     _lower_coefficients,
     _upper_coefficients,
     phi_lower,
@@ -232,7 +232,8 @@ def _run_pe(reduced: ReducedInstance, eps: float, max_steps: int | None, referen
             state.picks.append(j)
         else:
             # the reference's scores on the kernel's own history
-            values = reference_pe_values(state, state.exp_sum_lower, state.exp_sum_upper)[0]
+            p = state.picked_sum
+            values = reference_pe_values(state, -state.t_minus * p, state.t_plus * p)[0]
             j = kernel_step(state)
         steps.append(Step(args=(_by_member(state, values, len(reduced)),), j=j, alpha=1.0))
         if max_steps is not None and len(steps) >= max_steps:
@@ -278,6 +279,15 @@ def pe_lockstep_moves(report: PickComparison) -> list:
         if best != step.j:
             moves.append((t, step.j, best, _gap(_pe_criterion, step.args, step.j, best)))
     return moves
+
+
+@dataclass
+class BssState:
+    """Mutable loop state: accumulated A, weights, and iteration count."""
+
+    A: np.ndarray
+    y: np.ndarray
+    t: int = 0
 
 
 def _reference_barrier_scores(

@@ -5,21 +5,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdsparsify import scan
 from psdsparsify.bss import (
     BssParams,
-    BssState,
+    _Barriers,
+    _lower_coefficients,
+    _upper_coefficients,
     bss_sparsify,
-    bss_step,
-    lower_shift_bound,
     phi_lower,
     phi_upper,
-    upper_shift_bound,
 )
-from psdsparsify.errors import BarrierViolated, PotentialTooLarge, StepNotFound, ZeroDirection
-from psdsparsify.linalg import PsdCollection, reduce_to_identity
+from psdsparsify.errors import BarrierViolated, PotentialTooLarge, StepNotFound
+from psdsparsify.linalg import PsdCollection, ReducedInstance, eigh, reduce_to_identity
 
 from conftest import random_psd
 from pickseq import assert_bss_invariants
+
+
+def _scores(a, x, coefficients):
+    """<X, Q diag(c) Q^T> for A = Q diag(w) Q^T and c = coefficients(w),
+    scored by ``scores_in_basis`` on a one-member instance."""
+    n = len(a)
+    member = ReducedInstance(rank=n, matrices=[x], basis=np.eye(n), whitener=np.eye(n))
+    spec = eigh(a)
+    return float(member.scores_in_basis(spec.eigenvectors, coefficients(spec.eigenvalues))[0])
+
+
+def upper_shift_bound(a, x, u, delta_U):
+    """U_A(X), as the solver scores it: any 1/alpha >= U_A(X) keeps lambda_max
+    below the raised barrier and does not increase the upper potential."""
+    return _scores(a, x, lambda w: _upper_coefficients(w, u, delta_U))
+
+
+def lower_shift_bound(a, x, ell, delta_L):
+    """L_A(X), as the solver scores it: any 0 < 1/alpha <= L_A(X) lifts
+    lambda_min past the raised barrier without increasing the lower potential."""
+    return _scores(a, x, lambda w: _lower_coefficients(w, ell, delta_L))
+
+
+def bss_step(a, t, reduced, params):
+    """The solver's (j, alpha) at A after t steps."""
+    return scan.step(reduced, _Barriers(params, reduced), a, t, np.empty((reduced.rank, 2)))
 
 
 class TestParams:
@@ -95,10 +121,6 @@ class TestShiftBounds:
         five = upper_shift_bound(a, 5.0 * x, u, 0.7)
         assert five == pytest.approx(5.0 * one, rel=1e-12)
 
-    def test_upper_rejects_zero_direction(self):
-        with pytest.raises(ZeroDirection):
-            upper_shift_bound(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1.0)
-
     def test_lower_identity_direction(self):
         # N = 1.5I: (8/9)/(1/3) - 4/3 = 4/3
         got = lower_shift_bound(2.0 * np.eye(2), np.eye(2), ell=0.0, delta_L=0.5)
@@ -158,19 +180,18 @@ class TestShiftBounds:
 class TestStep:
     def test_step_is_sandwiched(self, reduced_pair):
         params = BssParams.from_epsilon(0.5, reduced_pair.rank)
-        state = BssState(A=np.zeros((2, 2)), y=np.zeros(2))
-        j, alpha = bss_step(state, reduced_pair, params)
+        a = np.zeros((2, 2))
+        j, alpha = bss_step(a, 0, reduced_pair, params)
         u = params.upper_barrier(0)
         ell = params.lower_barrier(0)
-        upper = upper_shift_bound(state.A, reduced_pair.matrices[j], u, params.delta_U)
-        lower = lower_shift_bound(state.A, reduced_pair.matrices[j], ell, params.delta_L)
+        upper = upper_shift_bound(a, reduced_pair.matrices[j], u, params.delta_U)
+        lower = lower_shift_bound(a, reduced_pair.matrices[j], ell, params.delta_L)
         assert lower * (1 + 1e-12) >= 1.0 / alpha >= upper * (1 - 1e-12)
 
     def test_single_candidate(self):
         red = reduce_to_identity(PsdCollection.from_matrices([np.array([[1.0]])]))
         params = BssParams.from_epsilon(0.5, 1)
-        state = BssState(A=np.zeros((1, 1)), y=np.zeros(1))
-        j, alpha = bss_step(state, red, params)
+        j, alpha = bss_step(np.zeros((1, 1)), 0, red, params)
         assert j == 0
         assert alpha > 0
 
@@ -179,15 +200,13 @@ class TestStep:
         mats = [np.eye(3) / m for _ in range(m)]
         red = reduce_to_identity(PsdCollection.from_matrices(mats))
         params = BssParams.from_epsilon(0.5, 3)
-        state = BssState(A=np.zeros((3, 3)), y=np.zeros(m))
-        j, _ = bss_step(state, red, params)
+        j, _ = bss_step(np.zeros((3, 3)), 0, red, params)
         assert j == 0
 
     @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
     def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
         params = BssParams.from_epsilon(0.5, reduced_random.rank)
-        state = BssState(A=np.zeros((6, 6)), y=np.zeros(len(reduced_random)))
-        bss_step(state, reduced_random, params)
+        bss_step(np.zeros((6, 6)), 0, reduced_random, params)
         assert eigh_calls == [(6, 6)]
         eigh_calls.clear()
         bss_sparsify(reduced_random, 0.5, history=history)
@@ -206,9 +225,8 @@ class TestStep:
     )
     def test_errors_keep_their_order(self, reduced_pair, diagonal, error, message):
         params = BssParams.from_epsilon(0.5, 2)
-        state = BssState(A=np.diag(diagonal), y=np.zeros(2))
         with pytest.raises(error, match=message):
-            bss_step(state, reduced_pair, params)
+            bss_step(np.diag(diagonal), 0, reduced_pair, params)
 
 
 class TestSparsify:

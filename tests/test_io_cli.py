@@ -446,6 +446,19 @@ class TestCli:
         assert code == 1
         assert "passed false" in text
 
+    def test_zero_lambda_min_is_reported_not_raised(self, tmp_path, identity_pair_file):
+        # every one of the 24 draws of this seed picks member 0, so lambda_min is 0
+        code, text = self.run_cli(
+            tmp_path,
+            "--algo", "aw-sample", "--eps", "0.5",
+            "--seed", "7362769",
+            "--input", str(identity_pair_file),
+        )
+        assert code == 1
+        assert "lambda_min 0.0000000000000000e+00" in text
+        assert "epsilon_achieved inf" in text
+        assert "passed false" in text
+
     def test_graph_kind_with_costs(self, tmp_path):
         from psdsparsify.io_formats import emit_graph
 

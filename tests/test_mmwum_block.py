@@ -10,12 +10,19 @@ from psdsparsify.errors import ExpOverflow
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 from psdsparsify.mmwum_block import (
     BlockParams,
-    block_oracle,
+    _block_pick,
     block_sparsify,
     oracle_width_fixture,
 )
 
-from conftest import random_psd
+from conftest import random_psd, scores_of
+
+
+def block_oracle(x1, x2, reduced, eta):
+    """The solver's pick on the scores and traces of the weights X1 and X2."""
+    (s1, tr_x1), (s2, tr_x2) = scores_of(reduced, x1), scores_of(reduced, x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _block_pick(s1, s2, tr_x1, tr_x2, reduced, eta)
 
 
 class TestParams:

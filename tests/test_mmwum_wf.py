@@ -10,15 +10,20 @@ from psdsparsify.errors import ExpOverflow
 from psdsparsify.linalg import PsdCollection, eigh, reduce_to_identity, symmetrize
 from psdsparsify.mmwum_wf import (
     WfParams,
+    _wf_pick,
     check_potential_equivalence,
     psi_lower,
     psi_upper,
-    wf_oracle,
     wf_sparsify,
 )
 
-from conftest import random_psd
+from conftest import random_psd, scores_of
 from pickseq import assert_wf_chain, replay
+
+
+def wf_oracle(x_u, x_l, reduced, params):
+    """The solver's pick on the scores of the densities X_U and X_L."""
+    return _wf_pick(scores_of(reduced, x_u)[0], scores_of(reduced, x_l)[0], reduced, params)
 
 
 def scalar_params():
@@ -81,9 +86,11 @@ class TestOracle:
         q = spec.eigenvectors
         ex_u = np.exp(params.gamma * spec.eigenvalues)
         ex_l = np.exp(-params.gamma * spec.eigenvalues)
-        x_u = symmetrize((q * (ex_u / ex_u.sum())) @ q.T)
-        x_l = symmetrize((q * (ex_l / ex_l.sum())) @ q.T)
-        j, alpha = wf_oracle(x_u, x_l, red, params)
+        coeffs = np.column_stack((ex_u / ex_u.sum(), ex_l / ex_l.sum()))
+        x_u = symmetrize((q * coeffs[:, 0]) @ q.T)
+        x_l = symmetrize((q * coeffs[:, 1]) @ q.T)
+        scores = red.scores_in_basis(q, coeffs)
+        j, alpha = _wf_pick(scores[:, 0], scores[:, 1], red, params)
         c = red.matrices[j]
         tr = float(np.trace(c))
         growth = (math.exp(params.gamma * alpha * tr) - 1.0) / tr

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psdsparsify import sampling
-from psdsparsify.errors import InvalidMatrix, TimeBudgetExceeded, TNotLargeEnough
+from psdsparsify.errors import InvalidMatrix, RankTooSmall, TimeBudgetExceeded, TNotLargeEnough
 from psdsparsify.instances import identity_decomposition, random_psd_collection
 from psdsparsify.linalg import PsdCollection, reduce_to_identity
 from psdsparsify.solve import sparsify_sum
@@ -125,6 +125,11 @@ class TestPeGreedy:
         res = pe_sparsify(red, 0.4)
         np.testing.assert_allclose(res.weights, [1.0])
 
+    def test_rank_one_raises_a_typed_error(self):
+        red = reduce_to_identity(PsdCollection.from_matrices([np.eye(1), 2.0 * np.eye(1)]))
+        with pytest.raises(RankTooSmall, match="rank at least 2"):
+            pe_sparsify(red, 0.4)
+
     def test_estimator_decreases(self, reduced_random):
         state = pe_params(reduced_random, 0.45)
         trace = [state.current_value()]
@@ -147,11 +152,10 @@ class TestPeGreedy:
                 if prob <= 0.0:
                     continue
                 x = c / tr
-                values[j] = state._value(
-                    symmetrize(state.exp_sum_lower - state.t_minus * x),
-                    symmetrize(state.exp_sum_upper + state.t_plus * x),
-                    state.t + 1,
-                )
+                p = state.picked_sum
+                w_lower = np.linalg.eigvalsh(symmetrize(-state.t_minus * p - state.t_minus * x))
+                w_upper = np.linalg.eigvalsh(symmetrize(state.t_plus * p + state.t_plus * x))
+                values[j] = float(state._estimate(w_lower, w_upper, state.t + 1))
             average = sum(state.plan.probabilities[j] * v for j, v in values.items())
             before = state.current_value()
             picked = pe_greedy_step(state)
@@ -205,8 +209,8 @@ def _reference_step(state, reduced):
     for j, (prob, c, tr) in enumerate(zip(plan.probabilities, reduced.matrices, reduced.traces)):
         if prob <= 0.0:
             continue
-        lower = state.exp_sum_lower - state.t_minus * (c / tr)
-        upper = state.exp_sum_upper + state.t_plus * (c / tr)
+        lower = -state.t_minus * state.picked_sum - state.t_minus * (c / tr)
+        upper = state.t_plus * state.picked_sum + state.t_plus * (c / tr)
         w_lower = np.linalg.eigh(0.5 * (lower + lower.T))[0].tolist()
         w_upper = np.linalg.eigh(0.5 * (upper + upper.T))[0].tolist()
         ln_phi = c_phi + _ln_sum_exp_scalar(w_lower) + (t_total - i) * state.log_norm_minus
@@ -266,8 +270,6 @@ class TestPeSpectrumOfPickSums:
         assert np.array_equal(p, p.T)
         units = [reduced_random.matrices[j] / reduced_random.traces[j] for j in state.picks]
         np.testing.assert_allclose(p, sum(units), rtol=0.0, atol=1e-14)
-        assert np.array_equal(state.exp_sum_lower, -state.t_minus * p)
-        assert np.array_equal(state.exp_sum_upper, state.t_plus * p)
 
 
 class TestPeDeadline:
