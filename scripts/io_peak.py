@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Time and memory of writing and reading one ``matrices`` file.
+
+    python3 scripts/io_peak.py [--n 30] [--m 600] [--seed 0]
+
+Builds ``random_psd_collection(n, m)``, then prints, for
+``emit_matrix_collection`` and for ``parse_matrix_collection`` on the
+emitted text, the best of 5 wall-clock times and the tracemalloc peak of
+one call as a multiple of the text's length.  The defaults match the
+``dense-r30`` benchmark input (about 7 MB of text).
+"""
+
+import argparse
+import time
+import tracemalloc
+
+from psdsparsify.instances import random_psd_collection
+from psdsparsify.io_formats import emit_matrix_collection, parse_matrix_collection
+
+REPEATS = 5
+
+
+def measure(call, arg):
+    """(best seconds of REPEATS calls, tracemalloc peak bytes of one call)."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call(arg)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        call(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return best, peak
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=30)
+    parser.add_argument("--m", type=int, default=600)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    coll = random_psd_collection(args.n, args.m, seed=args.seed)
+    text = emit_matrix_collection(coll)
+    print(f"random_psd_collection({args.n}, {args.m}, seed={args.seed}): {len(text)} bytes of text")
+    for name, call, arg in (
+        ("emit", emit_matrix_collection, coll),
+        ("parse", parse_matrix_collection, text),
+    ):
+        seconds, peak = measure(call, arg)
+        print(f"{name:5s}  best of {REPEATS}: {seconds:.3f} s  peak: {peak / len(text):.2f} x text")
+
+
+if __name__ == "__main__":
+    main()

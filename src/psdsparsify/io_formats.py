@@ -17,11 +17,14 @@ family       f   | per member:  e  then e lines of  u v
 sdp          sdp n m | m mat blocks | target block | cost ... | feasible ...
 simplex      simplex n m | lambda ... | m mat blocks
 
-The entry blocks of the matrices, sdp and simplex formats are read in
-bulk: one ``numpy.loadtxt`` call per block, then the range, finiteness
-and duplicate checks over every block at once.  Python's ``int`` and
-``float`` define the valid tokens; a block whose tokens ``loadtxt``
-rejects is scanned line by line with them to find the offending line.
+The entry blocks of the matrices, sdp and simplex formats are read one
+block at a time: the block's lines are sliced out of the text and read
+with one ``numpy.loadtxt`` call, then checked for range, finiteness and
+duplicates and written into the stack before the next block is read.  No
+list of every line of the text is built, on reading or on writing.
+Python's ``int`` and ``float`` define the valid tokens; a block whose
+tokens ``loadtxt`` rejects is scanned line by line with them to find the
+offending line.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ _BULK = _loadtxt_rejects_float_indices()
 # line; every line these patterns do not vouch for is classified in Python.
 _PLAIN_ENTRY = re.compile(r"[ \t]*[+-]*[0-9]+(?:[ \t\n]|\Z)")
 _OTHER_LINE = re.compile(r"\n(?![ \t]*[+-]*[0-9]+(?:[ \t\n]|\Z))")
+# str.splitlines also breaks lines at these, and at \r\n
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = re.compile(r"\r\n?|[\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _parse_float(token: str, no: int, what: str) -> float:
@@ -87,112 +93,110 @@ def _out_of_range(i: int, j: int, n: int) -> str:
 class _Cursor:
     """The content lines of a text, taken one at a time or a block at once.
 
-    The text is split into lines once, and one regex pass finds the lines
-    that do not start with an integer token.  Only those are looked at in
-    Python: blank lines and comments go to ``skip``, and the rest, the
-    keyword lines that end an entry block, go to ``stops``.  ``entries``
-    records a block without reading it; ``load`` reads every recorded block.
+    The text is kept whole; no list of its lines is built.  One regex pass
+    finds the lines that do not start with an integer token, with their
+    numbers and offsets.  Only those are looked at in Python: blank lines
+    and comments go to ``skip``, and the rest, the keyword lines that end
+    an entry block, go to ``stops``.  ``take`` slices its line out of the
+    text, ``entries`` records a block without reading it, and ``load``
+    reads the recorded blocks one at a time.
     """
 
     def __init__(self, text: str):
+        if any(c in text for c in _BREAKS):  # faster than one regex search
+            text = _BREAK.sub("\n", text)
         self.text = text
-        self.lines = text.splitlines()
-        flat = text
-        if len(self.lines) != text.count("\n") + (not text.endswith("\n")):
-            flat = "\n".join(self.lines)  # splitlines also breaks at \r, \f, ...
-        others = [] if _PLAIN_ENTRY.match(flat) else [0]
+        self.size = text.count("\n") + (text[-1:] not in ("", "\n"))  # lines in the text
+        others = [] if _PLAIN_ENTRY.match(text) else [(0, 0)]
         k = prev = 0
-        for hit in _OTHER_LINE.finditer(flat):
-            k += flat.count("\n", prev, hit.start()) + 1
+        for hit in _OTHER_LINE.finditer(text):
+            k += text.count("\n", prev, hit.start()) + 1
             prev = hit.start() + 1
-            others.append(k)
+            others.append((k, prev))
         self.skip = []
         self.stops = []
-        for k in others[: bisect_left(others, len(self.lines))]:
-            line = self.lines[k].strip()
+        for k, at in others:
+            if k == self.size:
+                break  # the empty piece after a final newline
+            line = text[at : self._end(at)].strip()
             if not line or line.startswith("#"):
                 self.skip.append(k)
             elif not line.split()[0].lstrip("+-").isdigit():
-                self.stops.append(k)
+                self.stops.append((k, at))
         self.skipped = set(self.skip)
-        self.pos = 0
+        self.pos = self.at = 0  # the number and the offset of the next line
         self.n = 0
         self.blocks = []
 
+    def _end(self, at: int) -> int:
+        end = self.text.find("\n", at)
+        return len(self.text) if end < 0 else end
+
     def _next(self) -> int:
         while self.pos in self.skipped:
-            self.pos += 1
+            self.pos, self.at = self.pos + 1, self._end(self.at) + 1
         return self.pos
 
     def done(self) -> bool:
-        return self._next() >= len(self.lines)
+        return self._next() >= self.size
 
     def take(self, what: str):
         if self.done():
-            content = (k for k in reversed(range(len(self.lines))) if k not in self.skipped)
+            content = (k for k in reversed(range(self.size)) if k not in self.skipped)
             raise ParseError(next(content, 0) + 1, f"unexpected end of input, expected {what}")
-        k = self.pos
-        self.pos += 1
-        return k + 1, self.lines[k].strip()
+        end = self._end(self.at)
+        no, line = self.pos + 1, self.text[self.at : end].strip()
+        self.pos, self.at = no, end + 1
+        return no, line
 
     def expect_end(self):
         if not self.done():
-            line = self.lines[self.pos].strip()
+            line = self.text[self.at : self._end(self.at)].strip()
             raise ParseError(self.pos + 1, f"unexpected trailing content {line!r}")
 
     def entries(self, n: int, context: str):
         """Record the 'i j value' lines up to the next keyword line as one block."""
         start = self._next()
-        at = bisect_left(self.stops, start)
-        end = self.stops[at] if at < len(self.stops) else len(self.lines)
+        at = bisect_left(self.stops, (start, 0))
+        end, stop = self.stops[at] if at < len(self.stops) else (self.size, len(self.text))
         gaps = self.skip[bisect_left(self.skip, start) : bisect_left(self.skip, end)]
         rows = range(start, end)
         if gaps:
             rows = [k for k in rows if k not in self.skipped]
         self.n = n
-        self.blocks.append((rows, context))
-        self.pos = end
+        self.blocks.append((rows, self.at, stop, context))
+        self.pos, self.at = end, stop
 
     def load(self):
         """Read the recorded blocks into one (blocks, n, n) stack, mirrored.
 
-        This is the cursor's last step: it drops the line list before the
-        checks, which keeps the peak memory of a large file down.  Raises
-        the ParseError of the first offending entry line.
+        Each block is split into lines, read, checked and written before
+        the next one, so the lines and entries of one block are all that
+        is held beside the text and the stack.  Raises the ParseError of
+        the first offending entry line.
         """
         if not self.blocks:
             return None
         stack = np.zeros((len(self.blocks), self.n, self.n))
-        loaded, error = [], None
-        for rows, context in self.blocks:
-            entries, error = self._load_block(rows, context)
-            loaded.append(entries)
+        for out, (rows, at, stop, context) in zip(stack, self.blocks):
+            lines = self.text[at:stop].splitlines()
+            if not isinstance(rows, range):
+                lines = [lines[k - rows[0]] for k in rows]  # without the blank and comment lines
+            entries, error = self._load_block(lines, rows, context)
+            self._scatter(entries, lines, rows, out)  # an error on an earlier line wins
             if error is not None:
-                break
-        self.lines = None
-        sizes = [len(e) for e in loaded]
-        entries = np.concatenate(loaded)
-        del loaded
-        self._scatter(entries, sizes, stack)  # an error on an earlier line wins
-        if error is not None:
-            raise error
+                raise error
         return stack
 
-    def _load_block(self, rows, context: str):
-        if isinstance(rows, range):
-            lines = self.lines[rows.start : rows.stop]
-        else:
-            lines = [self.lines[k] for k in rows]
-        if not lines:
-            return np.zeros(0, _ENTRY), None
-        if _BULK:
+    def _load_block(self, lines: list, rows, context: str):
+        if _BULK and lines:
             try:
                 return np.loadtxt(lines, dtype=_ENTRY, ndmin=1, comments=None), None
             except ValueError:
                 pass
-        return self._scan(rows, context)
+        return self._scan(lines, rows, context)
 
-    def _scan(self, rows, context: str):
+    def _scan(self, lines: list, rows, context: str):
         """Read a block with Python's int and float, up to its first bad token.
 
         Returns the entries before the offending line and that line's
@@ -200,8 +204,8 @@ class _Cursor:
         """
         n = self.n
         out = []
-        for k in rows:
-            no, parts = k + 1, self.lines[k].split()
+        for k, line in zip(rows, lines):
+            no, parts = k + 1, line.split()
             try:
                 if len(parts) != 3:
                     raise ParseError(no, f"expected 'i j value' in {context}")
@@ -214,42 +218,38 @@ class _Cursor:
                 return np.array(out, dtype=_ENTRY), exc
         return np.array(out, dtype=_ENTRY), None
 
-    def _scatter(self, entries: np.ndarray, sizes: list, stack: np.ndarray):
-        """Check the entries of the blocks and write them, mirrored, into ``stack``.
+    def _scatter(self, entries: np.ndarray, lines: list, rows, out: np.ndarray):
+        """Check the entries of one block and write them, mirrored, into ``out``.
 
-        ``sizes`` holds the entry count of each block.  Entries on one line
-        are checked in the order range, finiteness, duplicates.  A repeated
-        entry must repeat its value, and its last occurrence is written.
+        Entries on one line are checked in the order range, finiteness,
+        duplicates.  A repeated entry must repeat its value, and its last
+        occurrence is written.
         """
         n = self.n
         i, j, v = entries["i"], entries["j"], entries["v"]
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        flat = np.repeat(np.arange(len(sizes)) * (n * n), sizes)  # (block, lo, hi) in the stack
-        flat += lo * n + hi
+        flat = lo * n + hi
         order = np.argsort(flat, kind="stable")
         flat_sorted, v_sorted = flat[order], v[order]
         same = flat_sorted[1:] == flat_sorted[:-1]
         clash = order[1:][same & (v_sorted[1:] != v_sorted[:-1])]
         bad = (np.flatnonzero((lo < 0) | (hi >= n)), np.flatnonzero(~np.isfinite(v)), clash)
-        first = [(int(rows.min()), check) for check, rows in enumerate(bad) if rows.size]
+        first = [(int(hits.min()), check) for check, hits in enumerate(bad) if hits.size]
         if first:
             row, check = min(first)
-            ends = np.cumsum(sizes)
-            b = int(np.searchsorted(ends, row, side="right"))
-            k = self.blocks[b][0][row - (int(ends[b - 1]) if b else 0)]
             if check == 0:
                 message = _out_of_range(int(i[row]), int(j[row]), n)
             elif check == 1:
-                message = f"non-finite entry value {self.text.splitlines()[k].split()[2]!r}"
+                message = f"non-finite entry value {lines[row].split()[2]!r}"
             else:
                 message = f"asymmetric duplicate entry at {(int(lo[row]), int(hi[row]))}"
-            raise ParseError(k + 1, message)
+            raise ParseError(rows[row] + 1, message)
         last = np.ones(len(order), dtype=bool)
         last[:-1] = ~same
         keep = order[last]
-        out = stack.reshape(-1)
-        out[flat[keep]] = v[keep]
-        out[flat[keep] + (hi[keep] - lo[keep]) * (n - 1)] = v[keep]  # (block, hi, lo)
+        lo, hi, v = lo[keep], hi[keep], v[keep]
+        out[lo, hi] = v
+        out[hi, lo] = v
 
 
 def _read(text: str, walk):
@@ -457,22 +457,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _entry_lines(mat: np.ndarray) -> list:
-    n = mat.shape[0]
-    lines = []
-    for i in range(n):
-        for j in range(i, n):
-            if mat[i, j] != 0.0:
-                lines.append(f"{i} {j} {_fmt(mat[i, j])}")
-    return lines
-
-
 def emit_matrix_collection(coll: PsdCollection) -> str:
-    lines = [f"{coll.dim} {len(coll)}"]
+    upper = np.triu_indices(coll.dim)
+    heads = [f"{i} {j} " for i, j in zip(upper[0].tolist(), upper[1].tolist())]
+    blocks = [f"{coll.dim} {len(coll)}\n"]
     for k, mat in enumerate(coll.matrices):
-        lines.append(f"mat {k}")
-        lines.extend(_entry_lines(mat))
-    return "\n".join(lines) + "\n"
+        values = mat[upper].tolist()
+        lines = "".join(h + repr(v) + "\n" for h, v in zip(heads, values) if v != 0.0)
+        blocks.append(f"mat {k}\n{lines}")  # -0.0 == 0.0, so zeros of both signs are left out
+    return "".join(blocks)
 
 
 def emit_graph(g: WeightedGraph) -> str:

@@ -199,8 +199,6 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
     mu = plan.mu
     if mu >= 1.0:
         raise RankTooSmall("derandomization needs rank at least 2")
-    if (1.0 + eps) * mu >= 1.0:
-        raise ValueError("(1 + eps) * mu must stay below 1 for a finite exponent")
     t_minus, t_plus = pe_exponents(mu, eps)
 
     r = reduced.rank

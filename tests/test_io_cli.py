@@ -1,6 +1,7 @@
 """Text formats, round trips, and the batch command line."""
 
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -146,6 +147,11 @@ _MAT_BLOCK_ERRORS = {
 }
 
 
+# a comment line inside the first block; the second block has an off-diagonal entry
+_SEPARATED = "2 2\nmat 0\n0 0 1\n# c\n1 1 2\nmat 1\n0 1 0.5\n0 0 1\n1 1 1\n"
+_SEPARATORS = ["\r\n", "\r", "\f", "\v", "\x85", "\u2028"]
+
+
 @pytest.fixture(params=["bulk", "scan"])
 def reader(request, monkeypatch):
     """Read mat blocks with loadtxt, or with the line scan alone (as where loadtxt reads 1.0)."""
@@ -177,6 +183,18 @@ class TestMatBlockErrors:
     )
     def test_accepted(self, reader, text, expected):
         assert [m.tolist() for m in parse_matrix_collection(text).matrices] == expected
+
+    @pytest.mark.parametrize(
+        "sep", _SEPARATORS, ids=["crlf", "cr", "ff", "vt", "nel", "line-separator"]
+    )
+    def test_line_separators(self, reader, sep):
+        """Every line break that str.splitlines knows counts one line, as \\n does."""
+        plain = parse_matrix_collection(_SEPARATED)
+        again = parse_matrix_collection(_SEPARATED.replace("\n", sep))
+        assert [m.tobytes() for m in again.matrices] == [m.tobytes() for m in plain.matrices]
+        with pytest.raises(ParseError) as err:
+            parse_matrix_collection(_SEPARATED.replace("0 1 0.5", "0 5 0.5").replace("\n", sep))
+        assert str(err.value) == "line 7: entry (0, 5) out of range for n = 2"
 
     def test_equal_duplicate_keeps_the_last_zero_sign(self):
         coll = parse_matrix_collection(_M + "0 0 1\n0 1 0.0\n1 0 -0.0\n1 1 1\n")
@@ -239,6 +257,79 @@ class TestMatrixRoundTrip:
             assert (again.dim, len(again)) == (coll.dim, len(coll))
             for a, b in zip(coll.matrices, again.matrices):
                 assert a.tobytes() == b.tobytes()
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def _entry_lines(mat: np.ndarray) -> list:
+    n = mat.shape[0]
+    lines = []
+    for i in range(n):
+        for j in range(i, n):
+            if mat[i, j] != 0.0:
+                lines.append(f"{i} {j} {_fmt(mat[i, j])}")
+    return lines
+
+
+def _reference_emit(coll: PsdCollection) -> str:
+    """The writer entry by entry: the reference for the block-wise one."""
+    lines = [f"{coll.dim} {len(coll)}"]
+    for k, mat in enumerate(coll.matrices):
+        lines.append(f"mat {k}")
+        lines.extend(_entry_lines(mat))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1e300, np.nan]
+
+
+@st.composite
+def _raw_collections(draw):
+    """Symmetric members, not checked for PSD, with zeros of both signs, subnormals and NaN."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=4))
+    scaled = st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.integers(min_value=-300, max_value=300),
+    )
+    entry = st.one_of(st.sampled_from(_SPECIAL), scaled)
+    mats = []
+    for _ in range(m):
+        upper = np.zeros((n, n))
+        if not draw(st.booleans()):  # else an all-zero member
+            for i in range(n):
+                for j in range(i, n):
+                    upper[i, j] = draw(entry)
+        mats.append(np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T))  # keeps -0.0
+    return PsdCollection.from_matrices(mats, validate=False)
+
+
+class TestMatrixWriter:
+    @given(_raw_collections())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_the_entry_by_entry_writer(self, coll):
+        assert emit_matrix_collection(coll) == _reference_emit(coll)
+
+    def test_peak_memory(self):
+        """Writing and reading hold little more than the text: no list of every line."""
+        coll = random_psd_collection(30, 60, seed=1)
+        emit_peak, text = _traced_peak(emit_matrix_collection, coll)
+        parse_peak, _ = _traced_peak(parse_matrix_collection, text)
+        assert emit_peak <= 3.5 * len(text)
+        assert parse_peak <= 2.5 * len(text)
+
+
+def _traced_peak(call, arg):
+    """The tracemalloc peak of ``call(arg)`` in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = call(arg)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 class TestGraphFormat:
