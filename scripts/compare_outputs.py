@@ -13,10 +13,14 @@ one run at a time.
 
 Each output gets one line: whether the two files are byte-identical and,
 if not, the largest relative weight difference (a weight present on one
-side only counts as 1); the support size on both sides; lambda_max /
-lambda_min on both sides; and the exit codes when they differ.  With
-``--work DIR`` the inputs and outputs are kept in DIR.  ``--algos`` runs
-only the runs of the listed algorithms (comma-separated; default all).
+side only counts as 1) and the relative differences of lambda_min and
+lambda_max; the support size on both sides; lambda_max / lambda_min on
+both sides (inf where lambda_min is 0); and the exit codes when they
+differ.  When any output
+differs, a closing line gives the largest of each of these three
+relative differences over all differing outputs.  With ``--work DIR``
+the inputs and outputs are kept in DIR.  ``--algos`` runs only the runs
+of the listed algorithms (comma-separated; default all).
 
 Exits 0 when every output is byte-identical and every run exits with the
 same code on both sides, and 1 otherwise.
@@ -124,41 +128,51 @@ def run_side(src: str, argv: list, output: Path) -> int:
 
 
 def read_output(path: Path):
-    """(weights by index, support size, lambda_max / lambda_min), or None."""
+    """(weights by index, support size, lambda_min, lambda_max), or None."""
     if not path.exists():
         return None
     lines = path.read_text(encoding="utf-8").splitlines()
     start, stop = lines.index("weights") + 1, lines.index("certificate")
     weights = {int(i): float(v) for i, v in (line.split() for line in lines[start:stop])}
     fields = dict(line.split(maxsplit=1) for line in lines[stop + 1 :] if " " in line)
-    ratio = float(fields["lambda_max"]) / float(fields["lambda_min"])
-    return weights, int(fields["support_size"]), ratio
+    lambdas = float(fields["lambda_min"]), float(fields["lambda_max"])
+    return weights, int(fields["support_size"]), *lambdas
+
+
+def relative(x: float, y: float) -> float:
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
 
 
 def weight_difference(a: dict, b: dict) -> float:
-    diff = 0.0
-    for i in a.keys() | b.keys():
-        x, y = a.get(i, 0.0), b.get(i, 0.0)
-        diff = max(diff, abs(x - y) / max(abs(x), abs(y)))
-    return diff
+    return max((relative(a.get(i, 0.0), b.get(i, 0.0)) for i in a.keys() | b.keys()), default=0.0)
 
 
-def compare(name: str, parent: Path, change: Path, codes: tuple) -> bool:
-    """Print one line for one output; True when the two files are byte-identical."""
+def compare(name: str, parent: Path, change: Path, codes: tuple):
+    """Print one line for one output.
+
+    Returns whether the two files are byte-identical and, when they differ
+    and both were read, the relative differences of the weights,
+    lambda_min and lambda_max (else None).
+    """
     same = parent.exists() == change.exists() and (
         not parent.exists() or parent.read_bytes() == change.read_bytes()
     )
     a, b = read_output(parent), read_output(change)
     parts = [f"{name:<34}", "identical" if same else "DIFFERS"]
+    diffs = None
     if a is not None and b is not None:
         if not same:
-            parts.append(f"weight rel diff {weight_difference(a[0], b[0]):.2e}")
+            diffs = (weight_difference(a[0], b[0]), relative(a[2], b[2]), relative(a[3], b[3]))
+            parts.append(f"weight rel diff {diffs[0]:.2e}")
+            parts.append(f"lambda_min rel diff {diffs[1]:.2e}")
+            parts.append(f"lambda_max rel diff {diffs[2]:.2e}")
         parts.append(f"support {a[1]}/{b[1]}")
-        parts.append(f"lambda_max/lambda_min {a[2]:.10f}/{b[2]:.10f}")
+        ratios = (x[3] / x[2] if x[2] else float("inf") for x in (a, b))
+        parts.append("lambda_max/lambda_min {:.10f}/{:.10f}".format(*ratios))
     if codes[0] != codes[1] or a is None or b is None:
         parts.append(f"exit {codes[0]}/{codes[1]}")
     print("  ".join(parts), flush=True)
-    return same
+    return same, diffs
 
 
 def main() -> int:
@@ -181,13 +195,22 @@ def main() -> int:
         work = Path(args.work or tmp)
         work.mkdir(parents=True, exist_ok=True)
         identical = total = code_changes = 0
+        largest = None
         for k, (name, argv) in enumerate(jobs(work, algos)):
             outputs = [work / f"out-{k}-{side}.txt" for side in ("parent", "change")]
             codes = tuple(run_side(src, argv, out) for src, out in zip(sides, outputs))
-            identical += compare(name, *outputs, codes)
+            same, diffs = compare(name, *outputs, codes)
+            if diffs is not None:
+                largest = diffs if largest is None else tuple(map(max, largest, diffs))
+            identical += same
             code_changes += codes[0] != codes[1]
             total += 1
     print(f"{identical} of {total} outputs byte-identical, {code_changes} exit codes differ")
+    if largest is not None:
+        print(
+            "largest rel diff over the differing outputs: "
+            "weights {:.2e}, lambda_min {:.2e}, lambda_max {:.2e}".format(*largest)
+        )
     return 0 if identical == total and not code_changes else 1
 
 

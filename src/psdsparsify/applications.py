@@ -510,13 +510,22 @@ def sparse_sdp(
 
 
 def renormalize_simplex(vec: np.ndarray) -> np.ndarray:
-    """Scale a nonnegative vector to sum exactly to 1.0 in float64."""
+    """Scale a nonnegative vector to sum exactly to 1.0 in float64.
+
+    The sum's rounding error goes to the largest entry (``None``: the argmax
+    at each try), or, where its spacing is too coarse, to the next largest
+    nonzero entries in turn; each gets up to four tries.
+    """
     out = vec / vec.sum()
-    for _ in range(4):
-        delta = 1.0 - float(out.sum())
-        if delta == 0.0:
-            break
-        out[int(np.argmax(out))] += delta
+    for i in [None, *np.argsort(-out, kind="stable")[1 : np.count_nonzero(out)]]:
+        for _ in range(4):
+            delta = 1.0 - float(out.sum())
+            if delta == 0.0:
+                return out
+            k = int(np.argmax(out)) if i is None else i
+            if out[k] + delta <= 0.0:
+                break
+            out[k] += delta
     return out
 
 

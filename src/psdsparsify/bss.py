@@ -10,7 +10,8 @@ U_A(X) and L_A(X) are trace inner products of X with Q diag(c_U) Q^T and
 Q diag(c_L) Q^T for A = Q diag(w) Q^T, where ``_upper_coefficients`` and
 ``_lower_coefficients`` map w to c_U and c_L.  So the solver is one
 potential of the shared loop ``scan.drive``: it picks the widest gap
-L_A(C_j) - U_A(C_j).
+L_A(C_j) - U_A(C_j).  The weights are certified with ``certificate_for``
+and divided by their lambda_min with ``rescaled``, as in ``sparsify_sum``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from .errors import (
     PotentialTooLarge,
     StepNotFound,
 )
-from .linalg import (
-    ReducedInstance,
-    SandwichCertificate,
-    SparsifierResult,
-    eigh,
-)
+from .linalg import ReducedInstance, SparsifierResult, certificate_for, eigh, rescaled
 
 
 @dataclass(frozen=True)
@@ -179,19 +175,11 @@ def bss_sparsify(
 ) -> SparsifierResult:
     """Run the barrier-potential sparsifier to completion.
 
-    Returns weights scaled by 1/lambda_min(A(T)), so the certificate has
-    lambda_min = 1 and lambda_max <= ((2+eps)/(2-eps))^2 up to rounding.
+    Returns weights scaled by 1/lambda_min(sum y_i C_i), so the certificate
+    has lambda_min = 1 and lambda_max <= ((2+eps)/(2-eps))^2 up to rounding.
     Support is at most T = ceil(4r/eps^2).
     A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = BssParams.from_epsilon(eps, reduced.rank)
-    a, y = scan.drive(reduced, _Barriers(params, reduced), max_seconds, history)
-    w = scan.eigh(a).eigenvalues
-    lam_min = float(w[0])
-    y = y / lam_min
-    cert = SandwichCertificate(
-        lambda_min=float(w[0] / lam_min),
-        lambda_max=float(w[-1] / lam_min),
-        support_size=int(np.count_nonzero(y > 0.0)),
-    )
-    return SparsifierResult(weights=y, certificate=cert)
+    y = scan.drive(reduced, _Barriers(params, reduced), max_seconds, history)
+    return rescaled(SparsifierResult(weights=y, certificate=certificate_for(reduced, y)), "bss")

@@ -177,7 +177,13 @@ class _Cursor:
         """
         if not self.blocks:
             return None
-        stack = np.zeros((len(self.blocks), self.n, self.n))
+        try:
+            stack = np.zeros((len(self.blocks), self.n, self.n))
+        except (ValueError, MemoryError):  # n is on the header, the first line with content
+            header = next(k for k in range(self.size) if k not in self.skipped)
+            raise ParseError(
+                header + 1, f"cannot allocate {len(self.blocks)} matrices of dimension {self.n}"
+            ) from None
         for out, (rows, at, stop, context) in zip(stack, self.blocks):
             lines = self.text[at:stop].splitlines()
             if not isinstance(rows, range):

@@ -15,17 +15,19 @@ rows of all members stacked, built from one eigendecomposition per
 member; eigenvalues at or below ``FACTOR_CUT`` times a member's largest
 are dropped, which moves a score by at most r * FACTOR_CUT * tr(C_j) *
 max|c|.  The dense members stay the source of every update of A and of
-every certificate.
+every certificate: every solver ends with ``certificate_for`` on the
+weights it returns, and ``rescaled`` is the one lambda_min rescale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    DegenerateCertificate,
     DimMismatch,
     EmptyProblem,
     ExpOverflow,
@@ -46,11 +48,6 @@ FACTOR_CUT = 1e-12
 # members decomposed per batched eigh while building the factor rows,
 # which bounds the transient (batch, r, r) copies
 FACTOR_BATCH = 64
-
-
-def default_rank_tol(dim: int) -> float:
-    """Relative rank cutoff, scaled with dimension to absorb rounding."""
-    return 1e-10 * dim
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -155,7 +152,8 @@ class PsdCollection:
     def from_matrices(matrices, validate: bool = True) -> "PsdCollection":
         """Symmetrize and check a sequence of (n, n) matrices or an (m, n, n) stack.
 
-        The members are views of one symmetrized stack.  ``validate``
+        The members are views of one symmetrized stack; a member equal to
+        its transpose is kept as it is where m + m^T overflows.  ``validate``
         checks them all with one stacked eigendecomposition; the first
         member that is not PSD raises NotPsd.
         """
@@ -168,9 +166,17 @@ class PsdCollection:
                 raise DimMismatch(f"matrix {i} has shape {m.shape}, expected {(dim, dim)}")
         # symmetrize(m) member by member, written straight into one stack
         stack = np.empty((len(mats), dim, dim))
-        for k, m in enumerate(mats):
-            np.add(m, m.T, out=stack[k])
+        overflowed = []
+        with np.errstate(over="raise"):
+            for k, m in enumerate(mats):
+                try:
+                    np.add(m, m.T, out=stack[k])
+                except FloatingPointError:  # the sum, inf where it overflows, is written
+                    overflowed.append(k)
         stack *= 0.5
+        for k in overflowed:
+            if (mats[k] == mats[k].T).all():  # its own average
+                stack[k] = mats[k]
         if validate:
             # members before the first non-finite one are judged first
             finite = np.isfinite(stack).all(axis=(1, 2))
@@ -189,7 +195,8 @@ class PsdCollection:
         out = np.zeros((self.dim, self.dim))
         for m in self.matrices:
             out += m
-        return symmetrize(out)
+        # a sum of exactly symmetric members is exactly symmetric
+        return out if (out == out.T).all() else symmetrize(out)
 
 
 @dataclass(frozen=True)
@@ -280,7 +287,7 @@ class ReducedInstance:
 
 def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     """Whiten a collection so its members sum to the identity on range(B)."""
-    rank_tol = default_rank_tol(coll.dim)
+    rank_tol = 1e-10 * coll.dim  # relative rank cutoff, scaled with dimension to absorb rounding
     b = coll.total()
     spec = eigh(b)
     w, q = spec.eigenvalues, spec.eigenvectors
@@ -353,6 +360,21 @@ def certificate_for(reduced: ReducedInstance, y: np.ndarray) -> SandwichCertific
         lambda_max=float(w[-1]),
         support_size=int(np.count_nonzero(np.asarray(y) > 0.0)),
     )
+
+
+def rescaled(result: SparsifierResult, algo: str) -> SparsifierResult:
+    """``result`` with its weights divided by its lambda_min, which then reads 1.
+
+    Raises DegenerateCertificate when lambda_min is not finite and positive.
+    """
+    lam_min, lam_max = result.certificate.lambda_min, result.certificate.lambda_max
+    if not (np.isfinite(lam_min) and lam_min > 0.0):
+        raise DegenerateCertificate(
+            f"{algo} returned lambda_min = {lam_min}; the weights cannot be rescaled"
+        )
+    y = result.weights / lam_min
+    cert = SandwichCertificate(1.0, lam_max / lam_min, int(np.count_nonzero(y > 0.0)))
+    return replace(result, weights=y, certificate=cert)
 
 
 def verify_sandwich(coll: PsdCollection, y: np.ndarray) -> SandwichCertificate:

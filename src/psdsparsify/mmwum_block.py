@@ -146,7 +146,7 @@ def block_sparsify(
     """
     params = BlockParams.from_epsilon(eps, reduced.rank)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, y_sum = scan.drive(reduced, _BlockWeights(params, reduced), max_seconds, history)
+        y_sum = scan.drive(reduced, _BlockWeights(params, reduced), max_seconds, history)
     y_bar = y_sum / params.T
     return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
 

@@ -6,7 +6,8 @@ multiplies trace(exp(gamma*A)) by at most (1 + delta_U) and
 trace(exp(-gamma*A)) by at most (1 - delta_L), and accumulates.  After T
 rounds the scaled average lands inside [1 - eps, 1 + eps].  Both
 densities are Q diag(exp(+-gamma w) / sum) Q^T for A = Q diag(w) Q^T, so
-the solver is one potential of the shared loop ``scan.drive``.
+the solver is one potential of the shared loop ``scan.drive``; its
+weights are certified with ``certificate_for``.
 
 The same potentials can be phrased as shifted-barrier functions
 Psi^u = trace exp(-uI + gamma*A) and Psi_ell = trace exp(ell*I - gamma*A)
@@ -27,8 +28,8 @@ from .errors import EquivalenceBroken, ExpOverflow, OracleInfeasible
 from .linalg import (
     EXP_OVERFLOW_LIMIT,
     ReducedInstance,
-    SandwichCertificate,
     SparsifierResult,
+    certificate_for,
     eigh,
     ln_sum_exp,
     symmetrize,
@@ -207,13 +208,6 @@ def wf_sparsify(
     A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = WfParams.from_epsilon(eps, reduced.rank, gamma=gamma)
-    a, y = scan.drive(reduced, _Densities(params, reduced), max_seconds, history)
-    scale = reduced.rank * params.gamma / (params.eta * params.T)
-    y_bar = y * scale
-    w = scan.eigh(a).eigenvalues * scale
-    cert = SandwichCertificate(
-        lambda_min=float(w[0]),
-        lambda_max=float(w[-1]),
-        support_size=int(np.count_nonzero(y_bar > 0.0)),
-    )
-    return SparsifierResult(weights=y_bar, certificate=cert)
+    y = scan.drive(reduced, _Densities(params, reduced), max_seconds, history)
+    y_bar = y * (reduced.rank * params.gamma / (params.eta * params.T))
+    return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))

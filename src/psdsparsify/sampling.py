@@ -97,15 +97,6 @@ def _quantized_weights(counts: np.ndarray, reduced: ReducedInstance, t_total: in
     return y
 
 
-def _result_from_counts(
-    counts: np.ndarray, reduced: ReducedInstance, t_total: int
-) -> SparsifierResult:
-    y = _quantized_weights(counts, reduced, t_total)
-    return SparsifierResult(
-        weights=y, certificate=certificate_for(reduced, y), t_used=t_total
-    )
-
-
 def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> SparsifierResult:
     """Draw T indices i.i.d. by trace weight and return the quantized result.
 
@@ -122,8 +113,9 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
     # last index that actually has probability mass
     last = int(np.flatnonzero(plan.probabilities > 0.0)[-1])
     idx = np.minimum(idx, last)
-    counts = np.bincount(idx, minlength=len(reduced))
-    return _result_from_counts(counts, reduced, plan.t_random)
+    t = plan.t_random
+    y = _quantized_weights(np.bincount(idx, minlength=len(reduced)), reduced, t)
+    return SparsifierResult(weights=y, certificate=certificate_for(reduced, y), t_used=t)
 
 
 @dataclass
@@ -304,9 +296,11 @@ def pe_sparsify(
     """
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     state = pe_params(reduced, eps, t_total=t_total, instance=instance)
+    t_total = state.t_total
     counts = np.zeros(len(reduced), dtype=int)
-    for t in range(1, state.t_total + 1):
+    for t in range(1, t_total + 1):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded(f"pe exceeded {max_seconds} s at step {t}")
         counts[pe_greedy_step(state)] += 1
-    return _result_from_counts(counts, reduced, state.t_total)
+    y = _quantized_weights(counts, reduced, t_total)
+    return SparsifierResult(weights=y, certificate=certificate_for(reduced, y), t_used=t_total)

@@ -11,6 +11,7 @@ from the spectrum of A after t steps or raising the solver's typed
 errors, and ``pick(scores, coeffs)`` giving (j, alpha) from the (m, 2)
 scores.  A ``history=`` list gets the pair (j, alpha) of every step; A,
 and every quantity derived from it, can be rebuilt from the pairs.
+``drive`` returns the weights y alone; the solver certifies them.
 
 A + alpha C_j is not symmetrized: when A and C_j are exactly symmetric,
 entries (i, k) and (k, i) of the sum round from the same operands.
@@ -37,8 +38,8 @@ def step(
 
 def drive(
     reduced: ReducedInstance, potential, max_seconds: float | None, history: list | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``potential.T`` steps from A = 0; return A and the weights y.
+) -> np.ndarray:
+    """Run ``potential.T`` steps from A = 0; return the weights y.
 
     Appends each step's (j, alpha) to ``history`` when it is a list.
     Raises TimeBudgetExceeded when ``max_seconds`` run out before the last step.
@@ -59,4 +60,4 @@ def drive(
         y[j] += alpha
         if history is not None:
             history.append((j, alpha))
-    return a, y
+    return y

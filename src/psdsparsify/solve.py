@@ -5,22 +5,23 @@ eigenvalue at 1 with ratio bound ((2+eps)/(2-eps))^2, while the MMWUM and
 sampling methods center eigenvalues inside [1-eps, 1+eps].
 ``sparsify_sum`` converts any of them into the one-sided contract
 B <= sum(y_i B_i) <= (1+eps) B by running at the internal accuracy
-eps/(2+eps) and dividing the weights by the smallest whitened eigenvalue;
+eps/(2+eps) and dividing the weights by their lambda_min (``rescaled``);
 (1+x)/(1-x) = 1+eps at x = eps/(2+eps), and the bss ratio is tighter
 still, so the rescaled spectrum fits the target window for every method.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
 from .bss import bss_sparsify
-from .errors import DegenerateCertificate, TNotLargeEnough
+from .errors import TNotLargeEnough
 from .linalg import (
     PsdCollection,
     SandwichCertificate,
     SparsifierResult,
     reduce_to_identity,
+    rescaled,
 )
 from .mmwum_block import block_sparsify
 from .mmwum_wf import wf_sparsify
@@ -70,15 +71,11 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 
-def bss_ratio_bound(eps: float) -> float:
-    return ((2.0 + eps) / (2.0 - eps)) ** 2
-
-
 def certificate_passes(algo: str, eps: float, cert: SandwichCertificate, tol: float = 1e-6) -> bool:
     """Per-algorithm acceptance window for a raw (unwrapped) run."""
     if algo == "bss":
         return cert.lambda_min >= 1.0 - 1e-7 and (
-            cert.lambda_max / cert.lambda_min <= bss_ratio_bound(eps) + tol
+            cert.lambda_max / cert.lambda_min <= ((2.0 + eps) / (2.0 - eps)) ** 2 + tol
         )
     return cert.within_window(1.0 - eps, 1.0 + eps, tol)
 
@@ -98,17 +95,4 @@ def sparsify_sum(
     """Solve B <= sum(y_i B_i) <= (1+eps) B with few nonzero weights."""
     reduced = reduce_to_identity(coll)
     raw = run_algorithm(reduced, internal_epsilon(eps), algo, seed=seed, max_seconds=max_seconds)
-    lam_min = raw.certificate.lambda_min
-    if not (np.isfinite(lam_min) and lam_min > 0.0):
-        raise DegenerateCertificate(
-            f"{algo} returned lambda_min = {lam_min}; the weights cannot be rescaled"
-        )
-    y = raw.weights / lam_min
-    cert = SandwichCertificate(
-        lambda_min=1.0,
-        lambda_max=raw.certificate.lambda_max / lam_min,
-        support_size=int(np.count_nonzero(y > 0.0)),
-    )
-    return SparsifierResult(
-        weights=y, certificate=cert, reduced_rank=reduced.rank, t_used=raw.t_used
-    )
+    return rescaled(replace(raw, reduced_rank=reduced.rank), algo)

@@ -25,14 +25,20 @@ def reduced_random():
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Shapes of the matrices decomposed by ``eigh`` in the modules of the scanning solvers."""
+    """Shapes of the matrices decomposed by ``eigh`` in the modules of the
+    scanning solvers and in ``linalg``, where ``certificate_for`` decomposes.
+
+    ``linalg`` also decomposes an instance's members when it first builds
+    their factor rows; a test that counts steps builds them first.
+    """
     calls = []
+    real_eigh = linalg.eigh
 
     def counting_eigh(m):
         calls.append(m.shape)
-        return linalg.eigh(m)
+        return real_eigh(m)
 
-    for module in (scan, bss, mmwum_wf):
+    for module in (scan, bss, mmwum_wf, linalg):
         monkeypatch.setattr(module, "eigh", counting_eigh)
     return calls
 

@@ -20,8 +20,10 @@ relative difference of the step size while the picks agree.
 ``reference_block_sparsify`` are the three scanning loops as they were
 before ``scan.drive`` took them over, with their step and pick functions,
 copied verbatim: each keeps its own loop, deadline and symmetrized update,
-and appends the same (j, alpha) pairs to ``history``.  ``BssState`` is the
-loop state of ``reference_bss_sparsify``.
+and appends the same (j, alpha) pairs to ``history``.  Each finishes as
+the solvers do, with ``certificate_for`` on the weights it returns (and
+``bss`` with ``rescaled``).  ``BssState`` is the loop state of
+``reference_bss_sparsify``.
 ``compare_with_reference`` runs a solver and its reference loop on the
 same instance.  ``replay`` rebuilds the running sum A of every step from
 a ``history=`` list; ``assert_bss_invariants`` and ``assert_wf_chain``
@@ -49,10 +51,10 @@ from psdsparsify.errors import ExpOverflow, OracleInfeasible, StepNotFound, Time
 from psdsparsify.linalg import (
     EXP_OVERFLOW_LIMIT,
     ReducedInstance,
-    SandwichCertificate,
     SparsifierResult,
     certificate_for,
     eigh,
+    rescaled,
     symmetrize,
 )
 from psdsparsify.mmwum_block import BlockParams
@@ -348,8 +350,8 @@ def reference_bss_sparsify(
 ) -> SparsifierResult:
     """Run the barrier-potential sparsifier to completion.
 
-    Returns weights scaled by 1/lambda_min(A(T)), so the certificate has
-    lambda_min = 1 and lambda_max <= ((2+eps)/(2-eps))^2 up to rounding.
+    Returns weights scaled by 1/lambda_min(sum y_i C_i), so the certificate
+    has lambda_min = 1 and lambda_max <= ((2+eps)/(2-eps))^2 up to rounding.
     Support is at most T = ceil(4r/eps^2).
     """
     params = BssParams.from_epsilon(eps, reduced.rank)
@@ -367,15 +369,8 @@ def reference_bss_sparsify(
         state.t = t
         if history is not None:
             history.append((j, alpha))
-    w = eigh(state.A).eigenvalues
-    lam_min = float(w[0])
-    y = state.y / lam_min
-    cert = SandwichCertificate(
-        lambda_min=float(w[0] / lam_min),
-        lambda_max=float(w[-1] / lam_min),
-        support_size=int(np.count_nonzero(y > 0.0)),
-    )
-    return SparsifierResult(weights=y, certificate=cert)
+    certificate = certificate_for(reduced, state.y)
+    return rescaled(SparsifierResult(weights=state.y, certificate=certificate), "bss")
 
 
 def _reference_wf_pick(
@@ -437,15 +432,8 @@ def reference_wf_sparsify(
         y[j] += alpha
         if history is not None:
             history.append((j, alpha))
-    scale = r * params.gamma / (params.eta * params.T)
-    y_bar = y * scale
-    w = eigh(a).eigenvalues * scale
-    cert = SandwichCertificate(
-        lambda_min=float(w[0]),
-        lambda_max=float(w[-1]),
-        support_size=int(np.count_nonzero(y_bar > 0.0)),
-    )
-    return SparsifierResult(weights=y_bar, certificate=cert)
+    y_bar = y * (r * params.gamma / (params.eta * params.T))
+    return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
 
 
 def _reference_block_pick(

@@ -1,8 +1,11 @@
 """Graph, hypergraph, SDP, and convex-combination applications."""
 
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from psdsparsify.applications import (
     SdpInstance,
@@ -19,6 +22,7 @@ from psdsparsify.applications import (
     laplacian,
     psd_counterexample,
     rainbow_sparsify,
+    renormalize_simplex,
     sparse_sdp,
     sparsify_graph,
     sparsify_hypergraph,
@@ -308,6 +312,17 @@ class TestCaratheodory:
         combined = sum(m * b for m, b in zip(mu, mats))
         assert is_psd(symmetrize(combined - 0.5 * target), tol=1e-7)
         assert is_psd(symmetrize(1.5 * target - combined), tol=1e-7)
+
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([0.156, 0.345, 0.059]))  # the largest entry alone cannot land on 1.0
+    @given(hnp.arrays(float, st.integers(2, 199), elements=st.floats(0.0, 1.0)))
+    def test_renormalized_simplex_sums_exactly_to_one(self, vec):
+        assume(vec.sum() > 0.0)
+        scaled = vec / vec.sum()
+        out = renormalize_simplex(vec)
+        assert float(out.sum()) == 1.0
+        assert np.array_equal(out > 0.0, scaled > 0.0)
+        np.testing.assert_allclose(out, scaled, rtol=0.0, atol=1e-13)
 
     def test_rejects_off_simplex(self):
         coll = PsdCollection.from_matrices([np.eye(2), np.eye(2)])

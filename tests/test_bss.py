@@ -205,6 +205,8 @@ class TestStep:
 
     @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
     def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
+        reduced_random.factor_rows  # decomposes the members, once per instance
+        eigh_calls.clear()
         params = BssParams.from_epsilon(0.5, reduced_random.rank)
         bss_step(np.zeros((6, 6)), 0, reduced_random, params)
         assert eigh_calls == [(6, 6)]

@@ -1,4 +1,4 @@
-"""Exit status of ``scripts/compare_outputs.py``, with its CLI runs stubbed out."""
+"""Exit status and report of ``scripts/compare_outputs.py``, with its CLI runs stubbed out."""
 
 import importlib.util
 import sys
@@ -18,6 +18,23 @@ def compare_outputs():
     return module
 
 
+def _run(compare_outputs, monkeypatch, tmp_path, change_texts, change_code=0):
+    """main() on one job per change text, each against OUTPUT; returns its status."""
+    jobs = [(f"job{k}", [str(k)]) for k in range(len(change_texts))]
+
+    def run_side(src, argv, output):
+        change = src.endswith("change")
+        output.write_text(change_texts[int(argv[0])] if change else OUTPUT, encoding="utf-8")
+        return change_code if change else 0
+
+    monkeypatch.setattr(compare_outputs, "jobs", lambda work, algos: jobs)
+    monkeypatch.setattr(compare_outputs, "run_side", run_side)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    argv = ["compare_outputs.py", str(tmp_path / "parent"), str(tmp_path / "change")]
+    monkeypatch.setattr(sys, "argv", argv + ["--work", str(tmp_path / "work")])
+    return compare_outputs.main()
+
+
 @pytest.mark.parametrize(
     "change_text,change_code,status",
     [
@@ -28,14 +45,42 @@ def compare_outputs():
     ids=["identical", "bytes-differ", "exit-codes-differ"],
 )
 def test_exit_status(compare_outputs, monkeypatch, tmp_path, change_text, change_code, status):
-    def run_side(src, argv, output):
-        change = src.endswith("change")
-        output.write_text(change_text if change else OUTPUT, encoding="utf-8")
-        return change_code if change else 0
+    assert _run(compare_outputs, monkeypatch, tmp_path, [change_text], change_code) == status
 
-    monkeypatch.setattr(compare_outputs, "jobs", lambda work, algos: [("one", [])])
-    monkeypatch.setattr(compare_outputs, "run_side", run_side)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    argv = ["compare_outputs.py", str(tmp_path / "parent"), str(tmp_path / "change")]
-    monkeypatch.setattr(sys, "argv", argv + ["--work", str(tmp_path / "work")])
-    assert compare_outputs.main() == status
+
+def test_differences_are_stated_per_output_and_at_the_end(
+    compare_outputs, monkeypatch, tmp_path, capsys
+):
+    texts = [
+        OUTPUT,
+        OUTPUT.replace("0 1.0\n", "0 1.25\n"),
+        OUTPUT.replace("min 1.0", "min 0.5").replace("max 1.5", "max 2.0"),
+    ]
+    assert _run(compare_outputs, monkeypatch, tmp_path, texts) == 1
+    same, weights, certificate, counts, largest = capsys.readouterr().out.splitlines()
+    assert "identical" in same and "rel diff" not in same
+    assert "weight rel diff 2.00e-01  lambda_min rel diff 0.00e+00" in weights
+    assert "lambda_max rel diff 0.00e+00" in weights
+    assert "weight rel diff 0.00e+00  lambda_min rel diff 5.00e-01" in certificate
+    assert "lambda_max rel diff 2.50e-01" in certificate
+    assert counts == "1 of 3 outputs byte-identical, 0 exit codes differ"
+    assert largest == (
+        "largest rel diff over the differing outputs: "
+        "weights 2.00e-01, lambda_min 5.00e-01, lambda_max 2.50e-01"
+    )
+
+
+def test_no_closing_difference_line_when_all_are_identical(
+    compare_outputs, monkeypatch, tmp_path, capsys
+):
+    assert _run(compare_outputs, monkeypatch, tmp_path, [OUTPUT, OUTPUT]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "2 of 2 outputs byte-identical, 0 exit codes differ"
+
+
+def test_a_zero_lambda_min_is_reported(compare_outputs, monkeypatch, tmp_path, capsys):
+    zero = OUTPUT.replace("lambda_min 1.0", "lambda_min 0.0")
+    assert _run(compare_outputs, monkeypatch, tmp_path, [zero], change_code=1) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "lambda_min rel diff 1.00e+00" in line
+    assert "lambda_max/lambda_min 1.5000000000/inf  exit 0/1" in line

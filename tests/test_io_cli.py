@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -144,6 +145,13 @@ _MAT_BLOCK_ERRORS = {
         "entry (1, 7) out of range for n = 2"),
     "simplex-missing-block": ("simplex", _SPX, 4,
         "unexpected end of input, expected 'mat 1' header"),
+    # a stack numpy refuses before it allocates anything
+    "huge-dimension": ("matrices", f"{10**20} 1\nmat 0\n", 1,
+        f"cannot allocate 1 matrices of dimension {10**20}"),
+    "huge-dimension-after-comments": ("matrices", f"# c\n\n{10**20} 1\nmat 0\n0 0 1\n", 3,
+        f"cannot allocate 1 matrices of dimension {10**20}"),
+    "sdp-huge-dimension": ("sdp", f"sdp {10**20} 1\nmat 0\ntarget\ncost 1\nfeasible 1\n", 1,
+        f"cannot allocate 2 matrices of dimension {10**20}"),
 }
 
 
@@ -216,6 +224,13 @@ class TestMatBlockErrors:
             PsdCollection.from_matrices(mats[:3] + [np.full((2, 2), np.inf)])
         with pytest.raises(InvalidMatrix):
             PsdCollection.from_matrices([np.eye(2), np.full((2, 2), np.nan), indefinite])
+
+    def test_entries_near_the_overflow_threshold_are_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coll = parse_matrix_collection("2 1\nmat 0\n0 0 1e308\n0 1 -1e308\n1 1 1.5e308\n")
+        want = np.array([[1e308, -1e308], [-1e308, 1.5e308]])
+        assert coll.matrices[0].tobytes() == want.tobytes()
 
     def test_members_share_one_stack(self):
         coll = parse_matrix_collection("2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n")
@@ -514,6 +529,27 @@ class TestCli:
         )
         assert code == 2
         assert "n and m must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algo,status",
+        [("bss", 0), ("mmwum-wf", 0), ("mmwum-block", 0), ("aw-sample", 0), ("pe", 2)],
+    )
+    def test_entry_near_the_overflow_threshold(self, tmp_path, capsys, algo, status):
+        inp = tmp_path / "big.txt"
+        inp.write_text("1 1\nmat 0\n0 0 1e308\n")
+        code, text = self.run_cli(tmp_path, "--algo", algo, "--eps", "0.5", "--input", str(inp))
+        assert code == status
+        if status == 0:
+            assert "passed true" in text
+        else:  # whitened rank 1
+            assert "derandomization needs rank at least 2" in capsys.readouterr().err
+
+    def test_huge_dimension_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "huge.txt"
+        inp.write_text(f"{10**20} 1\nmat 0\n")
+        code, _ = self.run_cli(tmp_path, "--algo", "bss", "--eps", "0.5", "--input", str(inp))
+        assert code == 2
+        assert "line 1: cannot allocate" in capsys.readouterr().err
 
     def test_bad_epsilon_exit_code(self, tmp_path, identity_pair_file):
         code, _ = self.run_cli(

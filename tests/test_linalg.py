@@ -1,5 +1,7 @@
 """Core symmetric linear algebra and the whitening reduction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,28 @@ class TestPsdCollection:
 
     def test_total(self, diag_split):
         np.testing.assert_allclose(diag_split.total(), np.diag([1.0, 2.0]))
+
+    def test_symmetric_members_near_the_overflow_threshold_are_kept(self):
+        big = np.array([[1e308, -1e308], [-1e308, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coll = PsdCollection.from_matrices([np.eye(2), big])
+            total = coll.total()
+        assert coll.matrices[1].tobytes() == big.tobytes()
+        assert np.array_equal(total, np.eye(2) + big)
+
+    def test_other_members_are_averaged_as_before(self):
+        # (1e308 + 1.7e308) / 2 is finite, but the sum overflows first
+        skew = np.array([[1.0, 1e308], [1.7e308, 1.0]])
+        with np.errstate(over="ignore"):
+            want = symmetrize(skew)
+        assert not np.isfinite(want).all()
+        coll = PsdCollection.from_matrices([skew], validate=False)
+        assert coll.matrices[0].tobytes() == want.tobytes()
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            PsdCollection.from_matrices([np.eye(2), skew])
+        half = np.array([[1.0, 0.5], [0.25, 1.0]])
+        assert PsdCollection.from_matrices([half]).matrices[0].tobytes() == symmetrize(half).tobytes()
 
 
 def _dense_scores(reduced, q, coeffs):

@@ -121,9 +121,12 @@ class TestSparsify:
 
     @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
     def test_one_eigh_per_iteration(self, reduced_random, eigh_calls, history):
+        reduced_random.factor_rows  # decomposes the members, once per instance
+        eigh_calls.clear()
         block_sparsify(reduced_random, 0.5, history=history)
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)
-        assert eigh_calls == [(6, 6)] * params.T
+        # one per step and one for the certificate
+        assert eigh_calls == [(6, 6)] * (params.T + 1)
 
     def test_overflow_guard_sees_the_negated_block(self, reduced_pair, monkeypatch):
         # the exponents -beta/(ell+rho) s are never positive, so only block

@@ -186,6 +186,8 @@ class TestSparsify:
 
     @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
     def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
+        reduced_random.factor_rows  # decomposes the members, once per instance
+        eigh_calls.clear()
         wf_sparsify(reduced_random, 0.5, history=history)
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
         # one per step and one for the certificate

@@ -6,7 +6,7 @@ import pytest
 from psdsparsify import scan
 from psdsparsify.errors import InvalidMatrix, TimeBudgetExceeded
 from psdsparsify.instances import random_psd_collection
-from psdsparsify.linalg import ReducedInstance, reduce_to_identity
+from psdsparsify.linalg import ReducedInstance, eigh, reduce_to_identity
 from psdsparsify.mmwum_wf import WfParams, _Densities
 from psdsparsify.solve import sparsify_sum
 
@@ -55,7 +55,7 @@ def test_nan_in_a_picked_member_raises_at_the_next_step(solver, monkeypatch):
     assert len(picks) == 1
 
 
-def test_a_hand_built_member_is_symmetrized_once(reduced_random):
+def test_a_hand_built_member_is_symmetrized_once(reduced_random, monkeypatch):
     skewed = [c.copy() for c in reduced_random.matrices]
     for c in skewed:
         c[0, 1] += 1e-9
@@ -65,7 +65,15 @@ def test_a_hand_built_member_is_symmetrized_once(reduced_random):
         basis=reduced_random.basis,
         whitener=reduced_random.whitener,
     )
+    decomposed = []
+
+    def recording_eigh(a):
+        decomposed.append(a.copy())
+        return eigh(a)
+
+    monkeypatch.setattr(scan, "eigh", recording_eigh)
     potential = _Densities(WfParams.from_epsilon(0.5, hand.rank), hand)
-    a, y = scan.drive(hand, potential, None, None)
+    y = scan.drive(hand, potential, None, None)
     assert np.count_nonzero(y) > 1
-    assert np.array_equal(a, a.T)
+    assert len(decomposed) == potential.T
+    assert all(np.array_equal(a, a.T) for a in decomposed)

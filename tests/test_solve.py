@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from psdsparsify import sampling, solve
+from psdsparsify import bss, linalg, mmwum_block, mmwum_wf, sampling, solve
 from psdsparsify.applications import edge_collection
 from psdsparsify.errors import DegenerateCertificate, SparsifyError
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
-from psdsparsify.linalg import SandwichCertificate, SparsifierResult, reduce_to_identity
+from psdsparsify.linalg import (
+    SandwichCertificate,
+    SparsifierResult,
+    certificate_for,
+    reduce_to_identity,
+)
 
 
 @pytest.mark.parametrize("lam_min", [0.0, -0.25, math.nan, math.inf])
@@ -63,3 +68,58 @@ def test_sparsify_sum_reports_the_pe_retry_budget():
 
 def test_sparsify_sum_reports_no_budget_for_bss():
     assert solve.sparsify_sum(identity_decomposition(4), 0.45).t_used is None
+
+
+# eps 0.9 runs at the internal accuracy 0.31, where mmwum-block takes about
+# 24k steps at rank 6
+ONE_PATH_EPS = 0.9
+ONE_PATH_INSTANCES = {
+    "random": lambda: random_psd_collection(6, 30, seed=7),
+    "k5": lambda: edge_collection(complete_graph(5)),
+}
+# algorithm: the module whose solver ends with certificate_for
+SOLVER_MODULES = {
+    "bss": bss,
+    "mmwum-wf": mmwum_wf,
+    "mmwum-block": mmwum_block,
+    "aw-sample": sampling,
+    "pe": sampling,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PATH_INSTANCES))
+@pytest.mark.parametrize("algo", solve.ALGORITHMS)
+def test_every_certificate_comes_from_the_weights(monkeypatch, algo, name):
+    coll = ONE_PATH_INSTANCES[name]()
+    run_algorithm, raws = solve.run_algorithm, []
+
+    def recording_run(*args, **kwargs):
+        raws.append(run_algorithm(*args, **kwargs))
+        return raws[-1]
+
+    monkeypatch.setattr(solve, "run_algorithm", recording_run)
+    result = solve.sparsify_sum(coll, ONE_PATH_EPS, algo=algo)
+    (raw,) = raws
+    reduced = reduce_to_identity(coll)
+    again = certificate_for(reduced, raw.weights)
+    if algo == "bss":  # rescaled once already
+        assert raw.certificate.lambda_min == 1.0
+        assert raw.certificate.lambda_max == pytest.approx(again.lambda_max, rel=1e-12)
+    else:
+        assert raw.certificate == again
+    assert result.certificate.lambda_min == 1.0
+    again = certificate_for(reduced, result.weights)
+    assert again.lambda_min == pytest.approx(1.0, rel=1e-12)
+    assert result.certificate.lambda_max == pytest.approx(again.lambda_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("algo", solve.ALGORITHMS)
+def test_a_degenerate_certificate_raises_from_the_shared_rescale(monkeypatch, algo):
+    def degenerate(reduced, y):
+        return SandwichCertificate(lambda_min=0.0, lambda_max=1.0, support_size=len(y))
+
+    monkeypatch.setattr(SOLVER_MODULES[algo], "certificate_for", degenerate)
+    coll = ONE_PATH_INSTANCES["k5"]()
+    with pytest.raises(DegenerateCertificate, match=f"{algo} returned lambda_min = 0.0") as err:
+        solve.sparsify_sum(coll, ONE_PATH_EPS, algo=algo)
+    assert err.traceback[-1].frame.code.raw is linalg.rescaled.__code__
