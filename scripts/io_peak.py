@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time and memory of writing and reading one ``matrices`` file.
+"""Time and memory of writing, reading and whitening one ``matrices`` file.
 
     python3 scripts/io_peak.py [--n 30] [--m 600] [--seed 0]
 
 Builds ``random_psd_collection(n, m)``, then prints, for
 ``emit_matrix_collection`` and for ``parse_matrix_collection`` on the
 emitted text, the best of 5 wall-clock times and the tracemalloc peak of
-one call as a multiple of the text's length.  The defaults match the
+one call as a multiple of the text's length; and the same for
+``reduce_to_identity`` on the parsed collection, its peak as a multiple
+of the bytes of the collection's stack.  The defaults match the
 ``dense-r30`` benchmark input (about 7 MB of text).
 """
 
@@ -16,6 +18,7 @@ import tracemalloc
 
 from psdsparsify.instances import random_psd_collection
 from psdsparsify.io_formats import emit_matrix_collection, parse_matrix_collection
+from psdsparsify.linalg import reduce_to_identity
 
 REPEATS = 5
 
@@ -46,12 +49,14 @@ def main():
     coll = random_psd_collection(args.n, args.m, seed=args.seed)
     text = emit_matrix_collection(coll)
     print(f"random_psd_collection({args.n}, {args.m}, seed={args.seed}): {len(text)} bytes of text")
-    for name, call, arg in (
-        ("emit", emit_matrix_collection, coll),
-        ("parse", parse_matrix_collection, text),
+    parsed = parse_matrix_collection(text)
+    for name, call, arg, size, unit in (
+        ("emit", emit_matrix_collection, coll, len(text), "text"),
+        ("parse", parse_matrix_collection, text, len(text), "text"),
+        ("whiten", reduce_to_identity, parsed, parsed.matrices.nbytes, "stack"),
     ):
         seconds, peak = measure(call, arg)
-        print(f"{name:5s}  best of {REPEATS}: {seconds:.3f} s  peak: {peak / len(text):.2f} x text")
+        print(f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak: {peak / size:.2f} x {unit}")
 
 
 if __name__ == "__main__":

@@ -88,37 +88,58 @@ class WeightedHypergraph:
 
 @dataclass(frozen=True)
 class SdpInstance:
-    """min c^T z s.t. sum(z_i A_i) >= B, z >= 0, with a feasible z_star."""
+    """min c^T z s.t. sum(z_i A_i) >= B, z >= 0, with a feasible z_star.
 
-    matrices: list
+    ``matrices`` holds A_1..A_m, as one (m, n, n) stack when parsed.
+    """
+
+    matrices: np.ndarray
     target: np.ndarray
     cost: np.ndarray
     z_star: np.ndarray
 
 
-def _edge_vector(n: int, u: int, v: int) -> np.ndarray:
-    x = np.zeros(n)
-    x[u - 1] = 1.0
-    x[v - 1] = -1.0
-    return x
+def _outers(n: int, pairs) -> np.ndarray:
+    """(e_u - e_v)(e_u - e_v)^T for every pair (u, v) of 0-based positions
+    in [0..n), as one (len(pairs), n, n) stack."""
+    x = np.zeros((len(pairs), n))
+    u, v = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    rows = np.arange(len(pairs))
+    x[rows, u] = 1.0
+    x[rows, v] = -1.0
+    return x[:, :, None] * x[:, None, :]
+
+
+def _edge_weights(g: WeightedGraph) -> np.ndarray:
+    return np.array([w for _, _, w in g.edges], dtype=float)
+
+
+def _edge_stack(g: WeightedGraph) -> np.ndarray:
+    """w (e_u - e_v)(e_u - e_v)^T for every edge, as one (m, n, n) stack."""
+    stack = _outers(g.n, [(u - 1, v - 1) for u, v, _ in g.edges])
+    stack *= _edge_weights(g)[:, None, None]
+    return stack
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """sum over edges of w * (e_u - e_v)(e_u - e_v)^T."""
-    out = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        x = _edge_vector(g.n, u, v)
-        out += w * np.outer(x, x)
-    return symmetrize(out)
+    return symmetrize(_edge_stack(g).sum(axis=0))
+
+
+def _with_slots(blocks: np.ndarray, slots: np.ndarray) -> PsdCollection:
+    """diag(block_i, diag(slots_i)) for every member i of the (m, n, n)
+    ``blocks`` and the (m, k) ``slots``."""
+    m, n, _ = blocks.shape
+    out = np.zeros((m, n + slots.shape[1], n + slots.shape[1]))
+    out[:, :n, :n] = blocks
+    diagonal = np.arange(n, n + slots.shape[1])
+    out[:, diagonal, diagonal] = slots
+    return PsdCollection.from_matrices(out, validate=False)
 
 
 def edge_collection(g: WeightedGraph) -> PsdCollection:
     """One rank-one Laplacian per edge, in edge order."""
-    mats = []
-    for u, v, w in g.edges:
-        x = _edge_vector(g.n, u, v)
-        mats.append(w * np.outer(x, x))
-    return PsdCollection.from_matrices(mats, validate=False)
+    return PsdCollection.from_matrices(_edge_stack(g), validate=False)
 
 
 def graph_cut_weight(g: WeightedGraph, s) -> float:
@@ -217,16 +238,8 @@ def cost_lifted_collection(g: WeightedGraph, costs) -> PsdCollection:
             raise InvalidCost(f"cost {i} has shape {c.shape}, expected ({g.m},)")
         if np.any(c < 0.0):
             raise InvalidCost(f"cost {i} has a negative entry")
-    dim = g.n + len(costs)
-    mats = []
-    for idx, (u, v, w) in enumerate(g.edges):
-        block = np.zeros((dim, dim))
-        x = _edge_vector(g.n, u, v)
-        block[: g.n, : g.n] = np.outer(x, x)
-        for i, c in enumerate(costs):
-            block[g.n + i, g.n + i] = c[idx]
-        mats.append(w * block)
-    return PsdCollection.from_matrices(mats, validate=False)
+    slots = np.reshape(costs, (len(costs), g.m)).T * _edge_weights(g)[:, None]
+    return _with_slots(_edge_stack(g), slots)
 
 
 def sparsify_with_costs(
@@ -249,7 +262,7 @@ def sparsify_with_costs(
     y = result.weights
 
     lap_cert = certificate_for(reduce_to_identity(edge_collection(g)), y)
-    base = np.array([w for _, _, w in g.edges])
+    base = _edge_weights(g)
     windows = [
         CostWindow(
             original=float(np.sum(base * c)),
@@ -307,11 +320,8 @@ def rainbow_sparsify(
 
 def clique_laplacian(vertices, n: int) -> np.ndarray:
     """Laplacian of the complete graph on the given vertices inside [1..n]."""
-    out = np.zeros((n, n))
-    for u, v in itertools.combinations(sorted(vertices), 2):
-        x = _edge_vector(n, u, v)
-        out += np.outer(x, x)
-    return symmetrize(out)
+    pairs = [(u - 1, v - 1) for u, v in itertools.combinations(sorted(vertices), 2)]
+    return symmetrize(_outers(n, pairs).sum(axis=0))
 
 
 def hypergraph_laplacian(h: WeightedHypergraph) -> np.ndarray:
@@ -457,17 +467,10 @@ def sdp_lifted_collection(inst: SdpInstance) -> PsdCollection:
         raise InfeasibleInput("cost and z_star must have one entry per matrix")
     if np.any(cost < 0.0) or np.any(z_star < 0.0):
         raise InfeasibleInput("cost and z_star must be nonnegative")
-    n = inst.matrices[0].shape[0]
-    dominant = sum(z * a for z, a in zip(z_star, inst.matrices))
-    if not is_psd(symmetrize(dominant - inst.target), DEFAULT_PSD_TOL):
+    scaled = z_star[:, None, None] * inst.matrices
+    if not is_psd(symmetrize(scaled.sum(axis=0) - inst.target), DEFAULT_PSD_TOL):
         raise InfeasibleInput("z_star does not dominate the target matrix")
-    mats = []
-    for a, zi, ci in zip(inst.matrices, z_star, cost):
-        block = np.zeros((n + 1, n + 1))
-        block[:n, :n] = zi * a
-        block[n, n] = ci * zi
-        mats.append(block)
-    return PsdCollection.from_matrices(mats, validate=False)
+    return _with_slots(scaled, (cost * z_star)[:, None])
 
 
 def sparse_sdp(
@@ -491,7 +494,7 @@ def sparse_sdp(
     cost = np.asarray(inst.cost, dtype=float)
     base_obj = float(cost @ z_star)
     new_obj = float(cost @ z_bar)
-    slack = symmetrize(sum(z * a for z, a in zip(z_bar, inst.matrices)) - inst.target)
+    slack = symmetrize((z_bar[:, None, None] * inst.matrices).sum(axis=0) - inst.target)
     feasible = is_psd(slack, DEFAULT_PSD_TOL)
     checks = (
         (
@@ -536,14 +539,7 @@ def caratheodory_lifted(lambdas, coll: PsdCollection) -> PsdCollection:
         raise InvalidSimplexPoint("lambda must have one entry per matrix")
     if np.any(lam < 0.0) or abs(float(lam.sum()) - 1.0) > 1e-9:
         raise InvalidSimplexPoint("lambda must be nonnegative and sum to 1")
-    n = coll.dim
-    mats = []
-    for li, b in zip(lam, coll.matrices):
-        block = np.zeros((n + 1, n + 1))
-        block[:n, :n] = li * b
-        block[n, n] = li
-        mats.append(block)
-    return PsdCollection.from_matrices(mats, validate=False)
+    return _with_slots(lam[:, None, None] * coll.matrices, lam[:, None])
 
 
 def caratheodory(
@@ -564,9 +560,7 @@ def caratheodory(
     lifted = caratheodory_lifted(lam, coll)
     result = sparsify_sum(lifted, eps, algo=algo, seed=seed, max_seconds=max_seconds)
     mu = renormalize_simplex(result.weights * lam)
-    scaled = PsdCollection.from_matrices(
-        [li * b for li, b in zip(lam, coll.matrices)], validate=False
-    )
+    scaled = PsdCollection.from_matrices(lam[:, None, None] * coll.matrices, validate=False)
     ratio = np.divide(mu, lam, out=np.zeros_like(mu), where=lam > 0.0)
     cert = certificate_for(reduce_to_identity(scaled), ratio)
     in_window = (
@@ -609,21 +603,13 @@ def family_lifted_collection(g: WeightedGraph, family):
         offsets.append(offsets[-1] + len(order))
     dim = offsets[-1]
 
-    mats = []
-    for u, v, w in g.edges:
-        block = np.zeros((dim, dim))
-        x = _edge_vector(g.n, u, v)
-        block[: g.n, : g.n] = np.outer(x, x)
-        for fi, (f_edges, order) in enumerate(members):
-            if (u, v) in f_edges:
-                local = np.zeros(len(order))
-                local[order[u]] = 1.0
-                local[order[v]] = -1.0
-                lo = offsets[fi]
-                hi = lo + len(order)
-                block[lo:hi, lo:hi] = np.outer(local, local)
-        mats.append(w * block)
-    return PsdCollection.from_matrices(mats, validate=False), members
+    stack = np.zeros((g.m, dim, dim))
+    stack[:, : g.n, : g.n] = _outers(g.n, [(u - 1, v - 1) for u, v, _ in g.edges])
+    for (f_edges, order), lo, hi in zip(members, offsets, offsets[1:]):
+        rows = [edge_index[e] for e in f_edges]
+        stack[rows, lo:hi, lo:hi] = _outers(hi - lo, [(order[u], order[v]) for u, v in f_edges])
+    stack *= _edge_weights(g)[:, None, None]
+    return PsdCollection.from_matrices(stack, validate=False), members
 
 
 def subgraph_family_sparsify(
@@ -649,21 +635,14 @@ def subgraph_family_sparsify(
 
     cert_g = certificate_for(reduce_to_identity(edge_collection(g)), y)
     member_certs = []
+    lo = g.n
     for f_edges, order in members:
-        f_dim = len(order)
-        f_mats = []
-        f_weights = []
-        for u, v in f_edges:
-            idx = edge_index[(u, v)]
-            local = np.zeros(f_dim)
-            local[order[u]] = 1.0
-            local[order[v]] = -1.0
-            f_mats.append(g.edges[idx][2] * np.outer(local, local))
-            f_weights.append(y[idx])
-        f_coll = PsdCollection.from_matrices(f_mats, validate=False)
-        member_certs.append(
-            certificate_for(reduce_to_identity(f_coll), np.array(f_weights))
-        )
+        # the member's section of the lifted stack holds its edge Laplacians
+        rows = [edge_index[e] for e in f_edges]
+        hi = lo + len(order)
+        f_coll = PsdCollection.from_matrices(coll.matrices[rows, lo:hi, lo:hi], validate=False)
+        member_certs.append(certificate_for(reduce_to_identity(f_coll), y[rows]))
+        lo = hi
     checks = tuple(
         (
             f"member {i} lambda_min {cert.lambda_min:.16e} lambda_max {cert.lambda_max:.16e}",

@@ -37,7 +37,7 @@ import numpy as np
 
 from .applications import SdpInstance, WeightedGraph, WeightedHypergraph
 from .errors import ParseError
-from .linalg import PsdCollection, symmetrize
+from .linalg import PsdCollection
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
@@ -431,9 +431,7 @@ def parse_sdp(text: str) -> SdpInstance:
         return cost, z_star
 
     (cost, z_star), stack = _read(text, walk)
-    return SdpInstance(
-        matrices=list(symmetrize(stack[:-1])), target=stack[-1], cost=cost, z_star=z_star
-    )
+    return SdpInstance(matrices=stack[:-1], target=stack[-1], cost=cost, z_star=z_star)
 
 
 def parse_simplex(text: str) -> tuple[np.ndarray, PsdCollection]:

@@ -4,8 +4,10 @@ Every algorithm in this package works on a collection of positive
 semidefinite matrices B_1, ..., B_m whose sum is B.  The reduction
 conjugates each B_i by the pseudoinverse square root of B restricted to
 range(B), producing matrices C_1, ..., C_m of dimension r = rank(B) with
-sum(C_i) = I_r.  All matrices are plain float64 ``numpy`` arrays kept
-exactly symmetric.
+sum(C_i) = I_r.  Each family is held as one C-contiguous float64
+(m, n, n) stack (``PsdCollection.matrices``, ``ReducedInstance.matrices``)
+whose members are exactly symmetric, and is read with whole-array
+operations.
 
 The scanning solvers score every member against matrices that are
 functions of one running sum A, so each is Q diag(c) Q^T in A's
@@ -51,12 +53,24 @@ FACTOR_BATCH = 64
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return 0.5*(M + M^T), which is exactly symmetric entrywise.
+    """Return 0.5*M + 0.5*M^T, which is exactly symmetric entrywise.
 
-    A (k, n, n) stack is symmetrized member by member.
+    It equals 0.5*(M + M^T) bit for bit unless the halves are subnormal,
+    and stays finite where M + M^T would overflow.  A (k, n, n) stack is
+    symmetrized member by member.
     """
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
+
+
+def symmetric_stack(stack: np.ndarray) -> np.ndarray:
+    """``stack`` itself if every member equals its transpose, else a copy
+    with the other members symmetrized."""
+    skew = ~(stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
+    if skew.any():
+        stack = stack.copy()
+        stack[skew] = symmetrize(stack[skew])
+    return stack
 
 
 @dataclass(frozen=True)
@@ -140,10 +154,10 @@ def ln_sum_exp(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PsdCollection:
-    """Ordered list of PSD matrices sharing one dimension."""
+    """PSD matrices B_1..B_m sharing one dimension, as one (m, dim, dim) stack."""
 
     dim: int
-    matrices: list[np.ndarray]
+    matrices: np.ndarray
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -152,31 +166,22 @@ class PsdCollection:
     def from_matrices(matrices, validate: bool = True) -> "PsdCollection":
         """Symmetrize and check a sequence of (n, n) matrices or an (m, n, n) stack.
 
-        The members are views of one symmetrized stack; a member equal to
-        its transpose is kept as it is where m + m^T overflows.  ``validate``
-        checks them all with one stacked eigendecomposition; the first
+        A float64 C-contiguous stack whose members all equal their
+        transposes is kept as it is, without a copy; otherwise the members
+        are stacked once and only those that are not symmetric are
+        symmetrized.  The caller's arrays are never written.  ``validate``
+        checks the members with one stacked eigendecomposition; the first
         member that is not PSD raises NotPsd.
         """
-        mats = [np.asarray(m, dtype=float) for m in matrices]
-        if not mats:
+        if not isinstance(matrices, np.ndarray):
+            matrices = [np.asarray(m, dtype=float) for m in matrices]
+        if len(matrices) == 0:
             raise EmptyProblem("collection has no matrices")
-        dim = mats[0].shape[0]
-        for i, m in enumerate(mats):
+        dim = matrices[0].shape[0]
+        for i, m in enumerate(matrices):
             if m.shape != (dim, dim):
                 raise DimMismatch(f"matrix {i} has shape {m.shape}, expected {(dim, dim)}")
-        # symmetrize(m) member by member, written straight into one stack
-        stack = np.empty((len(mats), dim, dim))
-        overflowed = []
-        with np.errstate(over="raise"):
-            for k, m in enumerate(mats):
-                try:
-                    np.add(m, m.T, out=stack[k])
-                except FloatingPointError:  # the sum, inf where it overflows, is written
-                    overflowed.append(k)
-        stack *= 0.5
-        for k in overflowed:
-            if (mats[k] == mats[k].T).all():  # its own average
-                stack[k] = mats[k]
+        stack = symmetric_stack(np.ascontiguousarray(matrices, dtype=float))
         if validate:
             # members before the first non-finite one are judged first
             finite = np.isfinite(stack).all(axis=(1, 2))
@@ -188,13 +193,11 @@ class PsdCollection:
                 )
             if upto < len(stack):
                 eigh(stack[upto])
-        return PsdCollection(dim=dim, matrices=list(stack))
+        return PsdCollection(dim=dim, matrices=stack)
 
     def total(self) -> np.ndarray:
         """B = sum_i B_i."""
-        out = np.zeros((self.dim, self.dim))
-        for m in self.matrices:
-            out += m
+        out = self.matrices.sum(axis=0)
         # a sum of exactly symmetric members is exactly symmetric
         return out if (out == out.T).all() else symmetrize(out)
 
@@ -203,13 +206,14 @@ class PsdCollection:
 class ReducedInstance:
     """Whitened collection C_1..C_m with sum(C_i) = I on range(B).
 
+    ``matrices`` is one (m, r, r) stack of exactly symmetric members.
     ``basis`` holds the n x r orthonormal range basis P and ``whitener``
     the composed map (B^+)^{1/2} P, so C_i = whitener^T B_i whitener and
     any weight vector found for the C_i applies verbatim to the B_i.
     """
 
     rank: int
-    matrices: list[np.ndarray]
+    matrices: np.ndarray
     basis: np.ndarray
     whitener: np.ndarray
 
@@ -218,7 +222,7 @@ class ReducedInstance:
 
     @cached_property
     def traces(self) -> np.ndarray:
-        return np.array([float(np.trace(c)) for c in self.matrices])
+        return np.trace(self.matrices, axis1=1, axis2=2)
 
     @cached_property
     def has_trace(self) -> np.ndarray:
@@ -236,7 +240,7 @@ class ReducedInstance:
         """
         rows, counts = [], []
         for lo in range(0, len(self.matrices), FACTOR_BATCH):
-            spec = eigh(np.stack(self.matrices[lo : lo + FACTOR_BATCH]))
+            spec = eigh(self.matrices[lo : lo + FACTOR_BATCH])
             w, q = spec.eigenvalues, spec.eigenvectors
             keep = (w > FACTOR_CUT * w[:, -1:]) & (w[:, -1:] > 0.0)
             scaled = q.swapaxes(1, 2) * np.sqrt(np.where(keep, w, 0.0))[:, :, None]
@@ -302,13 +306,15 @@ def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     # range(B_i) must lie inside range(B); failure means a non-PSD member
     # slipped past validation.
     residual_proj = np.eye(coll.dim) - basis @ basis.T
-    mats = []
+    # member by member into one stack: a whole-stack product would hold
+    # twice the stack in temporaries
+    stack = np.empty((len(coll), rank, rank))
     for i, m in enumerate(coll.matrices):
         outside = residual_proj @ m @ residual_proj
         if np.linalg.norm(outside, "fro") > 1e-8 * max(1.0, lam_max):
             raise NotPsd(f"matrix {i} has range outside range(B)")
-        mats.append(symmetrize(whitener.T @ m @ whitener))
-    return ReducedInstance(rank=rank, matrices=mats, basis=basis, whitener=whitener)
+        stack[i] = symmetrize(whitener.T @ m @ whitener)
+    return ReducedInstance(rank=rank, matrices=stack, basis=basis, whitener=whitener)
 
 
 @dataclass(frozen=True)

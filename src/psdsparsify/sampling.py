@@ -195,7 +195,8 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
 
     r = reduced.rank
     live = np.flatnonzero(plan.probabilities > 0.0)
-    units = np.stack([reduced.matrices[j] for j in live]) / reduced.traces[live, None, None]
+    units = reduced.matrices[live]
+    units /= reduced.traces[live, None, None]
     spec = eigh(units)
     mean_minus = np.zeros((r, r))
     mean_plus = np.zeros((r, r))

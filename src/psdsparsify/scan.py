@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from .errors import TimeBudgetExceeded
-from .linalg import ReducedInstance, eigh, symmetrize
+from .linalg import ReducedInstance, eigh, symmetric_stack
 
 
 def step(
@@ -46,7 +46,7 @@ def drive(
     """
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     # whitened members are exactly symmetric; a hand-built one may not be
-    members = [c if (c == c.T).all() else symmetrize(c) for c in reduced.matrices]
+    members = symmetric_stack(reduced.matrices)
     a = np.zeros((reduced.rank, reduced.rank))
     y = np.zeros(len(reduced))
     coeffs = np.empty((reduced.rank, 2))

@@ -334,7 +334,7 @@ class TestMatrixWriter:
         emit_peak, text = _traced_peak(emit_matrix_collection, coll)
         parse_peak, _ = _traced_peak(parse_matrix_collection, text)
         assert emit_peak <= 3.5 * len(text)
-        assert parse_peak <= 2.5 * len(text)
+        assert parse_peak <= 1.5 * len(text)
 
 
 def _traced_peak(call, arg):
@@ -621,6 +621,18 @@ class TestCli:
         assert code == 0
         assert "objective original" in text
         assert "feasible true" in text
+
+    def test_sdp_entry_near_the_overflow_threshold(self, tmp_path):
+        # the parser mirrors the entry; nothing computes 1e308 + 1e308
+        sdp_file = tmp_path / "inst.txt"
+        sdp_file.write_text("sdp 1 1\nmat 0\n0 0 1e308\ntarget\n0 0 1\ncost 1\nfeasible 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = self.run_cli(
+                tmp_path, "--algo", "bss", "--eps", "0.5", "--kind", "sdp", "--input", str(sdp_file)
+            )
+        assert code == 0
+        assert "passed true" in text
 
     def test_simplex_kind(self, tmp_path):
         simplex_file = tmp_path / "simplex.txt"

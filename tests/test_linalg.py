@@ -15,9 +15,22 @@ from psdsparsify.errors import (
     NegativeWeight,
     NotPsd,
 )
-from psdsparsify.applications import edge_collection
+from psdsparsify.applications import (
+    caratheodory_lifted,
+    cost_lifted_collection,
+    edge_collection,
+    family_lifted_collection,
+    hyperedge_collection,
+    sdp_lifted_collection,
+)
 from psdsparsify.bss import bss_sparsify
-from psdsparsify.instances import complete_graph, random_psd_collection
+from psdsparsify.instances import (
+    complete_graph,
+    identity_decomposition,
+    random_psd_collection,
+    random_uniform_hypergraph,
+)
+from psdsparsify.io_formats import parse_matrix_collection, parse_sdp, parse_simplex
 from psdsparsify.linalg import (
     FACTOR_CUT,
     PsdCollection,
@@ -260,17 +273,70 @@ class TestPsdCollection:
         assert np.array_equal(total, np.eye(2) + big)
 
     def test_other_members_are_averaged_as_before(self):
-        # (1e308 + 1.7e308) / 2 is finite, but the sum overflows first
+        # 1e308 + 1.7e308 overflows, but the average 1.35e308 is finite
         skew = np.array([[1.0, 1e308], [1.7e308, 1.0]])
-        with np.errstate(over="ignore"):
-            want = symmetrize(skew)
-        assert not np.isfinite(want).all()
-        coll = PsdCollection.from_matrices([skew], validate=False)
-        assert coll.matrices[0].tobytes() == want.tobytes()
-        with pytest.raises(InvalidMatrix, match="non-finite"):
-            PsdCollection.from_matrices([np.eye(2), skew])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coll = PsdCollection.from_matrices([skew], validate=False)
+            with pytest.raises(NotPsd, match="matrix 1"):
+                PsdCollection.from_matrices([np.eye(2), skew])
+        want = np.array([[1.0, 0.5 * 1e308 + 0.5 * 1.7e308]] * 2)
+        want[1] = want[1, ::-1]
+        assert np.isfinite(want).all()
+        assert coll.matrices[0].tobytes() == want.tobytes() == symmetrize(skew).tobytes()
         half = np.array([[1.0, 0.5], [0.25, 1.0]])
         assert PsdCollection.from_matrices([half]).matrices[0].tobytes() == symmetrize(half).tobytes()
+
+
+_SDP = "sdp 2 2\nmat 0\n0 0 1\nmat 1\n0 1 0.5\n1 1 1\ntarget\n0 0 0.5\ncost 1 2\nfeasible 1 1\n"
+_SIMPLEX = "simplex 2 2\nlambda 0.25 0.75\nmat 0\n0 0 1\nmat 1\n0 0 1\n0 1 0.5\n1 1 1\n"
+
+# the members of every constructor's result
+_STACKS = {
+    "parse_matrix_collection": lambda: parse_matrix_collection("2 1\nmat 0\n0 0 1\n0 1 0.5\n1 1 1\n").matrices,
+    "parse_sdp": lambda: parse_sdp(_SDP).matrices,
+    "parse_simplex": lambda: parse_simplex(_SIMPLEX)[1].matrices,
+    "random_psd_collection": lambda: random_psd_collection(3, 5, seed=1).matrices,
+    "identity_decomposition": lambda: identity_decomposition(3).matrices,
+    "reduce_to_identity": lambda: reduce_to_identity(random_psd_collection(3, 5)).matrices,
+    "edge": lambda: edge_collection(complete_graph(4)).matrices,
+    "hyperedge": lambda: hyperedge_collection(random_uniform_hypergraph(5, 4, 3)).matrices,
+    "cost": lambda: cost_lifted_collection(complete_graph(4), [np.arange(6.0)]).matrices,
+    "family": lambda: family_lifted_collection(
+        complete_graph(4), [[(1, 2), (2, 3)], [(3, 4)]]
+    )[0].matrices,
+    "sdp": lambda: sdp_lifted_collection(parse_sdp(_SDP)).matrices,
+    "simplex": lambda: caratheodory_lifted(*parse_simplex(_SIMPLEX)).matrices,
+}
+
+
+class TestOneStack:
+    @pytest.mark.parametrize("name", list(_STACKS))
+    def test_every_collection_is_one_stack(self, name):
+        stack = _STACKS[name]()
+        assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
+        assert stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+        assert stack.flags.c_contiguous
+
+    def test_a_symmetric_stack_is_kept_and_no_input_is_written(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([symmetrize(random_psd(rng, 3, rank=2)) for _ in range(4)])
+        assert np.shares_memory(PsdCollection.from_matrices(stack).matrices, stack)
+
+        skewed = stack.copy()
+        skewed[2, 0, 1] += 1e-9
+        before = skewed.copy()
+        coll = PsdCollection.from_matrices(skewed)
+        assert not np.shares_memory(coll.matrices, skewed)
+        assert skewed.tobytes() == before.tobytes()
+        assert coll.matrices[2].tobytes() == symmetrize(skewed[2]).tobytes()
+        assert coll.matrices[[0, 1, 3]].tobytes() == skewed[[0, 1, 3]].tobytes()
+
+        listed = list(before.copy())
+        coll = PsdCollection.from_matrices(listed)
+        assert not any(np.shares_memory(coll.matrices, m) for m in listed)
+        assert all(m.tobytes() == b.tobytes() for m, b in zip(listed, before))
+        assert coll.matrices.tobytes() == PsdCollection.from_matrices(before).matrices.tobytes()
 
 
 def _dense_scores(reduced, q, coeffs):

@@ -61,7 +61,7 @@ def test_a_hand_built_member_is_symmetrized_once(reduced_random, monkeypatch):
         c[0, 1] += 1e-9
     hand = ReducedInstance(
         rank=reduced_random.rank,
-        matrices=skewed,
+        matrices=np.stack(skewed),
         basis=reduced_random.basis,
         whitener=reduced_random.whitener,
     )
