@@ -48,6 +48,10 @@ def fixture_files(directory: Path) -> dict:
     from psdsparsify import io_formats as io
 
     k4 = io.emit_graph(instances.complete_graph(4))
+    # twelve 1 x 1 members, whose sums a pairwise summation would round
+    # differently from a running sum
+    scalars = [10.0 ** ((5 * k) % 7 - 3) / 3.0 for k in range(12)]
+    scalar_mats = "".join(f"mat {k}\n0 0 {v!r}\n" for k, v in enumerate(scalars))
     texts = {
         "pair": ("matrices", {"input": "2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n"}),
         "identity4": (
@@ -58,6 +62,7 @@ def fixture_files(directory: Path) -> dict:
             "matrices",
             {"input": io.emit_matrix_collection(instances.random_psd_collection(4, 12, seed=3))},
         ),
+        "scalars12": ("matrices", {"input": f"1 12\n{scalar_mats}"}),
         "k5": ("graph", {"input": io.emit_graph(instances.complete_graph(5))}),
         "k6": ("graph", {"input": io.emit_graph(instances.complete_graph(6))}),
         "k4-costs": ("graph", {"input": k4, "costs": "1 6\n1 1 1 1 1 1\n"}),
@@ -71,6 +76,14 @@ def fixture_files(directory: Path) -> dict:
             {
                 "input": "sdp 2 3\nmat 0\n0 0 1.0\nmat 1\n1 1 1.0\nmat 2\n0 0 0.5\n1 1 0.5\n"
                 "target\n0 0 0.5\n1 1 0.5\ncost 1.0 2.0 0.5\nfeasible 1.0 1.0 1.0\n"
+            },
+        ),
+        "sdp-scalars": (
+            "sdp",
+            {
+                "input": f"sdp 1 12\n{scalar_mats}target\n0 0 1.0\n"
+                f"cost {' '.join(str(k % 3 + 1) for k in range(12))}\n"
+                f"feasible {' '.join(repr(1.0 / (k % 5 + 1)) for k in range(12))}\n"
             },
         ),
         "simplex": (

@@ -11,7 +11,6 @@ block.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .linalg import (
     SandwichCertificate,
     certificate_for,
     is_psd,
+    member_sum,
     reduce_to_identity,
     symmetrize,
 )
@@ -122,8 +122,13 @@ def _edge_stack(g: WeightedGraph) -> np.ndarray:
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """sum over edges of w * (e_u - e_v)(e_u - e_v)^T."""
-    return symmetrize(_edge_stack(g).sum(axis=0))
+    """sum over edges of w * (e_u - e_v)(e_u - e_v)^T, added edge by edge
+    as a running sum would add it, so it is exactly symmetric."""
+    u, v = np.array([(u - 1, v - 1) for u, v, _ in g.edges], dtype=int).reshape(-1, 2).T
+    w, out = _edge_weights(g), np.zeros((g.n, g.n))
+    rows, cols = np.stack([u, v, u, v], axis=1), np.stack([u, v, v, u], axis=1)
+    np.add.at(out, (rows, cols), np.stack([w, w, -w, -w], axis=1))
+    return out
 
 
 def _with_slots(blocks: np.ndarray, slots: np.ndarray) -> PsdCollection:
@@ -319,9 +324,12 @@ def rainbow_sparsify(
 
 
 def clique_laplacian(vertices, n: int) -> np.ndarray:
-    """Laplacian of the complete graph on the given vertices inside [1..n]."""
-    pairs = [(u - 1, v - 1) for u, v in itertools.combinations(sorted(vertices), 2)]
-    return symmetrize(_outers(n, pairs).sum(axis=0))
+    """Laplacian of the complete graph on the given distinct vertices
+    inside [1..n]: k I - J on their rows and columns, for k vertices."""
+    at = np.asarray(sorted(vertices), dtype=int) - 1
+    out = np.zeros((n, n))
+    out[np.ix_(at, at)] = len(at) * np.eye(len(at)) - 1.0
+    return out
 
 
 def hypergraph_laplacian(h: WeightedHypergraph) -> np.ndarray:
@@ -468,7 +476,7 @@ def sdp_lifted_collection(inst: SdpInstance) -> PsdCollection:
     if np.any(cost < 0.0) or np.any(z_star < 0.0):
         raise InfeasibleInput("cost and z_star must be nonnegative")
     scaled = z_star[:, None, None] * inst.matrices
-    if not is_psd(symmetrize(scaled.sum(axis=0) - inst.target), DEFAULT_PSD_TOL):
+    if not is_psd(symmetrize(member_sum(scaled) - inst.target), DEFAULT_PSD_TOL):
         raise InfeasibleInput("z_star does not dominate the target matrix")
     return _with_slots(scaled, (cost * z_star)[:, None])
 
@@ -494,7 +502,7 @@ def sparse_sdp(
     cost = np.asarray(inst.cost, dtype=float)
     base_obj = float(cost @ z_star)
     new_obj = float(cost @ z_bar)
-    slack = symmetrize((z_bar[:, None, None] * inst.matrices).sum(axis=0) - inst.target)
+    slack = symmetrize(member_sum(z_bar[:, None, None] * inst.matrices) - inst.target)
     feasible = is_psd(slack, DEFAULT_PSD_TOL)
     checks = (
         (
@@ -581,11 +589,14 @@ def caratheodory(
 def family_lifted_collection(g: WeightedGraph, family):
     """Edge Laplacians extended with one diagonal section per family member.
 
-    Returns the collection plus the normalized members, each a pair of
-    (sorted edge list, vertex -> local position map).
+    Returns the collection plus one tuple per member: its sorted edge
+    list, the rows of those edges in the stack, and the bounds lo, hi of
+    its section, so that ``matrices[rows, lo:hi, lo:hi]`` holds the
+    member's own edge Laplacians.
     """
     edge_index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
-    members = []
+    members, local_pairs = [], []
+    dim = g.n
     for fi, f_edges in enumerate(family):
         normalized = set()
         verts = set()
@@ -596,18 +607,15 @@ def family_lifted_collection(g: WeightedGraph, family):
             normalized.add((u, v))
             verts.update((u, v))
         order = {vtx: pos for pos, vtx in enumerate(sorted(verts))}
-        members.append((sorted(normalized), order))
-
-    offsets = [g.n]
-    for _, order in members:
-        offsets.append(offsets[-1] + len(order))
-    dim = offsets[-1]
+        f_sorted = sorted(normalized)
+        members.append((f_sorted, [edge_index[e] for e in f_sorted], dim, dim + len(order)))
+        local_pairs.append([(order[u], order[v]) for u, v in f_sorted])
+        dim += len(order)
 
     stack = np.zeros((g.m, dim, dim))
     stack[:, : g.n, : g.n] = _outers(g.n, [(u - 1, v - 1) for u, v, _ in g.edges])
-    for (f_edges, order), lo, hi in zip(members, offsets, offsets[1:]):
-        rows = [edge_index[e] for e in f_edges]
-        stack[rows, lo:hi, lo:hi] = _outers(hi - lo, [(order[u], order[v]) for u, v in f_edges])
+    for (_, rows, lo, hi), pairs in zip(members, local_pairs):
+        stack[rows, lo:hi, lo:hi] = _outers(hi - lo, pairs)
     stack *= _edge_weights(g)[:, None, None]
     return PsdCollection.from_matrices(stack, validate=False), members
 
@@ -628,21 +636,16 @@ def subgraph_family_sparsify(
     member's vertex set.  Returns the subgraph, the certificate for G, and
     one certificate per family member.
     """
-    edge_index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
     coll, members = family_lifted_collection(g, family)
     result = sparsify_sum(coll, eps, algo=algo, seed=seed, max_seconds=max_seconds)
     y = result.weights
 
     cert_g = certificate_for(reduce_to_identity(edge_collection(g)), y)
     member_certs = []
-    lo = g.n
-    for f_edges, order in members:
+    for _, rows, lo, hi in members:
         # the member's section of the lifted stack holds its edge Laplacians
-        rows = [edge_index[e] for e in f_edges]
-        hi = lo + len(order)
         f_coll = PsdCollection.from_matrices(coll.matrices[rows, lo:hi, lo:hi], validate=False)
         member_certs.append(certificate_for(reduce_to_identity(f_coll), y[rows]))
-        lo = hi
     checks = tuple(
         (
             f"member {i} lambda_min {cert.lambda_min:.16e} lambda_max {cert.lambda_max:.16e}",

@@ -63,6 +63,14 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
 
 
+def member_sum(stack: np.ndarray) -> np.ndarray:
+    """sum_i stack[i], added in member order (numpy's sum over axis 0 would
+    add 1 x 1 members pairwise, along their one contiguous axis)."""
+    if stack.shape[1] == 1:
+        return np.add.accumulate(stack, axis=0)[-1]
+    return stack.sum(axis=0)
+
+
 def symmetric_stack(stack: np.ndarray) -> np.ndarray:
     """``stack`` itself if every member equals its transpose, else a copy
     with the other members symmetrized."""
@@ -175,12 +183,15 @@ class PsdCollection:
         """
         if not isinstance(matrices, np.ndarray):
             matrices = [np.asarray(m, dtype=float) for m in matrices]
+            for i, m in enumerate(matrices):
+                expected = (matrices[0].shape[0],) * 2
+                if m.shape != expected:
+                    raise DimMismatch(f"matrix {i} has shape {m.shape}, expected {expected}")
+        elif matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise DimMismatch(f"stack has shape {matrices.shape}, expected (m, n, n)")
         if len(matrices) == 0:
             raise EmptyProblem("collection has no matrices")
         dim = matrices[0].shape[0]
-        for i, m in enumerate(matrices):
-            if m.shape != (dim, dim):
-                raise DimMismatch(f"matrix {i} has shape {m.shape}, expected {(dim, dim)}")
         stack = symmetric_stack(np.ascontiguousarray(matrices, dtype=float))
         if validate:
             # members before the first non-finite one are judged first
@@ -197,7 +208,7 @@ class PsdCollection:
 
     def total(self) -> np.ndarray:
         """B = sum_i B_i."""
-        out = self.matrices.sum(axis=0)
+        out = member_sum(self.matrices)
         # a sum of exactly symmetric members is exactly symmetric
         return out if (out == out.T).all() else symmetrize(out)
 

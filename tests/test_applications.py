@@ -1,5 +1,6 @@
 """Graph, hypergraph, SDP, and convex-combination applications."""
 
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -47,7 +48,40 @@ def all_cuts(n):
         yield {v + 1 for v in range(n) if mask >> v & 1}
 
 
+def traced_peak(call, *args) -> int:
+    """The tracemalloc peak of ``call(*args)`` in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def running_outer_sum(n, pairs, weights):
+    """sum of w (e_u - e_v)(e_u - e_v)^T over 1-based pairs, added in order."""
+    out = np.zeros((n, n))
+    for (u, v), w in zip(pairs, weights):
+        x = np.zeros(n)
+        x[u - 1] = 1.0
+        x[v - 1] = -1.0
+        out += w * np.outer(x, x)
+    return out
+
+
 class TestLaplacian:
+    def test_is_the_running_sum_of_the_edge_laplacians(self):
+        rng = np.random.default_rng(5)
+        pairs = [(u, v) for u in range(1, 13) for v in range(u + 1, 13) if rng.random() < 0.6]
+        rng.shuffle(pairs)
+        weights = rng.exponential(size=len(pairs)) * 10.0 ** rng.integers(-6, 6, size=len(pairs))
+        g = WeightedGraph(n=12, edges=[(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
+        assert laplacian(g).tobytes() == running_outer_sum(12, pairs, weights).tobytes()
+
+    def test_memory_is_linear_in_edges_and_vertex_pairs(self):
+        g = complete_graph(60)
+        assert traced_peak(laplacian, g) <= 8 * (4 * g.n * g.n + 32 * g.m)
+
     def test_single_edge(self):
         g = WeightedGraph(n=2, edges=[(1, 2, 3.0)])
         np.testing.assert_allclose(laplacian(g), [[3.0, -3.0], [-3.0, 3.0]])
@@ -167,6 +201,17 @@ class TestHypergraphLaplacian:
         g = WeightedGraph(n=4, edges=[(1, 2, 1.5), (2, 4, 0.5)])
         h = WeightedHypergraph(n=4, hyperedges=[((1, 2), 1.5), ((2, 4), 0.5)])
         np.testing.assert_allclose(hypergraph_laplacian(h), laplacian(g))
+
+    def test_clique_is_the_running_sum_over_its_pairs(self):
+        verts = (7, 2, 5, 3)
+        pairs = [(u, v) for u in sorted(verts) for v in sorted(verts) if u < v]
+        want = running_outer_sum(8, pairs, np.ones(len(pairs)))
+        assert clique_laplacian(verts, 8).tobytes() == want.tobytes()
+
+    def test_clique_memory_is_quadratic_in_n(self):
+        # one stacked outer product per pair would take C(n, 2) n^2 floats
+        n = 200
+        assert traced_peak(clique_laplacian, range(1, n + 1), n) <= 4 * n * n * 8
 
     def test_clique_spectrum(self):
         lap = clique_laplacian((1, 2, 3, 4), 4)

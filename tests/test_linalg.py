@@ -39,6 +39,7 @@ from psdsparsify.linalg import (
     eigh,
     eigvalsh,
     is_psd,
+    member_sum,
     reduce_to_identity,
     sym_exp,
     symmetrize,
@@ -260,8 +261,26 @@ class TestPsdCollection:
         with pytest.raises(DimMismatch):
             PsdCollection.from_matrices([np.eye(2), np.eye(3)])
 
+    def test_rejects_a_stack_of_the_wrong_shape(self):
+        for bad in (np.eye(2), np.zeros((2, 2, 3))):
+            with pytest.raises(DimMismatch):
+                PsdCollection.from_matrices(bad)
+
     def test_total(self, diag_split):
         np.testing.assert_allclose(diag_split.total(), np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_members_are_added_in_order(self, n):
+        # for n = 1 numpy's sum over axis 0 adds pairwise, which rounds
+        # these 40 members differently from a running sum
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.integers(-6, 6, size=(40, 1, 1))
+        stack = np.stack([symmetrize(random_psd(rng, n, rank=n)) for _ in range(40)]) * scale
+        running = np.zeros((n, n))
+        for member in stack:
+            running += member
+        assert member_sum(stack).tobytes() == running.tobytes()
+        assert PsdCollection.from_matrices(stack).total().tobytes() == running.tobytes()
 
     def test_symmetric_members_near_the_overflow_threshold_are_kept(self):
         big = np.array([[1e308, -1e308], [-1e308, 1.5e308]])
