@@ -8,13 +8,17 @@ Builds ``random_psd_collection(n, m)``, then prints, for
 emitted text, the best of 5 wall-clock times and the tracemalloc peak of
 one call as a multiple of the text's length; and the same for
 ``reduce_to_identity`` on the parsed collection, its peak as a multiple
-of the bytes of the collection's stack.  The defaults match the
-``dense-r30`` benchmark input (about 7 MB of text).
+of the bytes of the collection's stack, followed by the bytes of the
+arrays the returned ``ReducedInstance`` keeps (its factor rows, traces,
+basis and whitener) as a multiple of the same stack.  The defaults match
+the ``dense-r30`` benchmark input (about 7 MB of text).
 """
 
 import argparse
 import time
 import tracemalloc
+
+import numpy as np
 
 from psdsparsify.instances import random_psd_collection
 from psdsparsify.io_formats import emit_matrix_collection, parse_matrix_collection
@@ -24,7 +28,7 @@ REPEATS = 5
 
 
 def measure(call, arg):
-    """(best seconds of REPEATS calls, tracemalloc peak bytes of one call)."""
+    """(best seconds of REPEATS calls, tracemalloc peak bytes of one call, its result)."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -32,11 +36,11 @@ def measure(call, arg):
         best = min(best, time.perf_counter() - start)
     tracemalloc.start()
     try:
-        call(arg)
+        result = call(arg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return best, peak
+    return best, peak, result
 
 
 def main():
@@ -55,8 +59,12 @@ def main():
         ("parse", parse_matrix_collection, text, len(text), "text"),
         ("whiten", reduce_to_identity, parsed, parsed.matrices.nbytes, "stack"),
     ):
-        seconds, peak = measure(call, arg)
-        print(f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak: {peak / size:.2f} x {unit}")
+        seconds, peak, result = measure(call, arg)
+        line = f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak: {peak / size:.2f} x {unit}"
+        if name == "whiten":
+            kept = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
+            line += f"  kept: {kept / size:.2f} x {unit}"
+        print(line)
 
 
 if __name__ == "__main__":

@@ -341,8 +341,10 @@ def hypergraph_laplacian(h: WeightedHypergraph) -> np.ndarray:
 
 
 def hyperedge_collection(h: WeightedHypergraph) -> PsdCollection:
-    mats = [w * clique_laplacian(verts, h.n) for verts, w in h.hyperedges]
-    return PsdCollection.from_matrices(mats, validate=False)
+    stack = np.empty((len(h.hyperedges), h.n, h.n))
+    for member, (verts, w) in zip(stack, h.hyperedges):
+        np.multiply(w, clique_laplacian(verts, h.n), out=member)
+    return PsdCollection.from_matrices(stack, validate=False)
 
 
 def sparsify_hypergraph(

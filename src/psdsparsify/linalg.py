@@ -4,21 +4,20 @@ Every algorithm in this package works on a collection of positive
 semidefinite matrices B_1, ..., B_m whose sum is B.  The reduction
 conjugates each B_i by the pseudoinverse square root of B restricted to
 range(B), producing matrices C_1, ..., C_m of dimension r = rank(B) with
-sum(C_i) = I_r.  Each family is held as one C-contiguous float64
-(m, n, n) stack (``PsdCollection.matrices``, ``ReducedInstance.matrices``)
-whose members are exactly symmetric, and is read with whole-array
-operations.
+sum(C_i) = I_r.  An input family is one C-contiguous float64 (m, n, n)
+stack (``PsdCollection.matrices``) of exactly symmetric members.
 
-The scanning solvers score every member against matrices that are
-functions of one running sum A, so each is Q diag(c) Q^T in A's
-eigenbasis Q and <C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2 for a
-factor G_j with C_j = G_j^T G_j.  ``ReducedInstance`` keeps the factor
-rows of all members stacked, built from one eigendecomposition per
-member; eigenvalues at or below ``FACTOR_CUT`` times a member's largest
-are dropped, which moves a score by at most r * FACTOR_CUT * tr(C_j) *
-max|c|.  The dense members stay the source of every update of A and of
-every certificate: every solver ends with ``certificate_for`` on the
-weights it returns, and ``rescaled`` is the one lambda_min rescale.
+A whitened member is held only as its stacked factor rows G_j, with
+C_j = G_j^T G_j, which serve all the solvers need: <C_j, X>, the update
+A + alpha C_j and the certificate sum sum_j y_j C_j.  The scanning
+solvers score against Q diag(c) Q^T in the eigenbasis Q of their running
+sum A: <C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2.  Eigenvalues at or
+below ``FACTOR_CUT`` times a member's largest are dropped (and so is any
+negative rounding eigenvalue), which moves a score by at most
+r * FACTOR_CUT * tr(C_j) * max|c|, an update by at most
+alpha * FACTOR_CUT * tr(C_j) and a certificate eigenvalue by at most
+FACTOR_CUT * sum_j y_j tr(C_j).  Every solver ends with ``certificate_for``
+on its weights, and ``rescaled`` is the one lambda_min rescale.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ EXP_OVERFLOW_LIMIT = 700.0
 # out of its factor rows
 FACTOR_CUT = 1e-12
 
-# members decomposed per batched eigh while building the factor rows,
-# which bounds the transient (batch, r, r) copies
+# members whitened and factored at a time, which bounds the transient arrays
 FACTOR_BATCH = 64
 
 
@@ -128,12 +126,12 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
 def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL):
     """True iff lambda_min(M) >= -tol * max(1, spectral radius of M).
 
-    A (k, n, n) stack is checked with one stacked eigendecomposition and
-    gives a boolean array with one verdict per member.
+    A (k, n, n) stack is checked with one stacked eigenvalue-only
+    decomposition and gives a boolean array with one verdict per member.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    w = eigh(m).eigenvalues
+    w = eigvalsh(m)
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
     verdict = w[..., 0] >= -tol * scale
     return bool(verdict) if verdict.ndim == 0 else verdict
@@ -178,8 +176,8 @@ class PsdCollection:
         transposes is kept as it is, without a copy; otherwise the members
         are stacked once and only those that are not symmetric are
         symmetrized.  The caller's arrays are never written.  ``validate``
-        checks the members with one stacked eigendecomposition; the first
-        member that is not PSD raises NotPsd.
+        checks the members with one stacked eigenvalue-only decomposition;
+        the first member that is not PSD raises NotPsd.
         """
         if not isinstance(matrices, np.ndarray):
             matrices = [np.asarray(m, dtype=float) for m in matrices]
@@ -203,7 +201,7 @@ class PsdCollection:
                     f"matrix {int(np.argmin(psd))} is not PSD at tolerance {DEFAULT_PSD_TOL}"
                 )
             if upto < len(stack):
-                eigh(stack[upto])
+                eigvalsh(stack[upto])
         return PsdCollection(dim=dim, matrices=stack)
 
     def total(self) -> np.ndarray:
@@ -213,62 +211,70 @@ class PsdCollection:
         return out if (out == out.T).all() else symmetrize(out)
 
 
+def _factor(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Traces, stacked factor rows and row counts of a (k, r, r) batch of members."""
+    batch = symmetric_stack(np.asarray(batch, dtype=float))
+    spec = eigh(batch)
+    w, q = spec.eigenvalues, spec.eigenvectors
+    keep = (w > FACTOR_CUT * w[:, -1:]) & (w[:, -1:] > 0.0)
+    scaled = q.swapaxes(1, 2) * np.sqrt(np.where(keep, w, 0.0))[:, :, None]
+    return np.trace(batch, axis1=1, axis2=2), scaled[keep], keep.sum(axis=1)
+
+
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Whitened collection C_1..C_m with sum(C_i) = I on range(B).
+    """Whitened collection C_1..C_m with sum(C_i) = I on range(B), as factor rows.
 
-    ``matrices`` is one (m, r, r) stack of exactly symmetric members.
-    ``basis`` holds the n x r orthonormal range basis P and ``whitener``
-    the composed map (B^+)^{1/2} P, so C_i = whitener^T B_i whitener and
-    any weight vector found for the C_i applies verbatim to the B_i.
+    Member j owns the rows G_j = ``rows[bounds[j]:bounds[j + 1]]``, sqrt(w_k) q_k^T
+    for its eigenpairs with w_k > FACTOR_CUT * max(w), so C_j = G_j^T G_j up to the
+    dropped eigenvalues; ``traces`` are those of the dense C_j.  ``basis`` holds the
+    n x r orthonormal range basis P and ``whitener`` the map (B^+)^{1/2} P, so
+    C_i = whitener^T B_i whitener and weights found for the C_i apply to the B_i.
     """
 
     rank: int
-    matrices: np.ndarray
+    rows: np.ndarray
+    bounds: np.ndarray
+    traces: np.ndarray
     basis: np.ndarray
     whitener: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.matrices)
+    @staticmethod
+    def factored(batches, basis: np.ndarray, whitener: np.ndarray) -> "ReducedInstance":
+        """Factor whitened members given as (k, r, r) batches; no batch is kept."""
+        traces, rows, counts = zip(*map(_factor, batches))
+        return ReducedInstance(
+            rank=basis.shape[1],
+            rows=np.concatenate(rows),
+            bounds=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+            traces=np.concatenate(traces),
+            basis=basis,
+            whitener=whitener,
+        )
 
-    @cached_property
-    def traces(self) -> np.ndarray:
-        return np.trace(self.matrices, axis1=1, axis2=2)
+    def __len__(self) -> int:
+        return len(self.traces)
 
     @cached_property
     def has_trace(self) -> np.ndarray:
         """traces > 0: the members a scanning solver may pick."""
         return self.traces > 0.0
 
-    @cached_property
-    def factor_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked factor rows ``g`` (K, r), each member's first row, and
-        which members have rows.
-
-        Member j owns the rows sqrt(w_k) q_k^T of its eigenpairs with
-        w_k > FACTOR_CUT * max(w), so those rows g satisfy
-        sum g g^T = C_j up to the dropped eigenvalues.
-        """
-        rows, counts = [], []
-        for lo in range(0, len(self.matrices), FACTOR_BATCH):
-            spec = eigh(self.matrices[lo : lo + FACTOR_BATCH])
-            w, q = spec.eigenvalues, spec.eigenvectors
-            keep = (w > FACTOR_CUT * w[:, -1:]) & (w[:, -1:] > 0.0)
-            scaled = q.swapaxes(1, 2) * np.sqrt(np.where(keep, w, 0.0))[:, :, None]
-            rows.append(scaled[keep])
-            counts.append(keep.sum(axis=1))
-        counts = np.concatenate(counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        return np.concatenate(rows), starts, counts > 0
+    def member(self, j: int) -> np.ndarray:
+        """C_j = G_j^T G_j, dense; one symmetric product, so exactly symmetric."""
+        g = self.rows[self.bounds[j] : self.bounds[j + 1]]
+        return g.T @ g
 
     @cached_property
-    def _all_have_rows(self) -> bool:
-        return bool(self.factor_rows[2].all())
+    def _has_rows(self) -> np.ndarray | None:
+        """Which members have rows; None when every member has."""
+        has = np.diff(self.bounds) > 0
+        return None if has.all() else has
 
     def _segment_sums(self, per_row: np.ndarray) -> np.ndarray:
         """Sum ``per_row`` over each member's rows; a member without rows gets 0."""
-        _, starts, has_rows = self.factor_rows
-        if self._all_have_rows:
+        starts, has_rows = self.bounds[:-1], self._has_rows
+        if has_rows is None:
             return np.add.reduceat(per_row, starts, axis=0)
         out = np.zeros((len(starts),) + per_row.shape[1:])
         out[has_rows] = np.add.reduceat(per_row, starts[has_rows], axis=0)
@@ -281,23 +287,20 @@ class ReducedInstance:
         column of ``q``; the result has one row per member and one column
         per column of ``coeffs`` (a 1-D ``coeffs`` gives a 1-D result).
         """
-        g = self.factor_rows[0]
-        p = g @ q
+        p = self.rows @ q
         np.square(p, out=p)
         return self._segment_sums(p @ coeffs)
 
     # no solver calls it; kept for the benchmark's kernel timings (bench/spans.py)
     def score_all(self, v: np.ndarray) -> np.ndarray:
         """Trace inner product of every member with the matrix v."""
-        g = self.factor_rows[0]
+        g = self.rows
         return self._segment_sums(np.einsum("ki,ki->k", g @ v, g))
 
     def weighted_sum(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.rank, self.rank))
-        for yi, c in zip(y, self.matrices):
-            if yi != 0.0:
-                out += yi * c
-        return symmetrize(out)
+        """sum_j y_j C_j as one product G^T (y per row * G)."""
+        per_row = np.repeat(np.asarray(y, dtype=float), np.diff(self.bounds))
+        return symmetrize(self.rows.T @ (per_row[:, None] * self.rows))
 
 
 def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
@@ -312,20 +315,20 @@ def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     keep = w > rank_tol * lam_max
     basis = q[:, keep]
     whitener = basis / np.sqrt(w[keep])  # = (B^+)^{1/2} P column-scaled
-    rank = int(np.count_nonzero(keep))
-
-    # range(B_i) must lie inside range(B); failure means a non-PSD member
-    # slipped past validation.
     residual_proj = np.eye(coll.dim) - basis @ basis.T
-    # member by member into one stack: a whole-stack product would hold
-    # twice the stack in temporaries
-    stack = np.empty((len(coll), rank, rank))
-    for i, m in enumerate(coll.matrices):
-        outside = residual_proj @ m @ residual_proj
-        if np.linalg.norm(outside, "fro") > 1e-8 * max(1.0, lam_max):
-            raise NotPsd(f"matrix {i} has range outside range(B)")
-        stack[i] = symmetrize(whitener.T @ m @ whitener)
-    return ReducedInstance(rank=rank, matrices=stack, basis=basis, whitener=whitener)
+
+    def whitened():
+        for lo in range(0, len(coll), FACTOR_BATCH):
+            batch = coll.matrices[lo : lo + FACTOR_BATCH]
+            # range(B_i) must lie inside range(B); failure means a non-PSD
+            # member slipped past validation.
+            outside = residual_proj @ batch @ residual_proj
+            outside = np.linalg.norm(outside, axis=(1, 2)) > 1e-8 * max(1.0, lam_max)
+            if outside.any():
+                raise NotPsd(f"matrix {lo + int(np.argmax(outside))} has range outside range(B)")
+            yield symmetrize(whitener.T @ batch @ whitener)
+
+    return ReducedInstance.factored(whitened(), basis, whitener)
 
 
 @dataclass(frozen=True)
@@ -405,5 +408,4 @@ def verify_sandwich(coll: PsdCollection, y: np.ndarray) -> SandwichCertificate:
         raise DimMismatch(f"weight vector has shape {y.shape}, expected ({len(coll)},)")
     if np.any(y < 0.0):
         raise NegativeWeight("weight vector has a negative entry")
-    reduced = reduce_to_identity(coll)
-    return certificate_for(reduced, y)
+    return certificate_for(reduce_to_identity(coll), y)

@@ -30,7 +30,6 @@ from .linalg import (
     ReducedInstance,
     SparsifierResult,
     certificate_for,
-    eigh,
     eigvalsh,
     ln_sum_exp,
     symmetrize,
@@ -119,29 +118,39 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
 
 
 @dataclass
-class PeState:
-    """Greedy derandomization state.
+class PeInstance:
+    """The part of the pe state that does not depend on the budget T.
 
     ``t_minus`` scales the lower-tail exponent exp(-t X) and ``t_plus``
-    the upper-tail exponent exp(+t' X).  ``picked_sum`` is P, the sum of
-    the unit-trace matrices picked so far; the two exponent sums are
-    -t P and +t' P, so both tails take their spectra from the
-    eigenvalues of P.  The
-    estimator values are assembled in log space so the norm powers cannot
-    underflow.  ``live`` lists the candidates with positive probability
-    and ``units`` holds their unit-trace matrices X_j = C_j / tr(C_j) as
-    one (len(live), r, r) stack.
+    the upper-tail exponent exp(+t' X); the log norms are those of the
+    expected one-step factors E[exp(-t X)] and E[exp(t' X)].  ``live``
+    lists the candidates with positive probability and ``units`` holds
+    their unit-trace matrices X_j = G_j^T G_j / tr(C_j), built from the
+    factor rows, as one (len(live), r, r) stack.  A retry at a larger
+    budget reuses it as it is.
     """
 
     plan: SamplingPlan
-    t_total: int
     t_minus: float
     t_plus: float
     log_norm_minus: float
     log_norm_plus: float
-    picked_sum: np.ndarray
     live: np.ndarray
     units: np.ndarray
+
+
+@dataclass
+class PeState(PeInstance):
+    """Greedy derandomization state: a ``PeInstance`` at budget ``t_total``.
+
+    ``picked_sum`` is P, the sum of the unit-trace matrices picked so far;
+    the two exponent sums are -t P and +t' P, so both tails take their
+    spectra from the eigenvalues of P.  The estimator values are
+    assembled in log space so the norm powers cannot underflow.
+    """
+
+    t_total: int
+    picked_sum: np.ndarray
     picks: list = field(default_factory=list)
 
     @property
@@ -167,26 +176,12 @@ class PeState:
         return float(self._estimate(-self.t_minus * w, self.t_plus * w, self.t))
 
 
-@dataclass(frozen=True)
-class PeInstance:
-    """The part of the pe state that does not depend on the budget T.
-
-    ``live``, ``units`` and the exponents are those of ``PeState``; the
-    log norms are those of the expected one-step factors E[exp(-t X)]
-    and E[exp(t' X)].  A retry at a larger budget reuses it as it is.
-    """
-
-    plan: SamplingPlan
-    t_minus: float
-    t_plus: float
-    log_norm_minus: float
-    log_norm_plus: float
-    live: np.ndarray
-    units: np.ndarray
-
-
 def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
-    """Build the unit-trace stack, its one batched eigh, and both log norms."""
+    """Build the unit-trace stack and both log norms from the factor rows.
+
+    Member j's rows g_k = sqrt(w_k) q_k^T give exp(s X_j) = I + sum_k
+    expm1(s w_k / tr_j) / w_k g_k^T g_k, so each mean is I + G^T diag(c) G.
+    """
     plan = SamplingPlan.from_instance(reduced, eps)
     mu = plan.mu
     if mu >= 1.0:
@@ -195,20 +190,26 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
 
     r = reduced.rank
     live = np.flatnonzero(plan.probabilities > 0.0)
-    units = reduced.matrices[live]
-    units /= reduced.traces[live, None, None]
-    spec = eigh(units)
-    mean_minus = np.zeros((r, r))
-    mean_plus = np.zeros((r, r))
-    for prob, w, q in zip(plan.probabilities[live], spec.eigenvalues, spec.eigenvectors):
-        mean_minus += prob * ((q * np.exp(-t_minus * w)) @ q.T)
-        mean_plus += prob * ((q * np.exp(t_plus * w)) @ q.T)
+    units = np.empty((len(live), r, r))
+    for k, j in enumerate(live):
+        np.divide(reduced.member(j), reduced.traces[j], out=units[k])
+    counts = np.diff(reduced.bounds)
+    on_live = np.repeat(plan.probabilities > 0.0, counts)
+    g = reduced.rows[on_live]
+    w = np.einsum("ki,ki->k", g, g)
+    per_unit = w / np.repeat(reduced.traces, counts)[on_live]
+    weight = np.repeat(plan.probabilities, counts)[on_live] / w
+
+    def log_norm(s: float) -> float:
+        mean = np.eye(r) + g.T @ ((weight * np.expm1(s * per_unit))[:, None] * g)
+        return math.log(float(eigvalsh(symmetrize(mean))[-1]))
+
     return PeInstance(
         plan=plan,
         t_minus=t_minus,
         t_plus=t_plus,
-        log_norm_minus=math.log(float(eigh(symmetrize(mean_minus)).eigenvalues[-1])),
-        log_norm_plus=math.log(float(eigh(symmetrize(mean_plus)).eigenvalues[-1])),
+        log_norm_minus=log_norm(-t_minus),
+        log_norm_plus=log_norm(t_plus),
         live=live,
         units=units,
     )
@@ -232,15 +233,9 @@ def pe_params(
         instance = pe_instance(reduced, eps)
     plan, r = instance.plan, reduced.rank
     state = PeState(
-        plan=plan,
+        **vars(instance),
         t_total=plan.t_derand if t_total is None else int(t_total),
-        t_minus=instance.t_minus,
-        t_plus=instance.t_plus,
-        log_norm_minus=instance.log_norm_minus,
-        log_norm_plus=instance.log_norm_plus,
         picked_sum=np.zeros((r, r)),
-        live=instance.live,
-        units=instance.units,
     )
     start = state.current_value()
     if start >= 1.0:

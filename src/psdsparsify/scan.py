@@ -13,8 +13,9 @@ scores.  A ``history=`` list gets the pair (j, alpha) of every step; A,
 and every quantity derived from it, can be rebuilt from the pairs.
 ``drive`` returns the weights y alone; the solver certifies them.
 
-A + alpha C_j is not symmetrized: when A and C_j are exactly symmetric,
-entries (i, k) and (k, i) of the sum round from the same operands.
+The update adds alpha G_j^T G_j from member j's factor rows, unsymmetrized:
+G_j^T G_j is one symmetric product, so exactly symmetric, and entries
+(i, k) and (k, i) of the sum round from the same operands.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 import numpy as np
 
 from .errors import TimeBudgetExceeded
-from .linalg import ReducedInstance, eigh, symmetric_stack
+from .linalg import ReducedInstance, eigh
 
 
 def step(
@@ -45,8 +46,6 @@ def drive(
     Raises TimeBudgetExceeded when ``max_seconds`` run out before the last step.
     """
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    # whitened members are exactly symmetric; a hand-built one may not be
-    members = symmetric_stack(reduced.matrices)
     a = np.zeros((reduced.rank, reduced.rank))
     y = np.zeros(len(reduced))
     coeffs = np.empty((reduced.rank, 2))
@@ -56,7 +55,7 @@ def drive(
                 f"{potential.name} exceeded {max_seconds} s at iteration {t + 1}"
             )
         j, alpha = step(reduced, potential, a, t, coeffs)
-        a = a + alpha * members[j]
+        a = a + alpha * reduced.member(j)
         y[j] += alpha
         if history is not None:
             history.append((j, alpha))

@@ -3,7 +3,7 @@ import pytest
 
 from psdsparsify import bss, linalg, mmwum_wf, scan
 from psdsparsify.instances import random_psd_collection
-from psdsparsify.linalg import PsdCollection, reduce_to_identity
+from psdsparsify.linalg import PsdCollection, ReducedInstance, reduce_to_identity, symmetrize
 
 
 @pytest.fixture
@@ -28,8 +28,8 @@ def eigh_calls(monkeypatch):
     """Shapes of the matrices decomposed by ``eigh`` in the modules of the
     scanning solvers and in ``linalg``, where ``certificate_for`` decomposes.
 
-    ``linalg`` also decomposes an instance's members when it first builds
-    their factor rows; a test that counts steps builds them first.
+    ``reduce_to_identity`` builds the factor rows, so an instance made
+    before the fixture is used decomposes nothing more until it is solved.
     """
     calls = []
     real_eigh = linalg.eigh
@@ -60,3 +60,18 @@ def scores_of(reduced, x):
     spec = linalg.eigh(x)
     scores = reduced.scores_in_basis(spec.eigenvectors, spec.eigenvalues)
     return scores, float(spec.eigenvalues.sum())
+
+
+def hand_reduced(members) -> ReducedInstance:
+    """A whitened instance factored from the dense ``members`` as they are,
+    with the identity as its basis and whitener."""
+    members = np.asarray(members, dtype=float)
+    eye = np.eye(members.shape[-1])
+    return ReducedInstance.factored([members], basis=eye, whitener=eye)
+
+
+def whitened_members(coll, reduced) -> np.ndarray:
+    """symmetrize(W^T B_i W) for every member of ``coll``, one at a time, with
+    the whitener W of ``reduced``: the dense members its rows factor."""
+    w = reduced.whitener
+    return np.stack([symmetrize(w.T @ b @ w) for b in coll.matrices])

@@ -4,8 +4,9 @@
 as it is, scoring candidates with ``ReducedInstance.scores_in_basis``
 through the factor rows, and once with ``dense_scores_in_basis`` put in
 its place, which forms each score matrix Q diag(c) Q^T and takes its
-trace inner product with every dense member.  Each run records, per step,
-the scores its pick function received and the (index, step) it returned.
+trace inner product with every dense member G_j^T G_j (``dense_members``).
+Each run records, per step, the scores its pick function received and
+the (index, step) it returned.
 
 ``compare_pe_picks`` does the same for ``pe``: the kernel scores every
 candidate from the eigenvalues of its pick sum P + X_j, and the reference
@@ -20,7 +21,8 @@ relative difference of the step size while the picks agree.
 ``reference_block_sparsify`` are the three scanning loops as they were
 before ``scan.drive`` took them over, with their step and pick functions,
 copied verbatim: each keeps its own loop, deadline and symmetrized update,
-and appends the same (j, alpha) pairs to ``history``.  Each finishes as
+and appends the same (j, alpha) pairs to ``history``.  The update adds
+``dense_member``, the G_j^T G_j that ``scan.drive`` adds.  Each finishes as
 the solvers do, with ``certificate_for`` on the weights it returns (and
 ``bss`` with ``rescaled``).  ``BssState`` is the loop state of
 ``reference_bss_sparsify``.
@@ -62,9 +64,20 @@ from psdsparsify.mmwum_wf import WfParams, psi_lower, psi_upper
 from psdsparsify.solve import run_algorithm
 
 
+def dense_member(reduced: ReducedInstance, j: int) -> np.ndarray:
+    """C_j = G_j^T G_j from member j's factor rows, the product ``scan.drive`` adds."""
+    g = reduced.rows[reduced.bounds[j] : reduced.bounds[j + 1]]
+    return g.T @ g
+
+
+def dense_members(reduced: ReducedInstance) -> np.ndarray:
+    """Every member as a dense (m, r, r) stack, built from its factor rows."""
+    return np.stack([dense_member(reduced, j) for j in range(len(reduced))])
+
+
 def dense_scores_in_basis(self: ReducedInstance, q: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``scores_in_basis`` from the dense members, one score matrix per column."""
-    flat = np.stack(self.matrices).reshape(len(self.matrices), -1)
+    flat = dense_members(self).reshape(len(self), -1)
     return np.column_stack([flat @ symmetrize((q * c) @ q.T).ravel() for c in coeffs.T])
 
 
@@ -364,7 +377,7 @@ def reference_bss_sparsify(
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded(f"bss exceeded {max_seconds} s at iteration {t}")
         j, alpha = _reference_bss_step(state, reduced, params)
-        state.A = symmetrize(state.A + alpha * reduced.matrices[j])
+        state.A = symmetrize(state.A + alpha * dense_member(reduced, j))
         state.y[j] += alpha
         state.t = t
         if history is not None:
@@ -428,7 +441,7 @@ def reference_wf_sparsify(
         coeffs = np.column_stack((exp_plus / exp_plus.sum(), exp_minus / exp_minus.sum()))
         scores = reduced.scores_in_basis(q, coeffs)
         j, alpha = _reference_wf_pick(scores[:, 0], scores[:, 1], reduced, params)
-        a = symmetrize(a + alpha * reduced.matrices[j])
+        a = symmetrize(a + alpha * dense_member(reduced, j))
         y[j] += alpha
         if history is not None:
             history.append((j, alpha))
@@ -495,7 +508,7 @@ def reference_block_sparsify(
         j, alpha = _reference_block_pick(
             scores[:, 0], scores[:, 1], tr_w1, tr_w2, reduced, params.eta
         )
-        loss_sum = symmetrize(loss_sum + alpha * reduced.matrices[j])
+        loss_sum = symmetrize(loss_sum + alpha * dense_member(reduced, j))
         y_sum[j] += alpha
         if history is not None:
             history.append((j, alpha))
@@ -566,7 +579,7 @@ def replay(reduced: ReducedInstance, history: list):
     """
     a = np.zeros((reduced.rank, reduced.rank))
     for t, (j, alpha) in enumerate(history, start=1):
-        before, a = a, a + alpha * reduced.matrices[j]
+        before, a = a, a + alpha * dense_member(reduced, j)
         yield t, j, alpha, before, a
 
 

@@ -106,7 +106,7 @@ def test_criterion_03_width_free_mmwum(instance_family):
         assert cert.lambda_max <= 1.0 + eps + 1e-6
         assert_wf_chain(reduced, params, history)
         for t, j, alpha, a, _ in replay(reduced, history):
-            assert check_potential_equivalence(a, reduced.matrices[j], alpha, t - 1, params)
+            assert check_potential_equivalence(a, reduced.member(j), alpha, t - 1, params)
             steps_checked += 1
     elapsed = time.monotonic() - start
     report(

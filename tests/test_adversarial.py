@@ -4,8 +4,10 @@ Each case transforms a small random collection: member scales spread over
 10^+-8, conjugation by diag(10^0 ... 10^-k), every member tripled, or three
 rank-one members in dimension 6.  All five algorithms run on it at eps 0.5
 and seeds 0-2.  A returned certificate must agree with ``verify_sandwich``
-recomputed from the caller's matrices, and a run that fails must raise a
-``SparsifyError``.
+recomputed from the caller's matrices, and with the extreme eigenvalues
+of sum_i y_i symmetrize(W^T B_i W), summed from the caller's dense B_i
+rather than from the factor rows that both certificates read.  A run that
+fails must raise a ``SparsifyError``.
 """
 
 import numpy as np
@@ -13,8 +15,10 @@ import pytest
 
 from psdsparsify.errors import SparsifyError
 from psdsparsify.instances import random_psd_collection
-from psdsparsify.linalg import PsdCollection, verify_sandwich
+from psdsparsify.linalg import PsdCollection, reduce_to_identity, verify_sandwich
 from psdsparsify.solve import ALGORITHMS, sparsify_sum
+
+from conftest import whitened_members
 
 # k of the conjugation diag(10^0 ... 10^-k) at seeds 0, 1, 2; at 14 the
 # whitening keeps rank 1 on seed 2
@@ -57,3 +61,17 @@ def test_certificate_matches_recertification(transform, algo, seed):
     assert got.lambda_min == pytest.approx(want.lambda_min, rel=1e-8)
     assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-8)
     assert got.support_size == want.support_size
+    dense = np.linalg.eigvalsh(
+        np.tensordot(result.weights, whitened_members(coll, reduce_to_identity(coll)), axes=1)
+    )
+    assert got.lambda_min == pytest.approx(dense[0], rel=1e-12)
+    assert got.lambda_max == pytest.approx(dense[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rows_reproduce_the_whitened_members(seed):
+    # factoring each B_i before whitening misses W^T B_i W by up to 9e-11 here (seed 0)
+    coll = PsdCollection.from_matrices(conjugated(seed))
+    reduced = reduce_to_identity(coll)
+    for j, c in enumerate(whitened_members(coll, reduced)):
+        assert np.linalg.norm(reduced.member(j) - c) <= 1e-12 * np.linalg.norm(c)

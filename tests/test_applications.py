@@ -19,6 +19,7 @@ from psdsparsify.applications import (
     cut_weight_star,
     edge_collection,
     graph_cut_weight,
+    hyperedge_collection,
     hypergraph_laplacian,
     laplacian,
     psd_counterexample,
@@ -212,6 +213,13 @@ class TestHypergraphLaplacian:
         # one stacked outer product per pair would take C(n, 2) n^2 floats
         n = 200
         assert traced_peak(clique_laplacian, range(1, n + 1), n) <= 4 * n * n * 8
+
+    def test_collection_holds_its_members_once(self):
+        h = random_uniform_hypergraph(60, 300, 3, seed=0)
+        stack_bytes = h.m * h.n * h.n * 8
+        assert traced_peak(hyperedge_collection, h) <= 1.3 * stack_bytes
+        want = np.stack([w * clique_laplacian(verts, h.n) for verts, w in h.hyperedges])
+        assert hyperedge_collection(h).matrices.tobytes() == want.tobytes()
 
     def test_clique_spectrum(self):
         lap = clique_laplacian((1, 2, 3, 4), 4)

@@ -16,17 +16,16 @@ from psdsparsify.bss import (
     phi_upper,
 )
 from psdsparsify.errors import BarrierViolated, PotentialTooLarge, StepNotFound
-from psdsparsify.linalg import PsdCollection, ReducedInstance, eigh, reduce_to_identity
+from psdsparsify.linalg import PsdCollection, eigh, reduce_to_identity
 
-from conftest import random_psd
+from conftest import hand_reduced, random_psd
 from pickseq import assert_bss_invariants
 
 
 def _scores(a, x, coefficients):
     """<X, Q diag(c) Q^T> for A = Q diag(w) Q^T and c = coefficients(w),
     scored by ``scores_in_basis`` on a one-member instance."""
-    n = len(a)
-    member = ReducedInstance(rank=n, matrices=[x], basis=np.eye(n), whitener=np.eye(n))
+    member = hand_reduced([x])
     spec = eigh(a)
     return float(member.scores_in_basis(spec.eigenvectors, coefficients(spec.eigenvalues))[0])
 
@@ -184,8 +183,8 @@ class TestStep:
         j, alpha = bss_step(a, 0, reduced_pair, params)
         u = params.upper_barrier(0)
         ell = params.lower_barrier(0)
-        upper = upper_shift_bound(a, reduced_pair.matrices[j], u, params.delta_U)
-        lower = lower_shift_bound(a, reduced_pair.matrices[j], ell, params.delta_L)
+        upper = upper_shift_bound(a, reduced_pair.member(j), u, params.delta_U)
+        lower = lower_shift_bound(a, reduced_pair.member(j), ell, params.delta_L)
         assert lower * (1 + 1e-12) >= 1.0 / alpha >= upper * (1 - 1e-12)
 
     def test_single_candidate(self):
@@ -205,7 +204,6 @@ class TestStep:
 
     @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
     def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
-        reduced_random.factor_rows  # decomposes the members, once per instance
         eigh_calls.clear()
         params = BssParams.from_epsilon(0.5, reduced_random.rank)
         bss_step(np.zeros((6, 6)), 0, reduced_random, params)

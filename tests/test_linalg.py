@@ -1,5 +1,6 @@
 """Core symmetric linear algebra and the whitening reduction."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +35,6 @@ from psdsparsify.io_formats import parse_matrix_collection, parse_sdp, parse_sim
 from psdsparsify.linalg import (
     FACTOR_CUT,
     PsdCollection,
-    ReducedInstance,
     certificate_for,
     eigh,
     eigvalsh,
@@ -49,7 +49,7 @@ from psdsparsify.linalg import (
 from psdsparsify.mmwum_block import block_sparsify
 from psdsparsify.mmwum_wf import wf_sparsify
 
-from conftest import random_psd, random_sym
+from conftest import hand_reduced, random_psd, random_sym, whitened_members
 
 
 class TestEigh:
@@ -141,6 +141,17 @@ class TestIsPsd:
         # eigenvalues {0, 2} by hand
         assert is_psd(np.array([[1.0, -1.0], [-1.0, 1.0]]), tol=0.0)
 
+    def test_validation_keeps_no_eigenvectors(self):
+        # eigenvectors of every member would take as much memory as the stack
+        stack = random_psd_collection(30, 600, seed=0).matrices
+        tracemalloc.start()
+        try:
+            PsdCollection.from_matrices(stack, validate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * stack.nbytes
+
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_gram_matrices_pass(self, n, seed):
@@ -152,18 +163,18 @@ class TestReduceToIdentity:
     def test_diagonal_pair(self, diag_split):
         red = reduce_to_identity(diag_split)
         assert red.rank == 2
-        np.testing.assert_allclose(red.matrices[0], np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(red.matrices[1], np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(red.member(0), np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(red.member(1), np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_identity_collection(self):
         red = reduce_to_identity(PsdCollection.from_matrices([np.eye(4)]))
         assert red.rank == 4
-        np.testing.assert_allclose(red.matrices[0], np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(red.member(0), np.eye(4), atol=1e-12)
 
     def test_rank_deficient_collapses(self):
         red = reduce_to_identity(PsdCollection.from_matrices([np.diag([1.0, 0.0])]))
         assert red.rank == 1
-        np.testing.assert_allclose(red.matrices[0], [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(red.member(0), [[1.0]], atol=1e-12)
 
     def test_zero_sum_rejected(self):
         coll = PsdCollection.from_matrices([np.zeros((2, 2))], validate=False)
@@ -183,9 +194,10 @@ class TestReduceToIdentity:
             validate=False,
         )
         red = reduce_to_identity(coll)
-        total = sum(red.matrices)
+        members = [red.member(j) for j in range(len(red))]
+        total = sum(members)
         assert np.linalg.norm(total - np.eye(red.rank), "fro") <= 1e-8 * red.rank
-        for c in red.matrices:
+        for c in members:
             assert is_psd(c, tol=1e-9)
 
 
@@ -317,7 +329,6 @@ _STACKS = {
     "parse_simplex": lambda: parse_simplex(_SIMPLEX)[1].matrices,
     "random_psd_collection": lambda: random_psd_collection(3, 5, seed=1).matrices,
     "identity_decomposition": lambda: identity_decomposition(3).matrices,
-    "reduce_to_identity": lambda: reduce_to_identity(random_psd_collection(3, 5)).matrices,
     "edge": lambda: edge_collection(complete_graph(4)).matrices,
     "hyperedge": lambda: hyperedge_collection(random_uniform_hypergraph(5, 4, 3)).matrices,
     "cost": lambda: cost_lifted_collection(complete_graph(4), [np.arange(6.0)]).matrices,
@@ -336,6 +347,16 @@ class TestOneStack:
         assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
         assert stack.ndim == 3 and stack.shape[1] == stack.shape[2]
         assert stack.flags.c_contiguous
+
+    def test_whitened_members_are_one_row_stack(self):
+        coll = random_psd_collection(3, 5)
+        reduced = reduce_to_identity(coll)
+        rows = reduced.rows
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert rows.ndim == 2 and rows.shape[1] == reduced.rank and rows.flags.c_contiguous
+        assert reduced.bounds.shape == (len(coll) + 1,) and reduced.bounds[-1] == len(rows)
+        held = [v for v in vars(reduced).values() if isinstance(v, np.ndarray)]
+        assert all(v.ndim <= 2 for v in held)
 
     def test_a_symmetric_stack_is_kept_and_no_input_is_written(self):
         rng = np.random.default_rng(3)
@@ -358,23 +379,23 @@ class TestOneStack:
         assert coll.matrices.tobytes() == PsdCollection.from_matrices(before).matrices.tobytes()
 
 
-def _dense_scores(reduced, q, coeffs):
-    """<C_j, Q diag(c) Q^T> for every member and column c, by einsum."""
-    stack = np.stack(reduced.matrices)
-    return np.einsum("jab,ak,bk,kc->jc", stack, q, q, coeffs)
+def _dense_scores(members, q, coeffs):
+    """<C_j, Q diag(c) Q^T> for every dense member and column c, by einsum."""
+    return np.einsum("jab,ak,bk,kc->jc", members, q, q, coeffs)
 
 
-def _assert_scores_match(reduced, rng, columns=2):
-    """Both kernels against einsum, to 1e-12 of tr(C_j) times the largest coefficient."""
+def _assert_scores_match(reduced, members, rng, columns=2):
+    """Both kernels against einsum on the dense whitened ``members``, to 1e-12
+    of tr(C_j) times the largest coefficient."""
     r = reduced.rank
     q = eigh(random_sym(rng, r)).eigenvectors
     coeffs = rng.standard_normal((r, columns)) * np.logspace(0, 3, r)[:, None]
     got = reduced.scores_in_basis(q, coeffs)
     bound = 1e-12 * reduced.traces[:, None] * np.abs(coeffs).max(axis=0)
     assert got.shape == (len(reduced), columns)
-    assert np.all(np.abs(got - _dense_scores(reduced, q, coeffs)) <= bound)
+    assert np.all(np.abs(got - _dense_scores(members, q, coeffs)) <= bound)
     v = random_sym(rng, r)
-    want = np.einsum("jab,ab->j", np.stack(reduced.matrices), v)
+    want = np.einsum("jab,ab->j", members, v)
     bound = 1e-12 * reduced.traces * np.abs(np.linalg.eigvalsh(v)).max()
     assert np.all(np.abs(reduced.score_all(v) - want) <= bound)
 
@@ -382,14 +403,15 @@ def _assert_scores_match(reduced, rng, columns=2):
 def _with_zero_member(position):
     mats = list(random_psd_collection(4, 9, seed=5).matrices)
     mats.insert(position, np.zeros((4, 4)))
-    return reduce_to_identity(PsdCollection.from_matrices(mats))
+    return PsdCollection.from_matrices(mats)
 
 
 class TestFactoredScoring:
     @pytest.mark.parametrize("n,m", [(1, 3), (3, 5), (6, 40), (12, 30), (30, 100)])
     def test_random_collections(self, n, m):
-        reduced = reduce_to_identity(random_psd_collection(n, m, seed=n + m))
-        _assert_scores_match(reduced, np.random.default_rng(m))
+        coll = random_psd_collection(n, m, seed=n + m)
+        reduced = reduce_to_identity(coll)
+        _assert_scores_match(reduced, whitened_members(coll, reduced), np.random.default_rng(m))
 
     def test_full_rank_member_spanning_1e8(self):
         rng = np.random.default_rng(11)
@@ -397,18 +419,17 @@ class TestFactoredScoring:
         q = eigh(random_sym(rng, n)).eigenvectors
         wide = symmetrize((q * np.logspace(0, -8, n)) @ q.T)
         mats = [wide] + [random_psd(rng, n, rank=2) for _ in range(4)]
-        reduced = ReducedInstance(rank=n, matrices=mats, basis=np.eye(n), whitener=np.eye(n))
-        _, starts, _ = reduced.factor_rows
-        assert starts[1] == n  # no eigenvalue of the wide member falls below the cut
+        reduced = hand_reduced(mats)
+        assert reduced.bounds[1] == n  # no eigenvalue of the wide member falls below the cut
         assert 1e-8 > FACTOR_CUT
-        _assert_scores_match(reduced, rng, columns=3)
+        _assert_scores_match(reduced, np.stack(mats), rng, columns=3)
 
     def test_edge_laplacians_give_one_row_each(self):
-        reduced = reduce_to_identity(edge_collection(complete_graph(5)))
-        g, starts, has_rows = reduced.factor_rows
-        assert g.shape == (10, 4)
-        assert np.array_equal(starts, np.arange(10)) and has_rows.all()
-        _assert_scores_match(reduced, np.random.default_rng(5))
+        coll = edge_collection(complete_graph(5))
+        reduced = reduce_to_identity(coll)
+        assert reduced.rows.shape == (10, 4)
+        assert np.array_equal(reduced.bounds, np.arange(11))
+        _assert_scores_match(reduced, whitened_members(coll, reduced), np.random.default_rng(5))
 
     def test_one_dimensional_coefficients(self):
         reduced = reduce_to_identity(random_psd_collection(4, 8, seed=2))
@@ -420,21 +441,33 @@ class TestFactoredScoring:
 
     @pytest.mark.parametrize("position", [0, 4, 9])
     def test_zero_member_scores_exactly_zero(self, position):
-        reduced = _with_zero_member(position)
+        coll = _with_zero_member(position)
+        reduced = reduce_to_identity(coll)
         assert reduced.traces[position] == 0.0
-        assert not reduced.factor_rows[2][position]
+        assert reduced.bounds[position] == reduced.bounds[position + 1]
         rng = np.random.default_rng(position)
         q = eigh(random_sym(rng, 4)).eigenvectors
         coeffs = rng.uniform(1.0, 2.0, (4, 2))
         assert np.all(reduced.scores_in_basis(q, coeffs)[position] == 0.0)
         assert reduced.score_all(random_sym(rng, 4))[position] == 0.0
-        _assert_scores_match(reduced, rng)
+        _assert_scores_match(reduced, whitened_members(coll, reduced), rng)
+
+    @pytest.mark.parametrize("n,m", [(3, 5), (6, 40), (30, 100)])
+    def test_weighted_sum_matches_the_dense_sum(self, n, m):
+        coll = random_psd_collection(n, m, seed=n)
+        reduced = reduce_to_identity(coll)
+        y = np.random.default_rng(m).uniform(0.0, 2.0, m)
+        y[::3] = 0.0
+        got = reduced.weighted_sum(y)
+        want = np.tensordot(y, whitened_members(coll, reduced), axes=1)
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_member_without_positive_eigenvalues_scores_zero(self):
         # -1e-13 I passes the PSD check at its default tolerance
         mats = [np.eye(3), -1e-13 * np.eye(3), np.diag([1.0, 2.0, 0.0])]
-        reduced = ReducedInstance(rank=3, matrices=mats, basis=np.eye(3), whitener=np.eye(3))
-        assert reduced.factor_rows[2].tolist() == [True, False, True]
+        reduced = hand_reduced(mats)
+        assert (np.diff(reduced.bounds) > 0).tolist() == [True, False, True]
         scores = reduced.scores_in_basis(np.eye(3), np.ones((3, 2)))
         assert np.all(scores[1] == 0.0)
         np.testing.assert_allclose(scores, [[3.0, 3.0], [0.0, 0.0], [3.0, 3.0]], rtol=1e-15)
@@ -442,6 +475,6 @@ class TestFactoredScoring:
     @pytest.mark.parametrize("solve", [bss_sparsify, wf_sparsify, block_sparsify])
     @pytest.mark.parametrize("position", [0, 4, 9])
     def test_zero_member_never_picked(self, solve, position):
-        result = solve(_with_zero_member(position), 0.5)
+        result = solve(reduce_to_identity(_with_zero_member(position)), 0.5)
         assert result.weights[position] == 0.0
         assert np.count_nonzero(result.weights) > 0

@@ -77,13 +77,13 @@ class TestOracle:
         x2 = random_psd(rng, red.rank) + 0.5 * np.eye(red.rank)
         j, alpha = block_oracle(x1, x2, red, eta)
         rho = (1.0 + eta) * red.rank / eta
-        assert alpha * float(np.trace(red.matrices[j])) <= rho * (1 + 1e-12)
+        assert alpha * float(np.trace(red.member(j))) <= rho * (1 + 1e-12)
         # first condition holds with equality at alpha = 1/p_j
-        p_j = float(np.sum(x1 * red.matrices[j])) / float(np.trace(x1))
+        p_j = float(np.sum(x1 * red.member(j))) / float(np.trace(x1))
         assert alpha * p_j * float(np.trace(x1)) == pytest.approx(
             float(np.trace(x1)), rel=1e-9
         )
-        assert float(np.sum(x2 * red.matrices[j])) * alpha <= (1.0 + eta) * float(
+        assert float(np.sum(x2 * red.member(j))) * alpha <= (1.0 + eta) * float(
             np.trace(x2)
         ) * (1 + 1e-12)
 
@@ -110,7 +110,7 @@ class TestSparsify:
         history = []
         res = block_sparsify(reduced_random, 0.5, history=history)
         for j, alpha in history:
-            step = alpha * reduced_random.matrices[j]
+            step = alpha * reduced_random.member(j)
             w = np.linalg.eigvalsh(step - np.eye(reduced_random.rank))
             assert w[0] >= -params.ell - 1e-12
             assert w[-1] <= params.rho + 1e-12
@@ -121,7 +121,6 @@ class TestSparsify:
 
     @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
     def test_one_eigh_per_iteration(self, reduced_random, eigh_calls, history):
-        reduced_random.factor_rows  # decomposes the members, once per instance
         eigh_calls.clear()
         block_sparsify(reduced_random, 0.5, history=history)
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)

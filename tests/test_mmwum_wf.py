@@ -91,7 +91,7 @@ class TestOracle:
         x_l = symmetrize((q * coeffs[:, 1]) @ q.T)
         scores = red.scores_in_basis(q, coeffs)
         j, alpha = _wf_pick(scores[:, 0], scores[:, 1], red, params)
-        c = red.matrices[j]
+        c = red.member(j)
         tr = float(np.trace(c))
         growth = (math.exp(params.gamma * alpha * tr) - 1.0) / tr
         shrink = (1.0 - math.exp(-params.gamma * alpha * tr)) / tr
@@ -132,7 +132,7 @@ class TestEquivalence:
         history = []
         wf_sparsify(reduced_random, 0.5, history=history)
         for t, j, alpha, a, _ in replay(reduced_random, history[:40]):
-            x = reduced_random.matrices[j]
+            x = reduced_random.member(j)
             assert check_potential_equivalence(a, x, alpha, t - 1, params)
 
 
@@ -158,7 +158,7 @@ class TestSparsify:
         # rebuild A(T) from the raw picks and compare against the bound
         a = np.zeros((reduced_random.rank, reduced_random.rank))
         for j, alpha in history:
-            a = symmetrize(a + alpha * reduced_random.matrices[j])
+            a = symmetrize(a + alpha * reduced_random.member(j))
         lam_max = float(np.linalg.eigvalsh(a)[-1]) / params.T
         bound = (
             math.log1p(params.delta_U) / params.gamma
@@ -186,7 +186,6 @@ class TestSparsify:
 
     @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
     def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
-        reduced_random.factor_rows  # decomposes the members, once per instance
         eigh_calls.clear()
         wf_sparsify(reduced_random, 0.5, history=history)
         params = WfParams.from_epsilon(0.5, reduced_random.rank)

@@ -8,7 +8,7 @@ import pytest
 from psdsparsify import sampling
 from psdsparsify.errors import InvalidMatrix, RankTooSmall, TimeBudgetExceeded, TNotLargeEnough
 from psdsparsify.instances import identity_decomposition, random_psd_collection
-from psdsparsify.linalg import PsdCollection, reduce_to_identity
+from psdsparsify.linalg import PsdCollection, reduce_to_identity, symmetrize
 from psdsparsify.solve import sparsify_sum
 from psdsparsify.sampling import (
     SamplingPlan,
@@ -20,6 +20,8 @@ from psdsparsify.sampling import (
     pe_params,
     pe_sparsify,
 )
+
+from conftest import whitened_members
 
 
 @pytest.fixture
@@ -118,6 +120,23 @@ class TestPeParams:
         rate = -(state.t_minus * (1.0 - eps) * mu + state.log_norm_minus)
         assert rate >= eps**2 * mu / (2.0 * math.log(2.0))
 
+    @pytest.mark.parametrize("n,m,seed", [(6, 30, 7), (8, 160, 3)])
+    def test_norms_match_the_per_member_exponentials(self, n, m, seed):
+        # the reference sums p_j Q exp(s w) Q^T over each dense unit's own
+        # eigendecomposition, as pe_instance did before it read the rows
+        coll = random_psd_collection(n, m, seed=seed)
+        red = reduce_to_identity(coll)
+        inst = sampling.pe_instance(red, 0.45)
+        for s, got in ((-inst.t_minus, inst.log_norm_minus), (inst.t_plus, inst.log_norm_plus)):
+            mean = np.zeros((red.rank, red.rank))
+            members = whitened_members(coll, red)
+            for prob, c, tr in zip(inst.plan.probabilities, members, red.traces):
+                if prob > 0.0:
+                    w, q = np.linalg.eigh(c / tr)
+                    mean += prob * ((q * np.exp(s * w)) @ q.T)
+            want = float(np.linalg.eigvalsh(symmetrize(mean))[-1])
+            assert math.exp(got) == pytest.approx(want, rel=1e-12)
+
 
 class TestPeGreedy:
     def test_single_identity(self):
@@ -146,12 +165,10 @@ class TestPeGreedy:
 
         for _ in range(5):
             values = {}
-            for j, (prob, c, tr) in enumerate(
-                zip(state.plan.probabilities, reduced_random.matrices, reduced_random.traces)
-            ):
+            for j, (prob, tr) in enumerate(zip(state.plan.probabilities, reduced_random.traces)):
                 if prob <= 0.0:
                     continue
-                x = c / tr
+                x = reduced_random.member(j) / tr
                 p = state.picked_sum
                 w_lower = np.linalg.eigvalsh(symmetrize(-state.t_minus * p - state.t_minus * x))
                 w_upper = np.linalg.eigvalsh(symmetrize(state.t_plus * p + state.t_plus * x))
@@ -206,9 +223,10 @@ def _reference_step(state, reduced):
     c_phi = state.t_minus * t_total * (1.0 - plan.eps) * plan.mu
     c_psi = -state.t_plus * t_total * (1.0 + plan.eps) * plan.mu
     best_j, best_val = -1, math.inf
-    for j, (prob, c, tr) in enumerate(zip(plan.probabilities, reduced.matrices, reduced.traces)):
+    for j, (prob, tr) in enumerate(zip(plan.probabilities, reduced.traces)):
         if prob <= 0.0:
             continue
+        c = reduced.member(j)
         lower = -state.t_minus * state.picked_sum - state.t_minus * (c / tr)
         upper = state.t_plus * state.picked_sum + state.t_plus * (c / tr)
         w_lower = np.linalg.eigh(0.5 * (lower + lower.T))[0].tolist()
@@ -245,13 +263,14 @@ class TestPeSpectrumOfPickSums:
     def test_one_eigvalsh_and_no_eigh_per_step(self, reduced_random, monkeypatch):
         state = pe_params(reduced_random, 0.45)
         calls = {"eigvalsh": 0, "eigh": 0}
-        for name in calls:
+        # every eigh goes through numpy's, wherever it is called from
+        for module, name in ((sampling, "eigvalsh"), (np.linalg, "eigh")):
 
-            def counting(m, name=name, real=getattr(sampling, name)):
+            def counting(m, name=name, real=getattr(module, name)):
                 calls[name] += 1
                 return real(m)
 
-            monkeypatch.setattr(sampling, name, counting)
+            monkeypatch.setattr(module, name, counting)
         pe_greedy_step(state)
         assert calls == {"eigvalsh": 1, "eigh": 0}
 
@@ -268,7 +287,7 @@ class TestPeSpectrumOfPickSums:
             pe_greedy_step(state)
         p = state.picked_sum
         assert np.array_equal(p, p.T)
-        units = [reduced_random.matrices[j] / reduced_random.traces[j] for j in state.picks]
+        units = [reduced_random.member(j) / reduced_random.traces[j] for j in state.picks]
         np.testing.assert_allclose(p, sum(units), rtol=0.0, atol=1e-14)
 
 

@@ -6,7 +6,7 @@ import pytest
 from psdsparsify import scan
 from psdsparsify.errors import InvalidMatrix, TimeBudgetExceeded
 from psdsparsify.instances import random_psd_collection
-from psdsparsify.linalg import ReducedInstance, eigh, reduce_to_identity
+from psdsparsify.linalg import ReducedInstance, eigh, reduce_to_identity, symmetrize
 from psdsparsify.mmwum_wf import WfParams, _Densities
 from psdsparsify.solve import sparsify_sum
 
@@ -39,32 +39,30 @@ def test_nan_in_a_picked_member_raises_at_the_next_step(solver, monkeypatch):
         picks.append(pick(*args))
         if stop:
             raise _Stop
+        # the member is scored already, so only the update reads the NaN
+        reduced.rows[reduced.bounds[picks[-1][0]], 0] = np.nan
         return picks[-1]
 
     monkeypatch.setattr(module, pick_name, recording_pick)
     reduced = reduce_to_identity(random_psd_collection(6, 30, seed=7))
     with pytest.raises(_Stop):
         solve(reduced, 0.5)
-    # the factor rows and traces are built, so only the update reads the NaN
     ((j, _),) = picks
-    reduced.matrices[j][0, 0] = np.nan
     picks.clear()
     stop = False
     with pytest.raises(InvalidMatrix, match="non-finite"):
         solve(reduced, 0.5)
     assert len(picks) == 1
+    assert picks[0][0] == j
 
 
 def test_a_hand_built_member_is_symmetrized_once(reduced_random, monkeypatch):
-    skewed = [c.copy() for c in reduced_random.matrices]
-    for c in skewed:
-        c[0, 1] += 1e-9
-    hand = ReducedInstance(
-        rank=reduced_random.rank,
-        matrices=np.stack(skewed),
-        basis=reduced_random.basis,
-        whitener=reduced_random.whitener,
-    )
+    skewed = np.stack([reduced_random.member(j) for j in range(len(reduced_random))])
+    skewed[:, 0, 1] += 1e-9
+    hand = ReducedInstance.factored([skewed], reduced_random.basis, reduced_random.whitener)
+    # factored from the average of each member and its transpose, not from one triangle
+    averaged = ReducedInstance.factored([symmetrize(skewed)], hand.basis, hand.whitener)
+    assert hand.rows.tobytes() == averaged.rows.tobytes()
     decomposed = []
 
     def recording_eigh(a):

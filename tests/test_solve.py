@@ -31,21 +31,20 @@ def test_degenerate_lambda_min_raises(monkeypatch, lam_min):
     assert isinstance(err.value, SparsifyError)
 
 
-def test_pe_retry_decomposes_the_unit_stack_once(monkeypatch):
+def test_pe_retry_builds_the_unit_stack_once(monkeypatch):
     # the closed-form T = 57 misses phi_0 + psi_0 < 1 here, so the run retries
     reduced = reduce_to_identity(identity_decomposition(4))
-    units = np.stack(reduced.matrices) / reduced.traces[:, None, None]
-    real_eigh = sampling.eigh
-    of_units = []
+    real_instance = sampling.pe_instance
+    built = []
 
-    def counting_eigh(m):
-        of_units.append(m.shape == units.shape and np.array_equal(m, units))
-        return real_eigh(m)
+    def counting_instance(*args):
+        built.append(real_instance(*args))
+        return built[-1]
 
-    monkeypatch.setattr(sampling, "eigh", counting_eigh)
+    monkeypatch.setattr(sampling, "pe_instance", counting_instance)
     result = solve.run_algorithm(reduced, 0.45, "pe")
     assert result.t_used == 67
-    assert sum(of_units) == 1
+    assert len(built) == 1
     monkeypatch.undo()
     fresh = sampling.pe_sparsify(reduced, 0.45, t_total=67)
     assert np.array_equal(result.weights, fresh.weights)
