@@ -7,6 +7,13 @@ slots carrying costs, SDP objective terms, simplex weights, or restricted
 Laplacians for a subgraph family.  Because every lifted matrix is block
 diagonal, the single sandwich certificate splits into one certificate per
 block.
+
+Graph, hypergraph, cost and family collections are built as factor rows
+(``PsdCollection.from_rows``), with B summed in closed form by
+``laplacian``-style running sums, so they take O(K n) memory for K rows:
+an edge is sqrt(w) (e_u - e_v), a hyperedge k - 1 scaled Helmert rows, a
+cost slot sqrt(w c_i) e_{n+i} and a family section the edge row inside
+the section.  The SDP and simplex lifts stay dense (m, n, n) stacks.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .linalg import (
     member_sum,
     reduce_to_identity,
     symmetrize,
+    verify_sandwich,
 )
 from .solve import sparsify_sum
 
@@ -99,36 +107,37 @@ class SdpInstance:
     z_star: np.ndarray
 
 
-def _outers(n: int, pairs) -> np.ndarray:
-    """(e_u - e_v)(e_u - e_v)^T for every pair (u, v) of 0-based positions
-    in [0..n), as one (len(pairs), n, n) stack."""
-    x = np.zeros((len(pairs), n))
-    u, v = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    rows = np.arange(len(pairs))
-    x[rows, u] = 1.0
-    x[rows, v] = -1.0
-    return x[:, :, None] * x[:, None, :]
-
-
 def _edge_weights(g: WeightedGraph) -> np.ndarray:
     return np.array([w for _, _, w in g.edges], dtype=float)
 
 
-def _edge_stack(g: WeightedGraph) -> np.ndarray:
-    """w (e_u - e_v)(e_u - e_v)^T for every edge, as one (m, n, n) stack."""
-    stack = _outers(g.n, [(u - 1, v - 1) for u, v, _ in g.edges])
-    stack *= _edge_weights(g)[:, None, None]
-    return stack
+def _edge_pairs(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based endpoints u < v of every edge, in edge order."""
+    return np.array([(u - 1, v - 1) for u, v, _ in g.edges], dtype=int).reshape(-1, 2).T
+
+
+def _pair_laplacian(dim: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum over pairs of w (e_u - e_v)(e_u - e_v)^T, added pair by pair as a
+    running sum would add it, so it is exactly symmetric."""
+    out = np.zeros((dim, dim))
+    rows, cols = np.stack([u, v, u, v], axis=1), np.stack([u, v, v, u], axis=1)
+    np.add.at(out, (rows, cols), np.stack([w, w, -w, -w], axis=1))
+    return out
+
+
+def _pair_rows(dim: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The row sqrt(w) (e_u - e_v) of every pair, as one (len(w), dim) stack."""
+    rows = np.zeros((len(w), dim))
+    at, root = np.arange(len(w)), np.sqrt(w)
+    rows[at, u] = root
+    rows[at, v] = -root
+    return rows
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """sum over edges of w * (e_u - e_v)(e_u - e_v)^T, added edge by edge
     as a running sum would add it, so it is exactly symmetric."""
-    u, v = np.array([(u - 1, v - 1) for u, v, _ in g.edges], dtype=int).reshape(-1, 2).T
-    w, out = _edge_weights(g), np.zeros((g.n, g.n))
-    rows, cols = np.stack([u, v, u, v], axis=1), np.stack([u, v, v, u], axis=1)
-    np.add.at(out, (rows, cols), np.stack([w, w, -w, -w], axis=1))
-    return out
+    return _pair_laplacian(g.n, *_edge_pairs(g), _edge_weights(g))
 
 
 def _with_slots(blocks: np.ndarray, slots: np.ndarray) -> PsdCollection:
@@ -142,9 +151,19 @@ def _with_slots(blocks: np.ndarray, slots: np.ndarray) -> PsdCollection:
     return PsdCollection.from_matrices(out, validate=False)
 
 
+def _pair_collection(dim: int, u, v, w, bounds=None) -> PsdCollection:
+    """The rows sqrt(w) (e_u - e_v) of the pairs, member j owning the pairs
+    ``bounds[j]:bounds[j + 1]`` (one pair each when ``bounds`` is None), and
+    their Laplacian as B."""
+    bounds = np.arange(len(w) + 1) if bounds is None else bounds
+    return PsdCollection.from_rows(
+        dim, _pair_rows(dim, u, v, w), bounds, _pair_laplacian(dim, u, v, w)
+    )
+
+
 def edge_collection(g: WeightedGraph) -> PsdCollection:
-    """One rank-one Laplacian per edge, in edge order."""
-    return PsdCollection.from_matrices(_edge_stack(g), validate=False)
+    """One rank-one Laplacian per edge, in edge order, as its row sqrt(w) (e_u - e_v)."""
+    return _pair_collection(g.n, *_edge_pairs(g), _edge_weights(g))
 
 
 def graph_cut_weight(g: WeightedGraph, s) -> float:
@@ -236,15 +255,33 @@ def sparsify_graph(
 
 
 def cost_lifted_collection(g: WeightedGraph, costs) -> PsdCollection:
-    """Edge Laplacians extended with one diagonal slot per cost function."""
+    """Edge Laplacians extended with one diagonal slot per cost function.
+
+    Edge e is the row sqrt(w) (e_u - e_v) followed by one row
+    sqrt(w c_i) e_{n+i} for every cost i with w c_i > 0.
+    """
     costs = [np.asarray(c, dtype=float) for c in costs]
     for i, c in enumerate(costs):
         if c.shape != (g.m,):
             raise InvalidCost(f"cost {i} has shape {c.shape}, expected ({g.m},)")
         if np.any(c < 0.0):
             raise InvalidCost(f"cost {i} has a negative entry")
-    slots = np.reshape(costs, (len(costs), g.m)).T * _edge_weights(g)[:, None]
-    return _with_slots(_edge_stack(g), slots)
+    n, w = g.n, _edge_weights(g)
+    slots = np.reshape(costs, (len(costs), g.m)).T * w[:, None]
+    dim = n + slots.shape[1]
+    filled = slots > 0.0
+    bounds = np.concatenate(([0], np.cumsum(1 + filled.sum(axis=1))))
+    u, v = _edge_pairs(g)
+    rows = np.zeros((bounds[-1], dim))
+    rows[bounds[:-1], :n] = _pair_rows(n, u, v, w)
+    edge, slot = np.nonzero(filled)
+    rows[bounds[edge] + np.cumsum(filled, axis=1)[edge, slot], n + slot] = np.sqrt(slots[filled])
+    total = np.zeros((dim, dim))
+    total[:n, :n] = _pair_laplacian(n, u, v, w)
+    if g.m:
+        # each slot's sum runs over the edges in order, as a running sum would
+        total[np.arange(n, dim), np.arange(n, dim)] = np.add.accumulate(slots)[-1]
+    return PsdCollection.from_rows(dim, rows, bounds, total)
 
 
 def sparsify_with_costs(
@@ -341,10 +378,23 @@ def hypergraph_laplacian(h: WeightedHypergraph) -> np.ndarray:
 
 
 def hyperedge_collection(h: WeightedHypergraph) -> PsdCollection:
-    stack = np.empty((len(h.hyperedges), h.n, h.n))
-    for member, (verts, w) in zip(stack, h.hyperedges):
-        np.multiply(w, clique_laplacian(verts, h.n), out=member)
-    return PsdCollection.from_matrices(stack, validate=False)
+    """One clique Laplacian w (k I - J) per hyperedge on k vertices, as k - 1 rows.
+
+    Row i of the hyperedge on the sorted vertices v_1 < ... < v_k is
+    sqrt(w k / (i (i + 1))) (e_{v_1} + ... + e_{v_i} - i e_{v_{i+1}}): the
+    Helmert basis of the complement of the all-ones vector, scaled.  Two
+    vertices give the edge row sqrt(w) (e_{v_1} - e_{v_2}) bit for bit.
+    """
+    bounds = np.concatenate(([0], np.cumsum([len(verts) - 1 for verts, _ in h.hyperedges])))
+    rows = np.zeros((bounds[-1], h.n))
+    for lo, (verts, w) in zip(bounds, h.hyperedges):
+        at = np.asarray(sorted(verts), dtype=int) - 1
+        k = len(at)
+        i = np.arange(1, k)
+        helmert = np.tri(k - 1, k)
+        helmert[i - 1, i] = -i
+        rows[lo : lo + k - 1, at] = np.sqrt(w * k / (i * (i + 1.0)))[:, None] * helmert
+    return PsdCollection.from_rows(h.n, rows, bounds, hypergraph_laplacian(h))
 
 
 def sparsify_hypergraph(
@@ -572,7 +622,7 @@ def caratheodory(
     mu = renormalize_simplex(result.weights * lam)
     scaled = PsdCollection.from_matrices(lam[:, None, None] * coll.matrices, validate=False)
     ratio = np.divide(mu, lam, out=np.zeros_like(mu), where=lam > 0.0)
-    cert = certificate_for(reduce_to_identity(scaled), ratio)
+    cert = verify_sandwich(scaled, ratio)
     in_window = (
         cert.lambda_min >= (1.0 - eps) * (1.0 - CHECK_TOL)
         and cert.lambda_max <= (1.0 + eps) * (1.0 + CHECK_TOL)
@@ -588,38 +638,48 @@ def caratheodory(
     )
 
 
+def _local_pairs(f_sorted) -> np.ndarray:
+    """0-based positions of the endpoints of each edge among the sorted
+    vertices of the edge list, as one (2, len) array."""
+    order = {vtx: pos for pos, vtx in enumerate(sorted({x for e in f_sorted for x in e}))}
+    return np.array([(order[u], order[v]) for u, v in f_sorted], dtype=int).reshape(-1, 2).T
+
+
 def family_lifted_collection(g: WeightedGraph, family):
     """Edge Laplacians extended with one diagonal section per family member.
 
+    Edge e is its row sqrt(w) (e_u - e_v) followed by the same row inside
+    the section of every family member that holds e, in family order.
     Returns the collection plus one tuple per member: its sorted edge
-    list, the rows of those edges in the stack, and the bounds lo, hi of
-    its section, so that ``matrices[rows, lo:hi, lo:hi]`` holds the
-    member's own edge Laplacians.
+    list, the indices of those edges in ``g.edges``, and the bounds lo, hi
+    of its section.
     """
     edge_index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
-    members, local_pairs = [], []
+    members = []
+    # every edge's pairs, in edge order: the Laplacian adds them as the
+    # running sum over the members would
+    pairs = [[(u - 1, v - 1)] for u, v, _ in g.edges]
     dim = g.n
     for fi, f_edges in enumerate(family):
         normalized = set()
-        verts = set()
         for u, v in f_edges:
             u, v = (u, v) if u < v else (v, u)
             if (u, v) not in edge_index:
                 raise InvalidFamily(f"family member {fi} uses non-edge ({u}, {v})")
             normalized.add((u, v))
-            verts.update((u, v))
-        order = {vtx: pos for pos, vtx in enumerate(sorted(verts))}
         f_sorted = sorted(normalized)
-        members.append((f_sorted, [edge_index[e] for e in f_sorted], dim, dim + len(order)))
-        local_pairs.append([(order[u], order[v]) for u, v in f_sorted])
-        dim += len(order)
+        indices = [edge_index[e] for e in f_sorted]
+        local = _local_pairs(f_sorted)
+        for i, a, b in zip(indices, *local):
+            pairs[i].append((dim + a, dim + b))
+        hi = dim + int(local.max(initial=-1)) + 1
+        members.append((f_sorted, indices, dim, hi))
+        dim = hi
 
-    stack = np.zeros((g.m, dim, dim))
-    stack[:, : g.n, : g.n] = _outers(g.n, [(u - 1, v - 1) for u, v, _ in g.edges])
-    for (_, rows, lo, hi), pairs in zip(members, local_pairs):
-        stack[rows, lo:hi, lo:hi] = _outers(hi - lo, pairs)
-    stack *= _edge_weights(g)[:, None, None]
-    return PsdCollection.from_matrices(stack, validate=False), members
+    counts = [len(p) for p in pairs]
+    a, b = np.array([p for edge in pairs for p in edge], dtype=int).reshape(-1, 2).T
+    w = np.repeat(_edge_weights(g), counts)
+    return _pair_collection(dim, a, b, w, np.concatenate(([0], np.cumsum(counts)))), members
 
 
 def subgraph_family_sparsify(
@@ -644,10 +704,11 @@ def subgraph_family_sparsify(
 
     cert_g = certificate_for(reduce_to_identity(edge_collection(g)), y)
     member_certs = []
-    for _, rows, lo, hi in members:
-        # the member's section of the lifted stack holds its edge Laplacians
-        f_coll = PsdCollection.from_matrices(coll.matrices[rows, lo:hi, lo:hi], validate=False)
-        member_certs.append(certificate_for(reduce_to_identity(f_coll), y[rows]))
+    for f_sorted, indices, lo, hi in members:
+        # the member's own edge Laplacians, in its sorted edge order
+        w = _edge_weights(g)[indices]
+        f_coll = _pair_collection(hi - lo, *_local_pairs(f_sorted), w)
+        member_certs.append(certificate_for(reduce_to_identity(f_coll), y[indices]))
     checks = tuple(
         (
             f"member {i} lambda_min {cert.lambda_min:.16e} lambda_max {cert.lambda_max:.16e}",

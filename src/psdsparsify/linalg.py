@@ -4,20 +4,37 @@ Every algorithm in this package works on a collection of positive
 semidefinite matrices B_1, ..., B_m whose sum is B.  The reduction
 conjugates each B_i by the pseudoinverse square root of B restricted to
 range(B), producing matrices C_1, ..., C_m of dimension r = rank(B) with
-sum(C_i) = I_r.  An input family is one C-contiguous float64 (m, n, n)
-stack (``PsdCollection.matrices``) of exactly symmetric members.
+sum(C_i) = I_r.
+
+A collection comes in one of two forms.  A dense collection
+(``PsdCollection.from_matrices``) is one C-contiguous float64 (m, n, n)
+stack of exactly symmetric members.  A rows collection
+(``PsdCollection.from_rows``) is the factor rows F_j of every member,
+B_j = F_j^T F_j, as one (K, n) stack, next to B summed in closed form by
+its builder; graph, hypergraph and lifted members take this form, O(K n)
+memory with no n x n matrix per member.
 
 A whitened member is held only as its stacked factor rows G_j, with
 C_j = G_j^T G_j, which serve all the solvers need: <C_j, X>, the update
-A + alpha C_j and the certificate sum sum_j y_j C_j.  The scanning
-solvers score against Q diag(c) Q^T in the eigenbasis Q of their running
-sum A: <C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2.  Eigenvalues at or
-below ``FACTOR_CUT`` times a member's largest are dropped (and so is any
+A + alpha C_j and the certificate sum sum_j y_j C_j.  The rows of one
+member are orthogonal, as the ``pe`` closed form needs.  The scanning
+solvers score against
+Q diag(c) Q^T in the eigenbasis Q of their running sum A:
+<C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2.
+
+A dense member is factored by ``eigh``; eigenvalues at or below
+``FACTOR_CUT`` times a member's largest are dropped (and so is any
 negative rounding eigenvalue), which moves a score by at most
 r * FACTOR_CUT * tr(C_j) * max|c|, an update by at most
 alpha * FACTOR_CUT * tr(C_j) and a certificate eigenvalue by at most
-FACTOR_CUT * sum_j y_j tr(C_j).  Every solver ends with ``certificate_for``
-on its weights, and ``rescaled`` is the one lambda_min rescale.
+FACTOR_CUT * sum_j y_j tr(C_j).  A rows member is whitened by one product
+F W and made orthogonal through its small Gram matrix G_j G_j^T; it keeps
+every row, so the ``FACTOR_CUT`` bounds apply to dense members only.
+
+Every solver ends with ``certificate_for`` on its weights, and ``rescaled``
+is the one lambda_min rescale.  ``verify_sandwich`` certifies weights in the
+caller's space instead, as eigvalsh(W^T (sum_i y_i B_i) W), and factors no
+member.
 """
 
 from __future__ import annotations
@@ -46,7 +63,8 @@ EXP_OVERFLOW_LIMIT = 700.0
 # out of its factor rows
 FACTOR_CUT = 1e-12
 
-# members whitened and factored at a time, which bounds the transient arrays
+# dense members whitened, factored, checked or summed at a time, which bounds
+# the transient arrays
 FACTOR_BATCH = 64
 
 
@@ -160,13 +178,22 @@ def ln_sum_exp(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PsdCollection:
-    """PSD matrices B_1..B_m sharing one dimension, as one (m, dim, dim) stack."""
+    """PSD matrices B_1..B_m sharing one dimension, in one of two forms.
+
+    Dense: ``matrices`` is one (m, dim, dim) stack and ``rows``, ``bounds``
+    and ``b`` are None.  Rows: member j is F_j^T F_j for its factor rows
+    F_j = ``rows[bounds[j]:bounds[j + 1]]`` of the (K, dim) ``rows``, ``b`` is
+    B as its builder summed it, and ``matrices`` is None.
+    """
 
     dim: int
-    matrices: np.ndarray
+    matrices: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    bounds: np.ndarray | None = None
+    b: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.matrices) if self.rows is None else len(self.bounds) - 1
 
     @staticmethod
     def from_matrices(matrices, validate: bool = True) -> "PsdCollection":
@@ -204,11 +231,57 @@ class PsdCollection:
                 eigvalsh(stack[upto])
         return PsdCollection(dim=dim, matrices=stack)
 
+    @staticmethod
+    def from_rows(dim: int, rows, bounds, total) -> "PsdCollection":
+        """Members F_j^T F_j given by their factor rows, and their sum B.
+
+        Member j owns ``rows[bounds[j]:bounds[j + 1]]``; ``total`` is B, which
+        the caller sums in closed form, so its bits do not depend on the rows.
+        """
+        rows = np.ascontiguousarray(rows, dtype=float)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        total = np.asarray(total, dtype=float)
+        if len(bounds) < 2:
+            raise EmptyProblem("collection has no matrices")
+        if rows.ndim != 2 or rows.shape[1] != dim or total.shape != (dim, dim):
+            raise DimMismatch(
+                f"rows {rows.shape} and total {total.shape} do not fit dimension {dim}"
+            )
+        if bounds[0] != 0 or bounds[-1] != len(rows) or np.any(np.diff(bounds) < 0):
+            raise DimMismatch(f"row bounds do not split {len(rows)} rows into members")
+        return PsdCollection(dim=dim, rows=rows, bounds=bounds, b=total)
+
     def total(self) -> np.ndarray:
         """B = sum_i B_i."""
+        if self.rows is not None:
+            return self.b
         out = member_sum(self.matrices)
         # a sum of exactly symmetric members is exactly symmetric
         return out if (out == out.T).all() else symmetrize(out)
+
+    def weighted_sum(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i B_i for nonnegative weights y.
+
+        Dense members with y_i > 0 are added in member order, as
+        ``member_sum`` adds them, ``FACTOR_BATCH`` at a time; rows are
+        summed as one product H^T H with H = sqrt(y per row) * F.
+        """
+        y = np.asarray(y, dtype=float)
+        if self.rows is not None:
+            h = self.rows * np.sqrt(np.repeat(y, np.diff(self.bounds)))[:, None]
+            return h.T @ h
+        out = np.zeros((self.dim, self.dim))
+        support = np.flatnonzero(y > 0.0)
+        for lo in range(0, len(support), FACTOR_BATCH):
+            at = support[lo : lo + FACTOR_BATCH]
+            out = member_sum(np.concatenate((out[None], y[at, None, None] * self.matrices[at])))
+        return out
+
+
+def _member_sums(bounds: np.ndarray, per_row: np.ndarray) -> np.ndarray:
+    """Sum a value per row over the rows of each member; a member without rows gets 0."""
+    counts = np.diff(bounds)
+    return np.bincount(np.repeat(np.arange(len(counts)), counts), per_row, len(counts))
 
 
 def _factor(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,10 +298,12 @@ def _factor(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class ReducedInstance:
     """Whitened collection C_1..C_m with sum(C_i) = I on range(B), as factor rows.
 
-    Member j owns the rows G_j = ``rows[bounds[j]:bounds[j + 1]]``, sqrt(w_k) q_k^T
-    for its eigenpairs with w_k > FACTOR_CUT * max(w), so C_j = G_j^T G_j up to the
-    dropped eigenvalues; ``traces`` are those of the dense C_j.  ``basis`` holds the
-    n x r orthonormal range basis P and ``whitener`` the map (B^+)^{1/2} P, so
+    Member j owns the orthogonal rows G_j = ``rows[bounds[j]:bounds[j + 1]]``, so
+    C_j = G_j^T G_j and the squared row norms are its eigenvalues.  A dense member's
+    rows are sqrt(w_k) q_k^T for its eigenpairs with w_k > FACTOR_CUT * max(w), and
+    ``traces`` are those of the dense C_j; a rows member keeps every row, and its
+    trace is its squared Frobenius norm.  ``basis`` holds the n x r orthonormal
+    range basis P and ``whitener`` the map (B^+)^{1/2} P, so
     C_i = whitener^T B_i whitener and weights found for the C_i apply to the B_i.
     """
 
@@ -248,6 +323,38 @@ class ReducedInstance:
             rows=np.concatenate(rows),
             bounds=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
             traces=np.concatenate(traces),
+            basis=basis,
+            whitener=whitener,
+        )
+
+    @staticmethod
+    def orthogonalized(
+        rows: np.ndarray, bounds: np.ndarray, basis: np.ndarray, whitener: np.ndarray
+    ) -> "ReducedInstance":
+        """Whitened factor rows, each member's rows made orthogonal in place.
+
+        A member with k >= 2 rows G_j becomes U^T G_j for the eigenvectors U
+        of its k x k Gram matrix G_j G_j^T: the same C_j, with orthogonal rows.
+        Consecutive members with the same k are one (members, k, r) view of
+        the rows, decomposed ``FACTOR_BATCH`` members at a time; no row is
+        gathered by index.
+        """
+        counts = np.diff(bounds)
+        change = np.flatnonzero(np.diff(counts)) + 1
+        for first, last in zip(np.r_[0, change], np.r_[change, len(counts)]):
+            k = int(counts[first])
+            if k < 2:
+                continue
+            for lo in range(first, last, FACTOR_BATCH):
+                hi = min(lo + FACTOR_BATCH, last)
+                g = rows[bounds[lo] : bounds[hi]].reshape(hi - lo, k, -1)
+                u = eigh(g @ g.swapaxes(1, 2)).eigenvectors
+                g[...] = u.swapaxes(1, 2) @ g
+        return ReducedInstance(
+            rank=basis.shape[1],
+            rows=rows,
+            bounds=bounds,
+            traces=_member_sums(bounds, np.einsum("ki,ki->k", rows, rows)),
             basis=basis,
             whitener=whitener,
         )
@@ -303,11 +410,17 @@ class ReducedInstance:
         return symmetrize(self.rows.T @ (per_row[:, None] * self.rows))
 
 
-def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
-    """Whiten a collection so its members sum to the identity on range(B)."""
+def whiten(coll: PsdCollection) -> tuple[np.ndarray, np.ndarray]:
+    """The range basis P of B = sum(B_i) and the whitener (B^+)^{1/2} P.
+
+    Also checks that range(B_i) lies inside range(B) for every member, as
+    the norm of B_i outside range(B) against 1e-8 max(1, lambda_max(B));
+    failure means a non-PSD member slipped past validation.  A rows member
+    is judged by |F_j N|^2 for an orthonormal basis N of the complement of
+    range(B): the trace of its part outside range(B), which bounds the norm.
+    """
     rank_tol = 1e-10 * coll.dim  # relative rank cutoff, scaled with dimension to absorb rounding
-    b = coll.total()
-    spec = eigh(b)
+    spec = eigh(coll.total())
     w, q = spec.eigenvalues, spec.eigenvectors
     lam_max = float(w[-1])
     if lam_max <= 0.0 or not np.any(w > rank_tol * lam_max):
@@ -315,20 +428,36 @@ def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     keep = w > rank_tol * lam_max
     basis = q[:, keep]
     whitener = basis / np.sqrt(w[keep])  # = (B^+)^{1/2} P column-scaled
-    residual_proj = np.eye(coll.dim) - basis @ basis.T
+    if coll.rows is not None:
+        outside = coll.rows @ q[:, ~keep]
+        residual = _member_sums(coll.bounds, np.einsum("ki,ki->k", outside, outside))
+    else:
+        residual_proj = np.eye(coll.dim) - basis @ basis.T
+        outside = (
+            residual_proj @ coll.matrices[lo : lo + FACTOR_BATCH] @ residual_proj
+            for lo in range(0, len(coll), FACTOR_BATCH)
+        )
+        residual = np.concatenate([np.linalg.norm(o, axis=(1, 2)) for o in outside])
+    bad = np.flatnonzero(residual > 1e-8 * max(1.0, lam_max))
+    if len(bad):
+        raise NotPsd(f"matrix {int(bad[0])} has range outside range(B)")
+    return basis, whitener
 
-    def whitened():
-        for lo in range(0, len(coll), FACTOR_BATCH):
-            batch = coll.matrices[lo : lo + FACTOR_BATCH]
-            # range(B_i) must lie inside range(B); failure means a non-PSD
-            # member slipped past validation.
-            outside = residual_proj @ batch @ residual_proj
-            outside = np.linalg.norm(outside, axis=(1, 2)) > 1e-8 * max(1.0, lam_max)
-            if outside.any():
-                raise NotPsd(f"matrix {lo + int(np.argmax(outside))} has range outside range(B)")
-            yield symmetrize(whitener.T @ batch @ whitener)
 
-    return ReducedInstance.factored(whitened(), basis, whitener)
+def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
+    """Whiten a collection so its members sum to the identity on range(B).
+
+    Rows members are whitened by one product with the whitener; dense
+    members are whitened and factored ``FACTOR_BATCH`` at a time.
+    """
+    basis, whitener = whiten(coll)
+    if coll.rows is not None:
+        return ReducedInstance.orthogonalized(coll.rows @ whitener, coll.bounds, basis, whitener)
+    batches = (
+        symmetrize(whitener.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ whitener)
+        for lo in range(0, len(coll), FACTOR_BATCH)
+    )
+    return ReducedInstance.factored(batches, basis, whitener)
 
 
 @dataclass(frozen=True)
@@ -400,7 +529,9 @@ def rescaled(result: SparsifierResult, algo: str) -> SparsifierResult:
 def verify_sandwich(coll: PsdCollection, y: np.ndarray) -> SandwichCertificate:
     """Whiten sum(y_i B_i) against B = sum(B_i) and report the extremes.
 
-    The returned certificate ``passes(eps, tol)`` iff
+    The certificate is computed in the caller's space, as
+    eigvalsh(symmetrize(W^T (sum_i y_i B_i) W)) for the whitener W of
+    ``whiten``; no member is factored.  It ``passes(eps, tol)`` iff
     lambda_min >= 1 - tol and lambda_max <= (1+eps)(1+tol).
     """
     y = np.asarray(y, dtype=float)
@@ -408,4 +539,10 @@ def verify_sandwich(coll: PsdCollection, y: np.ndarray) -> SandwichCertificate:
         raise DimMismatch(f"weight vector has shape {y.shape}, expected ({len(coll)},)")
     if np.any(y < 0.0):
         raise NegativeWeight("weight vector has a negative entry")
-    return certificate_for(reduce_to_identity(coll), y)
+    _, whitener = whiten(coll)
+    w = eigvalsh(symmetrize(whitener.T @ coll.weighted_sum(y) @ whitener))
+    return SandwichCertificate(
+        lambda_min=float(w[0]),
+        lambda_max=float(w[-1]),
+        support_size=int(np.count_nonzero(y > 0.0)),
+    )

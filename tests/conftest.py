@@ -70,8 +70,17 @@ def hand_reduced(members) -> ReducedInstance:
     return ReducedInstance.factored([members], basis=eye, whitener=eye)
 
 
+def dense_members(coll) -> np.ndarray:
+    """The members of ``coll`` as one (m, n, n) stack: the stack itself for a
+    dense collection, F_j^T F_j from the factor rows F_j of a rows collection."""
+    if coll.rows is None:
+        return coll.matrices
+    f, bounds = coll.rows, coll.bounds
+    return np.stack([f[lo:hi].T @ f[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
 def whitened_members(coll, reduced) -> np.ndarray:
     """symmetrize(W^T B_i W) for every member of ``coll``, one at a time, with
     the whitener W of ``reduced``: the dense members its rows factor."""
     w = reduced.whitener
-    return np.stack([symmetrize(w.T @ b @ w) for b in coll.matrices])
+    return np.stack([symmetrize(w.T @ b @ w) for b in dense_members(coll)])

@@ -3,11 +3,11 @@
 Each case transforms a small random collection: member scales spread over
 10^+-8, conjugation by diag(10^0 ... 10^-k), every member tripled, or three
 rank-one members in dimension 6.  All five algorithms run on it at eps 0.5
-and seeds 0-2.  A returned certificate must agree with ``verify_sandwich``
-recomputed from the caller's matrices, and with the extreme eigenvalues
-of sum_i y_i symmetrize(W^T B_i W), summed from the caller's dense B_i
-rather than from the factor rows that both certificates read.  A run that
-fails must raise a ``SparsifyError``.
+and seeds 0-2.  A returned certificate, which the solver computes from its
+factor rows, must agree with ``verify_sandwich``, which works in the
+caller's space (W^T (sum_i y_i B_i) W) and factors nothing, and with the
+extreme eigenvalues of sum_i y_i symmetrize(W^T B_i W), summed from the
+caller's dense B_i.  A run that fails must raise a ``SparsifyError``.
 """
 
 import numpy as np

@@ -14,10 +14,12 @@ from psdsparsify.applications import (
     WeightedHypergraph,
     caratheodory,
     clique_laplacian,
+    cost_lifted_collection,
     cut_sparsifier_report,
     cut_weight,
     cut_weight_star,
     edge_collection,
+    family_lifted_collection,
     graph_cut_weight,
     hyperedge_collection,
     hypergraph_laplacian,
@@ -38,10 +40,15 @@ from psdsparsify.errors import (
     InvalidFamily,
     InvalidSimplexPoint,
 )
-from psdsparsify.instances import complete_graph, cycle_graph, random_uniform_hypergraph
-from psdsparsify.linalg import PsdCollection, is_psd, symmetrize
+from psdsparsify.instances import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    random_uniform_hypergraph,
+)
+from psdsparsify.linalg import PsdCollection, is_psd, member_sum, reduce_to_identity, symmetrize
 
-from conftest import random_psd
+from conftest import dense_members, random_psd
 
 
 def all_cuts(n):
@@ -215,11 +222,15 @@ class TestHypergraphLaplacian:
         assert traced_peak(clique_laplacian, range(1, n + 1), n) <= 4 * n * n * 8
 
     def test_collection_holds_its_members_once(self):
+        # each member once, as its k - 1 rows, next to B; no n x n member is built
         h = random_uniform_hypergraph(60, 300, 3, seed=0)
-        stack_bytes = h.m * h.n * h.n * 8
-        assert traced_peak(hyperedge_collection, h) <= 1.3 * stack_bytes
+        coll = hyperedge_collection(h)
+        assert coll.rows.shape == (2 * h.m, h.n)
+        held = coll.rows.nbytes + coll.total().nbytes
+        assert traced_peak(hyperedge_collection, h) <= 3 * held
         want = np.stack([w * clique_laplacian(verts, h.n) for verts, w in h.hyperedges])
-        assert hyperedge_collection(h).matrices.tobytes() == want.tobytes()
+        assert coll.total().tobytes() == member_sum(want).tobytes()
+        assert np.abs(dense_members(coll) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_clique_spectrum(self):
         lap = clique_laplacian((1, 2, 3, 4), 4)
@@ -419,8 +430,6 @@ class TestBlockLiftings:
     def test_costs_blocks(self):
         g = WeightedGraph(n=3, edges=[(1, 2, 1.0), (2, 3, 2.0), (1, 3, 0.5)])
         costs = [np.array([1.0, 0.0, 2.0]), np.array([0.25, 0.5, 0.75])]
-        from psdsparsify.applications import cost_lifted_collection
-
         coll = cost_lifted_collection(g, costs)
         w = np.array([e[2] for e in g.edges])
         expect = np.zeros((5, 5))
@@ -428,7 +437,7 @@ class TestBlockLiftings:
         expect[3, 3] = float(w @ costs[0])
         expect[4, 4] = float(w @ costs[1])
         assert np.max(np.abs(coll.total() - expect)) <= 1e-10
-        for mat in coll.matrices:
+        for mat in dense_members(coll):
             assert is_psd(mat, tol=1e-9)
 
     def test_sdp_blocks(self):
@@ -467,8 +476,6 @@ class TestBlockLiftings:
             assert is_psd(mat, tol=1e-9)
 
     def test_family_blocks(self):
-        from psdsparsify.applications import family_lifted_collection
-
         g = complete_graph(4)
         family = [[(1, 2), (2, 3)], [(3, 4)]]
         coll, members = family_lifted_collection(g, family)
@@ -478,9 +485,38 @@ class TestBlockLiftings:
         expect[4:7, 4:7] = laplacian(WeightedGraph(n=3, edges=[(1, 2, 1.0), (2, 3, 1.0)]))
         expect[7:9, 7:9] = laplacian(WeightedGraph(n=2, edges=[(1, 2, 1.0)]))
         assert np.max(np.abs(coll.total() - expect)) <= 1e-10
-        for mat in coll.matrices:
+        for mat in dense_members(coll):
             assert is_psd(mat, tol=1e-9)
         assert members[0][0] == [(1, 2), (2, 3)]
+
+
+def _gnp_with_costs():
+    g = gnp_graph(60, 0.5, seed=0)
+    rng = np.random.default_rng(0)
+    return cost_lifted_collection(g, [rng.uniform(0.0, 1.0, g.m), rng.uniform(0.0, 1.0, g.m)])
+
+
+def _gnp_with_family():
+    g = gnp_graph(60, 0.5, seed=0)
+    pairs = [(u, v) for u, v, _ in g.edges]
+    return family_lifted_collection(g, [pairs[:200], pairs[100:400]])[0]
+
+
+# lifted collections of a G(60, 0.5) graph (868 edges) and a hypergraph;
+# one dense stack of the cost lift alone would take 26.7 MB
+_LIFTS = {
+    "cost": _gnp_with_costs,
+    "hyperedge": lambda: hyperedge_collection(random_uniform_hypergraph(60, 300, 3, seed=0)),
+    "family": _gnp_with_family,
+}
+
+
+class TestRowsMemory:
+    @pytest.mark.parametrize("name", list(_LIFTS))
+    def test_lift_and_whitening_stay_within_four_times_the_rows(self, name):
+        build = _LIFTS[name]
+        rows_bytes = build().rows.nbytes
+        assert traced_peak(lambda: reduce_to_identity(build())) <= 4 * rows_bytes
 
 
 class TestPsdCounterexample:

@@ -17,6 +17,8 @@ from psdsparsify.errors import (
     NotPsd,
 )
 from psdsparsify.applications import (
+    WeightedGraph,
+    WeightedHypergraph,
     caratheodory_lifted,
     cost_lifted_collection,
     edge_collection,
@@ -294,6 +296,21 @@ class TestPsdCollection:
         assert member_sum(stack).tobytes() == running.tobytes()
         assert PsdCollection.from_matrices(stack).total().tobytes() == running.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_weighted_members_are_added_in_order(self, n):
+        # 150 members span three batches; the zero weights are left out
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.integers(-6, 6, size=(150, 1, 1))
+        stack = np.stack([symmetrize(random_psd(rng, n, rank=n)) for _ in range(150)]) * scale
+        y = rng.uniform(0.5, 2.0, 150)
+        y[::4] = 0.0
+        running = np.zeros((n, n))
+        for yi, member in zip(y, stack):
+            if yi > 0.0:
+                running += yi * member
+        got = PsdCollection.from_matrices(stack).weighted_sum(y)
+        assert got.tobytes() == running.tobytes()
+
     def test_symmetric_members_near_the_overflow_threshold_are_kept(self):
         big = np.array([[1e308, -1e308], [-1e308, 1.5e308]])
         with warnings.catch_warnings():
@@ -329,23 +346,93 @@ _STACKS = {
     "parse_simplex": lambda: parse_simplex(_SIMPLEX)[1].matrices,
     "random_psd_collection": lambda: random_psd_collection(3, 5, seed=1).matrices,
     "identity_decomposition": lambda: identity_decomposition(3).matrices,
-    "edge": lambda: edge_collection(complete_graph(4)).matrices,
-    "hyperedge": lambda: hyperedge_collection(random_uniform_hypergraph(5, 4, 3)).matrices,
-    "cost": lambda: cost_lifted_collection(complete_graph(4), [np.arange(6.0)]).matrices,
-    "family": lambda: family_lifted_collection(
-        complete_graph(4), [[(1, 2), (2, 3)], [(3, 4)]]
-    )[0].matrices,
     "sdp": lambda: sdp_lifted_collection(parse_sdp(_SDP)).matrices,
     "simplex": lambda: caratheodory_lifted(*parse_simplex(_SIMPLEX)).matrices,
 }
 
+# the collections that are built as factor rows
+_ROWS = {
+    "edge": lambda: edge_collection(complete_graph(4)),
+    "hyperedge": lambda: hyperedge_collection(random_uniform_hypergraph(5, 4, 3)),
+    "cost": lambda: cost_lifted_collection(complete_graph(4), [np.arange(6.0)]),
+    "family": lambda: family_lifted_collection(
+        complete_graph(4), [[(1, 2), (2, 3)], [(3, 4)]]
+    )[0],
+}
+
+
+class TestRowsCollection:
+    def test_from_rows_checks_its_parts(self):
+        rows, total = np.eye(2), np.eye(2)
+        with pytest.raises(EmptyProblem):
+            PsdCollection.from_rows(2, np.zeros((0, 2)), [0], np.zeros((2, 2)))
+        with pytest.raises(DimMismatch):
+            PsdCollection.from_rows(3, rows, [0, 1, 2], total)
+        with pytest.raises(DimMismatch):
+            PsdCollection.from_rows(2, rows, [0, 2, 1], total)
+        with pytest.raises(DimMismatch):
+            PsdCollection.from_rows(2, rows, [0, 1], total)
+        coll = PsdCollection.from_rows(2, rows, [0, 0, 2], total)
+        assert len(coll) == 2 and coll.total() is not None
+
+    def test_a_row_outside_the_given_total_is_rejected(self):
+        coll = PsdCollection.from_rows(2, np.eye(2), [0, 1, 2], np.diag([1.0, 0.0]))
+        with pytest.raises(NotPsd, match="matrix 1 has range outside"):
+            reduce_to_identity(coll)
+        with pytest.raises(NotPsd, match="matrix 1 has range outside"):
+            verify_sandwich(coll, np.ones(2))
+
+    def test_two_vertex_cliques_and_family_free_lifts_are_edge_rows(self):
+        pairs = [(u, v) for u, v, _ in complete_graph(5).edges]
+        g = WeightedGraph(n=5, edges=[(u, v, 0.3 * u + v / 7.0) for u, v in pairs])
+        h = WeightedHypergraph(n=5, hyperedges=[((u, v), w) for u, v, w in g.edges])
+        edges = edge_collection(g)
+        for other in (hyperedge_collection(h), family_lifted_collection(g, [])[0]):
+            assert other.rows.tobytes() == edges.rows.tobytes()
+            assert other.total().tobytes() == edges.total().tobytes()
+            assert np.array_equal(other.bounds, edges.bounds)
+
+    @pytest.mark.parametrize("name", ["hyperedge", "cost", "family"])
+    def test_whitened_rows_are_orthogonal_and_factor_the_members(self, name):
+        coll = _ROWS[name]()
+        reduced = reduce_to_identity(coll)
+        members = whitened_members(coll, reduced)
+        for j, c in enumerate(members):
+            g = reduced.rows[reduced.bounds[j] : reduced.bounds[j + 1]]
+            gram = g @ g.T
+            off = gram - np.diag(np.diag(gram))
+            assert np.abs(off).max() <= 1e-12 * reduced.traces[j]
+            assert np.linalg.norm(reduced.member(j) - c) <= 1e-12 * np.linalg.norm(c)
+            assert reduced.traces[j] == pytest.approx(np.trace(c), rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(_ROWS))
+    def test_caller_space_certificate_matches_the_rows(self, name):
+        coll = _ROWS[name]()
+        y = np.random.default_rng(len(coll)).uniform(0.0, 2.0, len(coll))
+        y[::3] = 0.0
+        want = certificate_for(reduce_to_identity(coll), y)
+        got = verify_sandwich(coll, y)
+        scale = 1e-12 * want.lambda_max
+        assert got.lambda_min == pytest.approx(want.lambda_min, abs=scale)
+        assert got.lambda_max == pytest.approx(want.lambda_max, abs=scale)
+        assert got.support_size == want.support_size
+
 
 class TestOneStack:
-    @pytest.mark.parametrize("name", list(_STACKS))
+    @pytest.mark.parametrize("name", list(_STACKS) + list(_ROWS))
     def test_every_collection_is_one_stack(self, name):
-        stack = _STACKS[name]()
+        if name in _ROWS:
+            coll = _ROWS[name]()
+            stack = coll.rows
+            assert coll.matrices is None
+            assert stack.ndim == 2 and stack.shape[1] == coll.dim
+            assert coll.bounds.shape == (len(coll) + 1,)
+            assert coll.bounds[0] == 0 and coll.bounds[-1] == len(stack)
+            assert coll.total().shape == (coll.dim, coll.dim)
+        else:
+            stack = _STACKS[name]()
+            assert stack.ndim == 3 and stack.shape[1] == stack.shape[2]
         assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
-        assert stack.ndim == 3 and stack.shape[1] == stack.shape[2]
         assert stack.flags.c_contiguous
 
     def test_whitened_members_are_one_row_stack(self):

@@ -7,7 +7,17 @@ import pytest
 
 from psdsparsify import sampling
 from psdsparsify.errors import InvalidMatrix, RankTooSmall, TimeBudgetExceeded, TNotLargeEnough
-from psdsparsify.instances import identity_decomposition, random_psd_collection
+from psdsparsify.applications import (
+    cost_lifted_collection,
+    family_lifted_collection,
+    hyperedge_collection,
+)
+from psdsparsify.instances import (
+    complete_graph,
+    identity_decomposition,
+    random_psd_collection,
+    random_uniform_hypergraph,
+)
 from psdsparsify.linalg import PsdCollection, reduce_to_identity, symmetrize
 from psdsparsify.solve import sparsify_sum
 from psdsparsify.sampling import (
@@ -92,6 +102,16 @@ class TestAwSample:
         assert wins > 10
 
 
+# collections built as factor rows with more than one row per member
+_ROWS_LIFTS = {
+    "hyperedge": lambda: hyperedge_collection(random_uniform_hypergraph(6, 8, 3)),
+    "family": lambda: family_lifted_collection(
+        complete_graph(5), [[(1, 2), (2, 3), (1, 3)], [(3, 4), (4, 5)]]
+    )[0],
+    "cost": lambda: cost_lifted_collection(complete_graph(5), [np.arange(10.0), np.ones(10)]),
+}
+
+
 class TestPeParams:
     def test_initial_value_below_one(self, reduced_random):
         state = pe_params(reduced_random, 0.45)
@@ -133,6 +153,22 @@ class TestPeParams:
             for prob, c, tr in zip(inst.plan.probabilities, members, red.traces):
                 if prob > 0.0:
                     w, q = np.linalg.eigh(c / tr)
+                    mean += prob * ((q * np.exp(s * w)) @ q.T)
+            want = float(np.linalg.eigvalsh(symmetrize(mean))[-1])
+            assert math.exp(got) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(_ROWS_LIFTS))
+    def test_norms_on_rows_that_are_not_eigen_rows(self, name):
+        # whitened clique, cost and section rows are not orthogonal until
+        # reduce_to_identity makes them so; the reference takes each unit's
+        # own eigendecomposition
+        red = reduce_to_identity(_ROWS_LIFTS[name]())
+        inst = sampling.pe_instance(red, 0.45)
+        for s, got in ((-inst.t_minus, inst.log_norm_minus), (inst.t_plus, inst.log_norm_plus)):
+            mean = np.zeros((red.rank, red.rank))
+            for j, prob in enumerate(inst.plan.probabilities):
+                if prob > 0.0:
+                    w, q = np.linalg.eigh(red.member(j) / red.traces[j])
                     mean += prob * ((q * np.exp(s * w)) @ q.T)
             want = float(np.linalg.eigvalsh(symmetrize(mean))[-1])
             assert math.exp(got) == pytest.approx(want, rel=1e-12)
