@@ -12,12 +12,15 @@ with ``PYTHONPATH`` set to one side's source tree and one BLAS thread,
 one run at a time.
 
 Each output gets one line: whether the two files are byte-identical and,
-if not, the largest relative weight difference (a weight present on one
-side only counts as 1) and the relative differences of lambda_min and
-lambda_max; the support size on both sides; lambda_max / lambda_min on
-both sides (inf where lambda_min is 0); and the exit codes when they
-differ.  When any output
-differs, a closing line gives the largest of each of these three
+if not, a label, the largest relative weight difference (a weight present
+on one side only counts as 1) and the relative differences of lambda_min
+and lambda_max; the support size on both sides; lambda_max / lambda_min
+on both sides (inf where lambda_min is 0); and the exit codes when they
+differ.  A differing output is labelled ``rounding`` when both runs exit
+with the same code, keep the same support indices and every weight is
+within relative ``ROUNDING`` of the other side's, and ``moved``
+otherwise.  The count line gives the number of each label.  When any
+output differs, a closing line gives the largest of each of the three
 relative differences over all differing outputs.  With ``--work DIR``
 the inputs and outputs are kept in DIR.  ``--algos`` runs only the runs
 of the listed algorithms (comma-separated; default all).
@@ -40,6 +43,8 @@ ALGORITHMS = ("bss", "mmwum-wf", "mmwum-block", "aw-sample", "pe")
 FIXTURE_EPS = (0.45, 0.5)
 WORKLOAD_SEEDS = (1, 2, 3)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# largest relative weight difference of an output labelled ``rounding``
+ROUNDING = 1e-12
 
 
 def fixture_files(directory: Path) -> dict:
@@ -163,19 +168,29 @@ def weight_difference(a: dict, b: dict) -> float:
 def compare(name: str, parent: Path, change: Path, codes: tuple):
     """Print one line for one output.
 
-    Returns whether the two files are byte-identical and, when they differ
-    and both were read, the relative differences of the weights,
-    lambda_min and lambda_max (else None).
+    Returns whether the two files are byte-identical, the relative
+    differences of the weights, lambda_min and lambda_max when they differ
+    and both were read (else None), and the label of a differing output
+    (else None).
     """
     same = parent.exists() == change.exists() and (
         not parent.exists() or parent.read_bytes() == change.read_bytes()
     )
     a, b = read_output(parent), read_output(change)
-    parts = [f"{name:<34}", "identical" if same else "DIFFERS"]
-    diffs = None
-    if a is not None and b is not None:
-        if not same:
+    diffs = label = None
+    if not same:
+        if a is not None and b is not None:
             diffs = (weight_difference(a[0], b[0]), relative(a[2], b[2]), relative(a[3], b[3]))
+        rounding = (
+            diffs is not None
+            and codes[0] == codes[1]
+            and a[0].keys() == b[0].keys()
+            and diffs[0] <= ROUNDING
+        )
+        label = "rounding" if rounding else "moved"
+    parts = [f"{name:<34}", "identical" if same else f"DIFFERS  {label}"]
+    if a is not None and b is not None:
+        if diffs is not None:
             parts.append(f"weight rel diff {diffs[0]:.2e}")
             parts.append(f"lambda_min rel diff {diffs[1]:.2e}")
             parts.append(f"lambda_max rel diff {diffs[2]:.2e}")
@@ -185,7 +200,7 @@ def compare(name: str, parent: Path, change: Path, codes: tuple):
     if codes[0] != codes[1] or a is None or b is None:
         parts.append(f"exit {codes[0]}/{codes[1]}")
     print("  ".join(parts), flush=True)
-    return same, diffs
+    return same, diffs, label
 
 
 def main() -> int:
@@ -208,17 +223,23 @@ def main() -> int:
         work = Path(args.work or tmp)
         work.mkdir(parents=True, exist_ok=True)
         identical = total = code_changes = 0
+        labels = {"rounding": 0, "moved": 0}
         largest = None
         for k, (name, argv) in enumerate(jobs(work, algos)):
             outputs = [work / f"out-{k}-{side}.txt" for side in ("parent", "change")]
             codes = tuple(run_side(src, argv, out) for src, out in zip(sides, outputs))
-            same, diffs = compare(name, *outputs, codes)
+            same, diffs, label = compare(name, *outputs, codes)
+            if label is not None:
+                labels[label] += 1
             if diffs is not None:
                 largest = diffs if largest is None else tuple(map(max, largest, diffs))
             identical += same
             code_changes += codes[0] != codes[1]
             total += 1
-    print(f"{identical} of {total} outputs byte-identical, {code_changes} exit codes differ")
+    print(
+        f"{identical} of {total} outputs byte-identical, {labels['rounding']} rounding, "
+        f"{labels['moved']} moved, {code_changes} exit codes differ"
+    )
     if largest is not None:
         print(
             "largest rel diff over the differing outputs: "

@@ -27,6 +27,7 @@ from .errors import (
     InvalidColoring,
     InvalidCost,
     InvalidFamily,
+    InvalidMatrix,
     InvalidSimplexPoint,
 )
 from .linalg import (
@@ -594,6 +595,8 @@ def renormalize_simplex(vec: np.ndarray) -> np.ndarray:
 
 def caratheodory_lifted(lambdas, coll: PsdCollection) -> PsdCollection:
     """Blocks diag(lambda_i B_i, lambda_i) after validating the simplex point."""
+    if coll.matrices is None:
+        raise InvalidMatrix("caratheodory needs a dense collection")
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (len(coll),):
         raise InvalidSimplexPoint("lambda must have one entry per matrix")

@@ -16,20 +16,19 @@ memory with no n x n matrix per member.
 
 A whitened member is held only as its stacked factor rows G_j, with
 C_j = G_j^T G_j, which serve all the solvers need: <C_j, X>, the update
-A + alpha C_j and the certificate sum sum_j y_j C_j.  The rows of one
-member are orthogonal, as the ``pe`` closed form needs.  The scanning
-solvers score against
-Q diag(c) Q^T in the eigenbasis Q of their running sum A:
-<C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2.
+A + alpha C_j and the certificate sum sum_j y_j C_j.  None of these needs
+the rows of one member to be orthogonal, and they need not be.  The
+scanning solvers score against Q diag(c) Q^T in the eigenbasis Q of their
+running sum A: <C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2.
 
-A dense member is factored by ``eigh``; eigenvalues at or below
-``FACTOR_CUT`` times a member's largest are dropped (and so is any
-negative rounding eigenvalue), which moves a score by at most
-r * FACTOR_CUT * tr(C_j) * max|c|, an update by at most
-alpha * FACTOR_CUT * tr(C_j) and a certificate eigenvalue by at most
-FACTOR_CUT * sum_j y_j tr(C_j).  A rows member is whitened by one product
-F W and made orthogonal through its small Gram matrix G_j G_j^T; it keeps
-every row, so the ``FACTOR_CUT`` bounds apply to dense members only.
+A dense member is factored by ``eigh`` into its eigen-rows
+sqrt(w_k) q_k^T; eigenvalues at or below ``FACTOR_CUT`` times a member's
+largest are dropped (and so is any negative rounding eigenvalue), which
+moves a score by at most r * FACTOR_CUT * tr(C_j) * max|c|, an update by
+at most alpha * FACTOR_CUT * tr(C_j) and a certificate eigenvalue by at
+most FACTOR_CUT * sum_j y_j tr(C_j).  A rows member is whitened by the
+one product F W and keeps every row, so the ``FACTOR_CUT`` bounds apply to
+dense members only.
 
 Every solver ends with ``certificate_for`` on its weights, and ``rescaled``
 is the one lambda_min rescale.  ``verify_sandwich`` certifies weights in the
@@ -298,12 +297,13 @@ def _factor(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class ReducedInstance:
     """Whitened collection C_1..C_m with sum(C_i) = I on range(B), as factor rows.
 
-    Member j owns the orthogonal rows G_j = ``rows[bounds[j]:bounds[j + 1]]``, so
-    C_j = G_j^T G_j and the squared row norms are its eigenvalues.  A dense member's
-    rows are sqrt(w_k) q_k^T for its eigenpairs with w_k > FACTOR_CUT * max(w), and
-    ``traces`` are those of the dense C_j; a rows member keeps every row, and its
-    trace is its squared Frobenius norm.  ``basis`` holds the n x r orthonormal
-    range basis P and ``whitener`` the map (B^+)^{1/2} P, so
+    Member j owns the rows G_j = ``rows[bounds[j]:bounds[j + 1]]``, with
+    C_j = G_j^T G_j, and ``traces`` are the tr(C_j).  A dense member's rows are
+    its eigen-rows sqrt(w_k) q_k^T for w_k > FACTOR_CUT * max(w), which are
+    orthogonal with squared norms w_k, and its trace is that of the dense C_j; a
+    rows member's rows are its builder's rows times the whitener, in general not
+    orthogonal, and its trace is their squared Frobenius norm.  ``basis`` holds
+    the n x r orthonormal range basis P and ``whitener`` the map (B^+)^{1/2} P, so
     C_i = whitener^T B_i whitener and weights found for the C_i apply to the B_i.
     """
 
@@ -323,38 +323,6 @@ class ReducedInstance:
             rows=np.concatenate(rows),
             bounds=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
             traces=np.concatenate(traces),
-            basis=basis,
-            whitener=whitener,
-        )
-
-    @staticmethod
-    def orthogonalized(
-        rows: np.ndarray, bounds: np.ndarray, basis: np.ndarray, whitener: np.ndarray
-    ) -> "ReducedInstance":
-        """Whitened factor rows, each member's rows made orthogonal in place.
-
-        A member with k >= 2 rows G_j becomes U^T G_j for the eigenvectors U
-        of its k x k Gram matrix G_j G_j^T: the same C_j, with orthogonal rows.
-        Consecutive members with the same k are one (members, k, r) view of
-        the rows, decomposed ``FACTOR_BATCH`` members at a time; no row is
-        gathered by index.
-        """
-        counts = np.diff(bounds)
-        change = np.flatnonzero(np.diff(counts)) + 1
-        for first, last in zip(np.r_[0, change], np.r_[change, len(counts)]):
-            k = int(counts[first])
-            if k < 2:
-                continue
-            for lo in range(first, last, FACTOR_BATCH):
-                hi = min(lo + FACTOR_BATCH, last)
-                g = rows[bounds[lo] : bounds[hi]].reshape(hi - lo, k, -1)
-                u = eigh(g @ g.swapaxes(1, 2)).eigenvectors
-                g[...] = u.swapaxes(1, 2) @ g
-        return ReducedInstance(
-            rank=basis.shape[1],
-            rows=rows,
-            bounds=bounds,
-            traces=_member_sums(bounds, np.einsum("ki,ki->k", rows, rows)),
             basis=basis,
             whitener=whitener,
         )
@@ -415,9 +383,11 @@ def whiten(coll: PsdCollection) -> tuple[np.ndarray, np.ndarray]:
 
     Also checks that range(B_i) lies inside range(B) for every member, as
     the norm of B_i outside range(B) against 1e-8 max(1, lambda_max(B));
-    failure means a non-PSD member slipped past validation.  A rows member
-    is judged by |F_j N|^2 for an orthonormal basis N of the complement of
-    range(B): the trace of its part outside range(B), which bounds the norm.
+    failure means a non-PSD member slipped past validation.  With N an
+    orthonormal basis of the complement of range(B), a dense member is
+    judged by |N^T B_i N|_F and a rows member by |F_j N|^2, the trace of its
+    part outside range(B), which bounds that norm.  At full rank N has no
+    columns.
     """
     rank_tol = 1e-10 * coll.dim  # relative rank cutoff, scaled with dimension to absorb rounding
     spec = eigh(coll.total())
@@ -428,13 +398,13 @@ def whiten(coll: PsdCollection) -> tuple[np.ndarray, np.ndarray]:
     keep = w > rank_tol * lam_max
     basis = q[:, keep]
     whitener = basis / np.sqrt(w[keep])  # = (B^+)^{1/2} P column-scaled
+    null = q[:, ~keep]
     if coll.rows is not None:
-        outside = coll.rows @ q[:, ~keep]
+        outside = coll.rows @ null
         residual = _member_sums(coll.bounds, np.einsum("ki,ki->k", outside, outside))
     else:
-        residual_proj = np.eye(coll.dim) - basis @ basis.T
         outside = (
-            residual_proj @ coll.matrices[lo : lo + FACTOR_BATCH] @ residual_proj
+            null.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ null
             for lo in range(0, len(coll), FACTOR_BATCH)
         )
         residual = np.concatenate([np.linalg.norm(o, axis=(1, 2)) for o in outside])
@@ -452,7 +422,15 @@ def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     """
     basis, whitener = whiten(coll)
     if coll.rows is not None:
-        return ReducedInstance.orthogonalized(coll.rows @ whitener, coll.bounds, basis, whitener)
+        rows = coll.rows @ whitener
+        return ReducedInstance(
+            rank=basis.shape[1],
+            rows=rows,
+            bounds=coll.bounds,
+            traces=_member_sums(coll.bounds, np.einsum("ki,ki->k", rows, rows)),
+            basis=basis,
+            whitener=whitener,
+        )
     batches = (
         symmetrize(whitener.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ whitener)
         for lo in range(0, len(coll), FACTOR_BATCH)

@@ -30,6 +30,7 @@ from .linalg import (
     ReducedInstance,
     SparsifierResult,
     certificate_for,
+    eigh,
     eigvalsh,
     ln_sum_exp,
     symmetrize,
@@ -126,8 +127,9 @@ class PeInstance:
     expected one-step factors E[exp(-t X)] and E[exp(t' X)].  ``live``
     lists the candidates with positive probability and ``units`` holds
     their unit-trace matrices X_j = G_j^T G_j / tr(C_j), built from the
-    factor rows, as one (len(live), r, r) stack.  A retry at a larger
-    budget reuses it as it is.
+    factor rows, as one (len(live), r, r) stack, whose one stacked
+    eigendecomposition gives both norms.  A retry at a larger budget reuses
+    it as it is, so that decomposition runs once.
     """
 
     plan: SamplingPlan
@@ -177,10 +179,12 @@ class PeState(PeInstance):
 
 
 def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
-    """Build the unit-trace stack and both log norms from the factor rows.
+    """Build the unit-trace stack and both log norms from its eigendecomposition.
 
-    Member j's rows g_k = sqrt(w_k) q_k^T give exp(s X_j) = I + sum_k
-    expm1(s w_k / tr_j) / w_k g_k^T g_k, so each mean is I + G^T diag(c) G.
+    One stacked ``eigh`` gives each unit X_j = Q_j diag(w_j) Q_j^T, so each
+    mean E[exp(s X)] = sum_j p_j Q_j diag(exp(s w_j)) Q_j^T is one product
+    over the units' eigenvectors placed side by side.  The factor rows need
+    not be orthogonal.
     """
     plan = SamplingPlan.from_instance(reduced, eps)
     mu = plan.mu
@@ -193,15 +197,13 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
     units = np.empty((len(live), r, r))
     for k, j in enumerate(live):
         np.divide(reduced.member(j), reduced.traces[j], out=units[k])
-    counts = np.diff(reduced.bounds)
-    on_live = np.repeat(plan.probabilities > 0.0, counts)
-    g = reduced.rows[on_live]
-    w = np.einsum("ki,ki->k", g, g)
-    per_unit = w / np.repeat(reduced.traces, counts)[on_live]
-    weight = np.repeat(plan.probabilities, counts)[on_live] / w
+    spec = eigh(units)
+    w = spec.eigenvalues
+    side_by_side = spec.eigenvectors.transpose(1, 0, 2).reshape(r, -1)
+    prob = plan.probabilities[live, None]
 
     def log_norm(s: float) -> float:
-        mean = np.eye(r) + g.T @ ((weight * np.expm1(s * per_unit))[:, None] * g)
+        mean = (side_by_side * (prob * np.exp(s * w)).ravel()) @ side_by_side.T
         return math.log(float(eigvalsh(symmetrize(mean))[-1]))
 
     return PeInstance(

@@ -38,6 +38,7 @@ from psdsparsify.errors import (
     InvalidColoring,
     InvalidCost,
     InvalidFamily,
+    InvalidMatrix,
     InvalidSimplexPoint,
 )
 from psdsparsify.instances import (
@@ -394,6 +395,11 @@ class TestCaratheodory:
             caratheodory(np.array([0.7, 0.7]), coll, 0.5)
         with pytest.raises(InvalidSimplexPoint):
             caratheodory(np.array([1.5, -0.5]), coll, 0.5)
+
+    def test_rejects_a_rows_collection(self):
+        coll = edge_collection(complete_graph(4))
+        with pytest.raises(InvalidMatrix, match="needs a dense collection"):
+            caratheodory(np.full(6, 1.0 / 6.0), coll, 0.5)
 
 
 class TestSubgraphFamily:

@@ -24,7 +24,9 @@ def _run(compare_outputs, monkeypatch, tmp_path, change_texts, change_code=0):
 
     def run_side(src, argv, output):
         change = src.endswith("change")
-        output.write_text(change_texts[int(argv[0])] if change else OUTPUT, encoding="utf-8")
+        text = change_texts[int(argv[0])] if change else OUTPUT
+        if text is not None:
+            output.write_text(text, encoding="utf-8")
         return change_code if change else 0
 
     monkeypatch.setattr(compare_outputs, "jobs", lambda work, algos: jobs)
@@ -63,7 +65,7 @@ def test_differences_are_stated_per_output_and_at_the_end(
     assert "lambda_max rel diff 0.00e+00" in weights
     assert "weight rel diff 0.00e+00  lambda_min rel diff 5.00e-01" in certificate
     assert "lambda_max rel diff 2.50e-01" in certificate
-    assert counts == "1 of 3 outputs byte-identical, 0 exit codes differ"
+    assert counts == "1 of 3 outputs byte-identical, 1 rounding, 1 moved, 0 exit codes differ"
     assert largest == (
         "largest rel diff over the differing outputs: "
         "weights 2.00e-01, lambda_min 5.00e-01, lambda_max 2.50e-01"
@@ -75,7 +77,7 @@ def test_no_closing_difference_line_when_all_are_identical(
 ):
     assert _run(compare_outputs, monkeypatch, tmp_path, [OUTPUT, OUTPUT]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last == "2 of 2 outputs byte-identical, 0 exit codes differ"
+    assert last == "2 of 2 outputs byte-identical, 0 rounding, 0 moved, 0 exit codes differ"
 
 
 def test_a_zero_lambda_min_is_reported(compare_outputs, monkeypatch, tmp_path, capsys):
@@ -84,3 +86,34 @@ def test_a_zero_lambda_min_is_reported(compare_outputs, monkeypatch, tmp_path, c
     line = capsys.readouterr().out.splitlines()[0]
     assert "lambda_min rel diff 1.00e+00" in line
     assert "lambda_max/lambda_min 1.5000000000/inf  exit 0/1" in line
+
+
+@pytest.mark.parametrize(
+    "change_text,change_code,label",
+    [
+        (OUTPUT.replace("0 1.0\n", "0 1.0000000000004\n"), 0, "rounding"),
+        (OUTPUT.replace("max 1.5", "max 1.75"), 0, "rounding"),
+        (OUTPUT.replace("0 1.0\n", "0 1.000000000002\n"), 0, "moved"),
+        (OUTPUT.replace("0 1.0\n", "1 1.0\n"), 0, "moved"),
+        (OUTPUT.replace("0 1.0\n", "0 1.0\n3 1e-20\n"), 0, "moved"),
+        (OUTPUT.replace("max 1.5", "max 1.75"), 1, "moved"),
+        (None, 1, "moved"),
+    ],
+    ids=[
+        "weights-within-1e-12",
+        "lambdas-only",
+        "weights-beyond-1e-12",
+        "support-moved",
+        "support-grew",
+        "exit-codes-differ",
+        "no-output",
+    ],
+)
+def test_a_differing_output_is_labelled(
+    compare_outputs, monkeypatch, tmp_path, capsys, change_text, change_code, label
+):
+    assert _run(compare_outputs, monkeypatch, tmp_path, [change_text], change_code) == 1
+    line, counts = capsys.readouterr().out.splitlines()[:2]
+    assert f"DIFFERS  {label}" in line
+    rounding, moved = (1, 0) if label == "rounding" else (0, 1)
+    assert f"0 of 1 outputs byte-identical, {rounding} rounding, {moved} moved" in counts

@@ -159,9 +159,9 @@ class TestPeParams:
 
     @pytest.mark.parametrize("name", list(_ROWS_LIFTS))
     def test_norms_on_rows_that_are_not_eigen_rows(self, name):
-        # whitened clique, cost and section rows are not orthogonal until
-        # reduce_to_identity makes them so; the reference takes each unit's
-        # own eigendecomposition
+        # whitened clique, cost and section rows are in general not
+        # orthogonal, so they are not the eigen-rows of their member; the
+        # reference takes each unit's own eigendecomposition
         red = reduce_to_identity(_ROWS_LIFTS[name]())
         inst = sampling.pe_instance(red, 0.45)
         for s, got in ((-inst.t_minus, inst.log_norm_minus), (inst.t_plus, inst.log_norm_plus)):
