@@ -31,6 +31,7 @@ from .errors import (
     InvalidSimplexPoint,
 )
 from .linalg import (
+    CHECK_TOL,
     DEFAULT_PSD_TOL,
     PsdCollection,
     SandwichCertificate,
@@ -44,9 +45,6 @@ from .linalg import (
 from .solve import sparsify_sum
 
 CUT_ENUMERATION_LIMIT = 20
-
-# relative slack every application check allows for rounding
-CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -187,9 +185,9 @@ class CostWindow:
     original: float
     sparsified: float
 
-    def within(self, eps: float, tol: float = 1e-6) -> bool:
-        lo = self.original * (1.0 - tol)
-        hi = (1.0 + eps) * self.original * (1.0 + tol) + tol
+    def within(self, eps: float) -> bool:
+        lo = self.original * (1.0 - CHECK_TOL)
+        hi = (1.0 + eps) * self.original * (1.0 + CHECK_TOL) + CHECK_TOL
         return lo <= self.sparsified <= hi
 
 
@@ -249,7 +247,7 @@ def sparsify_graph(
         weights=result.weights,
         certificate=result.certificate,
         lifted_rank=result.reduced_rank,
-        passed=result.certificate.passes(eps, CHECK_TOL),
+        passed=result.certificate.passes(eps),
         checks=(),
         subgraph=_reweighted_graph(g, result.weights),
     )
@@ -316,7 +314,7 @@ def sparsify_with_costs(
     checks = tuple(
         (
             f"cost {i} original {win.original:.16e} sparsified {win.sparsified:.16e}",
-            win.within(eps, CHECK_TOL),
+            win.within(eps),
         )
         for i, win in enumerate(windows)
     )
@@ -324,7 +322,7 @@ def sparsify_with_costs(
         weights=y,
         certificate=lap_cert,
         lifted_rank=result.reduced_rank,
-        passed=_verdict(lap_cert.passes(eps, CHECK_TOL), checks),
+        passed=_verdict(lap_cert.passes(eps), checks),
         checks=checks,
         subgraph=_reweighted_graph(g, y),
         cost_windows=windows,
@@ -418,7 +416,7 @@ def sparsify_hypergraph(
         weights=result.weights,
         certificate=result.certificate,
         lifted_rank=result.reduced_rank,
-        passed=result.certificate.passes(eps, CHECK_TOL),
+        passed=result.certificate.passes(eps),
         checks=(),
         subhypergraph=WeightedHypergraph(n=h.n, hyperedges=kept),
     )
@@ -469,7 +467,6 @@ def cut_sparsifier_report(
     sub: WeightedHypergraph,
     eps: float,
     r: int | None = None,
-    tol: float = 1e-6,
 ) -> CutReport:
     """Enumerate every nontrivial cut and check the preservation windows.
 
@@ -483,6 +480,7 @@ def cut_sparsifier_report(
         raise ValueError(
             f"refusing to enumerate 2^{h.n} cuts; limit is n <= {CUT_ENUMERATION_LIMIT}"
         )
+    tol = CHECK_TOL
     violations = []
     count = 0
     for s in _all_nontrivial_subsets(h.n):
@@ -568,7 +566,7 @@ def sparse_sdp(
         weights=z_bar,
         certificate=result.certificate,
         lifted_rank=result.reduced_rank,
-        passed=_verdict(result.certificate.passes(eps, CHECK_TOL), checks),
+        passed=_verdict(result.certificate.passes(eps), checks),
         checks=checks,
     )
 
@@ -578,10 +576,14 @@ def renormalize_simplex(vec: np.ndarray) -> np.ndarray:
 
     The sum's rounding error goes to the largest entry (``None``: the argmax
     at each try), or, where its spacing is too coarse, to the next largest
-    nonzero entries in turn; each gets up to four tries.
+    nonzero entries in turn; each gets up to four tries.  Where those nudges
+    only flip the float sum between the two sides of 1.0, the nonzero
+    entries, largest first, step one ulp at a time toward 1.0, each until
+    the sum lands, crosses 1.0 or has taken 64 steps.
     """
     out = vec / vec.sum()
-    for i in [None, *np.argsort(-out, kind="stable")[1 : np.count_nonzero(out)]]:
+    order = np.argsort(-out, kind="stable")[: np.count_nonzero(out)]
+    for i in [None, *order[1:]]:
         for _ in range(4):
             delta = 1.0 - float(out.sum())
             if delta == 0.0:
@@ -590,6 +592,16 @@ def renormalize_simplex(vec: np.ndarray) -> np.ndarray:
             if out[k] + delta <= 0.0:
                 break
             out[k] += delta
+    for k in order:
+        below = float(out.sum()) < 1.0
+        for _ in range(64):
+            total = float(out.sum())
+            if total == 1.0:
+                return out
+            step = np.nextafter(out[k], 2.0 if below else 0.0)
+            if (total < 1.0) != below or step <= 0.0:
+                break
+            out[k] = step
     return out
 
 
@@ -664,6 +676,8 @@ def family_lifted_collection(g: WeightedGraph, family):
     pairs = [[(u - 1, v - 1)] for u, v, _ in g.edges]
     dim = g.n
     for fi, f_edges in enumerate(family):
+        if len(f_edges) == 0:
+            raise InvalidFamily(f"family member {fi} has no edges")
         normalized = set()
         for u, v in f_edges:
             u, v = (u, v) if u < v else (v, u)
@@ -715,7 +729,7 @@ def subgraph_family_sparsify(
     checks = tuple(
         (
             f"member {i} lambda_min {cert.lambda_min:.16e} lambda_max {cert.lambda_max:.16e}",
-            cert.passes(eps, CHECK_TOL),
+            cert.passes(eps),
         )
         for i, cert in enumerate(member_certs)
     )
@@ -723,7 +737,7 @@ def subgraph_family_sparsify(
         weights=y,
         certificate=cert_g,
         lifted_rank=result.reduced_rank,
-        passed=_verdict(cert_g.passes(eps, CHECK_TOL), checks),
+        passed=_verdict(cert_g.passes(eps), checks),
         checks=checks,
         subgraph=_reweighted_graph(g, y),
         member_certificates=member_certs,

@@ -26,7 +26,7 @@ class ExpOverflow(SparsifyError):
 
 
 class NegativeWeight(SparsifyError):
-    """A weight vector has a negative entry."""
+    """A weight vector has a negative or non-finite entry."""
 
 
 class BarrierViolated(SparsifyError):
@@ -62,15 +62,12 @@ class TNotLargeEnough(SparsifyError):
     """The derandomized iteration budget does not force success.
 
     ``suggested_t`` is a budget that provably does, computed from the
-    measured decay rates of the two estimators.  ``instance`` holds the
-    budget-free pieces they were measured on (a ``sampling.PeInstance``),
-    so a retry at ``suggested_t`` need not build them again.
+    measured decay rates of the two estimators.
     """
 
-    def __init__(self, message, suggested_t=None, instance=None):
+    def __init__(self, message, suggested_t=None):
         super().__init__(message)
         self.suggested_t = suggested_t
-        self.instance = instance
 
 
 class TimeBudgetExceeded(SparsifyError):
@@ -98,7 +95,7 @@ class InvalidColoring(SparsifyError):
 
 
 class InvalidFamily(SparsifyError):
-    """A subgraph family member is not a subgraph of the host graph."""
+    """A subgraph family member is empty or not a subgraph of the host graph."""
 
 
 class InvalidSimplexPoint(SparsifyError):

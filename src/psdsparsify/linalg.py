@@ -66,6 +66,12 @@ FACTOR_CUT = 1e-12
 # the transient arrays
 FACTOR_BATCH = 64
 
+# factor rows weighted and summed at a time, which bounds the weighted copy
+ROW_BATCH = 4096
+
+# relative slack every acceptance check allows for rounding
+CHECK_TOL = 1e-6
+
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return 0.5*M + 0.5*M^T, which is exactly symmetric entrywise.
@@ -262,19 +268,34 @@ class PsdCollection:
         """sum_i y_i B_i for nonnegative weights y.
 
         Dense members with y_i > 0 are added in member order, as
-        ``member_sum`` adds them, ``FACTOR_BATCH`` at a time; rows are
-        summed as one product H^T H with H = sqrt(y per row) * F.
+        ``member_sum`` adds them, ``FACTOR_BATCH`` at a time; rows go
+        through ``row_weighted_sum``.
         """
         y = np.asarray(y, dtype=float)
         if self.rows is not None:
-            h = self.rows * np.sqrt(np.repeat(y, np.diff(self.bounds)))[:, None]
-            return h.T @ h
+            return row_weighted_sum(self.rows, self.bounds, y)
         out = np.zeros((self.dim, self.dim))
         support = np.flatnonzero(y > 0.0)
         for lo in range(0, len(support), FACTOR_BATCH):
             at = support[lo : lo + FACTOR_BATCH]
             out = member_sum(np.concatenate((out[None], y[at, None, None] * self.matrices[at])))
         return out
+
+
+def row_weighted_sum(rows: np.ndarray, bounds: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j y_j F_j^T F_j as symmetrize(F^T (y per row * F)).
+
+    The product runs ``ROW_BATCH`` rows at a time, so the weighted copy of
+    the rows never holds more than one block; with at most ``ROW_BATCH``
+    rows it is one product.
+    """
+    per_row = np.repeat(np.asarray(y, dtype=float), np.diff(bounds))
+    out = None
+    for lo in range(0, max(len(rows), 1), ROW_BATCH):
+        f = rows[lo : lo + ROW_BATCH]
+        part = f.T @ (per_row[lo : lo + ROW_BATCH, None] * f)
+        out = part if out is None else out + part
+    return symmetrize(out)
 
 
 def _member_sums(bounds: np.ndarray, per_row: np.ndarray) -> np.ndarray:
@@ -373,9 +394,8 @@ class ReducedInstance:
         return self._segment_sums(np.einsum("ki,ki->k", g @ v, g))
 
     def weighted_sum(self, y: np.ndarray) -> np.ndarray:
-        """sum_j y_j C_j as one product G^T (y per row * G)."""
-        per_row = np.repeat(np.asarray(y, dtype=float), np.diff(self.bounds))
-        return symmetrize(self.rows.T @ (per_row[:, None] * self.rows))
+        """sum_j y_j C_j, by ``row_weighted_sum`` over the factor rows."""
+        return row_weighted_sum(self.rows, self.bounds, y)
 
 
 def whiten(coll: PsdCollection) -> tuple[np.ndarray, np.ndarray]:
@@ -450,12 +470,13 @@ class SandwichCertificate:
     def epsilon_achieved(self) -> float:
         return float("inf") if self.lambda_min <= 0.0 else self.lambda_max / self.lambda_min - 1.0
 
-    def passes(self, eps: float, tol: float = 1e-6) -> bool:
-        """B <= sum(y_i B_i) <= (1+eps) B up to relative slack tol."""
-        return self.lambda_min >= 1.0 - tol and self.lambda_max <= (1.0 + eps) * (1.0 + tol)
+    def passes(self, eps: float) -> bool:
+        """B <= sum(y_i B_i) <= (1+eps) B up to relative slack CHECK_TOL."""
+        lo, hi = 1.0 - CHECK_TOL, (1.0 + eps) * (1.0 + CHECK_TOL)
+        return self.lambda_min >= lo and self.lambda_max <= hi
 
-    def within_window(self, lo: float, hi: float, tol: float = 1e-6) -> bool:
-        return self.lambda_min >= lo - tol and self.lambda_max <= hi + tol
+    def within_window(self, lo: float, hi: float) -> bool:
+        return self.lambda_min >= lo - CHECK_TOL and self.lambda_max <= hi + CHECK_TOL
 
 
 @dataclass(frozen=True)
@@ -509,14 +530,14 @@ def verify_sandwich(coll: PsdCollection, y: np.ndarray) -> SandwichCertificate:
 
     The certificate is computed in the caller's space, as
     eigvalsh(symmetrize(W^T (sum_i y_i B_i) W)) for the whitener W of
-    ``whiten``; no member is factored.  It ``passes(eps, tol)`` iff
-    lambda_min >= 1 - tol and lambda_max <= (1+eps)(1+tol).
+    ``whiten``; no member is factored.  It ``passes(eps)`` iff
+    lambda_min >= 1 - CHECK_TOL and lambda_max <= (1+eps)(1+CHECK_TOL).
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (len(coll),):
         raise DimMismatch(f"weight vector has shape {y.shape}, expected ({len(coll)},)")
-    if np.any(y < 0.0):
-        raise NegativeWeight("weight vector has a negative entry")
+    if not (np.isfinite(y) & (y >= 0.0)).all():
+        raise NegativeWeight("weight vector has a negative or non-finite entry")
     _, whitener = whiten(coll)
     w = eigvalsh(symmetrize(whitener.T @ coll.weighted_sum(y) @ whitener))
     return SandwichCertificate(

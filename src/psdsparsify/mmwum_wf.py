@@ -126,7 +126,6 @@ def check_potential_equivalence(
     alpha: float,
     t: int,
     params: WfParams,
-    rel_tol: float = 1e-8,
 ) -> bool:
     """Verify that the two potential formulations agree on one step.
 
@@ -136,10 +135,11 @@ def check_potential_equivalence(
     proposition that these coincide is checked numerically: returns True
     when both formulations deliver the same verdict on the step
     A -> A + alpha*X (whether that shared verdict is accept or reject),
-    and raises EquivalenceBroken on disagreement beyond ``rel_tol``
-    relative slack.  Margins are handled in log space so arbitrarily large
+    and raises EquivalenceBroken on disagreement beyond 1e-8 relative
+    slack.  Margins are handled in log space so arbitrarily large
     steps remain comparable.
     """
+    rel_tol = 1e-8
     gamma = params.gamma
     a_next = symmetrize(a + alpha * x)
     w_here = eigh(a).eigenvalues

@@ -8,9 +8,10 @@ the same quantized weights into a deterministic guarantee.  Both tail
 exponents are multiples of one matrix, the sum P of the unit-trace picks
 so far, so a step scores every candidate j from the eigenvalues of
 P + X_j alone: one eigenvalue-only decomposition per step serves both
-tails.  The walk takes the lowest index among values that are equal bit
-for bit; among candidates that tie only in exact arithmetic (as on
-edge-transitive graphs), rounding decides.
+tails.  ``pe_params`` builds the whole state at one budget T; a retry at
+a larger budget builds it again.  The walk takes the lowest index among
+values that are equal bit for bit; among candidates that tie only in
+exact arithmetic (as on edge-transitive graphs), rounding decides.
 
 RNG contract: PCG64 via ``numpy.random.default_rng(seed)``; indices come
 from inverse-CDF lookups against the cumulative probability vector, so
@@ -63,12 +64,11 @@ class SamplingPlan:
     probabilities: np.ndarray
     mu: float
     eps: float
-    seed: int
     t_random: int
     t_derand: int
 
     @staticmethod
-    def from_instance(reduced: ReducedInstance, eps: float, seed: int = 0) -> "SamplingPlan":
+    def from_instance(reduced: ReducedInstance, eps: float) -> "SamplingPlan":
         # closed right endpoint: the plan formulas stay finite at 1/2
         if not 0.0 < eps <= 0.5:
             raise ValueError("eps must lie in (0, 1/2]")
@@ -82,7 +82,6 @@ class SamplingPlan:
             probabilities=p,
             mu=mu,
             eps=eps,
-            seed=seed,
             t_random=aw_iteration_count(r, eps),
             t_derand=pe_iteration_count(r, eps),
         )
@@ -104,7 +103,7 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
     probability above 1/2; the caller checks the certificate rather than
     trusting the draw.
     """
-    plan = SamplingPlan.from_instance(reduced, eps, seed=seed)
+    plan = SamplingPlan.from_instance(reduced, eps)
     rng = np.random.default_rng(seed)
     cum = np.cumsum(plan.probabilities)
     draws = rng.random(plan.t_random)
@@ -119,17 +118,19 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
 
 
 @dataclass
-class PeInstance:
-    """The part of the pe state that does not depend on the budget T.
+class PeState:
+    """Greedy derandomization state at budget ``t_total``.
 
     ``t_minus`` scales the lower-tail exponent exp(-t X) and ``t_plus``
     the upper-tail exponent exp(+t' X); the log norms are those of the
     expected one-step factors E[exp(-t X)] and E[exp(t' X)].  ``live``
     lists the candidates with positive probability and ``units`` holds
     their unit-trace matrices X_j = G_j^T G_j / tr(C_j), built from the
-    factor rows, as one (len(live), r, r) stack, whose one stacked
-    eigendecomposition gives both norms.  A retry at a larger budget reuses
-    it as it is, so that decomposition runs once.
+    factor rows, as one (len(live), r, r) stack.  ``picked_sum`` is P, the
+    sum of the unit-trace matrices picked so far; the two exponent sums are
+    -t P and +t' P, so both tails take their spectra from the eigenvalues
+    of P.  The estimator values are assembled in log space so the norm
+    powers cannot underflow.
     """
 
     plan: SamplingPlan
@@ -139,18 +140,6 @@ class PeInstance:
     log_norm_plus: float
     live: np.ndarray
     units: np.ndarray
-
-
-@dataclass
-class PeState(PeInstance):
-    """Greedy derandomization state: a ``PeInstance`` at budget ``t_total``.
-
-    ``picked_sum`` is P, the sum of the unit-trace matrices picked so far;
-    the two exponent sums are -t P and +t' P, so both tails take their
-    spectra from the eigenvalues of P.  The estimator values are
-    assembled in log space so the norm powers cannot underflow.
-    """
-
     t_total: int
     picked_sum: np.ndarray
     picks: list = field(default_factory=list)
@@ -178,13 +167,17 @@ class PeState(PeInstance):
         return float(self._estimate(-self.t_minus * w, self.t_plus * w, self.t))
 
 
-def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
-    """Build the unit-trace stack and both log norms from its eigendecomposition.
+def pe_params(reduced: ReducedInstance, eps: float, t_total: int | None = None) -> PeState:
+    """Build the pessimistic-estimator state and check phi_0 + psi_0 < 1.
 
-    One stacked ``eigh`` gives each unit X_j = Q_j diag(w_j) Q_j^T, so each
-    mean E[exp(s X)] = sum_j p_j Q_j diag(exp(s w_j)) Q_j^T is one product
-    over the units' eigenvectors placed side by side.  The factor rows need
-    not be orthogonal.
+    One stacked ``eigh`` of the unit-trace stack gives each unit
+    X_j = Q_j diag(w_j) Q_j^T, so each mean E[exp(s X)] =
+    sum_j p_j Q_j diag(exp(s w_j)) Q_j^T is one product over the units'
+    eigenvectors placed side by side; the factor rows need not be
+    orthogonal.  ``t_total`` defaults to the textbook budget.  When the
+    budget fails the check, the raised TNotLargeEnough carries a
+    ``suggested_t`` computed from the measured per-step decay rates of the
+    two estimators, which does satisfy it.
     """
     plan = SamplingPlan.from_instance(reduced, eps)
     mu = plan.mu
@@ -206,7 +199,7 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
         mean = (side_by_side * (prob * np.exp(s * w)).ravel()) @ side_by_side.T
         return math.log(float(eigvalsh(symmetrize(mean))[-1]))
 
-    return PeInstance(
+    state = PeState(
         plan=plan,
         t_minus=t_minus,
         t_plus=t_plus,
@@ -214,42 +207,18 @@ def pe_instance(reduced: ReducedInstance, eps: float) -> PeInstance:
         log_norm_plus=log_norm(t_plus),
         live=live,
         units=units,
-    )
-
-
-def pe_params(
-    reduced: ReducedInstance,
-    eps: float,
-    t_total: int | None = None,
-    instance: PeInstance | None = None,
-) -> PeState:
-    """Initialize the pessimistic-estimator state and check phi_0 + psi_0 < 1.
-
-    ``instance`` is built from ``reduced`` and ``eps`` when not given.
-    When the budget fails the check, the raised TNotLargeEnough carries a
-    ``suggested_t`` computed from the measured per-step decay rates of the
-    two estimators, which does satisfy it, and the ``instance`` to retry
-    with.
-    """
-    if instance is None:
-        instance = pe_instance(reduced, eps)
-    plan, r = instance.plan, reduced.rank
-    state = PeState(
-        **vars(instance),
         t_total=plan.t_derand if t_total is None else int(t_total),
         picked_sum=np.zeros((r, r)),
     )
     start = state.current_value()
     if start >= 1.0:
         # per-step decay rates of ln phi and ln psi; both are positive
-        mu = plan.mu
-        rate_lower = -(state.t_minus * (1.0 - eps) * mu + state.log_norm_minus)
-        rate_upper = state.t_plus * (1.0 + eps) * mu - state.log_norm_plus
+        rate_lower = -(t_minus * (1.0 - eps) * mu + state.log_norm_minus)
+        rate_upper = t_plus * (1.0 + eps) * mu - state.log_norm_plus
         suggested = math.floor(math.log(2.0 * r) / min(rate_lower, rate_upper)) + 1
         raise TNotLargeEnough(
             f"phi_0 + psi_0 = {start} >= 1 for T = {state.t_total}",
             suggested_t=max(suggested, state.t_total + 1),
-            instance=instance,
         )
     return state
 
@@ -281,7 +250,6 @@ def pe_sparsify(
     eps: float,
     t_total: int | None = None,
     max_seconds: float | None = None,
-    instance: PeInstance | None = None,
 ) -> SparsifierResult:
     """Deterministic sparsifier via T greedy pessimistic-estimator steps.
 
@@ -289,11 +257,11 @@ def pe_sparsify(
     final estimator value stays below 1, the certificate eigenvalues are
     guaranteed to lie inside [1-eps, 1+eps] with no randomness involved.
     Raises TNotLargeEnough when the budget cannot force success; retry
-    once with the exception's ``suggested_t`` and ``instance``.  Raises
+    once with the exception's ``suggested_t``.  Raises
     TimeBudgetExceeded when ``max_seconds`` run out before the last step.
     """
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    state = pe_params(reduced, eps, t_total=t_total, instance=instance)
+    state = pe_params(reduced, eps, t_total=t_total)
     t_total = state.t_total
     counts = np.zeros(len(reduced), dtype=int)
     for t in range(1, t_total + 1):

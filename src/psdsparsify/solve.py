@@ -17,6 +17,7 @@ from dataclasses import replace
 from .bss import bss_sparsify
 from .errors import TNotLargeEnough
 from .linalg import (
+    CHECK_TOL,
     PsdCollection,
     SandwichCertificate,
     SparsifierResult,
@@ -56,28 +57,21 @@ def run_algorithm(
         return aw_sample(reduced, eps, seed=seed)
     if algo == "pe":
         # single retry: the closed-form budget can miss phi_0 + psi_0 < 1;
-        # the exception carries an instance-calibrated budget that cannot,
-        # and the budget-free pieces, which the retry reuses
+        # the exception carries an instance-calibrated budget that cannot
         try:
             return pe_sparsify(reduced, eps, max_seconds=max_seconds)
         except TNotLargeEnough as exc:
-            return pe_sparsify(
-                reduced,
-                eps,
-                t_total=exc.suggested_t,
-                max_seconds=max_seconds,
-                instance=exc.instance,
-            )
+            return pe_sparsify(reduced, eps, t_total=exc.suggested_t, max_seconds=max_seconds)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 
-def certificate_passes(algo: str, eps: float, cert: SandwichCertificate, tol: float = 1e-6) -> bool:
+def certificate_passes(algo: str, eps: float, cert: SandwichCertificate) -> bool:
     """Per-algorithm acceptance window for a raw (unwrapped) run."""
     if algo == "bss":
         return cert.lambda_min >= 1.0 - 1e-7 and (
-            cert.lambda_max / cert.lambda_min <= ((2.0 + eps) / (2.0 - eps)) ** 2 + tol
+            cert.lambda_max / cert.lambda_min <= ((2.0 + eps) / (2.0 - eps)) ** 2 + CHECK_TOL
         )
-    return cert.within_window(1.0 - eps, 1.0 + eps, tol)
+    return cert.within_window(1.0 - eps, 1.0 + eps)
 
 
 def internal_epsilon(eps: float) -> float:

@@ -666,6 +666,27 @@ class TestCli:
         assert code == 0
         assert "member 0 lambda_min" in text
 
+    @pytest.mark.parametrize(
+        "family, want_code",
+        [("2\n1\n1 2\n0\n", 2), ("0\n", 0)],
+        ids=["empty-member", "no-members"],
+    )
+    def test_family_members_need_edges(self, tmp_path, capsys, family, want_code):
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(emit_graph(complete_graph(4)))
+        family_file = tmp_path / "f.txt"
+        family_file.write_text(family)
+        code, _ = self.run_cli(
+            tmp_path,
+            "--algo", "bss", "--eps", "0.5",
+            "--kind", "graph",
+            "--input", str(graph_file),
+            "--family", str(family_file),
+        )
+        assert code == want_code
+        err = capsys.readouterr().err
+        assert ("family member 1 has no edges" in err) == (want_code == 2)
+
     def test_runs_outside_the_main_thread(self, tmp_path, identity_pair_file):
         out = tmp_path / "out.txt"
         argv = ["--algo", "bss", "--eps", "0.5", "--input", str(identity_pair_file),

@@ -225,7 +225,7 @@ class TestVerifySandwich:
         cert = verify_sandwich(diag_split, np.ones(2))
         assert cert.lambda_min == pytest.approx(1.0, abs=1e-7)
         assert cert.lambda_max == pytest.approx(1.0, abs=1e-7)
-        assert cert.passes(0.0, tol=1e-6)
+        assert cert.passes(0.0)
 
     def test_doubled_weights_fail_small_eps(self, diag_split):
         cert = verify_sandwich(diag_split, 2.0 * np.ones(2))
@@ -242,6 +242,18 @@ class TestVerifySandwich:
     def test_negative_weight_rejected(self, diag_split):
         with pytest.raises(NegativeWeight):
             verify_sandwich(diag_split, np.array([1.0, -0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected_on_a_dense_collection(self, bad):
+        coll = PsdCollection.from_matrices([np.eye(2), np.eye(2)])
+        with pytest.raises(NegativeWeight, match="non-finite"):
+            verify_sandwich(coll, np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected_on_a_rows_collection(self, bad):
+        coll = PsdCollection.from_rows(2, np.eye(2), [0, 1, 2], np.eye(2))
+        with pytest.raises(NegativeWeight, match="non-finite"):
+            verify_sandwich(coll, np.array([bad, 1.0]))
 
     @given(
         st.integers(min_value=2, max_value=6),
@@ -427,6 +439,27 @@ class TestRowsCollection:
         assert got.lambda_min == pytest.approx(want.lambda_min, abs=scale)
         assert got.lambda_max == pytest.approx(want.lambda_max, abs=scale)
         assert got.support_size == want.support_size
+
+    def test_weighted_sum_runs_a_block_of_rows_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 4, 8000)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        rows = rng.standard_normal((bounds[-1], 16))
+        y = rng.uniform(0.0, 2.0, len(counts))
+        y[::5] = 0.0
+        per_row = np.repeat(y, counts)[:, None]
+        want = symmetrize(rows.T @ (per_row * rows))
+        coll = PsdCollection.from_rows(16, rows, bounds, rows.T @ rows)
+        monkeypatch.setattr(linalg, "ROW_BATCH", 64)
+        tracemalloc.start()
+        try:
+            got = coll.weighted_sum(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        # one weighted copy of all the rows would take rows.nbytes
+        assert peak <= 0.5 * rows.nbytes
 
 
 class TestOneStack:

@@ -85,7 +85,7 @@ class TestAwSample:
     def test_quantized_weights(self, reduced_random):
         eps = 0.3
         res = aw_sample(reduced_random, eps, seed=5)
-        plan = SamplingPlan.from_instance(reduced_random, eps, seed=5)
+        plan = SamplingPlan.from_instance(reduced_random, eps)
         traces = reduced_random.traces
         for j in res.support:
             unit = reduced_random.rank / (plan.t_random * traces[j])
@@ -110,6 +110,14 @@ _ROWS_LIFTS = {
     )[0],
     "cost": lambda: cost_lifted_collection(complete_graph(5), [np.arange(10.0), np.ones(10)]),
 }
+
+
+def _pe_state(red, eps):
+    """The pe state at the textbook budget, or at the suggested one if that fails."""
+    try:
+        return pe_params(red, eps)
+    except TNotLargeEnough as err:
+        return pe_params(red, eps, t_total=err.suggested_t)
 
 
 class TestPeParams:
@@ -143,14 +151,14 @@ class TestPeParams:
     @pytest.mark.parametrize("n,m,seed", [(6, 30, 7), (8, 160, 3)])
     def test_norms_match_the_per_member_exponentials(self, n, m, seed):
         # the reference sums p_j Q exp(s w) Q^T over each dense unit's own
-        # eigendecomposition, as pe_instance did before it read the rows
+        # eigendecomposition
         coll = random_psd_collection(n, m, seed=seed)
         red = reduce_to_identity(coll)
-        inst = sampling.pe_instance(red, 0.45)
-        for s, got in ((-inst.t_minus, inst.log_norm_minus), (inst.t_plus, inst.log_norm_plus)):
+        state = _pe_state(red, 0.45)
+        for s, got in ((-state.t_minus, state.log_norm_minus), (state.t_plus, state.log_norm_plus)):
             mean = np.zeros((red.rank, red.rank))
             members = whitened_members(coll, red)
-            for prob, c, tr in zip(inst.plan.probabilities, members, red.traces):
+            for prob, c, tr in zip(state.plan.probabilities, members, red.traces):
                 if prob > 0.0:
                     w, q = np.linalg.eigh(c / tr)
                     mean += prob * ((q * np.exp(s * w)) @ q.T)
@@ -163,10 +171,10 @@ class TestPeParams:
         # orthogonal, so they are not the eigen-rows of their member; the
         # reference takes each unit's own eigendecomposition
         red = reduce_to_identity(_ROWS_LIFTS[name]())
-        inst = sampling.pe_instance(red, 0.45)
-        for s, got in ((-inst.t_minus, inst.log_norm_minus), (inst.t_plus, inst.log_norm_plus)):
+        state = _pe_state(red, 0.45)
+        for s, got in ((-state.t_minus, state.log_norm_minus), (state.t_plus, state.log_norm_plus)):
             mean = np.zeros((red.rank, red.rank))
-            for j, prob in enumerate(inst.plan.probabilities):
+            for j, prob in enumerate(state.plan.probabilities):
                 if prob > 0.0:
                     w, q = np.linalg.eigh(red.member(j) / red.traces[j])
                     mean += prob * ((q * np.exp(s * w)) @ q.T)
