@@ -2,11 +2,11 @@
 
 Given B_1, ..., B_m with B = sum(B_i) and eps in (0, 1), the solvers here
 find a nonnegative vector y of small support with
-B <= sum(y_i B_i) <= (1 + eps) B, via four interchangeable algorithms:
+B <= sum(y_i B_i) <= (1 + eps) B, via five interchangeable algorithms:
 a deterministic barrier-potential method (``bss``), two matrix
-multiplicative weights variants (``mmwum-wf``, ``mmwum-block``), and
-trace-weighted sampling with an optional pessimistic-estimator
-derandomization (``aw-sample``, ``pe``).
+multiplicative weights variants (``mmwum-wf``, ``mmwum-block``),
+trace-weighted sampling (``aw-sample``) and its pessimistic-estimator
+derandomization (``pe``).
 """
 
 from .bss import BssParams, bss_sparsify, phi_lower, phi_upper
@@ -25,7 +25,7 @@ from .linalg import (
 )
 from .mmwum_block import BlockParams, block_sparsify, oracle_width_fixture
 from .mmwum_wf import WfParams, check_potential_equivalence, wf_sparsify
-from .sampling import SamplingPlan, aw_sample, pe_sparsify
+from .sampling import aw_sample, pe_sparsify
 from .solve import ALGORITHMS, run_algorithm, sparsify_sum
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "BssParams",
     "PsdCollection",
     "ReducedInstance",
-    "SamplingPlan",
     "SandwichCertificate",
     "SparsifierResult",
     "Spectrum",

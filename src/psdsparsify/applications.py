@@ -61,6 +61,8 @@ class WeightedGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n = {self.n}")
             if w <= 0:
                 raise ValueError(f"edge ({u}, {v}) has nonpositive weight {w}")
+            if not np.isfinite(w):
+                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
@@ -87,6 +89,8 @@ class WeightedHypergraph:
                 raise ValueError(f"hyperedge {verts} out of range for n = {self.n}")
             if w <= 0:
                 raise ValueError(f"hyperedge {verts} has nonpositive weight {w}")
+            if not np.isfinite(w):
+                raise ValueError(f"hyperedge {verts} has non-finite weight {w}")
 
     @property
     def m(self) -> int:
@@ -265,6 +269,8 @@ def cost_lifted_collection(g: WeightedGraph, costs) -> PsdCollection:
             raise InvalidCost(f"cost {i} has shape {c.shape}, expected ({g.m},)")
         if np.any(c < 0.0):
             raise InvalidCost(f"cost {i} has a negative entry")
+        if not np.isfinite(c).all():
+            raise InvalidCost(f"cost {i} has a non-finite entry")
     n, w = g.n, _edge_weights(g)
     slots = np.reshape(costs, (len(costs), g.m)).T * w[:, None]
     dim = n + slots.shape[1]
@@ -526,6 +532,8 @@ def sdp_lifted_collection(inst: SdpInstance) -> PsdCollection:
         raise InfeasibleInput("cost and z_star must have one entry per matrix")
     if np.any(cost < 0.0) or np.any(z_star < 0.0):
         raise InfeasibleInput("cost and z_star must be nonnegative")
+    if not (np.isfinite(cost).all() and np.isfinite(z_star).all()):
+        raise InfeasibleInput("cost and z_star must be finite")
     scaled = z_star[:, None, None] * inst.matrices
     if not is_psd(symmetrize(member_sum(scaled) - inst.target), DEFAULT_PSD_TOL):
         raise InfeasibleInput("z_star does not dominate the target matrix")
@@ -612,6 +620,8 @@ def caratheodory_lifted(lambdas, coll: PsdCollection) -> PsdCollection:
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (len(coll),):
         raise InvalidSimplexPoint("lambda must have one entry per matrix")
+    if not np.isfinite(lam).all():
+        raise InvalidSimplexPoint("lambda has a non-finite entry")
     if np.any(lam < 0.0) or abs(float(lam.sum()) - 1.0) > 1e-9:
         raise InvalidSimplexPoint("lambda must be nonnegative and sum to 1")
     return _with_slots(lam[:, None, None] * coll.matrices, lam[:, None])

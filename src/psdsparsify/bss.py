@@ -8,10 +8,11 @@ the closed-form step-size window that keeps both potentials from rising.
 
 U_A(X) and L_A(X) are trace inner products of X with Q diag(c_U) Q^T and
 Q diag(c_L) Q^T for A = Q diag(w) Q^T, where ``_upper_coefficients`` and
-``_lower_coefficients`` map w to c_U and c_L.  So the solver is one
-potential of the shared loop ``scan.drive``: it picks the widest gap
-L_A(C_j) - U_A(C_j).  The weights are certified with ``certificate_for``
-and divided by their lambda_min with ``rescaled``, as in ``sparsify_sum``.
+``_lower_coefficients`` map w to c_U and c_L.  So the schedule
+``BssParams`` is the solver's potential in the shared loop ``scan.drive``:
+it picks the widest gap L_A(C_j) - U_A(C_j).  The weights are certified
+with ``certificate_for`` and divided by their lambda_min with
+``rescaled``, as in ``sparsify_sum``.
 """
 
 from __future__ import annotations
@@ -32,11 +33,14 @@ from .linalg import ReducedInstance, SparsifierResult, certificate_for, eigh, re
 
 @dataclass(frozen=True)
 class BssParams:
-    """Barrier schedule derived from (eps, n).
+    """Barrier schedule derived from (eps, n), and the ``scan`` potential of ``bss``.
 
     The choices keep 1/delta_U + eps_U = 1/delta_L - eps_L, the balance
     that guarantees an admissible step exists at every iteration.
+    ``coefficients`` gives c_U and c_L and ``pick`` is ``_bss_pick``.
     """
+
+    name = "bss"
 
     eps: float
     n: int
@@ -86,6 +90,16 @@ class BssParams:
 
     def lower_barrier(self, t: int) -> float:
         return self.ell_0 + t * self.delta_L
+
+    def coefficients(self, w: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """c_U and c_L at the barriers of step t, from the spectrum w of A."""
+        return (
+            _upper_coefficients(w, self.upper_barrier(t), self.delta_U),
+            _lower_coefficients(w, self.lower_barrier(t), self.delta_L),
+        )
+
+    def pick(self, scores: np.ndarray, coeffs: np.ndarray, reduced) -> tuple[int, float]:
+        return _bss_pick(scores[:, 0], scores[:, 1], reduced)
 
 
 def phi_upper(a: np.ndarray, u: float) -> float:
@@ -148,25 +162,6 @@ def _bss_pick(
     return j, alpha
 
 
-class _Barriers:
-    """The ``scan`` potential of ``bss``: coefficients c_U, c_L and ``_bss_pick``."""
-
-    name = "bss"
-
-    def __init__(self, params: BssParams, reduced: ReducedInstance):
-        self.params, self.reduced, self.T = params, reduced, params.T
-
-    def coefficients(self, w: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        p = self.params
-        return (
-            _upper_coefficients(w, p.upper_barrier(t), p.delta_U),
-            _lower_coefficients(w, p.lower_barrier(t), p.delta_L),
-        )
-
-    def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
-        return _bss_pick(scores[:, 0], scores[:, 1], self.reduced)
-
-
 def bss_sparsify(
     reduced: ReducedInstance,
     eps: float,
@@ -180,6 +175,5 @@ def bss_sparsify(
     Support is at most T = ceil(4r/eps^2).
     A ``history`` list gets the pair (j, alpha) of every step.
     """
-    params = BssParams.from_epsilon(eps, reduced.rank)
-    y = scan.drive(reduced, _Barriers(params, reduced), max_seconds, history)
+    y = scan.drive(reduced, BssParams.from_epsilon(eps, reduced.rank), max_seconds, history)
     return rescaled(SparsifierResult(weights=y, certificate=certificate_for(reduced, y)), "bss")

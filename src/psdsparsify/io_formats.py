@@ -86,6 +86,14 @@ def _parse_int(token: str, no: int, what: str) -> int:
         raise ParseError(no, f"bad {what} {token!r}") from None
 
 
+def _parse_count(token: str, no: int, what: str, least: int = 0) -> int:
+    count = _parse_int(token, no, what)
+    if count < least:
+        bound = "positive" if least else "nonnegative"
+        raise ParseError(no, f"{what} must be {bound}, got {count}")
+    return count
+
+
 def _out_of_range(i: int, j: int, n: int) -> str:
     return f"entry ({i}, {j}) out of range for n = {n}"
 
@@ -309,7 +317,7 @@ def parse_graph(text: str) -> WeightedGraph:
     no, header = cur.take("vertex count")
     if len(header.split()) != 1:
         raise ParseError(no, "graph header must be a single vertex count")
-    n = _parse_int(header, no, "vertex count")
+    n = _parse_count(header, no, "vertex count", least=1)
     edges = []
     seen = set()
     while not cur.done():
@@ -339,7 +347,7 @@ def parse_hypergraph(text: str) -> WeightedHypergraph:
     no, header = cur.take("vertex count")
     if len(header.split()) != 1:
         raise ParseError(no, "hypergraph header must be a single vertex count")
-    n = _parse_int(header, no, "vertex count")
+    n = _parse_count(header, no, "vertex count", least=1)
     hyperedges = []
     while not cur.done():
         no, line = cur.take("hyperedge")
@@ -367,8 +375,8 @@ def parse_costs(text: str) -> list:
     parts = header.split()
     if len(parts) != 2:
         raise ParseError(no, "costs header must be 'k m'")
-    k = _parse_int(parts[0], no, "cost count")
-    m = _parse_int(parts[1], no, "edge count")
+    k = _parse_count(parts[0], no, "cost count")
+    m = _parse_count(parts[1], no, "edge count")
     costs = []
     for i in range(k):
         no, line = cur.take(f"cost vector {i}")
@@ -383,11 +391,11 @@ def parse_costs(text: str) -> list:
 def parse_family(text: str) -> list:
     cur = _Cursor(text)
     no, header = cur.take("member count")
-    count = _parse_int(header, no, "member count")
+    count = _parse_count(header, no, "member count")
     family = []
     for i in range(count):
         no, line = cur.take(f"edge count of member {i}")
-        e = _parse_int(line, no, "edge count")
+        e = _parse_count(line, no, "edge count")
         member = []
         for _ in range(e):
             no, line = cur.take("edge")

@@ -19,7 +19,9 @@ C_j = G_j^T G_j, which serve all the solvers need: <C_j, X>, the update
 A + alpha C_j and the certificate sum sum_j y_j C_j.  None of these needs
 the rows of one member to be orthogonal, and they need not be.  The
 scanning solvers score against Q diag(c) Q^T in the eigenbasis Q of their
-running sum A: <C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2.
+running sum A: <C_j, Q diag(c) Q^T> = sum_k c_k |G_j q_k|^2.  A
+``ReducedInstance`` is those rows, their bounds and the traces tr(C_j):
+weights found for the C_i apply to the B_i, so it keeps no whitener.
 
 A dense member is factored by ``eigh`` into its eigen-rows
 sqrt(w_k) q_k^T; eigenvalues at or below ``FACTOR_CUT`` times a member's
@@ -323,33 +325,29 @@ class ReducedInstance:
     its eigen-rows sqrt(w_k) q_k^T for w_k > FACTOR_CUT * max(w), which are
     orthogonal with squared norms w_k, and its trace is that of the dense C_j; a
     rows member's rows are its builder's rows times the whitener, in general not
-    orthogonal, and its trace is their squared Frobenius norm.  ``basis`` holds
-    the n x r orthonormal range basis P and ``whitener`` the map (B^+)^{1/2} P, so
-    C_i = whitener^T B_i whitener and weights found for the C_i apply to the B_i.
+    orthogonal, and its trace is their squared Frobenius norm.
     """
 
-    rank: int
     rows: np.ndarray
     bounds: np.ndarray
     traces: np.ndarray
-    basis: np.ndarray
-    whitener: np.ndarray
 
     @staticmethod
-    def factored(batches, basis: np.ndarray, whitener: np.ndarray) -> "ReducedInstance":
+    def factored(batches) -> "ReducedInstance":
         """Factor whitened members given as (k, r, r) batches; no batch is kept."""
         traces, rows, counts = zip(*map(_factor, batches))
         return ReducedInstance(
-            rank=basis.shape[1],
             rows=np.concatenate(rows),
             bounds=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
             traces=np.concatenate(traces),
-            basis=basis,
-            whitener=whitener,
         )
 
     def __len__(self) -> int:
         return len(self.traces)
+
+    @property
+    def rank(self) -> int:
+        return self.rows.shape[1]
 
     @cached_property
     def has_trace(self) -> np.ndarray:
@@ -398,16 +396,18 @@ class ReducedInstance:
         return row_weighted_sum(self.rows, self.bounds, y)
 
 
-def whiten(coll: PsdCollection) -> tuple[np.ndarray, np.ndarray]:
-    """The range basis P of B = sum(B_i) and the whitener (B^+)^{1/2} P.
+def whiten(coll: PsdCollection) -> np.ndarray:
+    """The whitener W = (B^+)^{1/2} P of B = sum(B_i), for the n x r
+    orthonormal range basis P of B.
 
-    Also checks that range(B_i) lies inside range(B) for every member, as
-    the norm of B_i outside range(B) against 1e-8 max(1, lambda_max(B));
-    failure means a non-PSD member slipped past validation.  With N an
-    orthonormal basis of the complement of range(B), a dense member is
-    judged by |N^T B_i N|_F and a rows member by |F_j N|^2, the trace of its
-    part outside range(B), which bounds that norm.  At full rank N has no
-    columns.
+    The C_i = W^T B_i W sum to I_r, so weights found for the C_i apply to
+    the B_i.  Also checks that range(B_i) lies inside range(B) for every
+    member, as the norm of B_i outside range(B) against 1e-8
+    max(1, lambda_max(B)); failure means a non-PSD member slipped past
+    validation.  With N an orthonormal basis of the complement of range(B),
+    a dense member is judged by |N^T B_i N|_F and a rows member by
+    |F_j N|^2, the trace of its part outside range(B), which bounds that
+    norm.  At full rank N has no columns.
     """
     rank_tol = 1e-10 * coll.dim  # relative rank cutoff, scaled with dimension to absorb rounding
     spec = eigh(coll.total())
@@ -416,8 +416,7 @@ def whiten(coll: PsdCollection) -> tuple[np.ndarray, np.ndarray]:
     if lam_max <= 0.0 or not np.any(w > rank_tol * lam_max):
         raise EmptyProblem("sum of the collection is numerically zero")
     keep = w > rank_tol * lam_max
-    basis = q[:, keep]
-    whitener = basis / np.sqrt(w[keep])  # = (B^+)^{1/2} P column-scaled
+    whitener = q[:, keep] / np.sqrt(w[keep])  # = (B^+)^{1/2} P column-scaled
     null = q[:, ~keep]
     if coll.rows is not None:
         outside = coll.rows @ null
@@ -431,7 +430,7 @@ def whiten(coll: PsdCollection) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(residual > 1e-8 * max(1.0, lam_max))
     if len(bad):
         raise NotPsd(f"matrix {int(bad[0])} has range outside range(B)")
-    return basis, whitener
+    return whitener
 
 
 def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
@@ -440,22 +439,19 @@ def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     Rows members are whitened by one product with the whitener; dense
     members are whitened and factored ``FACTOR_BATCH`` at a time.
     """
-    basis, whitener = whiten(coll)
+    whitener = whiten(coll)
     if coll.rows is not None:
         rows = coll.rows @ whitener
         return ReducedInstance(
-            rank=basis.shape[1],
             rows=rows,
             bounds=coll.bounds,
             traces=_member_sums(coll.bounds, np.einsum("ki,ki->k", rows, rows)),
-            basis=basis,
-            whitener=whitener,
         )
     batches = (
         symmetrize(whitener.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ whitener)
         for lo in range(0, len(coll), FACTOR_BATCH)
     )
-    return ReducedInstance.factored(batches, basis, whitener)
+    return ReducedInstance.factored(batches)
 
 
 @dataclass(frozen=True)
@@ -538,7 +534,7 @@ def verify_sandwich(coll: PsdCollection, y: np.ndarray) -> SandwichCertificate:
         raise DimMismatch(f"weight vector has shape {y.shape}, expected ({len(coll)},)")
     if not (np.isfinite(y) & (y >= 0.0)).all():
         raise NegativeWeight("weight vector has a negative or non-finite entry")
-    _, whitener = whiten(coll)
+    whitener = whiten(coll)
     w = eigvalsh(symmetrize(whitener.T @ coll.weighted_sum(y) @ whitener))
     return SandwichCertificate(
         lambda_min=float(w[0]),

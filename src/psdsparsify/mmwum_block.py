@@ -12,8 +12,8 @@ exact negation, so S_2 = -S_1.  The identity terms shift every
 eigenvalue of S_1 alike, which scales W_1 and W_2 by positive constants
 that neither Markov condition nor the width sees; the loop therefore
 keeps only S = sum alpha C_j.  For S = Q diag(s) Q^T, W_1 = Q diag(e^w) Q^T
-and W_2 = Q diag(e^-w) Q^T with w = -beta/(ell+rho) s, so the solver is
-one potential of the shared loop ``scan.drive``.
+and W_2 = Q diag(e^-w) Q^T with w = -beta/(ell+rho) s, so the schedule
+``BlockParams`` is the solver's potential in the shared loop ``scan.drive``.
 
 ``oracle_width_fixture`` builds the rank-one
 instance showing that no oracle can do better than rho = Omega(n/eta):
@@ -42,7 +42,13 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class BlockParams:
-    """Schedule derived from (eps, n) keeping the error sum below eps."""
+    """Schedule derived from (eps, n) keeping the error sum below eps.
+
+    It is also the ``scan`` potential of ``mmwum-block``: ``coefficients``
+    gives the weights W_1, W_2 and ``pick`` is ``_block_pick``.
+    """
+
+    name = "mmwum-block"
 
     eps: float
     n: int
@@ -79,6 +85,19 @@ class BlockParams:
                 f"error bound {self.error_bound()} exceeds eps = {self.eps}"
             )
 
+    def coefficients(self, s: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """W_1 and W_2 as exp(-+beta/(ell+rho) s), from the spectrum s of S."""
+        exponents = -self.beta / (self.ell + self.rho) * s
+        # the scale is negative, so the exponents descend along the ascending s
+        top = max(float(exponents[0]), -float(exponents[-1]))
+        if top > EXP_OVERFLOW_LIMIT:
+            raise ExpOverflow(f"largest exponent {top:.2f} exceeds {EXP_OVERFLOW_LIMIT}")
+        return np.exp(exponents), np.exp(-exponents)
+
+    def pick(self, scores: np.ndarray, coeffs: np.ndarray, reduced) -> tuple[int, float]:
+        tr_w1, tr_w2 = coeffs.sum(axis=0)
+        return _block_pick(scores[:, 0], scores[:, 1], tr_w1, tr_w2, reduced, self.eta)
+
 
 def _block_pick(
     scores_1: np.ndarray,
@@ -110,28 +129,6 @@ def _block_pick(
     return j, float(1.0 / p[j])
 
 
-class _BlockWeights:
-    """The ``scan`` potential of ``mmwum-block``: the weights W_1, W_2 and ``_block_pick``."""
-
-    name = "mmwum-block"
-
-    def __init__(self, params: BlockParams, reduced: ReducedInstance):
-        self.eta, self.reduced, self.T = params.eta, reduced, params.T
-        self.scale = -params.beta / (params.ell + params.rho)
-
-    def coefficients(self, s: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        exponents = self.scale * s
-        # scale < 0, so the exponents descend along the ascending spectrum s
-        top = max(float(exponents[0]), -float(exponents[-1]))
-        if top > EXP_OVERFLOW_LIMIT:
-            raise ExpOverflow(f"largest exponent {top:.2f} exceeds {EXP_OVERFLOW_LIMIT}")
-        return np.exp(exponents), np.exp(-exponents)
-
-    def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
-        tr_w1, tr_w2 = coeffs.sum(axis=0)
-        return _block_pick(scores[:, 0], scores[:, 1], tr_w1, tr_w2, self.reduced, self.eta)
-
-
 def block_sparsify(
     reduced: ReducedInstance,
     eps: float,
@@ -146,7 +143,7 @@ def block_sparsify(
     """
     params = BlockParams.from_epsilon(eps, reduced.rank)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y_sum = scan.drive(reduced, _BlockWeights(params, reduced), max_seconds, history)
+        y_sum = scan.drive(reduced, params, max_seconds, history)
     y_bar = y_sum / params.T
     return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
 

@@ -6,8 +6,8 @@ multiplies trace(exp(gamma*A)) by at most (1 + delta_U) and
 trace(exp(-gamma*A)) by at most (1 - delta_L), and accumulates.  After T
 rounds the scaled average lands inside [1 - eps, 1 + eps].  Both
 densities are Q diag(exp(+-gamma w) / sum) Q^T for A = Q diag(w) Q^T, so
-the solver is one potential of the shared loop ``scan.drive``; its
-weights are certified with ``certificate_for``.
+the schedule ``WfParams`` is the solver's potential in the shared loop
+``scan.drive``; its weights are certified with ``certificate_for``.
 
 The same potentials can be phrased as shifted-barrier functions
 Psi^u = trace exp(-uI + gamma*A) and Psi_ell = trace exp(ell*I - gamma*A)
@@ -38,7 +38,13 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class WfParams:
-    """Update schedule derived from (eps, n); satisfies 1/delta_L - n = 1/delta_U."""
+    """Update schedule derived from (eps, n); satisfies 1/delta_L - n = 1/delta_U.
+
+    It is also the ``scan`` potential of ``mmwum-wf``: ``coefficients``
+    gives the densities X_U, X_L and ``pick`` is ``_wf_pick``.
+    """
+
+    name = "mmwum-wf"
 
     eps: float
     n: int
@@ -70,6 +76,18 @@ class WfParams:
         rhs = 1.0 / self.delta_U
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
             raise ValueError(f"delta balance violated: {lhs} != {rhs}")
+
+    def coefficients(self, w: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """X_U and X_L as exp(+-gamma w) / sum, from the spectrum w of A."""
+        gamma = self.gamma
+        if gamma * float(w[-1]) > EXP_OVERFLOW_LIMIT:
+            raise ExpOverflow("gamma * lambda_max exceeds the overflow guard")
+        exp_plus = np.exp(gamma * w)
+        exp_minus = np.exp(-gamma * w)
+        return exp_plus / exp_plus.sum(), exp_minus / exp_minus.sum()
+
+    def pick(self, scores: np.ndarray, coeffs: np.ndarray, reduced) -> tuple[int, float]:
+        return _wf_pick(scores[:, 0], scores[:, 1], reduced, self)
 
 
 def _wf_pick(
@@ -173,26 +191,6 @@ def check_potential_equivalence(
     )
 
 
-class _Densities:
-    """The ``scan`` potential of ``mmwum-wf``: the densities X_U, X_L and ``_wf_pick``."""
-
-    name = "mmwum-wf"
-
-    def __init__(self, params: WfParams, reduced: ReducedInstance):
-        self.params, self.reduced, self.T = params, reduced, params.T
-
-    def coefficients(self, w: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        gamma = self.params.gamma
-        if gamma * float(w[-1]) > EXP_OVERFLOW_LIMIT:
-            raise ExpOverflow("gamma * lambda_max exceeds the overflow guard")
-        exp_plus = np.exp(gamma * w)
-        exp_minus = np.exp(-gamma * w)
-        return exp_plus / exp_plus.sum(), exp_minus / exp_minus.sum()
-
-    def pick(self, scores: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
-        return _wf_pick(scores[:, 0], scores[:, 1], self.reduced, self.params)
-
-
 def wf_sparsify(
     reduced: ReducedInstance,
     eps: float,
@@ -208,6 +206,6 @@ def wf_sparsify(
     A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = WfParams.from_epsilon(eps, reduced.rank, gamma=gamma)
-    y = scan.drive(reduced, _Densities(params, reduced), max_seconds, history)
+    y = scan.drive(reduced, params, max_seconds, history)
     y_bar = y * (reduced.rank * params.gamma / (params.eta * params.T))
     return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))

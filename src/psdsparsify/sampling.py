@@ -8,10 +8,11 @@ the same quantized weights into a deterministic guarantee.  Both tail
 exponents are multiples of one matrix, the sum P of the unit-trace picks
 so far, so a step scores every candidate j from the eigenvalues of
 P + X_j alone: one eigenvalue-only decomposition per step serves both
-tails.  ``pe_params`` builds the whole state at one budget T; a retry at
-a larger budget builds it again.  The walk takes the lowest index among
-values that are equal bit for bit; among candidates that tie only in
-exact arithmetic (as on edge-transitive graphs), rounding decides.
+tails.  Both methods draw from ``trace_probabilities``.  ``pe_params``
+builds the whole state at one budget T; a retry at a larger budget builds
+it again.  The walk takes the lowest index among values that are equal bit
+for bit; among candidates that tie only in exact arithmetic (as on
+edge-transitive graphs), rounding decides.
 
 RNG contract: PCG64 via ``numpy.random.default_rng(seed)``; indices come
 from inverse-CDF lookups against the cumulative probability vector, so
@@ -57,34 +58,16 @@ def pe_exponents(mu: float, eps: float) -> tuple[float, float]:
     return t_minus, t_plus
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Sampling distribution and iteration budgets for both methods."""
-
-    probabilities: np.ndarray
-    mu: float
-    eps: float
-    t_random: int
-    t_derand: int
-
-    @staticmethod
-    def from_instance(reduced: ReducedInstance, eps: float) -> "SamplingPlan":
-        # closed right endpoint: the plan formulas stay finite at 1/2
-        if not 0.0 < eps <= 0.5:
-            raise ValueError("eps must lie in (0, 1/2]")
-        r = reduced.rank
-        mu = 1.0 / r
-        p = reduced.traces / r
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"trace probabilities sum to {total}, expected 1")
-        return SamplingPlan(
-            probabilities=p,
-            mu=mu,
-            eps=eps,
-            t_random=aw_iteration_count(r, eps),
-            t_derand=pe_iteration_count(r, eps),
-        )
+def trace_probabilities(reduced: ReducedInstance, eps: float) -> np.ndarray:
+    """p_i = tr(C_i) / r, which both methods draw from.  eps must lie in (0, 1/2]
+    (the budgets stay finite at 1/2) and the p_i must sum to 1 within 1e-10."""
+    if not 0.0 < eps <= 0.5:
+        raise ValueError("eps must lie in (0, 1/2]")
+    p = reduced.traces / reduced.rank
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"trace probabilities sum to {total}, expected 1")
+    return p
 
 
 def _quantized_weights(counts: np.ndarray, reduced: ReducedInstance, t_total: int) -> np.ndarray:
@@ -103,16 +86,16 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
     probability above 1/2; the caller checks the certificate rather than
     trusting the draw.
     """
-    plan = SamplingPlan.from_instance(reduced, eps)
+    probabilities = trace_probabilities(reduced, eps)
+    t = aw_iteration_count(reduced.rank, eps)
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(plan.probabilities)
-    draws = rng.random(plan.t_random)
+    cum = np.cumsum(probabilities)
+    draws = rng.random(t)
     idx = np.searchsorted(cum, draws, side="right")
     # a draw landing past cum[-1] (rounding shortfall) must clamp to the
     # last index that actually has probability mass
-    last = int(np.flatnonzero(plan.probabilities > 0.0)[-1])
+    last = int(np.flatnonzero(probabilities > 0.0)[-1])
     idx = np.minimum(idx, last)
-    t = plan.t_random
     y = _quantized_weights(np.bincount(idx, minlength=len(reduced)), reduced, t)
     return SparsifierResult(weights=y, certificate=certificate_for(reduced, y), t_used=t)
 
@@ -121,19 +104,22 @@ def aw_sample(reduced: ReducedInstance, eps: float, seed: int = 0) -> Sparsifier
 class PeState:
     """Greedy derandomization state at budget ``t_total``.
 
-    ``t_minus`` scales the lower-tail exponent exp(-t X) and ``t_plus``
-    the upper-tail exponent exp(+t' X); the log norms are those of the
-    expected one-step factors E[exp(-t X)] and E[exp(t' X)].  ``live``
+    ``probabilities`` are the ``trace_probabilities`` at ``eps``.  ``live``
     lists the candidates with positive probability and ``units`` holds
     their unit-trace matrices X_j = G_j^T G_j / tr(C_j), built from the
-    factor rows, as one (len(live), r, r) stack.  ``picked_sum`` is P, the
-    sum of the unit-trace matrices picked so far; the two exponent sums are
-    -t P and +t' P, so both tails take their spectra from the eigenvalues
-    of P.  The estimator values are assembled in log space so the norm
-    powers cannot underflow.
+    factor rows, as one (len(live), r, r) stack; their mean is E[X] = mu I
+    with mu = 1/r.  ``t_minus`` scales the lower-tail exponent exp(-t X)
+    and ``t_plus`` the upper-tail exponent exp(+t' X); the log norms are
+    those of the expected one-step factors E[exp(-t X)] and E[exp(t' X)].
+    ``picked_sum`` is P, the sum of the unit-trace matrices picked so far;
+    the two exponent sums are -t P and +t' P, so both tails take their
+    spectra from the eigenvalues of P.  The estimator values are assembled
+    in log space so the norm powers cannot underflow.
     """
 
-    plan: SamplingPlan
+    probabilities: np.ndarray
+    eps: float
+    mu: float
     t_minus: float
     t_plus: float
     log_norm_minus: float
@@ -154,10 +140,9 @@ class PeState:
         Takes one spectrum per argument or a (k, r) stack of them, and
         returns one value per spectrum.
         """
-        plan = self.plan
         t_total = self.t_total
-        c_phi = self.t_minus * t_total * (1.0 - plan.eps) * plan.mu
-        c_psi = -self.t_plus * t_total * (1.0 + plan.eps) * plan.mu
+        c_phi = self.t_minus * t_total * (1.0 - self.eps) * self.mu
+        c_psi = -self.t_plus * t_total * (1.0 + self.eps) * self.mu
         ln_phi = c_phi + ln_sum_exp(w_lower) + (t_total - i) * self.log_norm_minus
         ln_psi = c_psi + ln_sum_exp(w_upper) + (t_total - i) * self.log_norm_plus
         return np.exp(ln_phi) + np.exp(ln_psi)
@@ -179,35 +164,37 @@ def pe_params(reduced: ReducedInstance, eps: float, t_total: int | None = None) 
     ``suggested_t`` computed from the measured per-step decay rates of the
     two estimators, which does satisfy it.
     """
-    plan = SamplingPlan.from_instance(reduced, eps)
-    mu = plan.mu
+    probabilities = trace_probabilities(reduced, eps)
+    r = reduced.rank
+    mu = 1.0 / r
     if mu >= 1.0:
         raise RankTooSmall("derandomization needs rank at least 2")
     t_minus, t_plus = pe_exponents(mu, eps)
 
-    r = reduced.rank
-    live = np.flatnonzero(plan.probabilities > 0.0)
+    live = np.flatnonzero(probabilities > 0.0)
     units = np.empty((len(live), r, r))
     for k, j in enumerate(live):
         np.divide(reduced.member(j), reduced.traces[j], out=units[k])
     spec = eigh(units)
     w = spec.eigenvalues
     side_by_side = spec.eigenvectors.transpose(1, 0, 2).reshape(r, -1)
-    prob = plan.probabilities[live, None]
+    prob = probabilities[live, None]
 
     def log_norm(s: float) -> float:
         mean = (side_by_side * (prob * np.exp(s * w)).ravel()) @ side_by_side.T
         return math.log(float(eigvalsh(symmetrize(mean))[-1]))
 
     state = PeState(
-        plan=plan,
+        probabilities=probabilities,
+        eps=eps,
+        mu=mu,
         t_minus=t_minus,
         t_plus=t_plus,
         log_norm_minus=log_norm(-t_minus),
         log_norm_plus=log_norm(t_plus),
         live=live,
         units=units,
-        t_total=plan.t_derand if t_total is None else int(t_total),
+        t_total=pe_iteration_count(r, eps) if t_total is None else int(t_total),
         picked_sum=np.zeros((r, r)),
     )
     start = state.current_value()

@@ -58,6 +58,7 @@ def run_algorithm(
     if algo == "pe":
         # single retry: the closed-form budget can miss phi_0 + psi_0 < 1;
         # the exception carries an instance-calibrated budget that cannot
+        # miss it, so a second TNotLargeEnough is not caught
         try:
             return pe_sparsify(reduced, eps, max_seconds=max_seconds)
         except TNotLargeEnough as exc:

@@ -63,11 +63,8 @@ def scores_of(reduced, x):
 
 
 def hand_reduced(members) -> ReducedInstance:
-    """A whitened instance factored from the dense ``members`` as they are,
-    with the identity as its basis and whitener."""
-    members = np.asarray(members, dtype=float)
-    eye = np.eye(members.shape[-1])
-    return ReducedInstance.factored([members], basis=eye, whitener=eye)
+    """A whitened instance factored from the dense ``members`` as they are."""
+    return ReducedInstance.factored([np.asarray(members, dtype=float)])
 
 
 def dense_members(coll) -> np.ndarray:
@@ -81,6 +78,7 @@ def dense_members(coll) -> np.ndarray:
 
 def whitened_members(coll, reduced) -> np.ndarray:
     """symmetrize(W^T B_i W) for every member of ``coll``, one at a time, with
-    the whitener W of ``reduced``: the dense members its rows factor."""
-    w = reduced.whitener
+    the whitener W = ``linalg.whiten(coll)``: the dense members that the rows of
+    ``reduced = reduce_to_identity(coll)`` factor."""
+    w = linalg.whiten(coll)
     return np.stack([symmetrize(w.T @ b @ w) for b in dense_members(coll)])

@@ -98,6 +98,11 @@ class TestLaplacian:
     def test_empty_graph(self):
         np.testing.assert_allclose(laplacian(WeightedGraph(n=3, edges=[])), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has non-finite weight"):
+            WeightedGraph(n=2, edges=[(1, 2, w)])
+
     def test_triangle(self):
         g = complete_graph(3)
         expect = 2.0 * np.eye(3) - (np.ones((3, 3)) - np.eye(3))
@@ -166,6 +171,12 @@ class TestCosts:
         with pytest.raises(InvalidCost):
             sparsify_with_costs(g, [np.array([1.0, -1.0, 0.0])], 0.5)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, c):
+        g = complete_graph(3)
+        with pytest.raises(InvalidCost, match="cost 1 has a non-finite entry"):
+            cost_lifted_collection(g, [np.ones(3), np.array([1.0, c, 0.0])])
+
 
 class TestRainbow:
     def test_single_color(self):
@@ -205,6 +216,11 @@ class TestHypergraphLaplacian:
         h = WeightedHypergraph(n=3, hyperedges=[((1, 2, 3), 1.0)])
         expect = 2.0 * np.eye(3) - (np.ones((3, 3)) - np.eye(3))
         np.testing.assert_allclose(hypergraph_laplacian(h), expect)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match=r"hyperedge \(1, 2, 3\) has non-finite weight"):
+            WeightedHypergraph(n=3, hyperedges=[((1, 2, 3), w)])
 
     def test_two_uniform_matches_graph(self):
         g = WeightedGraph(n=4, edges=[(1, 2, 1.5), (2, 4, 0.5)])
@@ -350,6 +366,14 @@ class TestSparseSdp:
         with pytest.raises(InfeasibleInput):
             sparse_sdp(inst, 0.5)
 
+    @pytest.mark.parametrize("field", ["cost", "z_star"])
+    def test_non_finite_cost_or_z_star_rejected(self, field):
+        values = {"cost": np.array([1.0, 1.0]), "z_star": np.array([1.0, 1.0])}
+        values[field][1] = np.nan
+        inst = SdpInstance(matrices=np.stack([np.eye(2)] * 2), target=np.eye(2), **values)
+        with pytest.raises(InfeasibleInput, match="cost and z_star must be finite"):
+            sparse_sdp(inst, 0.5)
+
 
 class TestCaratheodory:
     def test_single_matrix(self):
@@ -397,6 +421,12 @@ class TestCaratheodory:
             caratheodory(np.array([0.7, 0.7]), coll, 0.5)
         with pytest.raises(InvalidSimplexPoint):
             caratheodory(np.array([1.5, -0.5]), coll, 0.5)
+
+    @pytest.mark.parametrize("lam", [[np.nan, 1.0], [np.inf, 0.0]])
+    def test_rejects_non_finite_lambda(self, lam):
+        coll = PsdCollection.from_matrices([np.eye(2), np.eye(2)])
+        with pytest.raises(InvalidSimplexPoint, match="lambda has a non-finite entry"):
+            caratheodory(np.array(lam), coll, 0.5)
 
     def test_rejects_a_rows_collection(self):
         coll = edge_collection(complete_graph(4))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from psdsparsify import scan
 from psdsparsify.bss import (
     BssParams,
-    _Barriers,
     _lower_coefficients,
     _upper_coefficients,
     bss_sparsify,
@@ -44,7 +43,7 @@ def lower_shift_bound(a, x, ell, delta_L):
 
 def bss_step(a, t, reduced, params):
     """The solver's (j, alpha) at A after t steps."""
-    return scan.step(reduced, _Barriers(params, reduced), a, t, np.empty((reduced.rank, 2)))
+    return scan.step(reduced, params, a, t, np.empty((reduced.rank, 2)))
 
 
 class TestParams:

@@ -360,6 +360,11 @@ class TestGraphFormat:
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph("3\n1 2 1.0\n2 1 2.0\n")
 
+    @pytest.mark.parametrize("header", ["0", "-4"])
+    def test_vertex_count_must_be_positive(self, header):
+        with pytest.raises(ParseError, match="line 2: vertex count must be positive, got "):
+            parse_graph(f"# comment\n{header}\n")
+
     def test_roundtrip(self):
         g = complete_graph(4)
         assert parse_graph(emit_graph(g)) == g
@@ -374,6 +379,11 @@ class TestHypergraphFormat:
     def test_vertex_out_of_range(self):
         with pytest.raises(ParseError):
             parse_hypergraph("3\n3 1 2 4 1.0\n")
+
+    @pytest.mark.parametrize("header", ["0", "-3"])
+    def test_vertex_count_must_be_positive(self, header):
+        with pytest.raises(ParseError, match="line 1: vertex count must be positive, got "):
+            parse_hypergraph(f"{header}\n3 1 2 3 1.0\n")
 
     def test_roundtrip(self):
         h = parse_hypergraph("5\n3 1 2 3 1.5\n2 4 5 0.25\n")
@@ -391,9 +401,22 @@ class TestCostAndFamilyFormats:
         with pytest.raises(ParseError):
             parse_costs("1 3\n1 0\n")
 
+    @pytest.mark.parametrize("header,what", [("-1 2", "cost count"), ("1 -2", "edge count")])
+    def test_costs_counts_must_be_nonnegative(self, header, what):
+        with pytest.raises(ParseError, match=f"line 1: {what} must be nonnegative, got -"):
+            parse_costs(f"{header}\n")
+        assert parse_costs("0 2\n") == []
+
     def test_family(self):
         family = parse_family("2\n1\n1 2\n2\n2 3\n3 4\n")
         assert family == [[(1, 2)], [(2, 3), (3, 4)]]
+
+    def test_family_counts_must_be_nonnegative(self):
+        with pytest.raises(ParseError, match="line 1: member count must be nonnegative, got -2"):
+            parse_family("-2\n")
+        with pytest.raises(ParseError, match="line 4: edge count must be nonnegative, got -1"):
+            parse_family("2\n1\n1 2\n-1\n")
+        assert parse_family("0\n") == []
 
 
 class TestSdpAndSimplexFormats:
@@ -753,6 +776,21 @@ class TestRunReportInvariant:
         assert first == second
         for _, value in first:
             assert value == value  # no NaN sneaks in
+
+    # the schedules are the scanning solvers' potentials as well, so a field
+    # added to one of them would add a ``param`` line to every output
+    @pytest.mark.parametrize(
+        "algo,names",
+        [
+            ("bss", ["delta_L", "eps_L", "ell_0", "delta_U", "eps_U", "u_0", "T"]),
+            ("mmwum-wf", ["eta", "delta_U", "delta_L", "T", "gamma"]),
+            ("mmwum-block", ["beta", "eta", "ell", "rho", "T"]),
+            ("aw-sample", ["mu", "T"]),
+            ("pe", ["mu", "T", "t_lower", "t_upper"]),
+        ],
+    )
+    def test_param_names_are_pinned(self, algo, names):
+        assert [name for name, _ in cli.param_dump(algo, 0.37, 7)] == names
 
     def test_emitted_params_match_rederived_schedule(self, identity_pair_file):
         # the printed schedule must be bit-identical to a fresh derivation

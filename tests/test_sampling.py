@@ -21,7 +21,6 @@ from psdsparsify.instances import (
 from psdsparsify.linalg import PsdCollection, reduce_to_identity, symmetrize
 from psdsparsify.solve import sparsify_sum
 from psdsparsify.sampling import (
-    SamplingPlan,
     aw_iteration_count,
     aw_sample,
     pe_exponents,
@@ -29,6 +28,7 @@ from psdsparsify.sampling import (
     pe_iteration_count,
     pe_params,
     pe_sparsify,
+    trace_probabilities,
 )
 
 from conftest import whitened_members
@@ -41,20 +41,19 @@ def reduced_identity_10():
 
 class TestPlan:
     def test_iteration_budget_r10(self, reduced_identity_10):
-        plan = SamplingPlan.from_instance(reduced_identity_10, 0.5)
         # (2 ln 2)(ln 10 + 2 ln 2)/(0.25 * 0.1) ~ 204.6 -> next integer
         assert aw_iteration_count(10, 0.5) == 205
-        assert plan.t_random == 205
+        assert aw_sample(reduced_identity_10, 0.5).t_used == 205
         assert pe_iteration_count(10, 0.5) == 167
 
     def test_probabilities_sum_to_one(self, reduced_random):
-        plan = SamplingPlan.from_instance(reduced_random, 0.3)
-        assert abs(float(plan.probabilities.sum()) - 1.0) <= 1e-10
-        assert np.all(plan.probabilities >= 0.0)
+        probabilities = trace_probabilities(reduced_random, 0.3)
+        assert abs(float(probabilities.sum()) - 1.0) <= 1e-10
+        assert np.all(probabilities >= 0.0)
 
     def test_rejects_large_eps(self, reduced_random):
         with pytest.raises(ValueError):
-            SamplingPlan.from_instance(reduced_random, 0.6)
+            trace_probabilities(reduced_random, 0.6)
 
 
 class TestExponents:
@@ -85,10 +84,9 @@ class TestAwSample:
     def test_quantized_weights(self, reduced_random):
         eps = 0.3
         res = aw_sample(reduced_random, eps, seed=5)
-        plan = SamplingPlan.from_instance(reduced_random, eps)
         traces = reduced_random.traces
         for j in res.support:
-            unit = reduced_random.rank / (plan.t_random * traces[j])
+            unit = reduced_random.rank / (res.t_used * traces[j])
             ratio = res.weights[j] / unit
             assert ratio == pytest.approx(round(ratio), rel=1e-12)
 
@@ -158,7 +156,7 @@ class TestPeParams:
         for s, got in ((-state.t_minus, state.log_norm_minus), (state.t_plus, state.log_norm_plus)):
             mean = np.zeros((red.rank, red.rank))
             members = whitened_members(coll, red)
-            for prob, c, tr in zip(state.plan.probabilities, members, red.traces):
+            for prob, c, tr in zip(state.probabilities, members, red.traces):
                 if prob > 0.0:
                     w, q = np.linalg.eigh(c / tr)
                     mean += prob * ((q * np.exp(s * w)) @ q.T)
@@ -174,7 +172,7 @@ class TestPeParams:
         state = _pe_state(red, 0.45)
         for s, got in ((-state.t_minus, state.log_norm_minus), (state.t_plus, state.log_norm_plus)):
             mean = np.zeros((red.rank, red.rank))
-            for j, prob in enumerate(state.plan.probabilities):
+            for j, prob in enumerate(state.probabilities):
                 if prob > 0.0:
                     w, q = np.linalg.eigh(red.member(j) / red.traces[j])
                     mean += prob * ((q * np.exp(s * w)) @ q.T)
@@ -209,7 +207,7 @@ class TestPeGreedy:
 
         for _ in range(5):
             values = {}
-            for j, (prob, tr) in enumerate(zip(state.plan.probabilities, reduced_random.traces)):
+            for j, (prob, tr) in enumerate(zip(state.probabilities, reduced_random.traces)):
                 if prob <= 0.0:
                     continue
                 x = reduced_random.member(j) / tr
@@ -217,7 +215,7 @@ class TestPeGreedy:
                 w_lower = np.linalg.eigvalsh(symmetrize(-state.t_minus * p - state.t_minus * x))
                 w_upper = np.linalg.eigvalsh(symmetrize(state.t_plus * p + state.t_plus * x))
                 values[j] = float(state._estimate(w_lower, w_upper, state.t + 1))
-            average = sum(state.plan.probabilities[j] * v for j, v in values.items())
+            average = sum(state.probabilities[j] * v for j, v in values.items())
             before = state.current_value()
             picked = pe_greedy_step(state)
             assert values[picked] <= average * (1 + 1e-12)
@@ -263,11 +261,11 @@ def _ln_sum_exp_scalar(w):
 
 def _reference_step(state, reduced):
     """(pick, phi + psi) of one greedy step, one candidate and one eigh at a time."""
-    plan, t_total, i = state.plan, state.t_total, state.t + 1
-    c_phi = state.t_minus * t_total * (1.0 - plan.eps) * plan.mu
-    c_psi = -state.t_plus * t_total * (1.0 + plan.eps) * plan.mu
+    t_total, i = state.t_total, state.t + 1
+    c_phi = state.t_minus * t_total * (1.0 - state.eps) * state.mu
+    c_psi = -state.t_plus * t_total * (1.0 + state.eps) * state.mu
     best_j, best_val = -1, math.inf
-    for j, (prob, tr) in enumerate(zip(plan.probabilities, reduced.traces)):
+    for j, (prob, tr) in enumerate(zip(state.probabilities, reduced.traces)):
         if prob <= 0.0:
             continue
         c = reduced.member(j)

@@ -7,7 +7,7 @@ from psdsparsify import scan
 from psdsparsify.errors import InvalidMatrix, TimeBudgetExceeded
 from psdsparsify.instances import random_psd_collection
 from psdsparsify.linalg import ReducedInstance, eigh, reduce_to_identity, symmetrize
-from psdsparsify.mmwum_wf import WfParams, _Densities
+from psdsparsify.mmwum_wf import WfParams
 from psdsparsify.solve import sparsify_sum
 
 from pickseq import SOLVERS
@@ -59,9 +59,9 @@ def test_nan_in_a_picked_member_raises_at_the_next_step(solver, monkeypatch):
 def test_a_hand_built_member_is_symmetrized_once(reduced_random, monkeypatch):
     skewed = np.stack([reduced_random.member(j) for j in range(len(reduced_random))])
     skewed[:, 0, 1] += 1e-9
-    hand = ReducedInstance.factored([skewed], reduced_random.basis, reduced_random.whitener)
+    hand = ReducedInstance.factored([skewed])
     # factored from the average of each member and its transpose, not from one triangle
-    averaged = ReducedInstance.factored([symmetrize(skewed)], hand.basis, hand.whitener)
+    averaged = ReducedInstance.factored([symmetrize(skewed)])
     assert hand.rows.tobytes() == averaged.rows.tobytes()
     decomposed = []
 
@@ -70,7 +70,7 @@ def test_a_hand_built_member_is_symmetrized_once(reduced_random, monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(scan, "eigh", recording_eigh)
-    potential = _Densities(WfParams.from_epsilon(0.5, hand.rank), hand)
+    potential = WfParams.from_epsilon(0.5, hand.rank)
     y = scan.drive(hand, potential, None, None)
     assert np.count_nonzero(y) > 1
     assert len(decomposed) == potential.T
