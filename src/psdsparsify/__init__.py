@@ -15,7 +15,6 @@ from .linalg import (
     ReducedInstance,
     SandwichCertificate,
     SparsifierResult,
-    Spectrum,
     eigh,
     is_psd,
     reduce_to_identity,
@@ -36,7 +35,6 @@ __all__ = [
     "ReducedInstance",
     "SandwichCertificate",
     "SparsifierResult",
-    "Spectrum",
     "WfParams",
     "aw_sample",
     "block_sparsify",

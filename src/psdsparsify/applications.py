@@ -55,6 +55,8 @@ class WeightedGraph:
     edges: list
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"vertex count must be positive, got {self.n}")
         seen = set()
         for u, v, w in self.edges:
             if not (1 <= u < v <= self.n):
@@ -80,6 +82,8 @@ class WeightedHypergraph:
     hyperedges: list
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"vertex count must be positive, got {self.n}")
         for verts, w in self.hyperedges:
             if len(verts) < 2:
                 raise ValueError(f"hyperedge {verts} has fewer than two vertices")

@@ -104,19 +104,6 @@ def symmetric_stack(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigendecomposition of a symmetric matrix, or of a stack of them.
-
-    ``eigenvalues`` is ascending along its last axis; ``eigenvectors`` has
-    the matching orthonormal columns, so Q diag(w) Q^T reconstructs the
-    input (member by member for a stack).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _checked_square(m: np.ndarray) -> np.ndarray:
     """``m`` as a float array, if it is a finite square matrix or stack of them."""
     m = np.asarray(m, dtype=float)
@@ -127,16 +114,17 @@ def _checked_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def eigh(m: np.ndarray) -> Spectrum:
-    """Eigendecompose a symmetric matrix, ascending eigenvalue order.
+def eigh(m: np.ndarray):
+    """numpy's ``eigh`` of a finite symmetric matrix or (k, n, n) stack.
 
-    A (k, n, n) stack is decomposed in one batched call.  Each member goes
+    The result has ``eigenvalues`` ascending along the last axis and the
+    matching orthonormal columns in ``eigenvectors``, and unpacks as
+    ``w, q``.  A stack is decomposed in one batched call.  Each member goes
     through the same LAPACK routine on the same bytes as a call on that
     member alone, so the stacked result equals the per-matrix results bit
     for bit.
     """
-    w, q = np.linalg.eigh(_checked_square(m))
-    return Spectrum(eigenvalues=w, eigenvectors=q)
+    return np.linalg.eigh(_checked_square(m))
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -165,13 +153,10 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL):
 # no solver calls it; kept for the benchmark's kernel timings (bench/spans.py)
 def sym_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential via eigendecomposition (exact for symmetric M)."""
-    spec = eigh(m)
-    if float(spec.eigenvalues[-1]) > EXP_OVERFLOW_LIMIT:
-        raise ExpOverflow(
-            f"largest exponent {spec.eigenvalues[-1]:.2f} exceeds {EXP_OVERFLOW_LIMIT}"
-        )
-    q = spec.eigenvectors
-    return symmetrize((q * np.exp(spec.eigenvalues)) @ q.T)
+    w, q = eigh(m)
+    if float(w[-1]) > EXP_OVERFLOW_LIMIT:
+        raise ExpOverflow(f"largest exponent {w[-1]:.2f} exceeds {EXP_OVERFLOW_LIMIT}")
+    return symmetrize((q * np.exp(w)) @ q.T)
 
 
 def ln_sum_exp(w: np.ndarray) -> np.ndarray:
@@ -309,8 +294,7 @@ def _member_sums(bounds: np.ndarray, per_row: np.ndarray) -> np.ndarray:
 def _factor(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Traces, stacked factor rows and row counts of a (k, r, r) batch of members."""
     batch = symmetric_stack(np.asarray(batch, dtype=float))
-    spec = eigh(batch)
-    w, q = spec.eigenvalues, spec.eigenvectors
+    w, q = eigh(batch)
     keep = (w > FACTOR_CUT * w[:, -1:]) & (w[:, -1:] > 0.0)
     scaled = q.swapaxes(1, 2) * np.sqrt(np.where(keep, w, 0.0))[:, :, None]
     return np.trace(batch, axis1=1, axis2=2), scaled[keep], keep.sum(axis=1)
@@ -387,9 +371,13 @@ class ReducedInstance:
 
     # no solver calls it; kept for the benchmark's kernel timings (bench/spans.py)
     def score_all(self, v: np.ndarray) -> np.ndarray:
-        """Trace inner product of every member with the matrix v."""
-        g = self.rows
-        return self._segment_sums(np.einsum("ki,ki->k", g @ v, g))
+        """<C_j, v> for every member j and a symmetric matrix v.
+
+        It scores the way a scanning step does: one ``eigh`` of v, then
+        ``scores_in_basis`` in its eigenbasis with its eigenvalues.
+        """
+        w, q = eigh(v)
+        return self.scores_in_basis(q, w)
 
     def weighted_sum(self, y: np.ndarray) -> np.ndarray:
         """sum_j y_j C_j, by ``row_weighted_sum`` over the factor rows."""
@@ -410,8 +398,7 @@ def whiten(coll: PsdCollection) -> np.ndarray:
     norm.  At full rank N has no columns.
     """
     rank_tol = 1e-10 * coll.dim  # relative rank cutoff, scaled with dimension to absorb rounding
-    spec = eigh(coll.total())
-    w, q = spec.eigenvalues, spec.eigenvectors
+    w, q = eigh(coll.total())
     lam_max = float(w[-1])
     if lam_max <= 0.0 or not np.any(w > rank_tol * lam_max):
         raise EmptyProblem("sum of the collection is numerically zero")

@@ -8,11 +8,27 @@ factor rows, must agree with ``verify_sandwich``, which works in the
 caller's space (W^T (sum_i y_i B_i) W) and factors nothing, and with the
 extreme eigenvalues of sum_i y_i symmetrize(W^T B_i W), summed from the
 caller's dense B_i.  A run that fails must raise a ``SparsifyError``.
+
+Rows collections get the same check against ``verify_sandwich`` from random
+small connected graphs and 3-uniform hypergraphs, through
+``sparsify_graph`` and ``sparsify_hypergraph``.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psdsparsify.applications import (
+    WeightedGraph,
+    WeightedHypergraph,
+    edge_collection,
+    hyperedge_collection,
+    sparsify_graph,
+    sparsify_hypergraph,
+)
 from psdsparsify.errors import SparsifyError
 from psdsparsify.instances import random_psd_collection
 from psdsparsify.linalg import PsdCollection, reduce_to_identity, verify_sandwich
@@ -75,3 +91,56 @@ def test_rows_reproduce_the_whitened_members(seed):
     reduced = reduce_to_identity(coll)
     for j, c in enumerate(whitened_members(coll, reduced)):
         assert np.linalg.norm(reduced.member(j) - c) <= 1e-12 * np.linalg.norm(c)
+
+
+WEIGHTS = st.floats(0.5, 2.0)
+
+# mmwum-block runs T ~ r / eps^3 steps (about 0.8 s at rank 3 and eps 0.5),
+# so it runs only up to this whitened rank
+BLOCK_MAX_RANK = 3
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(3, 6))
+    # a random spanning tree keeps the graph connected; any other pairs join it
+    tree = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    others = [p for p in itertools.combinations(range(1, n + 1), 2) if p not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return WeightedGraph(n=n, edges=[(u, v, draw(WEIGHTS)) for u, v in sorted(tree | set(extra))])
+
+
+@st.composite
+def three_uniform_hypergraphs(draw):
+    n = draw(st.integers(4, 6))
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    kept = draw(st.lists(st.sampled_from(triples), min_size=1, unique=True))
+    return WeightedHypergraph(n=n, hyperedges=[(t, draw(WEIGHTS)) for t in sorted(kept)])
+
+
+def _every_certificate_matches(sparsify, instance, coll):
+    rank = reduce_to_identity(coll).rank
+    for algo in ALGORITHMS:
+        if algo == "mmwum-block" and rank > BLOCK_MAX_RANK:
+            continue
+        try:
+            result = sparsify(instance, 0.5, algo)
+        except SparsifyError:
+            continue
+        want = verify_sandwich(coll, result.weights)
+        got = result.certificate
+        assert got.lambda_min == pytest.approx(want.lambda_min, rel=1e-8)
+        assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-8)
+        assert got.support_size == want.support_size
+
+
+@given(connected_graphs())
+@settings(max_examples=6, deadline=None)
+def test_graph_certificate_matches_recertification(g):
+    _every_certificate_matches(sparsify_graph, g, edge_collection(g))
+
+
+@given(three_uniform_hypergraphs())
+@settings(max_examples=6, deadline=None)
+def test_hypergraph_certificate_matches_recertification(h):
+    _every_certificate_matches(sparsify_hypergraph, h, hyperedge_collection(h))

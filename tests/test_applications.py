@@ -103,6 +103,11 @@ class TestLaplacian:
         with pytest.raises(ValueError, match=r"edge \(1, 2\) has non-finite weight"):
             WeightedGraph(n=2, edges=[(1, 2, w)])
 
+    @pytest.mark.parametrize("n", [-4, 0])
+    def test_vertex_count_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"vertex count must be positive, got {n}"):
+            sparsify_graph(WeightedGraph(n=n, edges=[]), 0.5)
+
     def test_triangle(self):
         g = complete_graph(3)
         expect = 2.0 * np.eye(3) - (np.ones((3, 3)) - np.eye(3))
@@ -221,6 +226,11 @@ class TestHypergraphLaplacian:
     def test_non_finite_weight_rejected(self, w):
         with pytest.raises(ValueError, match=r"hyperedge \(1, 2, 3\) has non-finite weight"):
             WeightedHypergraph(n=3, hyperedges=[((1, 2, 3), w)])
+
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_vertex_count_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"vertex count must be positive, got {n}"):
+            sparsify_hypergraph(WeightedHypergraph(n=n, hyperedges=[]), 0.5)
 
     def test_two_uniform_matches_graph(self):
         g = WeightedGraph(n=4, edges=[(1, 2, 1.5), (2, 4, 0.5)])
