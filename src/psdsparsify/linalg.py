@@ -118,8 +118,8 @@ def eigh(m: np.ndarray):
     """numpy's ``eigh`` of a finite symmetric matrix or (k, n, n) stack.
 
     The result has ``eigenvalues`` ascending along the last axis and the
-    matching orthonormal columns in ``eigenvectors``, and unpacks as
-    ``w, q``.  A stack is decomposed in one batched call.  Each member goes
+    matching orthonormal columns in ``eigenvectors`` (named fields since
+    numpy 2.0, the declared floor), and unpacks as ``w, q``.  A stack is decomposed in one batched call.  Each member goes
     through the same LAPACK routine on the same bytes as a call on that
     member alone, so the stacked result equals the per-matrix results bit
     for bit.
