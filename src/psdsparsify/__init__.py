@@ -24,13 +24,14 @@ from .linalg import (
 )
 from .mmwum_block import BlockParams, block_sparsify, oracle_width_fixture
 from .mmwum_wf import WfParams, check_potential_equivalence, wf_sparsify
-from .sampling import aw_sample, pe_sparsify
+from .sampling import PeParams, aw_sample, pe_sparsify
 from .solve import ALGORITHMS, run_algorithm, sparsify_sum
 
 __all__ = [
     "ALGORITHMS",
     "BlockParams",
     "BssParams",
+    "PeParams",
     "PsdCollection",
     "ReducedInstance",
     "SandwichCertificate",

@@ -34,7 +34,7 @@ from .errors import SparsifyError
 from .linalg import reduce_to_identity
 from .mmwum_block import BlockParams
 from .mmwum_wf import WfParams
-from .sampling import aw_iteration_count, pe_exponents, pe_iteration_count
+from .sampling import PeParams, aw_iteration_count
 from .solve import (
     ALGORITHMS,
     DETERMINISTIC,
@@ -91,7 +91,9 @@ class RunReport:
     wall_time_s: float = 0.0
 
 
-_SCHEDULES = {"bss": BssParams, "mmwum-wf": WfParams, "mmwum-block": BlockParams}
+_SCHEDULES = {
+    "bss": BssParams, "mmwum-wf": WfParams, "mmwum-block": BlockParams, "pe": PeParams,
+}
 
 
 def param_dump(algo: str, eps: float, rank: int) -> list:
@@ -101,15 +103,6 @@ def param_dump(algo: str, eps: float, rank: int) -> list:
         return [(f.name, getattr(p, f.name)) for f in fields(p) if f.name not in ("eps", "n")]
     if algo == "aw-sample":
         return [("mu", 1.0 / rank), ("T", aw_iteration_count(rank, eps))]
-    if algo == "pe":
-        mu = 1.0 / rank
-        t_minus, t_plus = pe_exponents(mu, eps)
-        return [
-            ("mu", mu),
-            ("T", pe_iteration_count(rank, eps)),
-            ("t_lower", t_minus),
-            ("t_upper", t_plus),
-        ]
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

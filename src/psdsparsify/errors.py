@@ -58,16 +58,8 @@ class RankTooSmall(SparsifyError):
     """The whitened rank is below what the algorithm needs."""
 
 
-class TNotLargeEnough(SparsifyError):
-    """The derandomized iteration budget does not force success.
-
-    ``suggested_t`` is a budget that provably does, computed from the
-    measured decay rates of the two estimators.
-    """
-
-    def __init__(self, message, suggested_t=None):
-        super().__init__(message)
-        self.suggested_t = suggested_t
+class SamplesMissed(SparsifyError):
+    """Every draw of a randomized solver missed its window."""
 
 
 class TimeBudgetExceeded(SparsifyError):

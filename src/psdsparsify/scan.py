@@ -1,20 +1,21 @@
-"""The one loop of the scanning solvers ``bss``, ``mmwum-wf`` and ``mmwum-block``.
+"""The one loop of the scanning solvers ``bss``, ``mmwum-wf``, ``mmwum-block`` and ``pe``.
 
 A step decomposes the running sum A = Q diag(w) Q^T once, turns w into
 two coefficient columns c, scores every member j by <C_j, Q diag(c) Q^T>
 (``ReducedInstance.scores_in_basis``), picks one pair (j, alpha) and adds
 alpha C_j.  The solvers differ only in their potential (Allen-Zhu, Liao
 and Orecchia, arXiv 1506.04838, read BSS and MMWU as
-follow-the-regularized-leader with two regularizers).  A solver's
-potential is its schedule, ``BssParams``, ``WfParams`` or ``BlockParams``:
-it has a ``name`` (a class attribute, not a field, as ``cli.param_dump``
-prints every field), a step count ``T``, ``coefficients(w, t)`` giving both
-columns from the spectrum of A after t steps or raising the solver's typed
-errors, and ``pick(scores, coeffs, reduced)`` giving (j, alpha) from the
-(m, 2) scores of the members of ``reduced``.  A ``history=`` list gets the
-pair (j, alpha) of every step; A, and every quantity derived from it, can
-be rebuilt from the pairs.  ``drive`` returns the weights y alone; the
-solver certifies them.
+follow-the-regularized-leader with two regularizers; the linear
+pessimistic estimators of ``pe`` are two more exponential potentials).  A
+solver's potential is its schedule, ``BssParams``, ``WfParams``,
+``BlockParams`` or ``PeParams``: it has a ``name`` (a class attribute, not
+a field, as ``cli.param_dump`` prints every field), a step count ``T``,
+``coefficients(w, t)`` giving both columns from the spectrum of A after t
+steps or raising the solver's typed errors, and ``pick(scores, coeffs,
+reduced)`` giving (j, alpha) from the (m, 2) scores of the members of
+``reduced``.  A ``history=`` list gets the pair (j, alpha) of every step;
+A, and every quantity derived from it, can be rebuilt from the pairs.
+``drive`` returns the weights y alone; the solver certifies them.
 
 The update adds alpha G_j^T G_j from member j's factor rows, unsymmetrized:
 G_j^T G_j is one symmetric product, so exactly symmetric, and entries

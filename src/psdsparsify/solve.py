@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .bss import bss_sparsify
-from .errors import TNotLargeEnough
+from .errors import SamplesMissed
 from .linalg import (
     CHECK_TOL,
     PsdCollection,
@@ -29,6 +29,10 @@ from .mmwum_wf import wf_sparsify
 from .sampling import aw_sample, pe_sparsify
 
 ALGORITHMS = ("bss", "mmwum-wf", "mmwum-block", "aw-sample", "pe")
+
+# draws ``aw-sample`` makes before it gives up; each lands inside its window
+# with probability above 1/2, so all of them miss with probability below 2^-20
+AW_ATTEMPTS = 20
 
 DETERMINISTIC = {
     "bss": True,
@@ -54,15 +58,17 @@ def run_algorithm(
     if algo == "mmwum-block":
         return block_sparsify(reduced, eps, max_seconds=max_seconds)
     if algo == "aw-sample":
-        return aw_sample(reduced, eps, seed=seed)
+        # Las Vegas: redraw a miss; attempt 0 keeps the seed's own draw.  A
+        # degenerate certificate is no miss to redraw: ``rescaled`` reports it
+        for attempt in range(AW_ATTEMPTS):
+            result = aw_sample(reduced, eps, seed=[seed, attempt] if attempt else seed)
+            cert = result.certificate
+            if certificate_passes(algo, eps, cert) or not cert.lambda_min > 0.0:
+                return result
+        raise SamplesMissed(f"aw-sample missed its window on {AW_ATTEMPTS} draws from seed {seed}")
     if algo == "pe":
-        # single retry: the closed-form budget can miss phi_0 + psi_0 < 1;
-        # the exception carries an instance-calibrated budget that cannot
-        # miss it, so a second TNotLargeEnough is not caught
-        try:
-            return pe_sparsify(reduced, eps, max_seconds=max_seconds)
-        except TNotLargeEnough as exc:
-            return pe_sparsify(reduced, eps, t_total=exc.suggested_t, max_seconds=max_seconds)
+        # the budget forces phi_0 + psi_0 < 1, so the walk needs no retry
+        return pe_sparsify(reduced, eps, max_seconds=max_seconds)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 

@@ -8,10 +8,11 @@ trace inner product with every dense member G_j^T G_j (``dense_members``).
 Each run records, per step, the scores its pick function received and
 the (index, step) it returned.
 
-``compare_pe_picks`` does the same for ``pe``: the kernel scores every
-candidate from the eigenvalues of its pick sum P + X_j, and the reference
-step keeps the two exponent sums -t P and t' P as accumulators and
-decomposes their symmetrized candidate stacks with two stacked ``eigh``.
+``compare_pe_picks`` does the same for ``pe`` against
+``reference_pe_sparsify``, which keeps the two exponent sums -t P and t' P
+as accumulators, decomposes each with its own ``eigh``, forms e^{-t P} and
+e^{t' P} densely and scores every dense member against both, with the
+prefactors taken in plain floating point.
 
 The report gives the first step whose pick differs, the relative gap of
 the solver's pick criterion between the two picks there, and the largest
@@ -61,7 +62,7 @@ from psdsparsify.linalg import (
 )
 from psdsparsify.mmwum_block import BlockParams
 from psdsparsify.mmwum_wf import WfParams, psi_lower, psi_upper
-from psdsparsify.solve import run_algorithm
+from psdsparsify.sampling import PE_TIE_RTOL, PeParams
 
 
 def dense_member(reduced: ReducedInstance, j: int) -> np.ndarray:
@@ -100,9 +101,11 @@ def _block_criterion(scores_1, scores_2, tr_x1, tr_x2, reduced, eta):
     return -widths, widths
 
 
-def _pe_criterion(values):
-    # pe minimizes phi + psi; a member that is not live scores inf
-    return -values, np.abs(values)
+def _pe_criterion(scores, reduced):
+    # pe minimizes the linear value per unit trace; a member without trace scores inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(reduced.has_trace, scores.sum(axis=1) / reduced.traces, np.inf)
+    return -values, np.abs(scores).sum(axis=1) / reduced.traces
 
 
 # solver: (module, pick function, solve function, pick criterion)
@@ -110,16 +113,13 @@ SOLVERS = {
     "bss": (bss, "_bss_pick", bss.bss_sparsify, _bss_criterion),
     "mmwum-wf": (mmwum_wf, "_wf_pick", mmwum_wf.wf_sparsify, _wf_criterion),
     "mmwum-block": (mmwum_block, "_block_pick", mmwum_block.block_sparsify, _block_criterion),
+    "pe": (sampling, "_pe_pick", sampling.pe_sparsify, _pe_criterion),
 }
 
 
 @dataclass(frozen=True)
 class Step:
-    """One pick: the arguments of the pick function (scores first) and its answer.
-
-    A ``pe`` step has one argument, the reference's phi + psi of every
-    member, and size 1.
-    """
+    """One pick: the arguments of the pick function (scores first) and its answer."""
 
     args: tuple
     j: int
@@ -213,87 +213,102 @@ def _gap(criterion, args: tuple, a: int, b: int) -> float:
     return float(abs(values[a] - values[b]) / max(size[a], size[b]))
 
 
-def reference_pe_values(state, lower_sum: np.ndarray, upper_sum: np.ndarray):
-    """phi + psi of every live candidate from two exponent-sum accumulators.
+def pe_prefactors(params: PeParams, steps_left: int) -> tuple:
+    """(1 - e^{-t}, e^{t'} - 1, L, U): the two slopes of the linear bounds and
+    the prefactors of phi and psi with ``steps_left`` steps to go, in plain
+    floating point."""
+    mu, big_t, eps = params.mu, params.T, params.eps
+    drop, rise = 1.0 - math.exp(-params.t_lower), math.exp(params.t_upper) - 1.0
+    lower = math.exp(params.t_lower * (1.0 - eps) * mu * big_t) * (1.0 - drop * mu) ** steps_left
+    upper = math.exp(-params.t_upper * (1.0 + eps) * mu * big_t) * (1.0 + rise * mu) ** steps_left
+    return drop, rise, lower, upper
 
-    Returns the values and the two symmetrized candidate stacks, each
-    decomposed with one stacked ``eigh``.
+
+def _reference_pe_scores(params: PeParams, flat: np.ndarray, sums: list, t: int) -> np.ndarray:
+    """Both score columns of every dense member at step t, from the two exponent sums."""
+    drop, rise, lower, upper = pe_prefactors(params, params.T - t - 1)
+    columns = []
+    for factor, exponent_sum in zip((-drop * lower, rise * upper), sums):
+        w, q = eigh(exponent_sum)
+        columns.append(factor * (flat @ symmetrize((q * np.exp(w)) @ q.T).ravel()))
+    return np.column_stack(columns)
+
+
+def _reference_pe_pick(scores: np.ndarray, reduced: ReducedInstance) -> int:
+    values, size = _pe_criterion(scores, reduced)
+    best = int(np.argmax(values))
+    return int(np.argmax(values >= values[best] - PE_TIE_RTOL * size[best]))
+
+
+def reference_pe_sparsify(
+    reduced: ReducedInstance, eps: float, max_steps: int | None = None, follow: list | None = None
+):
+    """``pe`` with the two exponent sums -t P and t' P as its accumulators.
+
+    Returns the steps, each with the scores as ``_pe_pick`` would get them
+    and the reference's own pick, and the weights (None after
+    ``max_steps``).  With ``follow``, a ``history=`` list of the kernel, the
+    sums take the kernel's picks instead, so every step is scored on the
+    kernel's own history.
     """
-    lower = symmetrize(lower_sum - state.t_minus * state.units)
-    upper = symmetrize(upper_sum + state.t_plus * state.units)
-    values = state._estimate(eigh(lower).eigenvalues, eigh(upper).eigenvalues, state.t + 1)
-    return values, lower, upper
-
-
-def _by_member(state, values: np.ndarray, m: int) -> np.ndarray:
-    out = np.full(m, np.inf)
-    out[state.live] = values
-    return out
-
-
-def _run_pe(reduced: ReducedInstance, eps: float, max_steps: int | None, reference: bool):
-    kernel_step = sampling.pe_greedy_step
+    params = PeParams.from_epsilon(eps, reduced.rank)
+    flat = dense_members(reduced).reshape(len(reduced), -1)
+    sums = [np.zeros((reduced.rank, reduced.rank))] * 2
+    y = np.zeros(len(reduced))
     steps = []
-    sums = {}
-
-    def recording_step(state):
-        if reference:
-            if state.t == 0:
-                sums["lower"] = sums["upper"] = np.zeros_like(state.picked_sum)
-            values, lower, upper = reference_pe_values(state, sums["lower"], sums["upper"])
-            k = int(np.argmin(values))
-            sums["lower"], sums["upper"] = lower[k].copy(), upper[k].copy()
-            j = int(state.live[k])
-            state.picks.append(j)
-        else:
-            # the reference's scores on the kernel's own history
-            p = state.picked_sum
-            values = reference_pe_values(state, -state.t_minus * p, state.t_plus * p)[0]
-            j = kernel_step(state)
-        steps.append(Step(args=(_by_member(state, values, len(reduced)),), j=j, alpha=1.0))
-        if max_steps is not None and len(steps) >= max_steps:
-            raise _Stop
-        return j
-
-    weights = None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling, "pe_greedy_step", recording_step)
-        try:
-            weights = run_algorithm(reduced, eps, "pe").weights
-        except _Stop:
-            pass
+    for t in range(params.T if max_steps is None else min(params.T, max_steps)):
+        scores = _reference_pe_scores(params, flat, sums, t)
+        j = _reference_pe_pick(scores, reduced)
+        steps.append(Step(args=(scores, reduced), j=j, alpha=1.0 / reduced.traces[j]))
+        if follow is not None:
+            j = follow[t][0]
+        unit = dense_member(reduced, j) / reduced.traces[j]
+        sums = [
+            symmetrize(sums[0] - params.t_lower * unit),
+            symmetrize(sums[1] + params.t_upper * unit),
+        ]
+        y[j] += 1.0 / reduced.traces[j]
+    weights = None if len(steps) < params.T else y * (reduced.rank / params.T)
     return steps, weights
 
 
 def compare_pe_picks(
     reduced: ReducedInstance, eps: float, max_steps: int | None = None
 ) -> PickComparison:
-    """Run ``pe`` (with its retry) under the kernel and the reference step and compare.
+    """Run ``pe`` with its kernel and as ``reference_pe_sparsify`` and compare.
 
-    ``score_gap`` is the gap of phi + psi between the two picks at the
-    first moved step, on the reference's values, relative to the larger.
-    With ``max_steps`` both runs stop after that many picks and report no
-    weights.
+    ``score_gap`` is the gap of the linear values between the two picks at
+    the first moved step, on the reference's scores, relative to the size
+    of their terms.  With ``max_steps`` both runs stop after that many
+    picks and report no weights.
     """
-    kernel, w_kernel = _run_pe(reduced, eps, max_steps, reference=False)
-    reference, w_reference = _run_pe(reduced, eps, max_steps, reference=True)
+    kernel, w_kernel = _run("pe", reduced, eps, max_steps, dense=False)
+    reference, w_reference = reference_pe_sparsify(reduced, eps, max_steps)
     return _compare(kernel, reference, _pe_criterion, (w_kernel, w_reference))
 
 
-def pe_lockstep_moves(report: PickComparison) -> list:
-    """(step, kernel pick, reference pick, gap) at every step of the kernel run
-    where the reference's values on the same history pick another member.
+def pe_estimator(params: PeParams, p: np.ndarray, i: int) -> float:
+    """phi_i + psi_i of ``pe`` at the dense pick sum P after i picks, from
+    eigvalsh of P, with every factor in plain floating point."""
+    w = np.linalg.eigvalsh(p)
+    _, _, lower, upper = pe_prefactors(params, params.T - i)
+    phi = lower * np.exp(-params.t_lower * w).sum()
+    return float(phi + upper * np.exp(params.t_upper * w).sum())
 
-    Unlike ``first_difference`` this keeps comparing after a moved pick,
-    since both arithmetics score the kernel's own history.
+
+def pe_lockstep_moves(reduced: ReducedInstance, eps: float, history: list) -> list:
+    """(step, kernel pick, reference pick, gap) at every step of a kernel
+    ``history=`` list where the reference, scoring the same history, picks
+    another member.
+
+    Unlike ``first_difference`` this keeps comparing after a moved pick.
     """
-    moves = []
-    for t, step in enumerate(report.kernel, start=1):
-        (values,) = step.args
-        best = int(np.argmin(values))
-        if best != step.j:
-            moves.append((t, step.j, best, _gap(_pe_criterion, step.args, step.j, best)))
-    return moves
+    steps, _ = reference_pe_sparsify(reduced, eps, follow=history)
+    return [
+        (t, j, step.j, _gap(_pe_criterion, step.args, j, step.j))
+        for t, ((j, _), step) in enumerate(zip(history, steps), start=1)
+        if j != step.j
+    ]
 
 
 @dataclass

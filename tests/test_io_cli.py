@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdsparsify import cli, io_formats
+from psdsparsify import cli, io_formats, solve
 from psdsparsify.errors import InvalidMatrix, NotPsd, ParseError
 from psdsparsify.io_formats import (
     emit_costs,
@@ -27,6 +27,7 @@ from psdsparsify.io_formats import (
 )
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 from psdsparsify.linalg import PsdCollection
+from psdsparsify.sampling import aw_sample
 
 
 class TestMatrixFormat:
@@ -580,8 +581,13 @@ class TestCli:
         )
         assert code == 2
 
-    def test_failed_certificate_exit_code(self, tmp_path):
-        # seed 6 lands outside the [0.5, 1.5] window on this instance
+    def test_failed_certificate_exit_code(self, tmp_path, monkeypatch):
+        # the one draw of seed 6 lands outside the [0.5, 1.5] window on this
+        # instance; ``run_algorithm`` would redraw it, so the CLI gets it alone
+        def one_draw(reduced, eps, algo, seed, max_seconds):
+            return aw_sample(reduced, eps, seed=seed)
+
+        monkeypatch.setattr(cli, "run_algorithm", one_draw)
         lines = ["10 10"]
         for i in range(10):
             lines += [f"mat {i}", f"{i} {i} 1.0"]
@@ -755,16 +761,36 @@ class TestCli:
         with pytest.raises(ValueError, match="nan"):
             config("bss", 0.5, max_minutes=float("nan"))
 
-    def test_pe_retry_reports_the_budget_it_used(self, tmp_path):
-        # the closed-form T = 57 misses phi_0 + psi_0 < 1 here, so the run
-        # retries with the calibrated budget the exception suggests
-        inp = tmp_path / "id4.txt"
-        inp.write_text(emit_matrix_collection(identity_decomposition(4)))
-        code, text = self.run_cli(tmp_path, "--algo", "pe", "--eps", "0.45", "--input", str(inp))
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("matrices", emit_matrix_collection(identity_decomposition(4))),
+            ("graph", emit_graph(complete_graph(5))),
+        ],
+        ids=["matrices", "graph"],
+    )
+    def test_pe_param_T_is_the_budget_it_used(self, tmp_path, monkeypatch, kind, text):
+        # identity_decomposition(4) at 0.45 is where the textbook budget
+        # used to fail and a second run took more steps than printed
+        inp = tmp_path / "in.txt"
+        inp.write_text(text)
+        runs, pe_sparsify = [], solve.pe_sparsify
+
+        def recording(*args, **kwargs):
+            runs.append(pe_sparsify(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solve, "pe_sparsify", recording)
+        code, out = self.run_cli(
+            tmp_path, "--algo", "pe", "--eps", "0.45", "--kind", kind, "--input", str(inp)
+        )
         assert code == 0
-        lines = text.splitlines()
-        assert "param T 57" in lines
-        assert "t_used 67" in lines
+        (run,) = runs
+        lines = out.splitlines()
+        assert f"param T {run.t_used}" in lines
+        if kind == "matrices":
+            assert run.t_used == 67
+            assert "t_used 67" in lines
 
 
 class TestRunReportInvariant:

@@ -2,9 +2,10 @@
 
 The dense reference scores candidates the way the scanning solvers did
 before the factored kernel, and the two-``eigh`` reference scores ``pe``
-candidates the way it did before its one eigenvalue-only decomposition
-per step.  So these tests pin down which output files the kernels leave
-unchanged and why they may change the others.  The reference loops of
+candidates from its two exponent sums, each decomposed and exponentiated
+on its own, where the kernel decomposes P once.  So these tests pin down
+which output files the kernels leave unchanged and why they may change
+the others.  The reference loops of
 ``bss``, ``mmwum-wf`` and ``mmwum-block`` pin down that the shared driver
 ``scan.drive`` changes no bit of theirs.
 """
@@ -16,10 +17,12 @@ from psdsparsify.applications import edge_collection
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 from psdsparsify.linalg import certificate_for, reduce_to_identity
 from psdsparsify.mmwum_wf import WfParams
+from psdsparsify.sampling import pe_sparsify
 from psdsparsify.solve import internal_epsilon
 
 from pickseq import (
     PARAMS,
+    _pe_criterion,
     REFERENCES,
     compare_pe_picks,
     compare_picks,
@@ -88,22 +91,29 @@ def test_pe_picks_match_the_two_eigh_reference(seed):
     report = compare_pe_picks(reduced, 0.45)
     assert report.first_difference is None, (report.picks, report.score_gap)
     assert len(report.kernel) == len(report.reference) > 0
-    assert pe_lockstep_moves(report) == []
+    history = []
+    pe_sparsify(reduced, 0.45, history=history)
+    assert pe_lockstep_moves(reduced, 0.45, history) == []
     got, want = report.weights
-    assert np.array_equal(got, want)
+    assert np.array_equal(got > 0.0, want > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_pe_on_k5_moves_picks_only_at_ties():
-    # K5 is edge-transitive: at P = 0 all ten values are equal bit for bit,
-    # and later steps keep tying in exact arithmetic, so rounding picks.
+    # K5 is edge-transitive: at P = 0 all ten values are equal in exact
+    # arithmetic, and later steps keep tying, so the tie rule picks, not
+    # rounding, under either arithmetic.
     reduced = reduce_to_identity(edge_collection(complete_graph(5)))
     eps = internal_epsilon(0.45)
     report = compare_pe_picks(reduced, eps)
-    (first_values,) = report.kernel[0].args
-    assert np.all(first_values == first_values[0])
+    first_values, size = _pe_criterion(*report.kernel[0].args)
+    assert np.all(np.abs(first_values - first_values[0]) <= 1e-12 * size)
+    assert report.kernel[0].j == report.reference[0].j == 0
     if report.first_difference is not None:
         assert report.score_gap <= 1e-12
-    for step, _, _, gap in pe_lockstep_moves(report):
+    history = []
+    pe_sparsify(reduced, eps, history=history)
+    for step, _, _, gap in pe_lockstep_moves(reduced, eps, history):
         assert gap <= 1e-12, step
     got, want = report.weights
     assert np.count_nonzero(got) == np.count_nonzero(want)

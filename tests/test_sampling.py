@@ -1,37 +1,42 @@
 """Trace-weighted sampling and its pessimistic-estimator derandomization."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from psdsparsify import sampling
-from psdsparsify.errors import InvalidMatrix, RankTooSmall, TimeBudgetExceeded, TNotLargeEnough
+from psdsparsify import sampling, scan
+from psdsparsify.errors import RankTooSmall, TimeBudgetExceeded
 from psdsparsify.applications import (
     cost_lifted_collection,
+    edge_collection,
     family_lifted_collection,
     hyperedge_collection,
 )
 from psdsparsify.instances import (
     complete_graph,
+    gnp_graph,
     identity_decomposition,
     random_psd_collection,
     random_uniform_hypergraph,
 )
 from psdsparsify.linalg import PsdCollection, reduce_to_identity, symmetrize
-from psdsparsify.solve import sparsify_sum
+from psdsparsify.solve import internal_epsilon, sparsify_sum
 from psdsparsify.sampling import (
+    PE_TIE_RTOL,
+    PeParams,
     aw_iteration_count,
     aw_sample,
     pe_exponents,
-    pe_greedy_step,
     pe_iteration_count,
-    pe_params,
     pe_sparsify,
     trace_probabilities,
 )
 
 from conftest import whitened_members
+from pickseq import pe_estimator, pe_prefactors, replay
 
 
 @pytest.fixture
@@ -44,7 +49,9 @@ class TestPlan:
         # (2 ln 2)(ln 10 + 2 ln 2)/(0.25 * 0.1) ~ 204.6 -> next integer
         assert aw_iteration_count(10, 0.5) == 205
         assert aw_sample(reduced_identity_10, 0.5).t_used == 205
-        assert pe_iteration_count(10, 0.5) == 167
+        # ln 20 / D(0.15 || 0.1) ~ 244.9 -> next integer; D(0.05 || 0.1) is larger
+        assert pe_iteration_count(10, 0.5) == 245
+        assert PeParams.from_epsilon(0.5, 10).T == 245
 
     def test_probabilities_sum_to_one(self, reduced_random):
         probabilities = trace_probabilities(reduced_random, 0.3)
@@ -110,74 +117,93 @@ _ROWS_LIFTS = {
 }
 
 
-def _pe_state(red, eps):
-    """The pe state at the textbook budget, or at the suggested one if that fails."""
-    try:
-        return pe_params(red, eps)
-    except TNotLargeEnough as err:
-        return pe_params(red, eps, t_total=err.suggested_t)
+def _bernoulli_kl(a, mu):
+    return a * math.log(a / mu) + (1.0 - a) * math.log((1.0 - a) / (1.0 - mu))
+
+
+def _linear_bounds(params, reduced, p, i):
+    """The bound on phi_{i+1} + psi_{i+1} that picking X_j = C_j / tr(C_j) at
+    P after i picks gives, one dense member at a time, in plain floating point.
+
+    Returns the part every member shares, each member's part linear in X_j
+    (inf for a member without trace) and the size of that part's two terms.
+    """
+    w, q = np.linalg.eigh(p)
+    e_lower = (q * np.exp(-params.t_lower * w)) @ q.T
+    e_upper = (q * np.exp(params.t_upper * w)) @ q.T
+    drop, rise, lower, upper = pe_prefactors(params, params.T - i - 1)
+    shared = lower * np.trace(e_lower) + upper * np.trace(e_upper)
+    linear, size = np.full(len(reduced), np.inf), np.zeros(len(reduced))
+    for j, tr in enumerate(reduced.traces):
+        if tr > 0.0:
+            x = reduced.member(j) / tr
+            a, b = drop * lower * np.sum(x * e_lower), rise * upper * np.sum(x * e_upper)
+            linear[j], size[j] = b - a, a + b
+    return shared, linear, size
+
+
+def _pe_history(reduced, eps):
+    history = []
+    pe_sparsify(reduced, eps, history=history)
+    return history
+
+
+def _check_norms(reduced, members, eps=0.45):
+    """The estimator's one-step factor 1 + (e^s - 1) mu is the norm of the
+    p-mean of the members' linear bounds I + (e^s - 1) X_j, which dominate
+    their exponentials e^{s X_j}, each from the member's own eigh."""
+    params = PeParams.from_epsilon(eps, reduced.rank)
+    r = reduced.rank
+    for s in (-params.t_lower, params.t_upper):
+        linear, exact = np.zeros((r, r)), np.zeros((r, r))
+        for prob, c, tr in zip(trace_probabilities(reduced, eps), members, reduced.traces):
+            if prob > 0.0:
+                x = c / tr
+                w, q = np.linalg.eigh(x)
+                exp_x = (q * np.exp(s * w)) @ q.T
+                bound = np.eye(r) + math.expm1(s) * x
+                assert np.linalg.eigvalsh(symmetrize(bound - exp_x))[0] >= -1e-12
+                linear += prob * bound
+                exact += prob * exp_x
+        norm = 1.0 + math.expm1(s) * params.mu
+        np.testing.assert_allclose(linear, norm * np.eye(r), rtol=0.0, atol=1e-12)
+        assert np.linalg.eigvalsh(symmetrize(exact))[-1] <= norm * (1.0 + 1e-12)
 
 
 class TestPeParams:
     def test_initial_value_below_one(self, reduced_random):
-        state = pe_params(reduced_random, 0.45)
-        assert state.current_value() < 1.0
-
-    def test_budget_failure_carries_suggestion(self, reduced_identity_10):
-        with pytest.raises(TNotLargeEnough) as err:
-            pe_params(reduced_identity_10, 0.45)
-        assert err.value.suggested_t > pe_iteration_count(10, 0.45)
-        state = pe_params(reduced_identity_10, 0.45, t_total=err.value.suggested_t)
-        assert state.current_value() < 1.0
+        # the budget forces phi_0 + psi_0 < 1 with no retry, also where the
+        # textbook budget (2 ln 2) r ln(2r) / eps^2 did not
+        for r, eps in [(reduced_random.rank, 0.45), (10, 0.45), (4, 0.45), (2, 0.5), (30, 0.3)]:
+            params = PeParams.from_epsilon(eps, r)
+            assert pe_estimator(params, np.zeros((r, r)), 0) < 1.0
+        assert PeParams.from_epsilon(0.45, 10).T > 2 * math.log(2) * 10 * math.log(20) / 0.45**2
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_advertised_phi0_rate_small_rank(self, r):
-        # the advertised initial bound phi_0 <= r exp(-T eps^2 mu/(2 ln 2))
-        # is a per-step rate claim; it holds in this regime but the
-        # constant is not valid for all (r, eps), which is exactly what
-        # the numerical budget check guards against
+        # ln phi falls per step by D((1-eps) mu || mu) at the optimal
+        # exponent, which is above the advertised eps^2 mu / (2 ln 2) here
         eps = 0.45
-        red = reduce_to_identity(identity_decomposition(r))
-        try:
-            state = pe_params(red, eps)
-        except TNotLargeEnough as err:
-            state = pe_params(red, eps, t_total=err.suggested_t)
+        params = PeParams.from_epsilon(eps, r)
         mu = 1.0 / r
-        rate = -(state.t_minus * (1.0 - eps) * mu + state.log_norm_minus)
+        drop = 1.0 - math.exp(-params.t_lower)
+        rate = -(params.t_lower * (1.0 - eps) * mu + math.log(1.0 - drop * mu))
+        assert rate == pytest.approx(_bernoulli_kl((1.0 - eps) * mu, mu), rel=1e-9)
         assert rate >= eps**2 * mu / (2.0 * math.log(2.0))
 
     @pytest.mark.parametrize("n,m,seed", [(6, 30, 7), (8, 160, 3)])
     def test_norms_match_the_per_member_exponentials(self, n, m, seed):
-        # the reference sums p_j Q exp(s w) Q^T over each dense unit's own
-        # eigendecomposition
         coll = random_psd_collection(n, m, seed=seed)
         red = reduce_to_identity(coll)
-        state = _pe_state(red, 0.45)
-        for s, got in ((-state.t_minus, state.log_norm_minus), (state.t_plus, state.log_norm_plus)):
-            mean = np.zeros((red.rank, red.rank))
-            members = whitened_members(coll, red)
-            for prob, c, tr in zip(state.probabilities, members, red.traces):
-                if prob > 0.0:
-                    w, q = np.linalg.eigh(c / tr)
-                    mean += prob * ((q * np.exp(s * w)) @ q.T)
-            want = float(np.linalg.eigvalsh(symmetrize(mean))[-1])
-            assert math.exp(got) == pytest.approx(want, rel=1e-12)
+        _check_norms(red, whitened_members(coll, red))
 
     @pytest.mark.parametrize("name", list(_ROWS_LIFTS))
     def test_norms_on_rows_that_are_not_eigen_rows(self, name):
         # whitened clique, cost and section rows are in general not
         # orthogonal, so they are not the eigen-rows of their member; the
-        # reference takes each unit's own eigendecomposition
+        # check takes each unit's own eigendecomposition
         red = reduce_to_identity(_ROWS_LIFTS[name]())
-        state = _pe_state(red, 0.45)
-        for s, got in ((-state.t_minus, state.log_norm_minus), (state.t_plus, state.log_norm_plus)):
-            mean = np.zeros((red.rank, red.rank))
-            for j, prob in enumerate(state.probabilities):
-                if prob > 0.0:
-                    w, q = np.linalg.eigh(red.member(j) / red.traces[j])
-                    mean += prob * ((q * np.exp(s * w)) @ q.T)
-            want = float(np.linalg.eigvalsh(symmetrize(mean))[-1])
-            assert math.exp(got) == pytest.approx(want, rel=1e-12)
+        _check_norms(red, [red.member(j) for j in range(len(red))])
 
 
 class TestPeGreedy:
@@ -192,34 +218,30 @@ class TestPeGreedy:
             pe_sparsify(red, 0.4)
 
     def test_estimator_decreases(self, reduced_random):
-        state = pe_params(reduced_random, 0.45)
-        trace = [state.current_value()]
-        for _ in range(state.t_total):
-            pe_greedy_step(state)
-            trace.append(state.current_value())
-        for prev, cur in zip(trace, trace[1:]):
-            assert cur < prev + 1e-12
-        assert trace[-1] < 1.0
+        # phi + psi recomputed from the dense P of every step never rises
+        params = PeParams.from_epsilon(0.45, reduced_random.rank)
+        history = _pe_history(reduced_random, 0.45)
+        r = reduced_random.rank
+        values = [pe_estimator(params, np.zeros((r, r)), 0)]
+        values += [pe_estimator(params, a, t) for t, _, _, _, a in replay(reduced_random, history)]
+        assert len(values) == params.T + 1
+        for prev, cur in zip(values, values[1:]):
+            assert cur <= prev * (1 + 1e-12)
+        assert values[-1] < 1.0
 
     def test_pick_beats_probability_weighted_average(self, reduced_random):
-        state = pe_params(reduced_random, 0.45)
-        from psdsparsify.linalg import symmetrize
-
-        for _ in range(5):
-            values = {}
-            for j, (prob, tr) in enumerate(zip(state.probabilities, reduced_random.traces)):
-                if prob <= 0.0:
-                    continue
-                x = reduced_random.member(j) / tr
-                p = state.picked_sum
-                w_lower = np.linalg.eigvalsh(symmetrize(-state.t_minus * p - state.t_minus * x))
-                w_upper = np.linalg.eigvalsh(symmetrize(state.t_plus * p + state.t_plus * x))
-                values[j] = float(state._estimate(w_lower, w_upper, state.t + 1))
-            average = sum(state.probabilities[j] * v for j, v in values.items())
-            before = state.current_value()
-            picked = pe_greedy_step(state)
-            assert values[picked] <= average * (1 + 1e-12)
-            assert average <= before * (1 + 1e-12)
+        # the pick's bound is at most the p-mean of all bounds, which is the
+        # current phi + psi, and the bound holds for the value it bounds
+        params = PeParams.from_epsilon(0.45, reduced_random.rank)
+        probabilities = trace_probabilities(reduced_random, 0.45)
+        history = _pe_history(reduced_random, 0.45)
+        for t, j, _, before, after in replay(reduced_random, history):
+            shared, linear, _ = _linear_bounds(params, reduced_random, before, t - 1)
+            live = probabilities > 0.0
+            average = shared + float(probabilities[live] @ linear[live])
+            assert average == pytest.approx(pe_estimator(params, before, t - 1), rel=1e-10)
+            assert shared + linear[j] <= average * (1 + 1e-12)
+            assert pe_estimator(params, after, t) <= (shared + linear[j]) * (1 + 1e-12)
 
     def test_deterministic_output_passes(self):
         for seed in (0, 1, 2):
@@ -235,10 +257,8 @@ class TestPeGreedy:
     def test_identity_rank_four_passes_deterministically(self):
         eps = 0.45
         red = reduce_to_identity(identity_decomposition(4))
-        try:
-            res = pe_sparsify(red, eps)
-        except TNotLargeEnough as err:
-            res = pe_sparsify(red, eps, t_total=err.suggested_t)
+        res = pe_sparsify(red, eps)
+        assert res.t_used == pe_iteration_count(4, eps)
         cert = res.certificate
         assert cert.lambda_min >= 1 - eps - 1e-9
         assert cert.lambda_max <= 1 + eps + 1e-9
@@ -247,6 +267,7 @@ class TestPeGreedy:
         eps = 0.45
         res = pe_sparsify(reduced_random, eps)
         t_total = pe_iteration_count(reduced_random.rank, eps)
+        assert res.t_used == t_total
         traces = reduced_random.traces
         for j in res.support:
             unit = reduced_random.rank / (t_total * traces[j])
@@ -254,83 +275,81 @@ class TestPeGreedy:
             assert ratio == pytest.approx(round(ratio), rel=1e-12)
 
 
-def _ln_sum_exp_scalar(w):
-    top = max(w)
-    return top + math.log(sum(math.exp(v - top) for v in w))
-
-
-def _reference_step(state, reduced):
-    """(pick, phi + psi) of one greedy step, one candidate and one eigh at a time."""
-    t_total, i = state.t_total, state.t + 1
-    c_phi = state.t_minus * t_total * (1.0 - state.eps) * state.mu
-    c_psi = -state.t_plus * t_total * (1.0 + state.eps) * state.mu
-    best_j, best_val = -1, math.inf
-    for j, (prob, tr) in enumerate(zip(state.probabilities, reduced.traces)):
-        if prob <= 0.0:
-            continue
-        c = reduced.member(j)
-        lower = -state.t_minus * state.picked_sum - state.t_minus * (c / tr)
-        upper = state.t_plus * state.picked_sum + state.t_plus * (c / tr)
-        w_lower = np.linalg.eigh(0.5 * (lower + lower.T))[0].tolist()
-        w_upper = np.linalg.eigh(0.5 * (upper + upper.T))[0].tolist()
-        ln_phi = c_phi + _ln_sum_exp_scalar(w_lower) + (t_total - i) * state.log_norm_minus
-        ln_psi = c_psi + _ln_sum_exp_scalar(w_upper) + (t_total - i) * state.log_norm_plus
-        val = math.exp(ln_phi) + math.exp(ln_psi)
-        if val < best_val:
-            best_j, best_val = j, val
-    return best_j, best_val
-
-
 class TestPeBatchedScoring:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_candidate_reference(self, seed):
+        # <X_j, C> one dense member at a time, picked under the same tie rule
         red = reduce_to_identity(random_psd_collection(5, 25, seed=seed))
-        state = pe_params(red, 0.45)
-        for _ in range(state.t_total):
-            ref_pick, ref_val = _reference_step(state, red)
-            assert pe_greedy_step(state) == ref_pick
-            assert state.current_value() == pytest.approx(ref_val, rel=1e-12, abs=0.0)
+        params = PeParams.from_epsilon(0.45, red.rank)
+        history = _pe_history(red, 0.45)
+        for t, j, alpha, before, _ in replay(red, history):
+            _, linear, size = _linear_bounds(params, red, before, t - 1)
+            best = int(np.argmin(linear))
+            ref_pick = int(np.argmax(linear <= linear[best] + PE_TIE_RTOL * size[best]))
+            assert j == ref_pick
+            assert alpha == 1.0 / red.traces[j]
 
     def test_exact_ties_pick_lowest_index(self):
-        red = reduce_to_identity(identity_decomposition(4))
-        with pytest.raises(TNotLargeEnough) as err:
-            pe_params(red, 0.45)
-        state = pe_params(red, 0.45, t_total=err.value.suggested_t)
-        for _ in range(8):
-            pe_greedy_step(state)
-        assert state.picks == [0, 1, 2, 3, 0, 1, 2, 3]
+        history = _pe_history(reduce_to_identity(identity_decomposition(4)), 0.45)
+        assert [j for j, _ in history[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: complete_graph(5), lambda: gnp_graph(30, 0.6, seed=1)],
+        ids=["k5", "gnp30"],
+    )
+    def test_first_step_ties_and_takes_the_first_member(self, make, monkeypatch):
+        # at P = 0 every value is the same in exact arithmetic; the scores
+        # differ by rounding, and the tie rule takes the lowest index
+        reduced = reduce_to_identity(edge_collection(make()))
+        params = PeParams.from_epsilon(internal_epsilon(0.5), reduced.rank)
+        seen, pick = [], sampling._pe_pick
+
+        def recording_pick(scores, reduced):
+            seen.append(scores.copy())
+            return pick(scores, reduced)
+
+        monkeypatch.setattr(sampling, "_pe_pick", recording_pick)
+        r = reduced.rank
+        j, alpha = scan.step(reduced, params, np.zeros((r, r)), 0, np.empty((r, 2)))
+        (scores,) = seen
+        values = scores.sum(axis=1) / reduced.traces
+        size = np.abs(scores).sum(axis=1) / reduced.traces
+        assert np.all(np.abs(values - values[0]) <= 1e-14 * size)
+        assert (j, alpha) == (0, 1.0 / reduced.traces[0])
 
 
 class TestPeSpectrumOfPickSums:
-    def test_one_eigvalsh_and_no_eigh_per_step(self, reduced_random, monkeypatch):
-        state = pe_params(reduced_random, 0.45)
-        calls = {"eigvalsh": 0, "eigh": 0}
-        # every eigh goes through numpy's, wherever it is called from
-        for module, name in ((sampling, "eigvalsh"), (np.linalg, "eigh")):
+    def test_one_eigh_and_no_eigvalsh_per_step(self, reduced_random, monkeypatch):
+        calls = Counter()
+        # every decomposition goes through numpy's, wherever it is called from
+        for name in ("eigh", "eigvalsh"):
 
-            def counting(m, name=name, real=getattr(module, name)):
+            def counting(m, name=name, real=getattr(np.linalg, name)):
                 calls[name] += 1
                 return real(m)
 
-            monkeypatch.setattr(module, name, counting)
-        pe_greedy_step(state)
-        assert calls == {"eigvalsh": 1, "eigh": 0}
-
-    def test_nan_in_the_unit_stack_raises(self, reduced_random):
-        state = pe_params(reduced_random, 0.45)
-        state.units = state.units.copy()
-        state.units[3, 1, 2] = np.nan
-        with pytest.raises(InvalidMatrix):
-            pe_greedy_step(state)
+            monkeypatch.setattr(np.linalg, name, counting)
+        result = pe_sparsify(reduced_random, 0.45)
+        # one eigh of P per step and one of the certificate sum
+        assert calls == {"eigh": result.t_used + 1}
 
     def test_exponent_sums_are_multiples_of_the_pick_sum(self, reduced_random):
-        state = pe_params(reduced_random, 0.45)
-        for _ in range(5):
-            pe_greedy_step(state)
-        p = state.picked_sum
+        # both score matrices are functions of P alone: its coefficient
+        # columns, back in the eigenbasis, are the scaled e^{-t P} and e^{t' P}
+        params = PeParams.from_epsilon(0.45, reduced_random.rank)
+        history = _pe_history(reduced_random, 0.45)
+        *_, (_, _, _, _, p) = itertools.islice(replay(reduced_random, history), 5)
         assert np.array_equal(p, p.T)
-        units = [reduced_random.member(j) / reduced_random.traces[j] for j in state.picks]
+        units = [reduced_random.member(j) / reduced_random.traces[j] for j, _ in history[:5]]
         np.testing.assert_allclose(p, sum(units), rtol=0.0, atol=1e-14)
+        w = np.linalg.eigvalsh(p)
+        lower, upper = params.coefficients(w, 5)
+        drop, rise, scale_lower, scale_upper = pe_prefactors(params, params.T - 6)
+        want_lower = -drop * scale_lower * np.exp(-params.t_lower * w)
+        want_upper = rise * scale_upper * np.exp(params.t_upper * w)
+        np.testing.assert_allclose(lower, want_lower, rtol=1e-12)
+        np.testing.assert_allclose(upper, want_upper, rtol=1e-12)
 
 
 class TestPeDeadline:

@@ -7,7 +7,7 @@ import pytest
 
 from psdsparsify import bss, linalg, mmwum_block, mmwum_wf, sampling, solve
 from psdsparsify.applications import edge_collection
-from psdsparsify.errors import DegenerateCertificate, SparsifyError
+from psdsparsify.errors import DegenerateCertificate, SamplesMissed, SparsifyError
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 from psdsparsify.linalg import (
     SandwichCertificate,
@@ -31,13 +31,38 @@ def test_degenerate_lambda_min_raises(monkeypatch, lam_min):
     assert isinstance(err.value, SparsifyError)
 
 
-def test_pe_retry_runs_at_the_suggested_budget():
-    # the closed-form T = 57 misses phi_0 + psi_0 < 1 here, so the run retries
-    reduced = reduce_to_identity(identity_decomposition(4))
-    result = solve.run_algorithm(reduced, 0.45, "pe")
-    assert result.t_used == 67
-    fresh = sampling.pe_sparsify(reduced, 0.45, t_total=67)
-    assert np.array_equal(result.weights, fresh.weights)
+@pytest.mark.parametrize("seed", [8, 12, 28])
+def test_aw_sample_redraws_a_miss(seed):
+    # the seed's own draw misses [1, 1.5]; a redraw lands inside it
+    coll = identity_decomposition(6)
+    eps = solve.internal_epsilon(0.5)
+    first = sampling.aw_sample(reduce_to_identity(coll), eps, seed=seed)
+    assert not solve.certificate_passes("aw-sample", eps, first.certificate)
+    assert solve.sparsify_sum(coll, 0.5, algo="aw-sample", seed=seed).certificate.passes(0.5)
+
+
+def test_aw_sample_keeps_a_draw_that_lands(monkeypatch):
+    reduced = reduce_to_identity(identity_decomposition(6))
+    eps = solve.internal_epsilon(0.5)
+    seeds, aw_sample = [], sampling.aw_sample
+
+    def recording(reduced, eps, seed=0):
+        seeds.append(seed)
+        return aw_sample(reduced, eps, seed=seed)
+
+    monkeypatch.setattr(solve, "aw_sample", recording)
+    result = solve.run_algorithm(reduced, eps, "aw-sample", seed=0)
+    assert seeds == [0]
+    assert result.weights.tobytes() == aw_sample(reduced, eps, seed=0).weights.tobytes()
+    seeds.clear()
+    solve.run_algorithm(reduced, eps, "aw-sample", seed=8)
+    assert seeds[0] == 8 and seeds[1:] == [[8, k] for k in range(1, len(seeds))]
+
+
+def test_aw_sample_raises_when_every_draw_misses(monkeypatch):
+    monkeypatch.setattr(solve, "certificate_passes", lambda algo, eps, cert: False)
+    with pytest.raises(SamplesMissed, match=f"{solve.AW_ATTEMPTS} draws from seed 3"):
+        solve.sparsify_sum(identity_decomposition(6), 0.5, algo="aw-sample", seed=3)
 
 
 @pytest.mark.parametrize("algo", ["pe", "aw-sample"])
@@ -48,11 +73,11 @@ def test_sparsify_sum_reports_the_budget_used(algo):
     assert solve.sparsify_sum(coll, 0.45, algo=algo).t_used == raw.t_used
 
 
-def test_sparsify_sum_reports_the_pe_retry_budget():
-    # K5 misses phi_0 + psi_0 < 1 at the closed-form T and retries
+def test_sparsify_sum_reports_the_pe_budget():
+    # the one budget runs: there is no retry at a larger one
     result = solve.sparsify_sum(edge_collection(complete_graph(5)), 0.45, algo="pe")
-    closed_form = sampling.pe_iteration_count(result.reduced_rank, solve.internal_epsilon(0.45))
-    assert result.t_used > closed_form
+    budget = sampling.pe_iteration_count(result.reduced_rank, solve.internal_epsilon(0.45))
+    assert result.t_used == budget
 
 
 def test_sparsify_sum_reports_no_budget_for_bss():
