@@ -58,12 +58,11 @@ def run_algorithm(
     if algo == "mmwum-block":
         return block_sparsify(reduced, eps, max_seconds=max_seconds)
     if algo == "aw-sample":
-        # Las Vegas: redraw a miss; attempt 0 keeps the seed's own draw.  A
-        # degenerate certificate is no miss to redraw: ``rescaled`` reports it
+        # Las Vegas: redraw a miss, degenerate draws included; attempt 0
+        # keeps the seed's own draw
         for attempt in range(AW_ATTEMPTS):
             result = aw_sample(reduced, eps, seed=[seed, attempt] if attempt else seed)
-            cert = result.certificate
-            if certificate_passes(algo, eps, cert) or not cert.lambda_min > 0.0:
+            if certificate_passes(algo, eps, result.certificate):
                 return result
         raise SamplesMissed(f"aw-sample missed its window on {AW_ATTEMPTS} draws from seed {seed}")
     if algo == "pe":

@@ -602,8 +602,15 @@ class TestCli:
         assert code == 1
         assert "passed false" in text
 
-    def test_zero_lambda_min_is_reported_not_raised(self, tmp_path, identity_pair_file):
-        # every one of the 24 draws of this seed picks member 0, so lambda_min is 0
+    def test_zero_lambda_min_is_reported_not_raised(
+        self, tmp_path, identity_pair_file, monkeypatch
+    ):
+        # every one of the 24 draws of this seed picks member 0, so lambda_min
+        # is 0; ``run_algorithm`` would redraw it, so the CLI gets it alone
+        def one_draw(reduced, eps, algo, seed, max_seconds):
+            return aw_sample(reduced, eps, seed=seed)
+
+        monkeypatch.setattr(cli, "run_algorithm", one_draw)
         code, text = self.run_cli(
             tmp_path,
             "--algo", "aw-sample", "--eps", "0.5",

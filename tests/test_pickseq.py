@@ -95,8 +95,7 @@ def test_pe_picks_match_the_two_eigh_reference(seed):
     pe_sparsify(reduced, 0.45, history=history)
     assert pe_lockstep_moves(reduced, 0.45, history) == []
     got, want = report.weights
-    assert np.array_equal(got > 0.0, want > 0.0)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got, want)
 
 
 def test_pe_on_k5_moves_picks_only_at_ties():
