@@ -54,10 +54,7 @@ class BssParams:
 
     @staticmethod
     def from_epsilon(eps: float, n: int) -> "BssParams":
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if n < 1:
-            raise ValueError("n must be positive")
+        scan.check_schedule(eps, n)
         delta_L = 1.0
         eps_L = eps / 2.0
         ell_0 = -n / eps_L

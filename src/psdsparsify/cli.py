@@ -29,15 +29,13 @@ import numpy as np
 
 from . import applications as apps
 from . import io_formats as io
-from .bss import BssParams
 from .errors import SparsifyError
 from .linalg import reduce_to_identity
-from .mmwum_block import BlockParams
-from .mmwum_wf import WfParams
-from .sampling import PeParams, aw_iteration_count
+from .sampling import aw_iteration_count
 from .solve import (
     ALGORITHMS,
     DETERMINISTIC,
+    SCHEDULES,
     certificate_passes,
     internal_epsilon,
     run_algorithm,
@@ -91,15 +89,10 @@ class RunReport:
     wall_time_s: float = 0.0
 
 
-_SCHEDULES = {
-    "bss": BssParams, "mmwum-wf": WfParams, "mmwum-block": BlockParams, "pe": PeParams,
-}
-
-
 def param_dump(algo: str, eps: float, rank: int) -> list:
     """Ordered (name, value) pairs of the derived schedule for one run."""
-    if algo in _SCHEDULES:
-        p = _SCHEDULES[algo].from_epsilon(eps, rank)
+    if algo in SCHEDULES:
+        p = SCHEDULES[algo].from_epsilon(eps, rank)
         return [(f.name, getattr(p, f.name)) for f in fields(p) if f.name not in ("eps", "n")]
     if algo == "aw-sample":
         return [("mu", 1.0 / rank), ("T", aw_iteration_count(rank, eps))]

@@ -60,10 +60,7 @@ class BlockParams:
 
     @staticmethod
     def from_epsilon(eps: float, n: int) -> "BlockParams":
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if n < 1:
-            raise ValueError("n must be positive")
+        scan.check_schedule(eps, n)
         beta = eps / 4.0
         eta = eps / 8.0
         ell = 1.0
@@ -113,7 +110,7 @@ def _block_pick(
     conditions <X2, C_j>/p_j <= (1+eta) trace(X2) and trace(C_j)/p_j <=
     (1+eta) n / eta.  Among the feasible, the smallest width user
     trace(C_j)/p_j wins, lowest index on ties; alpha = 1/p_j.  Divides by
-    p_j = 0 for members with no weight under X1: silence divide and invalid.
+    p_j = 0 for members with no weight under X1, which ``scan.drive`` silences.
     """
     traces = reduced.traces
     p = scores_1 / tr_x1
@@ -142,9 +139,7 @@ def block_sparsify(
     A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = BlockParams.from_epsilon(eps, reduced.rank)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y_sum = scan.drive(reduced, params, max_seconds, history)
-    y_bar = y_sum / params.T
+    y_bar = scan.drive(reduced, params, max_seconds, history) / params.T
     return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
 
 

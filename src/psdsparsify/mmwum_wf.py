@@ -56,10 +56,7 @@ class WfParams:
 
     @staticmethod
     def from_epsilon(eps: float, n: int, gamma: float | None = None) -> "WfParams":
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if n < 1:
-            raise ValueError("n must be positive")
+        scan.check_schedule(eps, n)
         eta = eps / 2.0
         delta_U = eta / n
         delta_L = eta / ((1.0 + eta) * n)

@@ -165,10 +165,10 @@ class PeParams:
 
 def _pe_pick(scores: np.ndarray, reduced: ReducedInstance) -> tuple[int, float]:
     """The member with the smallest linear value per unit trace, under the tie
-    rule; alpha = 1/tr(C_j) adds X_j to P."""
+    rule; alpha = 1/tr(C_j) adds X_j to P.  A member with no trace divides
+    by zero, which ``scan.drive`` silences."""
     traces = reduced.traces
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(reduced.has_trace, scores.sum(axis=1) / traces, np.inf)
+    values = np.where(reduced.has_trace, scores.sum(axis=1) / traces, np.inf)
     best = int(np.argmin(values))
     # the lower column is negative and the upper positive
     size = (scores[best, 1] - scores[best, 0]) / traces[best]

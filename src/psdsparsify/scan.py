@@ -17,6 +17,10 @@ reduced)`` giving (j, alpha) from the (m, 2) scores of the members of
 A, and every quantity derived from it, can be rebuilt from the pairs.
 ``drive`` returns the weights y alone; the solver certifies them.
 
+The shared rules live here once: ``drive`` owns the one ``np.errstate``
+(a member with no trace scores 0/0, which the picks mask out), and
+``check_schedule`` is the (eps, rank) check of every schedule but ``pe``'s.
+
 The update adds alpha G_j^T G_j from member j's factor rows, unsymmetrized:
 G_j^T G_j is one symmetric product, so exactly symmetric, and entries
 (i, k) and (k, i) of the sum round from the same operands.
@@ -30,6 +34,14 @@ import numpy as np
 
 from .errors import TimeBudgetExceeded
 from .linalg import ReducedInstance, eigh
+
+
+def check_schedule(eps: float, n: int) -> None:
+    """Raise ValueError unless eps lies in (0, 1) and the rank n is at least 1."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("n must be positive")
 
 
 def step(
@@ -53,14 +65,15 @@ def drive(
     a = np.zeros((reduced.rank, reduced.rank))
     y = np.zeros(len(reduced))
     coeffs = np.empty((reduced.rank, 2))
-    for t in range(params.T):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(
-                f"{params.name} exceeded {max_seconds} s at iteration {t + 1}"
-            )
-        j, alpha = step(reduced, params, a, t, coeffs)
-        a = a + alpha * reduced.member(j)
-        y[j] += alpha
-        if history is not None:
-            history.append((j, alpha))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(params.T):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeBudgetExceeded(
+                    f"{params.name} exceeded {max_seconds} s at iteration {t + 1}"
+                )
+            j, alpha = step(reduced, params, a, t, coeffs)
+            a = a + alpha * reduced.member(j)
+            y[j] += alpha
+            if history is not None:
+                history.append((j, alpha))
     return y

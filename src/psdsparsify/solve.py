@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .bss import bss_sparsify
+from .bss import BssParams, bss_sparsify
 from .errors import SamplesMissed
 from .linalg import (
     CHECK_TOL,
@@ -24,23 +24,20 @@ from .linalg import (
     reduce_to_identity,
     rescaled,
 )
-from .mmwum_block import block_sparsify
-from .mmwum_wf import wf_sparsify
-from .sampling import aw_sample, pe_sparsify
+from .mmwum_block import BlockParams, block_sparsify
+from .mmwum_wf import WfParams, wf_sparsify
+from .sampling import PeParams, aw_sample, pe_sparsify
 
 ALGORITHMS = ("bss", "mmwum-wf", "mmwum-block", "aw-sample", "pe")
+
+# every solver's schedule, its ``scan`` potential; only ``aw-sample`` has
+# none, and it alone draws at random
+SCHEDULES = {p.name: p for p in (BssParams, WfParams, BlockParams, PeParams)}
+DETERMINISTIC = {algo: algo in SCHEDULES for algo in ALGORITHMS}
 
 # draws ``aw-sample`` makes before it gives up; each lands inside its window
 # with probability above 1/2, so all of them miss with probability below 2^-20
 AW_ATTEMPTS = 20
-
-DETERMINISTIC = {
-    "bss": True,
-    "mmwum-wf": True,
-    "mmwum-block": True,
-    "aw-sample": False,
-    "pe": True,
-}
 
 
 def run_algorithm(

@@ -27,7 +27,7 @@ from psdsparsify.io_formats import (
 )
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 from psdsparsify.linalg import PsdCollection
-from psdsparsify.sampling import aw_sample
+from psdsparsify.sampling import aw_iteration_count, aw_sample
 
 
 class TestMatrixFormat:
@@ -824,6 +824,28 @@ class TestRunReportInvariant:
     )
     def test_param_names_are_pinned(self, algo, names):
         assert [name for name, _ in cli.param_dump(algo, 0.37, 7)] == names
+
+    def test_every_solver_but_aw_sample_has_its_schedule_in_the_table(self):
+        assert set(solve.ALGORITHMS) == set(solve.SCHEDULES) | {"aw-sample"}
+        assert all(schedule.name == algo for algo, schedule in solve.SCHEDULES.items())
+
+    @pytest.mark.parametrize("algo", ["bss", "mmwum-wf", "mmwum-block", "aw-sample", "pe"])
+    def test_param_lines_and_deterministic_line_follow_the_table(self, algo, identity_pair_file):
+        eps, rank = 0.45, 2
+        dump = cli.param_dump(algo, eps, rank)
+        if algo in solve.SCHEDULES:
+            schedule = solve.SCHEDULES[algo].from_epsilon(eps, rank)
+            assert all(value == getattr(schedule, name) for name, value in dump)
+        else:
+            assert dump == [("mu", 1.0 / rank), ("T", aw_iteration_count(rank, eps))]
+        coll = io_formats.parse_matrix_collection(identity_pair_file.read_text())
+        text = cli.emit(cli.run(cli.AlgorithmConfig(algorithm=algo, epsilon=eps), coll))
+        lines = text.splitlines()
+        assert [line for line in lines if line.startswith("param ")] == [
+            f"param {name} {value if isinstance(value, int) else format(value, '.16e')}"
+            for name, value in dump
+        ]
+        assert f"deterministic: {'false' if algo == 'aw-sample' else 'true'}" in lines
 
     def test_emitted_params_match_rederived_schedule(self, identity_pair_file):
         # the printed schedule must be bit-identical to a fresh derivation

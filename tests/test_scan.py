@@ -1,14 +1,24 @@
-"""The scanning driver that ``bss``, ``mmwum-wf`` and ``mmwum-block`` share."""
+"""The driver the four scanning solvers share, and the rules it owns."""
 
 import numpy as np
 import pytest
 
+import warnings
+
 from psdsparsify import scan
+from psdsparsify.bss import BssParams
 from psdsparsify.errors import InvalidMatrix, TimeBudgetExceeded
 from psdsparsify.instances import random_psd_collection
-from psdsparsify.linalg import ReducedInstance, eigh, reduce_to_identity, symmetrize
+from psdsparsify.linalg import (
+    PsdCollection,
+    ReducedInstance,
+    eigh,
+    reduce_to_identity,
+    symmetrize,
+)
+from psdsparsify.mmwum_block import BlockParams
 from psdsparsify.mmwum_wf import WfParams
-from psdsparsify.solve import sparsify_sum
+from psdsparsify.solve import run_algorithm, sparsify_sum
 
 from pickseq import SOLVERS
 
@@ -75,3 +85,34 @@ def test_a_hand_built_member_is_symmetrized_once(reduced_random, monkeypatch):
     assert np.count_nonzero(y) > 1
     assert len(decomposed) == potential.T
     assert all(np.array_equal(a, a.T) for a in decomposed)
+
+
+@pytest.mark.parametrize("schedule", [BssParams, WfParams, BlockParams], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "eps,n,message",
+    [
+        (0.0, 3, r"eps must lie in \(0, 1\)"),
+        (1.0, 3, r"eps must lie in \(0, 1\)"),
+        (-0.5, 3, r"eps must lie in \(0, 1\)"),
+        (float("nan"), 3, r"eps must lie in \(0, 1\)"),
+        (0.5, 0, "n must be positive"),
+        (0.5, -2, "n must be positive"),
+    ],
+)
+def test_schedules_share_the_eps_and_rank_check(schedule, eps, n, message):
+    with pytest.raises(ValueError, match=message):
+        schedule.from_epsilon(eps, n)
+
+
+@pytest.mark.parametrize("algo", ["mmwum-block", "pe"])
+def test_a_member_with_no_trace_warns_nothing(algo):
+    # its score divides 0 by 0, which only the driver's errstate keeps quiet
+    stack = random_psd_collection(6, 30, seed=7).matrices
+    coll = PsdCollection.from_matrices(np.concatenate([stack[:3], np.zeros((1, 6, 6)), stack[3:]]))
+    reduced = reduce_to_identity(coll)
+    assert not reduced.has_trace[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_algorithm(reduced, 0.45, algo)
+    assert result.weights[3] == 0.0
+    assert result.certificate.within_window(0.55, 1.45)
