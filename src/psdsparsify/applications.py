@@ -308,8 +308,9 @@ def sparsify_with_costs(
     alongside the Laplacian.
     """
     costs = [np.asarray(c, dtype=float) for c in costs]
-    coll = cost_lifted_collection(g, costs)
-    result = sparsify_sum(coll, eps, algo=algo, seed=seed, max_seconds=max_seconds)
+    result = sparsify_sum(
+        cost_lifted_collection(g, costs), eps, algo=algo, seed=seed, max_seconds=max_seconds
+    )
     y = result.weights
 
     lap_cert = certificate_for(reduce_to_identity(edge_collection(g)), y)
@@ -558,8 +559,9 @@ def sparse_sdp(
     diag(z*_i A_i, c_i z*_i); its checks report both objectives and the
     feasibility of z_bar.
     """
-    coll = sdp_lifted_collection(inst)
-    result = sparsify_sum(coll, eps, algo=algo, seed=seed, max_seconds=max_seconds)
+    result = sparsify_sum(
+        sdp_lifted_collection(inst), eps, algo=algo, seed=seed, max_seconds=max_seconds
+    )
     z_star = np.asarray(inst.z_star, dtype=float)
     z_bar = result.weights * z_star
     cost = np.asarray(inst.cost, dtype=float)
@@ -646,8 +648,9 @@ def caratheodory(
     sum(mu_i B_i) whitened against B, judged on the two-sided window.
     """
     lam = np.asarray(lambdas, dtype=float)
-    lifted = caratheodory_lifted(lam, coll)
-    result = sparsify_sum(lifted, eps, algo=algo, seed=seed, max_seconds=max_seconds)
+    result = sparsify_sum(
+        caratheodory_lifted(lam, coll), eps, algo=algo, seed=seed, max_seconds=max_seconds
+    )
     mu = renormalize_simplex(result.weights * lam)
     scaled = PsdCollection.from_matrices(lam[:, None, None] * coll.matrices, validate=False)
     ratio = np.divide(mu, lam, out=np.zeros_like(mu), where=lam > 0.0)
@@ -674,21 +677,12 @@ def _local_pairs(f_sorted) -> np.ndarray:
     return np.array([(order[u], order[v]) for u, v in f_sorted], dtype=int).reshape(-1, 2).T
 
 
-def family_lifted_collection(g: WeightedGraph, family):
-    """Edge Laplacians extended with one diagonal section per family member.
-
-    Edge e is its row sqrt(w) (e_u - e_v) followed by the same row inside
-    the section of every family member that holds e, in family order.
-    Returns the collection plus one tuple per member: its sorted edge
-    list, the indices of those edges in ``g.edges``, and the bounds lo, hi
-    of its section.
-    """
+def family_members(g: WeightedGraph, family) -> list:
+    """One pair per family member: its sorted edge list and the indices of
+    those edges in ``g.edges``.  Raises InvalidFamily on an empty member or
+    a pair that is not an edge of g."""
     edge_index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
     members = []
-    # every edge's pairs, in edge order: the Laplacian adds them as the
-    # running sum over the members would
-    pairs = [[(u - 1, v - 1)] for u, v, _ in g.edges]
-    dim = g.n
     for fi, f_edges in enumerate(family):
         if len(f_edges) == 0:
             raise InvalidFamily(f"family member {fi} has no edges")
@@ -699,18 +693,30 @@ def family_lifted_collection(g: WeightedGraph, family):
                 raise InvalidFamily(f"family member {fi} uses non-edge ({u}, {v})")
             normalized.add((u, v))
         f_sorted = sorted(normalized)
-        indices = [edge_index[e] for e in f_sorted]
+        members.append((f_sorted, [edge_index[e] for e in f_sorted]))
+    return members
+
+
+def family_lifted_collection(g: WeightedGraph, family) -> PsdCollection:
+    """Edge Laplacians extended with one diagonal section per family member.
+
+    Edge e is its row sqrt(w) (e_u - e_v) followed by the same row inside
+    the section of every family member that holds e, in family order.
+    """
+    # every edge's pairs, in edge order: the Laplacian adds them as the
+    # running sum over the members would
+    pairs = [[(u - 1, v - 1)] for u, v, _ in g.edges]
+    dim = g.n
+    for f_sorted, indices in family_members(g, family):
         local = _local_pairs(f_sorted)
         for i, a, b in zip(indices, *local):
             pairs[i].append((dim + a, dim + b))
-        hi = dim + int(local.max(initial=-1)) + 1
-        members.append((f_sorted, indices, dim, hi))
-        dim = hi
+        dim += int(local.max()) + 1
 
     counts = [len(p) for p in pairs]
     a, b = np.array([p for edge in pairs for p in edge], dtype=int).reshape(-1, 2).T
     w = np.repeat(_edge_weights(g), counts)
-    return _pair_collection(dim, a, b, w, np.concatenate(([0], np.cumsum(counts)))), members
+    return _pair_collection(dim, a, b, w, np.concatenate(([0], np.cumsum(counts))))
 
 
 def subgraph_family_sparsify(
@@ -729,16 +735,17 @@ def subgraph_family_sparsify(
     member's vertex set.  Returns the subgraph, the certificate for G, and
     one certificate per family member.
     """
-    coll, members = family_lifted_collection(g, family)
-    result = sparsify_sum(coll, eps, algo=algo, seed=seed, max_seconds=max_seconds)
+    result = sparsify_sum(
+        family_lifted_collection(g, family), eps, algo=algo, seed=seed, max_seconds=max_seconds
+    )
     y = result.weights
 
     cert_g = certificate_for(reduce_to_identity(edge_collection(g)), y)
     member_certs = []
-    for f_sorted, indices, lo, hi in members:
+    for f_sorted, indices in family_members(g, family):
         # the member's own edge Laplacians, in its sorted edge order
-        w = _edge_weights(g)[indices]
-        f_coll = _pair_collection(hi - lo, *_local_pairs(f_sorted), w)
+        local = _local_pairs(f_sorted)
+        f_coll = _pair_collection(int(local.max()) + 1, *local, _edge_weights(g)[indices])
         member_certs.append(certificate_for(reduce_to_identity(f_coll), y[indices]))
     checks = tuple(
         (

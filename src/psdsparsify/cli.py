@@ -12,8 +12,8 @@ requested epsilon (for ``bss`` under its documented ratio bound
 ((2+eps)/(2-eps))^2), 1 means it did not, 2 means the run failed.
 The environment variable SPARSIFY_MAX_MINUTES sets the wall-clock budget
 of the solver loop (default 30 minutes, zero or less for none); a run that
-exceeds it exits 2.  Every solver except ``aw-sample`` checks it once per
-iteration, in any thread.
+exceeds it exits 2.  Every solver checks it once per iteration, and
+``aw-sample`` once per draw, in any thread.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ A, and every quantity derived from it, can be rebuilt from the pairs.
 ``drive`` returns the weights y alone; the solver certifies them.
 
 The shared rules live here once: ``drive`` owns the one ``np.errstate``
-(a member with no trace scores 0/0, which the picks mask out), and
+(a member with no trace scores 0/0, which the picks mask out) and the
+wall-clock ``budget``, also checked before every ``aw-sample`` draw, and
 ``check_schedule`` is the (eps, rank) check of every schedule but ``pe``'s.
 
 The update adds alpha G_j^T G_j from member j's factor rows, unsymmetrized:
@@ -44,6 +45,17 @@ def check_schedule(eps: float, n: int) -> None:
         raise ValueError("n must be positive")
 
 
+def budget(name: str, max_seconds: float | None):
+    """A check(step) raising TimeBudgetExceeded once ``max_seconds`` from now run out."""
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+
+    def check(step: int) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(f"{name} exceeded {max_seconds} s at iteration {step}")
+
+    return check
+
+
 def step(
     reduced: ReducedInstance, params, a: np.ndarray, t: int, coeffs: np.ndarray
 ) -> tuple[int, float]:
@@ -61,16 +73,13 @@ def drive(
     Appends each step's (j, alpha) to ``history`` when it is a list.
     Raises TimeBudgetExceeded when ``max_seconds`` run out before the last step.
     """
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    over_budget = budget(params.name, max_seconds)
     a = np.zeros((reduced.rank, reduced.rank))
     y = np.zeros(len(reduced))
     coeffs = np.empty((reduced.rank, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(params.T):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeBudgetExceeded(
-                    f"{params.name} exceeded {max_seconds} s at iteration {t + 1}"
-                )
+            over_budget(t + 1)
             j, alpha = step(reduced, params, a, t, coeffs)
             a = a + alpha * reduced.member(j)
             y[j] += alpha

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from . import scan
 from .bss import BssParams, bss_sparsify
 from .errors import SamplesMissed
 from .linalg import (
@@ -55,9 +56,11 @@ def run_algorithm(
     if algo == "mmwum-block":
         return block_sparsify(reduced, eps, max_seconds=max_seconds)
     if algo == "aw-sample":
-        # Las Vegas: redraw a miss, degenerate draws included; attempt 0
-        # keeps the seed's own draw
+        # Las Vegas: redraw a miss, degenerate draws included, while the
+        # budget lasts; attempt 0 keeps the seed's own draw
+        over_budget = scan.budget(algo, max_seconds)
         for attempt in range(AW_ATTEMPTS):
+            over_budget(attempt + 1)
             result = aw_sample(reduced, eps, seed=[seed, attempt] if attempt else seed)
             if certificate_passes(algo, eps, result.certificate):
                 return result
@@ -91,5 +94,6 @@ def sparsify_sum(
 ) -> SparsifierResult:
     """Solve B <= sum(y_i B_i) <= (1+eps) B with few nonzero weights."""
     reduced = reduce_to_identity(coll)
+    del coll  # the solvers read only the whitened rows: free a caller's temporary lift
     raw = run_algorithm(reduced, internal_epsilon(eps), algo, seed=seed, max_seconds=max_seconds)
     return rescaled(replace(raw, reduced_rank=reduced.rank), algo)

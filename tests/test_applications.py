@@ -1,6 +1,7 @@
 """Graph, hypergraph, SDP, and convex-combination applications."""
 
 import tracemalloc
+import weakref
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from psdsparsify import applications, solve
 from psdsparsify.applications import (
     SdpInstance,
     WeightedGraph,
@@ -20,6 +22,7 @@ from psdsparsify.applications import (
     cut_weight_star,
     edge_collection,
     family_lifted_collection,
+    family_members,
     graph_cut_weight,
     hyperedge_collection,
     hypergraph_laplacian,
@@ -530,7 +533,7 @@ class TestBlockLiftings:
     def test_family_blocks(self):
         g = complete_graph(4)
         family = [[(1, 2), (2, 3)], [(3, 4)]]
-        coll, members = family_lifted_collection(g, family)
+        coll = family_lifted_collection(g, family)
         assert coll.dim == 4 + 3 + 2
         expect = np.zeros((9, 9))
         expect[:4, :4] = laplacian(g)
@@ -539,7 +542,7 @@ class TestBlockLiftings:
         assert np.max(np.abs(coll.total() - expect)) <= 1e-10
         for mat in dense_members(coll):
             assert is_psd(mat, tol=1e-9)
-        assert members[0][0] == [(1, 2), (2, 3)]
+        assert family_members(g, family)[0] == ([(1, 2), (2, 3)], [0, 3])
 
 
 def _gnp_with_costs():
@@ -551,7 +554,7 @@ def _gnp_with_costs():
 def _gnp_with_family():
     g = gnp_graph(60, 0.5, seed=0)
     pairs = [(u, v) for u, v, _ in g.edges]
-    return family_lifted_collection(g, [pairs[:200], pairs[100:400]])[0]
+    return family_lifted_collection(g, [pairs[:200], pairs[100:400]])
 
 
 # lifted collections of a G(60, 0.5) graph (868 edges) and a hypergraph;
@@ -569,6 +572,58 @@ class TestRowsMemory:
         build = _LIFTS[name]
         rows_bytes = build().rows.nbytes
         assert traced_peak(lambda: reduce_to_identity(build())) <= 4 * rows_bytes
+
+
+def _sdp_instance():
+    rng = np.random.default_rng(1)
+    mats = [random_psd(rng, 3, rank=2) for _ in range(8)]
+    z_star = rng.uniform(0.5, 1.5, 8)
+    target = symmetrize(sum(z * a for z, a in zip(z_star, mats)) * 0.8)
+    return SdpInstance(matrices=mats, target=target, cost=np.ones(8), z_star=z_star)
+
+
+# each application, and the builder whose lift it hands to ``sparsify_sum``
+_APPLICATIONS = {
+    "graph": ("edge_collection", lambda: sparsify_graph(complete_graph(5), 0.5)),
+    "costs": (
+        "cost_lifted_collection",
+        lambda: sparsify_with_costs(complete_graph(5), [np.arange(10.0)], 0.5),
+    ),
+    "hypergraph": (
+        "hyperedge_collection",
+        lambda: sparsify_hypergraph(random_uniform_hypergraph(6, 8, 3, seed=0), 0.5),
+    ),
+    "sdp": ("sdp_lifted_collection", lambda: sparse_sdp(_sdp_instance(), 0.5)),
+    "simplex": (
+        "caratheodory_lifted",
+        lambda: caratheodory(np.full(5, 0.2), PsdCollection.from_matrices([np.eye(2)] * 5), 0.5),
+    ),
+    "family": (
+        "family_lifted_collection",
+        lambda: subgraph_family_sparsify(complete_graph(4), [[(1, 2), (2, 3)], [(3, 4)]], 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_APPLICATIONS))
+def test_the_lift_is_freed_before_the_solve(name, monkeypatch):
+    # the solvers read only the whitened rows, so nothing may hold the lift
+    builder, call = _APPLICATIONS[name]
+    build, run_algorithm, lifts, freed = getattr(applications, builder), solve.run_algorithm, [], []
+
+    def recording_build(*args):
+        lift = build(*args)
+        lifts.append(weakref.ref(lift))
+        return lift
+
+    def checking_run(*args, **kwargs):
+        freed.append(lifts[0]() is None)
+        return run_algorithm(*args, **kwargs)
+
+    monkeypatch.setattr(applications, builder, recording_build)
+    monkeypatch.setattr(solve, "run_algorithm", checking_run)
+    call()
+    assert freed == [True]
 
 
 class TestPsdCounterexample:

@@ -6,16 +6,41 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
+import psdsparsify
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 OUTPUT = "weights\n0 1.0\ncertificate\nlambda_min 1.0\nlambda_max 1.5\nsupport_size 1\n"
+
+
+def _load(name, path):
+    """Import ``path`` read-only: no bytecode cache is written next to it.
+
+    The module is in ``sys.modules`` only while it runs, where its
+    dataclasses look for it."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[name]
+    return module
 
 
 @pytest.fixture
 def compare_outputs():
-    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("compare_outputs", SCRIPT)
+
+
+def test_the_gate_runs_every_solver_and_the_benchmark_runs_no_other(compare_outputs):
+    assert compare_outputs.ALGORITHMS == psdsparsify.ALGORITHMS
+    workloads = _load("bench_workloads", WORKLOADS)
+    for w in workloads.WORKLOADS.values():
+        assert set(w.algos) <= set(psdsparsify.ALGORITHMS), w.name
 
 
 def _run(compare_outputs, monkeypatch, tmp_path, change_texts, change_code=0):

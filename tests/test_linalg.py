@@ -370,7 +370,7 @@ _ROWS = {
     "cost": lambda: cost_lifted_collection(complete_graph(4), [np.arange(6.0)]),
     "family": lambda: family_lifted_collection(
         complete_graph(4), [[(1, 2), (2, 3)], [(3, 4)]]
-    )[0],
+    ),
 }
 
 
@@ -400,7 +400,7 @@ class TestRowsCollection:
         g = WeightedGraph(n=5, edges=[(u, v, 0.3 * u + v / 7.0) for u, v in pairs])
         h = WeightedHypergraph(n=5, hyperedges=[((u, v), w) for u, v, w in g.edges])
         edges = edge_collection(g)
-        for other in (hyperedge_collection(h), family_lifted_collection(g, [])[0]):
+        for other in (hyperedge_collection(h), family_lifted_collection(g, [])):
             assert other.rows.tobytes() == edges.rows.tobytes()
             assert other.total().tobytes() == edges.total().tobytes()
             assert np.array_equal(other.bounds, edges.bounds)

@@ -112,7 +112,7 @@ _ROWS_LIFTS = {
     "hyperedge": lambda: hyperedge_collection(random_uniform_hypergraph(6, 8, 3)),
     "family": lambda: family_lifted_collection(
         complete_graph(5), [[(1, 2), (2, 3), (1, 3)], [(3, 4), (4, 5)]]
-    )[0],
+    ),
     "cost": lambda: cost_lifted_collection(complete_graph(5), [np.arange(10.0), np.ones(10)]),
 }
 

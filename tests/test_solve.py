@@ -1,13 +1,19 @@
 """The one-sided sandwich wrapper around the raw algorithms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from psdsparsify import bss, linalg, mmwum_block, mmwum_wf, sampling, solve
 from psdsparsify.applications import edge_collection
-from psdsparsify.errors import DegenerateCertificate, SamplesMissed, SparsifyError
+from psdsparsify.errors import (
+    DegenerateCertificate,
+    SamplesMissed,
+    SparsifyError,
+    TimeBudgetExceeded,
+)
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
 from psdsparsify.linalg import (
     SandwichCertificate,
@@ -63,6 +69,24 @@ def test_aw_sample_raises_when_every_draw_misses(monkeypatch):
     monkeypatch.setattr(solve, "certificate_passes", lambda algo, eps, cert: False)
     with pytest.raises(SamplesMissed, match=f"{solve.AW_ATTEMPTS} draws from seed 3"):
         solve.sparsify_sum(identity_decomposition(6), 0.5, algo="aw-sample", seed=3)
+
+
+def test_aw_sample_redraws_only_while_the_budget_lasts(monkeypatch):
+    reduced = reduce_to_identity(identity_decomposition(6))
+    eps = solve.internal_epsilon(0.5)
+    seeds, aw_sample = [], sampling.aw_sample
+
+    def slow_miss(reduced, eps, seed=0):
+        seeds.append(seed)
+        time.sleep(0.01)
+        return aw_sample(reduced, eps, seed=seed)
+
+    monkeypatch.setattr(solve, "aw_sample", slow_miss)
+    monkeypatch.setattr(solve, "certificate_passes", lambda algo, eps, cert: False)
+    with pytest.raises(TimeBudgetExceeded, match=r"aw-sample exceeded 0.025 s at iteration \d"):
+        solve.run_algorithm(reduced, eps, "aw-sample", max_seconds=0.025)
+    # 20 draws take 0.2 s, so the budget ran out first
+    assert 1 <= len(seeds) < solve.AW_ATTEMPTS
 
 
 @pytest.mark.parametrize("algo", ["pe", "aw-sample"])
