@@ -17,7 +17,7 @@ reduced)`` giving (j, alpha) from the (m, 2) scores of the members of
 A, and every quantity derived from it, can be rebuilt from the pairs.
 ``drive`` returns the weights y alone; the solver certifies them.
 
-The shared rules live here once: ``drive`` owns the one ``np.errstate``
+The shared rules live here once: ``drive`` owns the one ``errstate``
 (a member with no trace scores 0/0, which the picks mask out) and the
 wall-clock ``budget``, also checked before every ``aw-sample`` draw, and
 ``check_schedule`` is the (eps, rank) check of every schedule but ``pe``'s.

@@ -1,9 +1,9 @@
 """The driver the four scanning solvers share, and the rules it owns."""
 
+import warnings
+
 import numpy as np
 import pytest
-
-import warnings
 
 from psdsparsify import scan
 from psdsparsify.bss import BssParams
