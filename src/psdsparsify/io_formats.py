@@ -17,11 +17,13 @@ family       f   | per member:  e  then e lines of  u v
 sdp          sdp n m | m mat blocks | target block | cost ... | feasible ...
 simplex      simplex n m | lambda ... | m mat blocks
 
-The entry blocks of the matrices, sdp and simplex formats are read one
-block at a time: the block's lines are sliced out of the text and read
-with one ``numpy.loadtxt`` call, then checked for range, finiteness and
-duplicates and written into the stack before the next block is read.  No
-list of every line of the text is built, on reading or on writing.
+The header of the matrices, sdp and simplex formats announces one
+``(count, n, n)`` stack, allocated once.  Each entry block is read where
+the parser meets it: its lines are sliced out of the text and read with
+one ``numpy.loadtxt`` call, then checked for range, finiteness and
+duplicates and written into its matrix of the stack before the parser
+moves on, so errors come out in text order.  No list of every line of
+the text is built, on reading or on writing.
 Python's ``int`` and ``float`` define the valid tokens; a block whose
 tokens ``loadtxt`` rejects is scanned line by line with them to find the
 offending line.
@@ -106,8 +108,8 @@ class _Cursor:
     numbers and offsets.  Only those are looked at in Python: blank lines
     and comments go to ``skip``, and the rest, the keyword lines that end
     an entry block, go to ``stops``.  ``take`` slices its line out of the
-    text, ``entries`` records a block without reading it, and ``load``
-    reads the recorded blocks one at a time.
+    text, and ``entries`` reads a block where it stands, into its matrix
+    of the stack that the header announces.
     """
 
     def __init__(self, text: str):
@@ -133,8 +135,6 @@ class _Cursor:
                 self.stops.append((k, at))
         self.skipped = set(self.skip)
         self.pos = self.at = 0  # the number and the offset of the next line
-        self.n = 0
-        self.blocks = []
 
     def _end(self, at: int) -> int:
         end = self.text.find("\n", at)
@@ -162,61 +162,42 @@ class _Cursor:
             line = self.text[self.at : self._end(self.at)].strip()
             raise ParseError(self.pos + 1, f"unexpected trailing content {line!r}")
 
-    def entries(self, n: int, context: str):
-        """Record the 'i j value' lines up to the next keyword line as one block."""
+    def entries(self, out: np.ndarray, context: str):
+        """Read the 'i j value' lines up to the next keyword line into ``out``, mirrored.
+
+        The block is split into lines, read, checked and written before the
+        cursor moves on, so the lines and entries of one block are all that
+        is held beside the text and the stack.  Raises the ParseError of
+        the block's first offending line.
+        """
         start = self._next()
         at = bisect_left(self.stops, (start, 0))
         end, stop = self.stops[at] if at < len(self.stops) else (self.size, len(self.text))
-        gaps = self.skip[bisect_left(self.skip, start) : bisect_left(self.skip, end)]
+        lines = self.text[self.at : stop].splitlines()
         rows = range(start, end)
-        if gaps:
+        if self.skip[bisect_left(self.skip, start) : bisect_left(self.skip, end)]:
             rows = [k for k in rows if k not in self.skipped]
-        self.n = n
-        self.blocks.append((rows, self.at, stop, context))
+            lines = [lines[k - start] for k in rows]  # without the blank and comment lines
+        entries, error = self._load_block(lines, rows, context, len(out))
+        self._scatter(entries, lines, rows, out)  # an error on an earlier line wins
+        if error is not None:
+            raise error
         self.pos, self.at = end, stop
 
-    def load(self):
-        """Read the recorded blocks into one (blocks, n, n) stack, mirrored.
-
-        Each block is split into lines, read, checked and written before
-        the next one, so the lines and entries of one block are all that
-        is held beside the text and the stack.  Raises the ParseError of
-        the first offending entry line.
-        """
-        if not self.blocks:
-            return None
-        try:
-            stack = np.zeros((len(self.blocks), self.n, self.n))
-        except (ValueError, MemoryError):  # n is on the header, the first line with content
-            header = next(k for k in range(self.size) if k not in self.skipped)
-            raise ParseError(
-                header + 1, f"cannot allocate {len(self.blocks)} matrices of dimension {self.n}"
-            ) from None
-        for out, (rows, at, stop, context) in zip(stack, self.blocks):
-            lines = self.text[at:stop].splitlines()
-            if not isinstance(rows, range):
-                lines = [lines[k - rows[0]] for k in rows]  # without the blank and comment lines
-            entries, error = self._load_block(lines, rows, context)
-            self._scatter(entries, lines, rows, out)  # an error on an earlier line wins
-            if error is not None:
-                raise error
-        return stack
-
-    def _load_block(self, lines: list, rows, context: str):
+    def _load_block(self, lines: list, rows, context: str, n: int):
         if _BULK and lines:
             try:
                 return np.loadtxt(lines, dtype=_ENTRY, ndmin=1, comments=None), None
             except ValueError:
                 pass
-        return self._scan(lines, rows, context)
+        return self._scan(lines, rows, context, n)
 
-    def _scan(self, lines: list, rows, context: str):
+    def _scan(self, lines: list, rows, context: str, n: int):
         """Read a block with Python's int and float, up to its first bad token.
 
         Returns the entries before the offending line and that line's
         ParseError, or all entries and None.
         """
-        n = self.n
         out = []
         for k, line in zip(rows, lines):
             no, parts = k + 1, line.split()
@@ -239,7 +220,7 @@ class _Cursor:
         duplicates.  A repeated entry must repeat its value, and its last
         occurrence is written.
         """
-        n = self.n
+        n = len(out)
         i, j, v = entries["i"], entries["j"], entries["v"]
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         flat = lo * n + hi
@@ -266,49 +247,56 @@ class _Cursor:
         out[hi, lo] = v
 
 
-def _read(text: str, walk):
-    """Walk the keyword structure of ``text``, then load its entry blocks.
-
-    An error the walk meets is raised only after the blocks before it are
-    read, so the first offending line is the one reported.  Returns what
-    ``walk`` returns and the stack of blocks.
-    """
-    cur = _Cursor(text)
+def _stack(no: int, count: int, n: int) -> np.ndarray:
+    """The zeroed (count, n, n) stack that the header on line ``no`` announces."""
     try:
-        result, late = walk(cur), None
-    except ParseError as exc:
-        result, late = None, exc
-    stack = cur.load()
-    if late is not None:
-        raise late
-    return result, stack
+        return np.zeros((count, n, n))
+    except (ValueError, MemoryError):
+        raise ParseError(no, f"cannot allocate {count} matrices of dimension {n}") from None
 
 
-def _mat_blocks(cur: _Cursor, n: int, m: int):
-    for k in range(m):
+def _dims(cur: _Cursor, keyword: str | None = None):
+    """The line number, n and m of the header 'n m', or '<keyword> n m'."""
+    head = f"{keyword} " if keyword else ""
+    no, line = cur.take(f"header '{head}n m'")
+    parts = line.split()
+    if keyword is not None:
+        parts = parts[1:] if parts[0] == keyword else []
+    if len(parts) != 2:
+        raise ParseError(no, f"{head}header must be '{head}n m'")
+    n = _parse_int(parts[0], no, "dimension")
+    m = _parse_int(parts[1], no, "matrix count")
+    if n < 1 or m < 1:
+        raise ParseError(no, "n and m must be positive")
+    return no, n, m
+
+
+def _values(cur: _Cursor, keyword: str, m: int, what: str) -> np.ndarray:
+    """The m values of the line '<keyword> v1 ... vm'."""
+    no, line = cur.take(f"'{keyword} ...' line")
+    parts = line.split()
+    if parts[0] != keyword or len(parts) != m + 1:
+        raise ParseError(no, f"expected '{keyword}' with {m} values")
+    return np.array([_parse_float(v, no, what) for v in parts[1:]])
+
+
+def _mat_blocks(cur: _Cursor, stack: np.ndarray):
+    for k, out in enumerate(stack):
         no, line = cur.take(f"'mat {k}' header")
         parts = line.split()
         if parts[0] != "mat" or len(parts) != 2:
             raise ParseError(no, f"expected 'mat {k}' header, got {line!r}")
         if _parse_int(parts[1], no, "matrix index") != k:
-            raise ParseError(no, f"matrix headers must run 0..{m - 1} in order")
-        cur.entries(n, f"mat {k}")
+            raise ParseError(no, f"matrix headers must run 0..{len(stack) - 1} in order")
+        cur.entries(out, f"mat {k}")
 
 
 def parse_matrix_collection(text: str) -> PsdCollection:
-    def walk(cur):
-        no, header = cur.take("header 'n m'")
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError(no, "header must be 'n m'")
-        n = _parse_int(parts[0], no, "dimension")
-        m = _parse_int(parts[1], no, "matrix count")
-        if n < 1 or m < 1:
-            raise ParseError(no, "n and m must be positive")
-        _mat_blocks(cur, n, m)
-        cur.expect_end()
-
-    _, stack = _read(text, walk)
+    cur = _Cursor(text)
+    no, n, m = _dims(cur)
+    stack = _stack(no, m, n)
+    _mat_blocks(cur, stack)
+    cur.expect_end()
     return PsdCollection.from_matrices(stack)
 
 
@@ -411,58 +399,28 @@ def parse_family(text: str) -> list:
 
 
 def parse_sdp(text: str) -> SdpInstance:
-    def walk(cur):
-        no, header = cur.take("header 'sdp n m'")
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "sdp":
-            raise ParseError(no, "sdp header must be 'sdp n m'")
-        n = _parse_int(parts[1], no, "dimension")
-        m = _parse_int(parts[2], no, "matrix count")
-        if n < 1 or m < 1:
-            raise ParseError(no, "n and m must be positive")
-        _mat_blocks(cur, n, m)
-        no, line = cur.take("'target' header")
-        if line != "target":
-            raise ParseError(no, f"expected 'target', got {line!r}")
-        cur.entries(n, "target")
-        no, line = cur.take("'cost ...' line")
-        parts = line.split()
-        if parts[0] != "cost" or len(parts) != m + 1:
-            raise ParseError(no, f"expected 'cost' with {m} values")
-        cost = np.array([_parse_float(v, no, "cost") for v in parts[1:]])
-        no, line = cur.take("'feasible ...' line")
-        parts = line.split()
-        if parts[0] != "feasible" or len(parts) != m + 1:
-            raise ParseError(no, f"expected 'feasible' with {m} values")
-        z_star = np.array([_parse_float(v, no, "feasible value") for v in parts[1:]])
-        cur.expect_end()
-        return cost, z_star
-
-    (cost, z_star), stack = _read(text, walk)
+    cur = _Cursor(text)
+    no, n, m = _dims(cur, "sdp")
+    stack = _stack(no, m + 1, n)
+    _mat_blocks(cur, stack[:-1])
+    no, line = cur.take("'target' header")
+    if line != "target":
+        raise ParseError(no, f"expected 'target', got {line!r}")
+    cur.entries(stack[-1], "target")
+    cost = _values(cur, "cost", m, "cost")
+    z_star = _values(cur, "feasible", m, "feasible value")
+    cur.expect_end()
     return SdpInstance(matrices=stack[:-1], target=stack[-1], cost=cost, z_star=z_star)
 
 
 def parse_simplex(text: str) -> tuple[np.ndarray, PsdCollection]:
-    def walk(cur):
-        no, header = cur.take("header 'simplex n m'")
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "simplex":
-            raise ParseError(no, "simplex header must be 'simplex n m'")
-        n = _parse_int(parts[1], no, "dimension")
-        m = _parse_int(parts[2], no, "matrix count")
-        if n < 1 or m < 1:
-            raise ParseError(no, "n and m must be positive")
-        no, line = cur.take("'lambda ...' line")
-        parts = line.split()
-        if parts[0] != "lambda" or len(parts) != m + 1:
-            raise ParseError(no, f"expected 'lambda' with {m} values")
-        lam = np.array([_parse_float(v, no, "lambda value") for v in parts[1:]])
-        _mat_blocks(cur, n, m)
-        cur.expect_end()
-        return lam
-
-    lam, stack = _read(text, walk)
-    return lam, PsdCollection.from_matrices([] if stack is None else stack)
+    cur = _Cursor(text)
+    no, n, m = _dims(cur, "simplex")
+    lam = _values(cur, "lambda", m, "lambda value")
+    stack = _stack(no, m, n)
+    _mat_blocks(cur, stack)
+    cur.expect_end()
+    return lam, PsdCollection.from_matrices(stack)
 
 
 def _fmt(value: float) -> str:
