@@ -3,7 +3,8 @@
 
     python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR] [--algos A,B]
 
-The inputs are small fixtures, each run with every algorithm at eps 0.45
+The inputs are small fixtures (two of them with comment and blank lines
+between their entry lines), each run with every algorithm at eps 0.45
 and 0.5, and the inputs of every benchmark workload for seeds 1-3, each
 run with that workload's job list (``bench/workloads.py``, imported and
 used as it is).  The inputs are written once, with the writers of
@@ -45,6 +46,8 @@ WORKLOAD_SEEDS = (1, 2, 3)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # largest relative weight difference of an output labelled ``rounding``
 ROUNDING = 1e-12
+# a comment line and a blank line, put between the lines of some fixtures
+GAP = "# a comment\n\n"
 
 
 def fixture_files(directory: Path) -> dict:
@@ -57,6 +60,16 @@ def fixture_files(directory: Path) -> dict:
     # differently from a running sum
     scalars = [10.0 ** ((5 * k) % 7 - 3) / 3.0 for k in range(12)]
     scalar_mats = "".join(f"mat {k}\n0 0 {v!r}\n" for k, v in enumerate(scalars))
+    # the commented variants put GAP inside a mat block, before and inside the
+    # target block and between lambda and mat 0
+    sdp = (
+        "sdp 2 3\nmat 0\n0 0 1.0\nmat 1\n1 1 1.0\nmat 2\n0 0 0.5\n{gap}1 1 0.5\n"
+        "{gap}target\n0 0 0.5\n{gap}1 1 0.5\ncost 1.0 2.0 0.5\nfeasible 1.0 1.0 1.0\n"
+    )
+    simplex = (
+        "simplex 2 2\nlambda 0.5 0.5\n{gap}mat 0\n0 0 1.0\n{gap}1 1 1.0\n"
+        "mat 1\n0 0 2.0\n1 1 2.0\n"
+    )
     texts = {
         "pair": ("matrices", {"input": "2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n"}),
         "identity4": (
@@ -76,13 +89,8 @@ def fixture_files(directory: Path) -> dict:
             "hypergraph",
             {"input": io.emit_hypergraph(instances.random_uniform_hypergraph(6, 8, 3, seed=0))},
         ),
-        "sdp": (
-            "sdp",
-            {
-                "input": "sdp 2 3\nmat 0\n0 0 1.0\nmat 1\n1 1 1.0\nmat 2\n0 0 0.5\n1 1 0.5\n"
-                "target\n0 0 0.5\n1 1 0.5\ncost 1.0 2.0 0.5\nfeasible 1.0 1.0 1.0\n"
-            },
-        ),
+        "sdp": ("sdp", {"input": sdp.format(gap="")}),
+        "sdp-commented": ("sdp", {"input": sdp.format(gap=GAP)}),
         "sdp-scalars": (
             "sdp",
             {
@@ -91,13 +99,8 @@ def fixture_files(directory: Path) -> dict:
                 f"feasible {' '.join(repr(1.0 / (k % 5 + 1)) for k in range(12))}\n"
             },
         ),
-        "simplex": (
-            "simplex",
-            {
-                "input": "simplex 2 2\nlambda 0.5 0.5\n"
-                "mat 0\n0 0 1.0\n1 1 1.0\nmat 1\n0 0 2.0\n1 1 2.0\n"
-            },
-        ),
+        "simplex": ("simplex", {"input": simplex.format(gap="")}),
+        "simplex-commented": ("simplex", {"input": simplex.format(gap=GAP)}),
     }
     files = {}
     for name, (kind, parts) in texts.items():

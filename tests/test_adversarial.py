@@ -11,7 +11,9 @@ caller's dense B_i.  A run that fails must raise a ``SparsifyError``.
 
 Rows collections get the same check against ``verify_sandwich`` from random
 small connected graphs and 3-uniform hypergraphs, through
-``sparsify_graph`` and ``sparsify_hypergraph``.
+``sparsify_graph`` and ``sparsify_hypergraph``; and through
+``sparsify_with_costs`` (the graph's certificate) and
+``subgraph_family_sparsify`` (the graph's and each member's certificate).
 """
 
 import itertools
@@ -24,10 +26,15 @@ from hypothesis import strategies as st
 from psdsparsify.applications import (
     WeightedGraph,
     WeightedHypergraph,
+    cost_lifted_collection,
     edge_collection,
+    family_lifted_collection,
+    family_members,
     hyperedge_collection,
     sparsify_graph,
     sparsify_hypergraph,
+    sparsify_with_costs,
+    subgraph_family_sparsify,
 )
 from psdsparsify.errors import SparsifyError
 from psdsparsify.instances import random_psd_collection
@@ -118,21 +125,41 @@ def three_uniform_hypergraphs(draw):
     return WeightedHypergraph(n=n, hyperedges=[(t, draw(WEIGHTS)) for t in sorted(kept)])
 
 
-def _every_certificate_matches(sparsify, instance, coll):
-    rank = reduce_to_identity(coll).rank
+@st.composite
+def graphs_with_costs(draw):
+    g = draw(connected_graphs())
+    return g, [draw(st.lists(WEIGHTS, min_size=g.m, max_size=g.m))]
+
+
+@st.composite
+def graphs_with_families(draw):
+    g = draw(connected_graphs())
+    member = st.lists(st.sampled_from([(u, v) for u, v, _ in g.edges]), min_size=1, unique=True)
+    return g, draw(st.lists(member, min_size=1, max_size=2))
+
+
+def _every_certificate_matches(run, lifted, certificates=None):
+    """Run every algorithm as ``run(algo)`` on the collection ``lifted``.
+
+    ``certificates(result)`` gives (certificate, collection, weights) for
+    each certificate the result holds, by default the result's own
+    certificate of ``lifted``.  Each must agree with ``verify_sandwich``.
+    """
+    rank = reduce_to_identity(lifted).rank
     compared = []
     for algo in ALGORITHMS:
         if algo == "mmwum-block" and rank > BLOCK_MAX_RANK:
             continue
         try:
-            result = sparsify(instance, 0.5, algo)
+            result = run(algo)
         except SparsifyError:
             continue
-        want = verify_sandwich(coll, result.weights)
-        got = result.certificate
-        assert got.lambda_min == pytest.approx(want.lambda_min, rel=1e-8)
-        assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-8)
-        assert got.support_size == want.support_size
+        own = [(result.certificate, lifted, result.weights)]
+        for got, coll, weights in certificates(result) if certificates else own:
+            want = verify_sandwich(coll, weights)
+            assert got.lambda_min == pytest.approx(want.lambda_min, rel=1e-8)
+            assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-8)
+            assert got.support_size == want.support_size
         compared.append(algo)
     # bss is deterministic and always certifies, so no example passes unchecked
     assert "bss" in compared
@@ -141,10 +168,43 @@ def _every_certificate_matches(sparsify, instance, coll):
 @given(connected_graphs())
 @settings(max_examples=6, deadline=None)
 def test_graph_certificate_matches_recertification(g):
-    _every_certificate_matches(sparsify_graph, g, edge_collection(g))
+    _every_certificate_matches(lambda algo: sparsify_graph(g, 0.5, algo), edge_collection(g))
 
 
 @given(three_uniform_hypergraphs())
 @settings(max_examples=6, deadline=None)
 def test_hypergraph_certificate_matches_recertification(h):
-    _every_certificate_matches(sparsify_hypergraph, h, hyperedge_collection(h))
+    _every_certificate_matches(
+        lambda algo: sparsify_hypergraph(h, 0.5, algo), hyperedge_collection(h)
+    )
+
+
+@given(graphs_with_costs())
+@settings(max_examples=6, deadline=None)
+def test_cost_certificate_matches_recertification(case):
+    g, costs = case
+    _every_certificate_matches(
+        lambda algo: sparsify_with_costs(g, costs, 0.5, algo),
+        cost_lifted_collection(g, costs),
+        lambda result: [(result.certificate, edge_collection(g), result.weights)],
+    )
+
+
+@given(graphs_with_families())
+@settings(max_examples=6, deadline=None)
+def test_family_certificates_match_recertification(case):
+    g, family = case
+    members = [indices for _, indices in family_members(g, family)]
+
+    def certificates(result):
+        assert len(result.member_certificates) == len(members)
+        yield result.certificate, edge_collection(g), result.weights
+        for cert, indices in zip(result.member_certificates, members):
+            member = WeightedGraph(n=g.n, edges=[g.edges[i] for i in indices])
+            yield cert, edge_collection(member), result.weights[indices]
+
+    _every_certificate_matches(
+        lambda algo: subgraph_family_sparsify(g, family, 0.5, algo),
+        family_lifted_collection(g, family),
+        certificates,
+    )

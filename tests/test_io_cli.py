@@ -153,6 +153,13 @@ _MAT_BLOCK_ERRORS = {
         f"cannot allocate 1 matrices of dimension {10**20}"),
     "sdp-huge-dimension": ("sdp", f"sdp {10**20} 1\nmat 0\ntarget\ncost 1\nfeasible 1\n", 1,
         f"cannot allocate 2 matrices of dimension {10**20}"),
+    # the header's count is allocated at once, so a truncated body is not reached
+    "huge-count": ("matrices", f"2 {10**18}\nmat 0\n0 0 1\n", 1,
+        f"cannot allocate {10**18} matrices of dimension 2"),
+    "sdp-huge-count": ("sdp", f"sdp 2 {10**18}\nmat 0\n0 0 1\n", 1,
+        f"cannot allocate {10**18 + 1} matrices of dimension 2"),
+    "simplex-huge-count-lambda-first": ("simplex", f"simplex 2 {10**18}\nlambda 1\n", 2,
+        f"expected 'lambda' with {10**18} values"),
 }
 
 

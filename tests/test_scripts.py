@@ -17,6 +17,7 @@ RUNS = {
     "sparsify_random_graph.py": (["--n", "6"], "worst cut distortion over 31 cuts: "),
     "io_peak.py": (["--n", "4", "--m", "10"], "whiten  best of 5: "),
     "graph_scale.py": (["--n", "30", "--p", "0.3"], "exit 0, passed true"),
+    "first_window_step.py": (["--tiny"], "dense-r30 seed=1 bss: T "),
 }
 
 
