@@ -3,8 +3,9 @@
 
     python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR] [--algos A,B]
 
-The inputs are small fixtures (two of them with comment and blank lines
-between their entry lines), each run with every algorithm at eps 0.45
+The inputs are small fixtures (three of them with comment and blank lines
+between their entry lines, one of these spread over three read batches of
+``mat`` blocks), each run with every algorithm at eps 0.45
 and 0.5, and the inputs of every benchmark workload for seeds 1-3, each
 run with that workload's job list (``bench/workloads.py``, imported and
 used as it is).  The inputs are written once, with the writers of
@@ -70,6 +71,13 @@ def fixture_files(directory: Path) -> dict:
         "simplex 2 2\nlambda 0.5 0.5\n{gap}mat 0\n0 0 1.0\n{gap}1 1 1.0\n"
         "mat 1\n0 0 2.0\n1 1 2.0\n"
     )
+    # 150 blocks of 11 lines with GAP after every 23rd line, so that it falls
+    # after headers, between entries and between blocks, in every read batch
+    spread = io.emit_matrix_collection(instances.random_psd_collection(4, 150, seed=5))
+    spread = "".join(
+        line + (GAP if k % 23 == 22 else "")
+        for k, line in enumerate(spread.splitlines(keepends=True))
+    )
     texts = {
         "pair": ("matrices", {"input": "2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n"}),
         "identity4": (
@@ -81,6 +89,7 @@ def fixture_files(directory: Path) -> dict:
             {"input": io.emit_matrix_collection(instances.random_psd_collection(4, 12, seed=3))},
         ),
         "scalars12": ("matrices", {"input": f"1 12\n{scalar_mats}"}),
+        "random4x150-commented": ("matrices", {"input": spread}),
         "k5": ("graph", {"input": io.emit_graph(instances.complete_graph(5))}),
         "k6": ("graph", {"input": io.emit_graph(instances.complete_graph(6))}),
         "k4-costs": ("graph", {"input": k4, "costs": "1 6\n1 1 1 1 1 1\n"}),

@@ -9,9 +9,10 @@ emitted text, the best of 5 wall-clock times and the tracemalloc peak of
 one call as a multiple of the text's length; and the same for
 ``reduce_to_identity`` on the parsed collection, its peak as a multiple
 of the bytes of the collection's stack, followed by the bytes of the
-arrays the returned ``ReducedInstance`` keeps (its factor rows, traces,
-basis and whitener) as a multiple of the same stack.  The defaults match
-the ``dense-r30`` benchmark input (about 7 MB of text).
+arrays the returned ``ReducedInstance`` keeps (its factor rows, their
+row bounds and the traces) as a multiple of the same stack.  The parse
+includes the PSD check of the parsed stack.  The defaults match the
+``dense-r30`` benchmark input (about 7 MB of text).
 """
 
 import argparse

@@ -107,6 +107,7 @@ def run(config: AlgorithmConfig, data, kind: str = "matrices", costs=None, famil
     if kind == "matrices":
         n, m = data.dim, len(data)
         reduced = reduce_to_identity(data)
+        del data  # the solvers read only the whitened rows: free a caller's parsed stack
         raw = run_algorithm(reduced, eps, **kw)
         result = apps.Sparsification(
             weights=raw.weights,
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
         if (args.costs or args.family) and args.kind != "graph":
             raise ValueError("--costs/--family apply only to --kind graph")
         with open(args.input, encoding="utf-8") as fh:
-            data = _PARSERS[args.kind](fh.read())
+            parsed = [_PARSERS[args.kind](fh.read())]
         costs = family = None
         if args.costs:
             with open(args.costs, encoding="utf-8") as fh:
@@ -230,7 +231,8 @@ def main(argv=None) -> int:
         if args.family:
             with open(args.family, encoding="utf-8") as fh:
                 family = io.parse_family(fh.read())
-        report = run(config, data, kind=args.kind, costs=costs, family=family)
+        # popped into the call, so that run holds the only reference to the input
+        report = run(config, parsed.pop(), kind=args.kind, costs=costs, family=family)
         text = emit(report)  # before open: an emit that raises leaves no empty file
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -18,15 +18,17 @@ sdp          sdp n m | m mat blocks | target block | cost ... | feasible ...
 simplex      simplex n m | lambda ... | m mat blocks
 
 The header of the matrices, sdp and simplex formats announces one
-``(count, n, n)`` stack, allocated once.  Each entry block is read where
-the parser meets it: its lines are sliced out of the text and read with
-one ``numpy.loadtxt`` call, then checked for range, finiteness and
-duplicates and written into its matrix of the stack before the parser
-moves on, so errors come out in text order.  No list of every line of
-the text is built, on reading or on writing.
-Python's ``int`` and ``float`` define the valid tokens; a block whose
-tokens ``loadtxt`` rejects is scanned line by line with them to find the
-offending line.
+``(count, n, n)`` stack, allocated once.  The entry blocks are read
+``FACTOR_BATCH`` at a time: the headers of a batch are checked, then the
+entry lines of all its blocks go through one ``numpy.loadtxt`` call and
+one whole-array check for range, finiteness and duplicates, and are
+written into their matrices of the stack before the next batch is read.
+Only the lines of one block are held as strings at a time; no list of
+every line of the text is built, on reading or on writing.  Line numbers
+are counted only where a line is reported.
+Python's ``int`` and ``float`` define the valid tokens; a batch whose
+tokens ``loadtxt`` rejects is scanned line by line with them up to the
+offending line, so errors come out in text order.
 """
 
 from __future__ import annotations
@@ -34,14 +36,24 @@ from __future__ import annotations
 import re
 import warnings
 from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 
 from .applications import SdpInstance, WeightedGraph, WeightedHypergraph
 from .errors import ParseError
-from .linalg import PsdCollection
+from .linalg import FACTOR_BATCH, PsdCollection
 
-_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+def _entry_type(n: int) -> np.dtype:
+    """The record of one 'i j value' line of a member of dimension ``n``.
+
+    The indices take the narrowest type that holds every index below n, so
+    a line of a member below dimension 2**15 takes 12 bytes, half the text it
+    is read from.  No stack of dimension 2**31 can be allocated.
+    """
+    index = np.int16 if n < 2**15 else np.int32
+    return np.dtype([("i", index), ("j", index), ("v", np.float64)])
 
 
 def _loadtxt_rejects_float_indices() -> bool:
@@ -53,7 +65,7 @@ def _loadtxt_rejects_float_indices() -> bool:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         try:
-            np.loadtxt(["1.0"], dtype=np.int64)
+            np.loadtxt(["1.0"], dtype=np.int16)
         except ValueError:
             return True
     return False
@@ -62,10 +74,10 @@ def _loadtxt_rejects_float_indices() -> bool:
 # where loadtxt would read the index '1.0' as 1, every block is scanned
 _BULK = _loadtxt_rejects_float_indices()
 
-# A line whose first token is ASCII digits after optional signs is an entry
-# line; every line these patterns do not vouch for is classified in Python.
-_PLAIN_ENTRY = re.compile(r"[ \t]*[+-]*[0-9]+(?:[ \t\n]|\Z)")
-_OTHER_LINE = re.compile(r"\n(?![ \t]*[+-]*[0-9]+(?:[ \t\n]|\Z))")
+# A line that starts with ASCII digits and a space or tab is an entry line;
+# every line these patterns do not vouch for is classified in Python.
+_PLAIN_ENTRY = re.compile(r"[0-9]+[ \t]")
+_OTHER_LINE = re.compile(r"\n(?![0-9]+[ \t])")
 # str.splitlines also breaks lines at these, and at \r\n
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAK = re.compile(r"\r\n?|[\v\f\x1c-\x1e\x85\u2028\u2029]")
@@ -100,151 +112,235 @@ def _out_of_range(i: int, j: int, n: int) -> str:
     return f"entry ({i}, {j}) out of range for n = {n}"
 
 
-class _Cursor:
-    """The content lines of a text, taken one at a time or a block at once.
+def _is_content(line: str) -> bool:
+    """Whether a line is neither blank nor a full-line comment."""
+    parts = line.split(maxsplit=1)
+    return bool(parts) and not parts[0].startswith("#")
 
-    The text is kept whole; no list of its lines is built.  One regex pass
-    finds the lines that do not start with an integer token, with their
-    numbers and offsets.  Only those are looked at in Python: blank lines
-    and comments go to ``skip``, and the rest, the keyword lines that end
-    an entry block, go to ``stops``.  ``take`` slices its line out of the
-    text, and ``entries`` reads a block where it stands, into its matrix
-    of the stack that the header announces.
+
+class _Cursor:
+    """The content lines of a text, taken one at a time or a batch of blocks at once.
+
+    The text is kept whole; no list of its lines is built, and the cursor
+    moves by offsets.  One regex pass finds the lines that do not start
+    with an integer token.  Only those are looked at in Python: blank
+    lines and comments go to ``skip``, and the rest, the keyword lines that
+    end an entry block, go to ``stops``.  ``take`` slices its line out of
+    the text, ``block`` steps over an entry block, and ``read`` reads the
+    blocks it stepped over into their matrices.  A line's number is
+    counted from the last one counted, only when it is asked for.
     """
 
     def __init__(self, text: str):
         if any(c in text for c in _BREAKS):  # faster than one regex search
             text = _BREAK.sub("\n", text)
         self.text = text
-        self.size = text.count("\n") + (text[-1:] not in ("", "\n"))  # lines in the text
-        others = [] if _PLAIN_ENTRY.match(text) else [(0, 0)]
-        k = prev = 0
-        for hit in _OTHER_LINE.finditer(text):
-            k += text.count("\n", prev, hit.start()) + 1
-            prev = hit.start() + 1
-            others.append((k, prev))
+        others = [] if _PLAIN_ENTRY.match(text) else [0]
+        others += [hit.start() + 1 for hit in _OTHER_LINE.finditer(text)]
         self.skip = []
         self.stops = []
-        for k, at in others:
-            if k == self.size:
+        for at in others:
+            if at == len(text):
                 break  # the empty piece after a final newline
-            line = text[at : self._end(at)].strip()
-            if not line or line.startswith("#"):
-                self.skip.append(k)
+            line = text[at : self._end(at)]
+            if not _is_content(line):
+                self.skip.append(at)
             elif not line.split()[0].lstrip("+-").isdigit():
-                self.stops.append((k, at))
+                self.stops.append(at)
         self.skipped = set(self.skip)
-        self.pos = self.at = 0  # the number and the offset of the next line
+        self.at = 0  # the offset of the next line
+        self._counted = (0, 1)  # an offset at the start of a line, and that line's number
+
+    def line_no(self, at: int) -> int:
+        """The number of the line that starts at offset ``at``."""
+        since, no = self._counted
+        if at < since:
+            since, no = 0, 1
+        no += self.text.count("\n", since, at)
+        self._counted = (at, no)
+        return no
 
     def _end(self, at: int) -> int:
         end = self.text.find("\n", at)
         return len(self.text) if end < 0 else end
 
     def _next(self) -> int:
-        while self.pos in self.skipped:
-            self.pos, self.at = self.pos + 1, self._end(self.at) + 1
-        return self.pos
+        while self.at in self.skipped:
+            self.at = self._end(self.at) + 1
+        return self.at
 
     def done(self) -> bool:
-        return self._next() >= self.size
+        return self._next() >= len(self.text)
+
+    def _last_line(self) -> int:
+        """The number of the last content line, or 1 in a text without one."""
+        end = len(self.text) - self.text.endswith("\n")
+        while end >= 0:
+            at = self.text.rfind("\n", 0, end) + 1
+            if at not in self.skipped:
+                return self.line_no(at)
+            end = at - 1
+        return 1
+
+    def take_at(self, what: str):
+        """The offset and the stripped text of the next content line, which is taken."""
+        if self.done():
+            raise ParseError(self._last_line(), f"unexpected end of input, expected {what}")
+        at, end = self.at, self._end(self.at)
+        self.at = end + 1
+        return at, self.text[at:end].strip()
 
     def take(self, what: str):
-        if self.done():
-            content = (k for k in reversed(range(self.size)) if k not in self.skipped)
-            raise ParseError(next(content, 0) + 1, f"unexpected end of input, expected {what}")
-        end = self._end(self.at)
-        no, line = self.pos + 1, self.text[self.at : end].strip()
-        self.pos, self.at = no, end + 1
-        return no, line
+        """The number and the stripped text of the next content line, which is taken."""
+        at, line = self.take_at(what)
+        return self.line_no(at), line
 
     def expect_end(self):
         if not self.done():
             line = self.text[self.at : self._end(self.at)].strip()
-            raise ParseError(self.pos + 1, f"unexpected trailing content {line!r}")
+            raise ParseError(self.line_no(self.at), f"unexpected trailing content {line!r}")
 
-    def entries(self, out: np.ndarray, context: str):
-        """Read the 'i j value' lines up to the next keyword line into ``out``, mirrored.
+    def block(self, name: str) -> tuple[int, int, str]:
+        """Step over the entry lines up to the next keyword line.
 
-        The block is split into lines, read, checked and written before the
-        cursor moves on, so the lines and entries of one block are all that
-        is held beside the text and the stack.  Raises the ParseError of
-        the block's first offending line.
+        Returns their offsets and ``name``, which names the block in errors.
         """
         start = self._next()
-        at = bisect_left(self.stops, (start, 0))
-        end, stop = self.stops[at] if at < len(self.stops) else (self.size, len(self.text))
-        lines = self.text[self.at : stop].splitlines()
-        rows = range(start, end)
-        if self.skip[bisect_left(self.skip, start) : bisect_left(self.skip, end)]:
-            rows = [k for k in rows if k not in self.skipped]
-            lines = [lines[k - start] for k in rows]  # without the blank and comment lines
-        entries, error = self._load_block(lines, rows, context, len(out))
-        self._scatter(entries, lines, rows, out)  # an error on an earlier line wins
-        if error is not None:
-            raise error
-        self.pos, self.at = end, stop
+        at = bisect_left(self.stops, start)
+        self.at = self.stops[at] if at < len(self.stops) else len(self.text)
+        return start, self.at, name
 
-    def _load_block(self, lines: list, rows, context: str, n: int):
-        if _BULK and lines:
+    def _lines(self, block: tuple[int, int, str]) -> list:
+        """The entry lines of one block, without its blank and comment lines."""
+        start, stop, _ = block
+        lines = self.text[start:stop].splitlines()
+        at = bisect_left(self.skip, start)
+        if at < len(self.skip) and self.skip[at] < stop:
+            lines = list(filter(_is_content, lines))
+        return lines
+
+    def _line(self, block: tuple[int, int, str], k: int) -> tuple[int, str]:
+        """The number and the text of entry line ``k`` of one block."""
+        start, stop, _ = block
+        lines = self.text[start:stop].splitlines()
+        at = [row for row, line in enumerate(lines) if _is_content(line)][k]
+        return self.line_no(start) + at, lines[at]
+
+    def read(self, out: np.ndarray, blocks: list):
+        """Read the entry blocks that ``block`` stepped over into the members of
+        ``out``, mirrored.
+
+        All their entry lines go through one ``loadtxt`` call, fed one block's
+        lines at a time, and one check.  Raises the ParseError of the first
+        offending line.
+        """
+        counts = []
+
+        def lines(block):
+            kept = self._lines(block)
+            counts.append(len(kept))
+            return kept
+
+        entry = _entry_type(out.shape[1])
+        entries = error = None
+        if _BULK:
+            fed = chain.from_iterable(map(lines, blocks))
+            first = next(fed, None)  # loadtxt warns when it reads no line at all
             try:
-                return np.loadtxt(lines, dtype=_ENTRY, ndmin=1, comments=None), None
+                entries = np.zeros(0, entry) if first is None else np.loadtxt(
+                    chain((first,), fed), dtype=entry, ndmin=1, comments=None
+                )
             except ValueError:
                 pass
-        return self._scan(lines, rows, context, n)
+        if entries is None:
+            entries, counts, error = self._scan(blocks, out.shape[1])
+        self._check(out, entries, counts, blocks)  # an error on an earlier line wins
+        if error is not None:
+            raise error
+        del entries  # freed before the mirror's gather copy
+        # the entries went to the upper triangles; the strict lower ones are still zero
+        lower = np.tril_indices(out.shape[1], -1)
+        out[:, lower[0], lower[1]] = out[:, lower[1], lower[0]]
 
-    def _scan(self, lines: list, rows, context: str, n: int):
-        """Read a block with Python's int and float, up to its first bad token.
+    def _scan(self, blocks: list, n: int):
+        """Read blocks with Python's int and float, up to their first bad token.
 
-        Returns the entries before the offending line and that line's
-        ParseError, or all entries and None.
+        Returns the entries before the offending line, the count of them in
+        each block read, and that line's ParseError, or all entries, their
+        counts and None.
         """
-        out = []
-        for k, line in zip(rows, lines):
-            no, parts = k + 1, line.split()
-            try:
-                if len(parts) != 3:
-                    raise ParseError(no, f"expected 'i j value' in {context}")
-                i = _parse_int(parts[0], no, "row index")
-                j = _parse_int(parts[1], no, "column index")
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ParseError(no, _out_of_range(i, j, n))
-                out.append((i, j, _parse_float(parts[2], no, "entry value")))
-            except ParseError as exc:
-                return np.array(out, dtype=_ENTRY), exc
-        return np.array(out, dtype=_ENTRY), None
+        out, counts = [], []
+        for start, stop, name in blocks:
+            counts.append(0)
+            first = self.line_no(start)
+            for k, line in enumerate(self.text[start:stop].splitlines()):
+                if not _is_content(line):
+                    continue
+                no, parts = first + k, line.split()
+                try:
+                    if len(parts) != 3:
+                        raise ParseError(no, f"expected 'i j value' in {name}")
+                    i = _parse_int(parts[0], no, "row index")
+                    j = _parse_int(parts[1], no, "column index")
+                    if not (0 <= i < n and 0 <= j < n):
+                        raise ParseError(no, _out_of_range(i, j, n))
+                    out.append((i, j, _parse_float(parts[2], no, "entry value")))
+                except ParseError as exc:
+                    return np.array(out, dtype=_entry_type(n)), counts, exc
+                counts[-1] += 1
+        return np.array(out, dtype=_entry_type(n)), counts, None
 
-    def _scatter(self, entries: np.ndarray, lines: list, rows, out: np.ndarray):
-        """Check the entries of one block and write them, mirrored, into ``out``.
+    def _check(self, out: np.ndarray, entries: np.ndarray, counts: list, blocks: list):
+        """Check the entries of consecutive blocks and write each block's into
+        the upper triangle of its member of ``out``.
 
         Entries on one line are checked in the order range, finiteness,
-        duplicates.  A repeated entry must repeat its value, and its last
-        occurrence is written.
+        duplicates.  A repeated entry must repeat its value within its block,
+        and its last occurrence is written.
         """
-        n = len(out)
+        n = out.shape[1]
         i, j, v = entries["i"], entries["j"], entries["v"]
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        flat = lo * n + hi
-        order = np.argsort(flat, kind="stable")
-        flat_sorted, v_sorted = flat[order], v[order]
-        same = flat_sorted[1:] == flat_sorted[:-1]
-        clash = order[1:][same & (v_sorted[1:] != v_sorted[:-1])]
-        bad = (np.flatnonzero((lo < 0) | (hi >= n)), np.flatnonzero(~np.isfinite(v)), clash)
+        # the offset lo n + hi of each entry in its member, which no index of
+        # the entry type can overflow
+        keys = np.minimum(i, j, dtype=np.int32 if n < 2**15 else np.int64)
+        outside = keys < 0
+        outside |= i >= n
+        outside |= j >= n
+        outside = np.flatnonzero(outside)
+        keys *= n - 1
+        keys += i
+        keys += j  # lo (n - 1) + i + j = lo n + hi
+        counts = np.array(counts, dtype=np.int64)
+        bounds = np.cumsum(counts)
+        starts = bounds - counts
+        rising = keys[1:] > keys[:-1]
+        rising[starts[(starts > 0) & (starts < len(keys))] - 1] = True  # a new block
+        clash, last = np.zeros(0, dtype=np.int64), None
+        if not rising.all():  # so an entry may repeat
+            owner = np.repeat(np.arange(len(counts)), counts)
+            order = np.lexsort((keys, owner))  # stable
+            same = (owner[order[1:]] == owner[order[:-1]]) & (keys[order[1:]] == keys[order[:-1]])
+            clash = order[1:][same & (v[order[1:]] != v[order[:-1]])]
+            last = np.ones(len(keys), dtype=bool)
+            last[order[:-1][same]] = False
+        del rising  # so that the records, the keys and one mask bound the peak
+        bad = (outside, np.flatnonzero(~np.isfinite(v)), clash)
         first = [(int(hits.min()), check) for check, hits in enumerate(bad) if hits.size]
         if first:
             row, check = min(first)
+            block = int(np.searchsorted(bounds, row, side="right"))
+            no, line = self._line(blocks[block], row - int(starts[block]))
             if check == 0:
                 message = _out_of_range(int(i[row]), int(j[row]), n)
             elif check == 1:
-                message = f"non-finite entry value {lines[row].split()[2]!r}"
+                message = f"non-finite entry value {line.split()[2]!r}"
             else:
-                message = f"asymmetric duplicate entry at {(int(lo[row]), int(hi[row]))}"
-            raise ParseError(rows[row] + 1, message)
-        last = np.ones(len(order), dtype=bool)
-        last[:-1] = ~same
-        keep = order[last]
-        lo, hi, v = lo[keep], hi[keep], v[keep]
-        out[lo, hi] = v
-        out[hi, lo] = v
+                lo, hi = sorted((int(i[row]), int(j[row])))
+                message = f"asymmetric duplicate entry at {(lo, hi)}"
+            raise ParseError(no, message)
+        for member, start, stop in zip(out.reshape(len(out), n * n), starts, bounds):
+            rows = slice(start, stop) if last is None else start + np.flatnonzero(last[start:stop])
+            member[keys[rows]] = v[rows]
 
 
 def _stack(no: int, count: int, n: int) -> np.ndarray:
@@ -280,15 +376,32 @@ def _values(cur: _Cursor, keyword: str, m: int, what: str) -> np.ndarray:
     return np.array([_parse_float(v, no, what) for v in parts[1:]])
 
 
+def _mat_header(cur: _Cursor, k: int, m: int):
+    at, line = cur.take_at(f"'mat {k}' header")
+    parts = line.split()
+    if parts == ["mat", str(k)]:
+        return  # the usual header, whose line number is not needed
+    no = cur.line_no(at)
+    if parts[0] != "mat" or len(parts) != 2:
+        raise ParseError(no, f"expected 'mat {k}' header, got {line!r}")
+    if _parse_int(parts[1], no, "matrix index") != k:
+        raise ParseError(no, f"matrix headers must run 0..{m - 1} in order")
+
+
 def _mat_blocks(cur: _Cursor, stack: np.ndarray):
-    for k, out in enumerate(stack):
-        no, line = cur.take(f"'mat {k}' header")
-        parts = line.split()
-        if parts[0] != "mat" or len(parts) != 2:
-            raise ParseError(no, f"expected 'mat {k}' header, got {line!r}")
-        if _parse_int(parts[1], no, "matrix index") != k:
-            raise ParseError(no, f"matrix headers must run 0..{len(stack) - 1} in order")
-        cur.entries(out, f"mat {k}")
+    """Read the blocks 'mat 0' ... into ``stack``, ``FACTOR_BATCH`` at a time."""
+    for lo in range(0, len(stack), FACTOR_BATCH):
+        blocks, error = [], None
+        for k in range(lo, min(lo + FACTOR_BATCH, len(stack))):
+            try:
+                _mat_header(cur, k, len(stack))
+            except ParseError as exc:
+                error = exc  # raised after the blocks before it are read
+                break
+            blocks.append(cur.block(f"mat {k}"))
+        cur.read(stack[lo : lo + len(blocks)], blocks)
+        if error is not None:
+            raise error
 
 
 def parse_matrix_collection(text: str) -> PsdCollection:
@@ -406,7 +519,7 @@ def parse_sdp(text: str) -> SdpInstance:
     no, line = cur.take("'target' header")
     if line != "target":
         raise ParseError(no, f"expected 'target', got {line!r}")
-    cur.entries(stack[-1], "target")
+    cur.read(stack[-1:], [cur.block("target")])
     cost = _values(cur, "cost", m, "cost")
     z_star = _values(cur, "feasible", m, "feasible value")
     cur.expect_end()

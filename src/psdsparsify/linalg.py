@@ -32,6 +32,13 @@ most FACTOR_CUT * sum_j y_j tr(C_j).  A rows member is whitened by the
 one product F W and keeps every row, so the ``FACTOR_CUT`` bounds apply to
 dense members only.
 
+Dense members are checked for PSD, and whitened and factored,
+``FACTOR_BATCH`` at a time, one batch on each CPU the process may use
+(``os.sched_getaffinity``).  numpy's LAPACK and BLAS loops release the
+GIL, so plain threads decompose batches side by side.  The results are
+joined in member order, so they equal a serial run bit for bit, and the
+error of the earliest failing batch is the one raised.
+
 Every solver ends with ``certificate_for`` on its weights, and ``rescaled``
 is the one lambda_min rescale.  ``verify_sandwich`` certifies weights in the
 caller's space instead, as eigvalsh(W^T (sum_i y_i B_i) W), and factors no
@@ -40,8 +47,10 @@ member.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,8 +73,8 @@ EXP_OVERFLOW_LIMIT = 700.0
 # out of its factor rows
 FACTOR_CUT = 1e-12
 
-# dense members whitened, factored, checked or summed at a time, which bounds
-# the transient arrays
+# dense members whitened, factored, checked or summed at a time by one thread,
+# which bounds the transient arrays of each thread
 FACTOR_BATCH = 64
 
 # factor rows weighted and summed at a time, which bounds the weighted copy
@@ -102,6 +111,57 @@ def symmetric_stack(stack: np.ndarray) -> np.ndarray:
         stack = stack.copy()
         stack[skew] = symmetrize(stack[skew])
     return stack
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_batches(call, count: int) -> list:
+    """[call(lo) for lo in range(0, count, FACTOR_BATCH)], on every usable CPU.
+
+    The calling thread, and one more thread for each further usable CPU,
+    take the next batch in order until none is left; numpy's LAPACK and BLAS
+    loops release the GIL, so the batches decompose side by side.  The
+    results come back in batch order.  When calls raise, the exception of
+    the earliest batch is raised, and no batch after a failed one is
+    started.  A single batch, or a single usable CPU, starts no thread.
+    """
+    starts = range(0, count, FACTOR_BATCH)
+    workers = min(_usable_cpus(), len(starts))
+    if workers < 2:
+        return [call(lo) for lo in starts]
+    results, failures = [None] * len(starts), []
+    queue = iter(range(len(starts)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = None if failures else next(queue, None)
+            if k is None:
+                return
+            try:
+                results[k] = call(starts[k])
+            except Exception as exc:  # every batch before k was handed out already
+                with lock:
+                    failures.append((k, exc))
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def _checked_square(m: np.ndarray) -> np.ndarray:
@@ -168,6 +228,23 @@ def ln_sum_exp(w: np.ndarray) -> np.ndarray:
     return top + np.log(np.sum(np.exp(w - top[..., None]), axis=-1))
 
 
+def _check_members(stack: np.ndarray, lo: int):
+    """Raise for the first member of stack[lo : lo + FACTOR_BATCH] that is not PSD.
+
+    Members before the first non-finite one are judged first: NotPsd names
+    the first of them that fails, and otherwise the non-finite one raises
+    InvalidMatrix.
+    """
+    batch = stack[lo : lo + FACTOR_BATCH]
+    finite = np.isfinite(batch).all(axis=(1, 2))
+    upto = int(np.argmin(finite)) if not finite.all() else len(batch)
+    psd = is_psd(batch[:upto]) if upto else np.ones(0, dtype=bool)
+    if not psd.all():
+        raise NotPsd(f"matrix {lo + int(np.argmin(psd))} is not PSD at tolerance {DEFAULT_PSD_TOL}")
+    if upto < len(batch):
+        eigvalsh(batch[upto])
+
+
 @dataclass(frozen=True)
 class PsdCollection:
     """PSD matrices B_1..B_m sharing one dimension, in one of two forms.
@@ -211,16 +288,7 @@ class PsdCollection:
         dim = matrices[0].shape[0]
         stack = symmetric_stack(np.ascontiguousarray(matrices, dtype=float))
         if validate:
-            # members before the first non-finite one are judged first
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            upto = int(np.argmin(finite)) if not finite.all() else len(stack)
-            psd = is_psd(stack[:upto]) if upto else np.ones(0, dtype=bool)
-            if not psd.all():
-                raise NotPsd(
-                    f"matrix {int(np.argmin(psd))} is not PSD at tolerance {DEFAULT_PSD_TOL}"
-                )
-            if upto < len(stack):
-                eigvalsh(stack[upto])
+            _map_batches(partial(_check_members, stack), len(stack))
         return PsdCollection(dim=dim, matrices=stack)
 
     @staticmethod
@@ -294,10 +362,20 @@ def _member_sums(bounds: np.ndarray, per_row: np.ndarray) -> np.ndarray:
 def _factor(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Traces, stacked factor rows and row counts of a (k, r, r) batch of members."""
     batch = symmetric_stack(np.asarray(batch, dtype=float))
+    traces = np.trace(batch, axis1=1, axis2=2)
     w, q = eigh(batch)
+    del batch
     keep = (w > FACTOR_CUT * w[:, -1:]) & (w[:, -1:] > 0.0)
-    scaled = q.swapaxes(1, 2) * np.sqrt(np.where(keep, w, 0.0))[:, :, None]
-    return np.trace(batch, axis1=1, axis2=2), scaled[keep], keep.sum(axis=1)
+    q *= np.sqrt(np.where(keep, w, 0.0))[:, None, :]  # column k times sqrt(w_k)
+    return traces, q.swapaxes(1, 2)[keep], keep.sum(axis=1)
+
+
+def _whitened_factors(coll: "PsdCollection", whitener: np.ndarray, lo: int):
+    """``_factor`` of the dense members lo .. lo + FACTOR_BATCH - 1, whitened."""
+    c = whitener.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ whitener
+    c *= 0.5
+    c += c.swapaxes(1, 2)  # symmetrize(c), bit for bit, with one copy fewer
+    return _factor(c)
 
 
 @dataclass(frozen=True)
@@ -319,12 +397,7 @@ class ReducedInstance:
     @staticmethod
     def factored(batches) -> "ReducedInstance":
         """Factor whitened members given as (k, r, r) batches; no batch is kept."""
-        traces, rows, counts = zip(*map(_factor, batches))
-        return ReducedInstance(
-            rows=np.concatenate(rows),
-            bounds=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
-            traces=np.concatenate(traces),
-        )
+        return _joined(map(_factor, batches))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -384,6 +457,16 @@ class ReducedInstance:
         return row_weighted_sum(self.rows, self.bounds, y)
 
 
+def _joined(parts) -> ReducedInstance:
+    """The instance of ``_factor``'s results on consecutive batches of members."""
+    traces, rows, counts = zip(*parts)
+    return ReducedInstance(
+        rows=np.concatenate(rows),
+        bounds=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+        traces=np.concatenate(traces),
+    )
+
+
 def whiten(coll: PsdCollection) -> np.ndarray:
     """The whitener W = (B^+)^{1/2} P of B = sum(B_i), for the n x r
     orthonormal range basis P of B.
@@ -434,11 +517,7 @@ def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
             bounds=coll.bounds,
             traces=_member_sums(coll.bounds, np.einsum("ki,ki->k", rows, rows)),
         )
-    batches = (
-        symmetrize(whitener.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ whitener)
-        for lo in range(0, len(coll), FACTOR_BATCH)
-    )
-    return ReducedInstance.factored(batches)
+    return _joined(_map_batches(partial(_whitened_factors, coll, whitener), len(coll)))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import threading
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from psdsparsify.io_formats import (
     parse_simplex,
 )
 from psdsparsify.instances import complete_graph, identity_decomposition, random_psd_collection
-from psdsparsify.linalg import PsdCollection
+from psdsparsify.linalg import FACTOR_BATCH, PsdCollection
 from psdsparsify.sampling import aw_iteration_count, aw_sample
 
 
@@ -243,6 +244,84 @@ class TestMatBlockErrors:
     def test_members_share_one_stack(self):
         coll = parse_matrix_collection("2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n")
         assert coll.matrices[0].base is coll.matrices[1].base is not None
+
+
+# three read batches of members of dimension 3, each with all six upper entries
+_BATCHED_N = 3
+_BATCHED = emit_matrix_collection(random_psd_collection(_BATCHED_N, 2 * FACTOR_BATCH + 5, seed=4))
+_BATCHED_LINES = _BATCHED.splitlines()
+
+
+def _corrupt(lines: list, at: int, kind: str, bad_index: int):
+    """Corrupt line ``at`` (0-based) of a matrices text in place; returns its error message."""
+    parts = lines[at].split()
+    if kind == "header":
+        lines[at] = f"mat {int(parts[1]) + 1}"
+        return f"matrix headers must run 0..{2 * FACTOR_BATCH + 4} in order"
+    i, j, value = parts
+    block = max(k for k in range(at) if lines[k].startswith("mat "))
+    if kind == "token":
+        lines[at] = f"{i} {j} {value}x"
+        return f"bad entry value '{value}x'"
+    if kind == "range":
+        lines[at] = f"{i} {bad_index} {value}"
+        return f"entry ({i}, {bad_index}) out of range for n = {_BATCHED_N}"
+    if kind == "inf":
+        lines[at] = f"{i} {j} inf"
+        return "non-finite entry value 'inf'"
+    if kind == "comment":
+        lines[at] = f"{i} {j} {value} # c"
+        return f"expected 'i j value' in {lines[block]}"
+    # the entry on the line before, mirrored, with another value
+    i, j, value = lines[at - 1].split()
+    lines[at] = f"{j} {i} {float(value) + 1.0!r}"
+    return f"asymmetric duplicate entry at {tuple(sorted((int(i), int(j))))}"
+
+
+def _kinds(at: int) -> list:
+    """The corruptions that apply to line ``at`` of the batched text."""
+    if _BATCHED_LINES[at].startswith("mat "):
+        return ["header"]
+    kinds = ["token", "range", "inf", "comment"]
+    if not _BATCHED_LINES[at - 1].startswith("mat "):
+        kinds.append("duplicate")
+    return kinds
+
+
+@st.composite
+def _two_corruptions(draw):
+    """Two corruptions at lines at least two apart, so that neither touches the other's."""
+    lines = st.integers(min_value=1, max_value=len(_BATCHED_LINES) - 1)
+    first = draw(lines)
+    second = draw(lines.filter(lambda at: abs(at - first) >= 2))
+    return [
+        (at, draw(st.sampled_from(_kinds(at))), draw(st.sampled_from([-1, _BATCHED_N, 40000])))
+        for at in (first, second)
+    ]
+
+
+def _first_error(text: str):
+    with pytest.raises(ParseError) as err:
+        parse_matrix_collection(text)
+    return err.value.line_no, str(err.value)
+
+
+class TestErrorsAcrossBatches:
+    @given(_two_corruptions())
+    @settings(max_examples=80, deadline=None)
+    def test_the_earlier_of_two_corruptions_wins(self, corruptions):
+        both, alone = list(_BATCHED_LINES), []
+        for at, kind, bad_index in corruptions:
+            lines = list(_BATCHED_LINES)
+            message = _corrupt(lines, at, kind, bad_index)
+            _corrupt(both, at, kind, bad_index)
+            alone.append(("\n".join(lines) + "\n", (at + 1, f"line {at + 1}: {message}")))
+        earlier = min(expected for _, expected in alone)
+        for bulk in (True, False):
+            with mock.patch.object(io_formats, "_BULK", bulk):
+                for text, expected in alone:
+                    assert _first_error(text) == expected
+                assert _first_error("\n".join(both) + "\n") == earlier
 
 
 _FILLER = ["", "   ", "\t", "# note", "  # indented note", "#"]
@@ -495,6 +574,28 @@ class TestCli:
         assert code == 0
         assert f"algorithm {algo}" in text
         assert "passed true" in text
+
+    @pytest.mark.parametrize("algo", ["bss", "aw-sample"])
+    def test_the_parsed_stack_is_freed_before_the_solve(self, tmp_path, monkeypatch, algo):
+        # the solvers read only the whitened rows, so nothing may hold the dense stack
+        inp = tmp_path / "in.txt"
+        inp.write_text(emit_matrix_collection(random_psd_collection(6, 40, seed=1)))
+        parse, run_algorithm, stacks, freed = cli._PARSERS["matrices"], cli.run_algorithm, [], []
+
+        def recording_parse(text):
+            coll = parse(text)
+            stacks.append(weakref.ref(coll.matrices))
+            return coll
+
+        def checking_run(*args, **kwargs):
+            freed.append(stacks[0]() is None)
+            return run_algorithm(*args, **kwargs)
+
+        monkeypatch.setitem(cli._PARSERS, "matrices", recording_parse)
+        monkeypatch.setattr(cli, "run_algorithm", checking_run)
+        code, _ = self.run_cli(tmp_path, "--algo", algo, "--eps", "0.5", "--input", str(inp))
+        assert code == 0
+        assert freed == [True]
 
     def test_plain_graph_kind(self, tmp_path):
         from psdsparsify.io_formats import emit_graph

@@ -1,5 +1,7 @@
 """Core symmetric linear algebra and the whitening reduction."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -36,8 +38,10 @@ from psdsparsify.instances import (
 )
 from psdsparsify.io_formats import parse_matrix_collection, parse_sdp, parse_simplex
 from psdsparsify.linalg import (
+    FACTOR_BATCH,
     FACTOR_CUT,
     PsdCollection,
+    ReducedInstance,
     certificate_for,
     eigh,
     eigvalsh,
@@ -47,6 +51,7 @@ from psdsparsify.linalg import (
     sym_exp,
     symmetrize,
     verify_sandwich,
+    whiten,
 )
 
 from psdsparsify.mmwum_block import block_sparsify
@@ -609,3 +614,84 @@ class TestFactoredScoring:
         result = solve(reduce_to_identity(_with_zero_member(position)), 0.5)
         assert result.weights[position] == 0.0
         assert np.count_nonzero(result.weights) > 0
+
+
+# three batches, the last one short
+_BATCHED = 2 * FACTOR_BATCH + 5
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Decompose batches on two threads whatever this machine has."""
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+
+
+class TestThreadedBatches:
+    def test_reduce_matches_serial_factoring_bit_for_bit(self, two_cpus):
+        coll = random_psd_collection(5, _BATCHED, seed=8)
+        w = whiten(coll)
+        serial = ReducedInstance.factored(
+            symmetrize(w.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ w)
+            for lo in range(0, _BATCHED, FACTOR_BATCH)
+        )
+        reduced = reduce_to_identity(coll)
+        for name in ("rows", "bounds", "traces"):
+            assert getattr(reduced, name).tobytes() == getattr(serial, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(3, FACTOR_BATCH + 7), (FACTOR_BATCH + 1, 2 * FACTOR_BATCH + 2), (2, 2 * FACTOR_BATCH)],
+    )
+    def test_not_psd_names_the_lowest_index(self, two_cpus, bad):
+        stack = random_psd_collection(4, _BATCHED, seed=9).matrices.copy()
+        for k in bad:
+            stack[k] = -stack[k]
+        with pytest.raises(NotPsd, match=f"matrix {bad[0]} "):
+            PsdCollection.from_matrices(stack)
+
+    def test_a_later_failure_never_hides_an_earlier_one(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+        late = threading.Event()
+
+        def call(lo):
+            if lo == 2 * FACTOR_BATCH:
+                late.set()
+                raise ValueError("late")
+            if lo == 0:
+                late.wait(10.0)  # fails after the later batch did
+                raise ValueError("early")
+            return lo
+
+        with pytest.raises(ValueError, match="early"):
+            linalg._map_batches(call, _BATCHED)
+        assert late.is_set()
+        assert linalg._map_batches(lambda lo: lo, _BATCHED) == [0, FACTOR_BATCH, 2 * FACTOR_BATCH]
+
+    def test_every_batch_runs_once_under_contention(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 8)
+        calls, count = [], 300 * FACTOR_BATCH - 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = linalg._map_batches(lambda lo: calls.append(lo) or lo, count)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(0, count, FACTOR_BATCH))
+        assert sorted(calls) == results
+
+    def test_one_batch_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(linalg.threading, "Thread", Counted)
+        coll = random_psd_collection(4, FACTOR_BATCH, seed=10)
+        reduce_to_identity(PsdCollection.from_matrices(coll.matrices))
+        assert started == []
+        coll = random_psd_collection(4, _BATCHED, seed=10)
+        reduce_to_identity(PsdCollection.from_matrices(coll.matrices))
+        assert len(started) == 2 * 2  # two more threads for the check, two for the factoring
