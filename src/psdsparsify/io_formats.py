@@ -23,12 +23,12 @@ The header of the matrices, sdp and simplex formats announces one
 entry lines of all its blocks go through one ``numpy.loadtxt`` call and
 one whole-array check for range, finiteness and duplicates, and are
 written into their matrices of the stack before the next batch is read.
-Only the lines of one block are held as strings at a time; no list of
-every line of the text is built, on reading or on writing.  Line numbers
-are counted only where a line is reported.
-Python's ``int`` and ``float`` define the valid tokens; a batch whose
-tokens ``loadtxt`` rejects is scanned line by line with them up to the
-offending line, so errors come out in text order.
+A batch that fails either is read again line by line with Python's
+``int`` and ``float``, which define the valid tokens; that read alone
+names the offending line, so errors come out in text order.  Only the
+lines of one block are held as strings at a time; no list of every line
+of the text is built, on reading or on writing.  Line numbers are
+counted only where a line is reported.
 """
 
 from __future__ import annotations
@@ -219,20 +219,14 @@ class _Cursor:
             lines = list(filter(_is_content, lines))
         return lines
 
-    def _line(self, block: tuple[int, int, str], k: int) -> tuple[int, str]:
-        """The number and the text of entry line ``k`` of one block."""
-        start, stop, _ = block
-        lines = self.text[start:stop].splitlines()
-        at = [row for row, line in enumerate(lines) if _is_content(line)][k]
-        return self.line_no(start) + at, lines[at]
-
     def read(self, out: np.ndarray, blocks: list):
         """Read the entry blocks that ``block`` stepped over into the members of
         ``out``, mirrored.
 
         All their entry lines go through one ``loadtxt`` call, fed one block's
-        lines at a time, and one check.  Raises the ParseError of the first
-        offending line.
+        lines at a time, and one check.  A batch that fails either is read
+        again by ``_scan``, which raises the ParseError of the first offending
+        line.
         """
         counts = []
 
@@ -242,7 +236,7 @@ class _Cursor:
             return kept
 
         entry = _entry_type(out.shape[1])
-        entries = error = None
+        entries = None
         if _BULK:
             fed = chain.from_iterable(map(lines, blocks))
             first = next(fed, None)  # loadtxt warns when it reads no line at all
@@ -252,95 +246,79 @@ class _Cursor:
                 )
             except ValueError:
                 pass
-        if entries is None:
-            entries, counts, error = self._scan(blocks, out.shape[1])
-        self._check(out, entries, counts, blocks)  # an error on an earlier line wins
-        if error is not None:
-            raise error
+        if entries is None or not _stored(out, entries, counts):
+            self._scan(out, blocks)
         del entries  # freed before the mirror's gather copy
         # the entries went to the upper triangles; the strict lower ones are still zero
         lower = np.tril_indices(out.shape[1], -1)
         out[:, lower[0], lower[1]] = out[:, lower[1], lower[0]]
 
-    def _scan(self, blocks: list, n: int):
-        """Read blocks with Python's int and float, up to their first bad token.
+    def _scan(self, out: np.ndarray, blocks: list):
+        """Read blocks line by line with Python's int and float into the upper
+        triangles of the members of ``out``.
 
-        Returns the entries before the offending line, the count of them in
-        each block read, and that line's ParseError, or all entries, their
-        counts and None.
+        Each line is checked in the order field count, row index, column
+        index, range, value token, finiteness, and last whether it repeats an
+        earlier entry of its block with another value; the first failure
+        raises its ParseError.  A repeated entry's last occurrence is written.
         """
-        out, counts = [], []
-        for start, stop, name in blocks:
-            counts.append(0)
-            first = self.line_no(start)
+        n = out.shape[1]
+        for member, (start, stop, name) in zip(out.reshape(len(out), n * n), blocks):
+            first, seen = self.line_no(start), {}
             for k, line in enumerate(self.text[start:stop].splitlines()):
                 if not _is_content(line):
                     continue
                 no, parts = first + k, line.split()
-                try:
-                    if len(parts) != 3:
-                        raise ParseError(no, f"expected 'i j value' in {name}")
-                    i = _parse_int(parts[0], no, "row index")
-                    j = _parse_int(parts[1], no, "column index")
-                    if not (0 <= i < n and 0 <= j < n):
-                        raise ParseError(no, _out_of_range(i, j, n))
-                    out.append((i, j, _parse_float(parts[2], no, "entry value")))
-                except ParseError as exc:
-                    return np.array(out, dtype=_entry_type(n)), counts, exc
-                counts[-1] += 1
-        return np.array(out, dtype=_entry_type(n)), counts, None
+                if len(parts) != 3:
+                    raise ParseError(no, f"expected 'i j value' in {name}")
+                i = _parse_int(parts[0], no, "row index")
+                j = _parse_int(parts[1], no, "column index")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ParseError(no, _out_of_range(i, j, n))
+                value = _parse_float(parts[2], no, "entry value")
+                lo, hi = sorted((i, j))
+                if seen.setdefault((lo, hi), value) != value:
+                    raise ParseError(no, f"asymmetric duplicate entry at {(lo, hi)}")
+                member[lo * n + hi] = value
 
-    def _check(self, out: np.ndarray, entries: np.ndarray, counts: list, blocks: list):
-        """Check the entries of consecutive blocks and write each block's into
-        the upper triangle of its member of ``out``.
 
-        Entries on one line are checked in the order range, finiteness,
-        duplicates.  A repeated entry must repeat its value within its block,
-        and its last occurrence is written.
-        """
-        n = out.shape[1]
-        i, j, v = entries["i"], entries["j"], entries["v"]
-        # the offset lo n + hi of each entry in its member, which no index of
-        # the entry type can overflow
-        keys = np.minimum(i, j, dtype=np.int32 if n < 2**15 else np.int64)
-        outside = keys < 0
-        outside |= i >= n
-        outside |= j >= n
-        outside = np.flatnonzero(outside)
-        keys *= n - 1
-        keys += i
-        keys += j  # lo (n - 1) + i + j = lo n + hi
-        counts = np.array(counts, dtype=np.int64)
-        bounds = np.cumsum(counts)
-        starts = bounds - counts
-        rising = keys[1:] > keys[:-1]
-        rising[starts[(starts > 0) & (starts < len(keys))] - 1] = True  # a new block
-        clash, last = np.zeros(0, dtype=np.int64), None
-        if not rising.all():  # so an entry may repeat
-            owner = np.repeat(np.arange(len(counts)), counts)
-            order = np.lexsort((keys, owner))  # stable
-            same = (owner[order[1:]] == owner[order[:-1]]) & (keys[order[1:]] == keys[order[:-1]])
-            clash = order[1:][same & (v[order[1:]] != v[order[:-1]])]
-            last = np.ones(len(keys), dtype=bool)
-            last[order[:-1][same]] = False
-        del rising  # so that the records, the keys and one mask bound the peak
-        bad = (outside, np.flatnonzero(~np.isfinite(v)), clash)
-        first = [(int(hits.min()), check) for check, hits in enumerate(bad) if hits.size]
-        if first:
-            row, check = min(first)
-            block = int(np.searchsorted(bounds, row, side="right"))
-            no, line = self._line(blocks[block], row - int(starts[block]))
-            if check == 0:
-                message = _out_of_range(int(i[row]), int(j[row]), n)
-            elif check == 1:
-                message = f"non-finite entry value {line.split()[2]!r}"
-            else:
-                lo, hi = sorted((int(i[row]), int(j[row])))
-                message = f"asymmetric duplicate entry at {(lo, hi)}"
-            raise ParseError(no, message)
-        for member, start, stop in zip(out.reshape(len(out), n * n), starts, bounds):
-            rows = slice(start, stop) if last is None else start + np.flatnonzero(last[start:stop])
-            member[keys[rows]] = v[rows]
+def _stored(out: np.ndarray, entries: np.ndarray, counts: list) -> bool:
+    """Whether the entries of consecutive blocks pass the check, which they do
+    when every index is in range, every value is finite and a repeated entry
+    repeats its value within its block.  Only entries that pass are written,
+    each block's into the upper triangle of its member of ``out``; a
+    repeated entry's last occurrence is written.
+    """
+    n = out.shape[1]
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    # the offset lo n + hi of each entry in its member, which no index of
+    # the entry type can overflow
+    keys = np.minimum(i, j, dtype=np.int32 if n < 2**15 else np.int64)
+    outside = keys.min(initial=0) < 0 or max(i.max(initial=0), j.max(initial=0)) >= n
+    if outside or not np.isfinite(v).all():
+        return False
+    keys *= n - 1
+    keys += i
+    keys += j  # lo (n - 1) + i + j = lo n + hi
+    counts = np.array(counts, dtype=np.int64)
+    bounds = np.cumsum(counts)
+    starts = bounds - counts
+    rising = keys[1:] > keys[:-1]
+    rising[starts[(starts > 0) & (starts < len(keys))] - 1] = True  # a new block
+    last = None
+    if not rising.all():  # so an entry may repeat
+        owner = np.repeat(np.arange(len(counts)), counts)
+        order = np.lexsort((keys, owner))  # stable
+        same = (owner[order[1:]] == owner[order[:-1]]) & (keys[order[1:]] == keys[order[:-1]])
+        if (same & (v[order[1:]] != v[order[:-1]])).any():
+            return False
+        last = np.ones(len(keys), dtype=bool)
+        last[order[:-1][same]] = False
+    del rising  # so that the records, the keys and one mask bound the peak
+    for member, start, stop in zip(out.reshape(len(out), n * n), starts, bounds):
+        rows = slice(start, stop) if last is None else start + np.flatnonzero(last[start:stop])
+        member[keys[rows]] = v[rows]
+    return True
 
 
 def _stack(no: int, count: int, n: int) -> np.ndarray:

@@ -33,11 +33,11 @@ one product F W and keeps every row, so the ``FACTOR_CUT`` bounds apply to
 dense members only.
 
 Dense members are checked for PSD, and whitened and factored,
-``FACTOR_BATCH`` at a time, one batch on each CPU the process may use
-(``os.sched_getaffinity``).  numpy's LAPACK and BLAS loops release the
-GIL, so plain threads decompose batches side by side.  The results are
-joined in member order, so they equal a serial run bit for bit, and the
-error of the earliest failing batch is the one raised.
+``FACTOR_BATCH`` at a time, the batches dealt in turn to one plain thread
+per CPU the process may use (``os.sched_getaffinity``); numpy's LAPACK
+and BLAS loops release the GIL, so the threads decompose side by side.
+The results are joined in member order, so they equal a serial run bit
+for bit, and the error of the earliest failing batch is the one raised.
 
 Every solver ends with ``certificate_for`` on its weights, and ``rescaled``
 is the one lambda_min rescale.  ``verify_sandwich`` certifies weights in the
@@ -124,43 +124,38 @@ def _usable_cpus() -> int:
 def _map_batches(call, count: int) -> list:
     """[call(lo) for lo in range(0, count, FACTOR_BATCH)], on every usable CPU.
 
-    The calling thread, and one more thread for each further usable CPU,
-    take the next batch in order until none is left; numpy's LAPACK and BLAS
-    loops release the GIL, so the batches decompose side by side.  The
-    results come back in batch order.  When calls raise, the exception of
-    the earliest batch is raised, and no batch after a failed one is
-    started.  A single batch, or a single usable CPU, starts no thread.
+    With w workers, one per usable CPU and at most one per batch, worker t
+    calls batches t, t + w, t + 2w, ... in turn, and the calling thread is
+    worker 0; numpy's LAPACK and BLAS loops release the GIL, so the batches
+    decompose side by side.  A worker stores each result, or its first
+    exception, in its own batches' slots and stops at that exception, so
+    every batch before the earliest failing one has run.  The results come
+    back in batch order, and the exception of the earliest failing batch is
+    raised, as a serial run would raise it.  One worker starts no thread.
     """
     starts = range(0, count, FACTOR_BATCH)
-    workers = min(_usable_cpus(), len(starts))
-    if workers < 2:
-        return [call(lo) for lo in starts]
-    results, failures = [None] * len(starts), []
-    queue = iter(range(len(starts)))
-    lock = threading.Lock()
+    workers = max(min(_usable_cpus(), len(starts)), 1)
+    results = [None] * len(starts)
 
-    def work():
-        while True:
-            with lock:
-                k = None if failures else next(queue, None)
-            if k is None:
-                return
+    def work(t):
+        for k in range(t, len(starts), workers):
             try:
                 results[k] = call(starts[k])
-            except Exception as exc:  # every batch before k was handed out already
-                with lock:
-                    failures.append((k, exc))
+            except Exception as exc:  # raised after the join
+                results[k] = exc
+                return
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
-        work()
+        work(0)
     finally:
         for thread in threads:
             thread.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     return results
 
 
