@@ -6,29 +6,32 @@
 The inputs are small fixtures (three of them with comment and blank lines
 between their entry lines, one of these spread over three read batches of
 ``mat`` blocks), each run with every algorithm at eps 0.45
-and 0.5, and the inputs of every benchmark workload for seeds 1-3, each
-run with that workload's job list (``bench/workloads.py``, imported and
-used as it is).  The inputs are written once, with the writers of
+and 0.5; malformed fixtures, each run once (``MALFORMED_RUN``): the
+spread text with one corruption in its second or third read batch, or
+two in different batches, and an ``sdp`` text with a bad line in its
+target block; and the inputs of every benchmark workload for seeds 1-3,
+each run with that workload's job list (``bench/workloads.py``, imported
+and used as it is).  The inputs are written once, with the writers of
 CHANGE_SRC.  Every run is one ``python -m psdsparsify.cli`` subprocess
 with ``PYTHONPATH`` set to one side's source tree and one BLAS thread,
-one run at a time.
+one run at a time; its stderr is written next to its output, as ``.err``.
 
-Each output gets one line: whether the two files are byte-identical and,
-if not, a label, the largest relative weight difference (a weight present
+Each output gets one line: whether the two files are byte-identical, and
+so are the two stderr files, and, if not, a label, the largest relative weight difference (a weight present
 on one side only counts as 1) and the relative differences of lambda_min
 and lambda_max; the support size on both sides; lambda_max / lambda_min
 on both sides (inf where lambda_min is 0); and the exit codes when they
-differ.  A differing output is labelled ``rounding`` when both runs exit
-with the same code, keep the same support indices and every weight is
-within relative ``ROUNDING`` of the other side's, and ``moved``
-otherwise.  The count line gives the number of each label.  When any
+differ; and whether the stderr differs.  A differing output is labelled
+``rounding`` when both runs exit with the same code and the same stderr,
+keep the same support indices and every weight is within relative
+``ROUNDING`` of the other side's, and ``moved`` otherwise.  The count line gives the number of each label.  When any
 output differs, a closing line gives the largest of each of the three
 relative differences over all differing outputs.  With ``--work DIR``
 the inputs and outputs are kept in DIR.  ``--algos`` runs only the runs
 of the listed algorithms (comma-separated; default all).
 
-Exits 0 when every output is byte-identical and every run exits with the
-same code on both sides, and 1 otherwise.
+Exits 0 when every output and every stderr is byte-identical and every
+run exits with the same code on both sides, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALGORITHMS = ("bss", "mmwum-wf", "mmwum-block", "aw-sample", "pe")
 FIXTURE_EPS = (0.45, 0.5)
+# the one run of each malformed fixture, which every side must refuse alike
+MALFORMED_RUN = ("bss", 0.5)
 WORKLOAD_SEEDS = (1, 2, 3)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # largest relative weight difference of an output labelled ``rounding``
@@ -73,11 +78,34 @@ def fixture_files(directory: Path) -> dict:
     )
     # 150 blocks of 11 lines with GAP after every 23rd line, so that it falls
     # after headers, between entries and between blocks, in every read batch
-    spread = io.emit_matrix_collection(instances.random_psd_collection(4, 150, seed=5))
-    spread = "".join(
-        line + (GAP if k % 23 == 22 else "")
-        for k, line in enumerate(spread.splitlines(keepends=True))
-    )
+    emitted = io.emit_matrix_collection(instances.random_psd_collection(4, 150, seed=5))
+    emitted = emitted.splitlines()
+
+    def spread(edits: dict) -> str:
+        """The emitted text with GAP, and with line k replaced by edits[k]."""
+        return "".join(
+            edits.get(k, line) + "\n" + (GAP if k % 23 == 22 else "")
+            for k, line in enumerate(emitted)
+        )
+
+    def edit(block: int, k: int, make) -> dict:
+        """{line number: make(i, j, value)} for entry line k (1 to 10) of ``block``."""
+        at = 1 + 11 * block + k
+        return {at: make(*emitted[at].split())}
+
+    # one corruption in the second or third read batch of 64 blocks; entry 2
+    # of every block is '0 1 value', so '1 0 2.5' repeats it with another value
+    duplicate = edit(100, 5, lambda *_: "1 0 2.5")
+    malformed = {
+        "token": edit(70, 3, lambda i, j, v: f"{i} {j} {v}x"),
+        "range": edit(90, 4, lambda i, j, v: f"{i} 4 {v}"),
+        "inf": edit(130, 2, lambda i, j, v: f"{i} {j} inf"),
+        "duplicate": duplicate,
+        "header": {1 + 11 * 80: "mat 81"},
+        "comment": edit(120, 6, lambda i, j, v: f"{i} {j} {v} # c"),
+        # the earlier corruption wins
+        "two-batches": {**duplicate, **edit(140, 2, lambda i, j, v: f"{i} {j} {v}x")},
+    }
     texts = {
         "pair": ("matrices", {"input": "2 2\nmat 0\n0 0 1\nmat 1\n1 1 1\n"}),
         "identity4": (
@@ -89,7 +117,7 @@ def fixture_files(directory: Path) -> dict:
             {"input": io.emit_matrix_collection(instances.random_psd_collection(4, 12, seed=3))},
         ),
         "scalars12": ("matrices", {"input": f"1 12\n{scalar_mats}"}),
-        "random4x150-commented": ("matrices", {"input": spread}),
+        "random4x150-commented": ("matrices", {"input": spread({})}),
         "k5": ("graph", {"input": io.emit_graph(instances.complete_graph(5))}),
         "k6": ("graph", {"input": io.emit_graph(instances.complete_graph(6))}),
         "k4-costs": ("graph", {"input": k4, "costs": "1 6\n1 1 1 1 1 1\n"}),
@@ -110,6 +138,11 @@ def fixture_files(directory: Path) -> dict:
         ),
         "simplex": ("simplex", {"input": simplex.format(gap="")}),
         "simplex-commented": ("simplex", {"input": simplex.format(gap=GAP)}),
+        "malformed-sdp-target": (
+            "sdp",
+            {"input": sdp.format(gap=GAP).replace("target\n0 0 0.5", "target\n0 0 abc")},
+        ),
+        **{f"malformed-{name}": ("matrices", {"input": spread(e)}) for name, e in malformed.items()},
     }
     files = {}
     for name, (kind, parts) in texts.items():
@@ -127,8 +160,11 @@ def jobs(directory: Path, algos=ALGORITHMS) -> list:
     out = []
     for name, (kind, paths) in fixture_files(directory).items():
         files = [a for option, path in paths.items() for a in (f"--{option}", path)]
-        for eps in FIXTURE_EPS:
-            for algo in (a for a in ALGORITHMS if a in algos):
+        runs = [MALFORMED_RUN] if name.startswith("malformed-") else [
+            (algo, eps) for eps in FIXTURE_EPS for algo in ALGORITHMS
+        ]
+        for algo, eps in runs:
+            if algo in algos:
                 argv = ["--algo", algo, "--eps", repr(eps), "--kind", kind, *files]
                 out.append((f"{name} {algo} eps={eps}", argv))
 
@@ -152,9 +188,17 @@ def jobs(directory: Path, algos=ALGORITHMS) -> list:
 
 
 def run_side(src: str, argv: list, output: Path) -> int:
+    """Run the CLI on one side; its stderr goes next to ``output``, as ``.err``."""
     env = dict(os.environ, PYTHONPATH=src, **{v: "1" for v in THREAD_VARS})
     cmd = [sys.executable, "-m", "psdsparsify.cli", *argv, "--output", str(output)]
-    return subprocess.run(cmd, env=env, capture_output=True).returncode
+    proc = subprocess.run(cmd, env=env, capture_output=True)
+    output.with_suffix(".err").write_bytes(proc.stderr)
+    return proc.returncode
+
+
+def same_file(a: Path, b: Path) -> bool:
+    """Whether both files are missing, or both hold the same bytes."""
+    return a.exists() == b.exists() and (not a.exists() or a.read_bytes() == b.read_bytes())
 
 
 def read_output(path: Path):
@@ -185,9 +229,8 @@ def compare(name: str, parent: Path, change: Path, codes: tuple):
     and both were read (else None), and the label of a differing output
     (else None).
     """
-    same = parent.exists() == change.exists() and (
-        not parent.exists() or parent.read_bytes() == change.read_bytes()
-    )
+    same_err = same_file(parent.with_suffix(".err"), change.with_suffix(".err"))
+    same = same_err and same_file(parent, change)
     a, b = read_output(parent), read_output(change)
     diffs = label = None
     if not same:
@@ -195,6 +238,7 @@ def compare(name: str, parent: Path, change: Path, codes: tuple):
             diffs = (weight_difference(a[0], b[0]), relative(a[2], b[2]), relative(a[3], b[3]))
         rounding = (
             diffs is not None
+            and same_err
             and codes[0] == codes[1]
             and a[0].keys() == b[0].keys()
             and diffs[0] <= ROUNDING
@@ -211,6 +255,8 @@ def compare(name: str, parent: Path, change: Path, codes: tuple):
         parts.append("lambda_max/lambda_min {:.10f}/{:.10f}".format(*ratios))
     if codes[0] != codes[1] or a is None or b is None:
         parts.append(f"exit {codes[0]}/{codes[1]}")
+    if not same_err:
+        parts.append("stderr differs")
     print("  ".join(parts), flush=True)
     return same, diffs, label
 

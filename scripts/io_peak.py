@@ -10,7 +10,9 @@ one call as a multiple of the text's length; and the same for
 ``reduce_to_identity`` on the parsed collection, its peak as a multiple
 of the bytes of the collection's stack, followed by the bytes of the
 arrays the returned ``ReducedInstance`` keeps (its factor rows, their
-row bounds and the traces) as a multiple of the same stack.  The parse
+row bounds and the traces) as a multiple of the same stack, and by the
+number of CPUs the process may use: each holds one batch of the
+whitening at a time, so its peak grows with that number.  The parse
 includes the PSD check of the parsed stack.  The defaults match the
 ``dense-r30`` benchmark input (about 7 MB of text).
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from psdsparsify.instances import random_psd_collection
 from psdsparsify.io_formats import emit_matrix_collection, parse_matrix_collection
-from psdsparsify.linalg import reduce_to_identity
+from psdsparsify.linalg import _usable_cpus, reduce_to_identity
 
 REPEATS = 5
 
@@ -64,7 +66,7 @@ def main():
         line = f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak: {peak / size:.2f} x {unit}"
         if name == "whiten":
             kept = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
-            line += f"  kept: {kept / size:.2f} x {unit}"
+            line += f"  kept: {kept / size:.2f} x {unit}  usable CPUs: {_usable_cpus()}"
         print(line)
 
 

@@ -273,6 +273,8 @@ class PsdCollection:
         if not isinstance(matrices, np.ndarray):
             matrices = [np.asarray(m, dtype=float) for m in matrices]
             for i, m in enumerate(matrices):
+                if m.ndim != 2:  # a 0-d member has no dimension to compare
+                    raise DimMismatch(f"matrix {i} has shape {m.shape}, expected (n, n)")
                 expected = (matrices[0].shape[0],) * 2
                 if m.shape != expected:
                     raise DimMismatch(f"matrix {i} has shape {m.shape}, expected {expected}")
@@ -281,6 +283,8 @@ class PsdCollection:
         if len(matrices) == 0:
             raise EmptyProblem("collection has no matrices")
         dim = matrices[0].shape[0]
+        if dim < 1:
+            raise DimMismatch(f"dimension must be positive, got {dim}")
         stack = symmetric_stack(np.ascontiguousarray(matrices, dtype=float))
         if validate:
             _map_batches(partial(_check_members, stack), len(stack))
@@ -298,6 +302,8 @@ class PsdCollection:
         total = np.asarray(total, dtype=float)
         if len(bounds) < 2:
             raise EmptyProblem("collection has no matrices")
+        if dim < 1:
+            raise DimMismatch(f"dimension must be positive, got {dim}")
         if rows.ndim != 2 or rows.shape[1] != dim or total.shape != (dim, dim):
             raise DimMismatch(
                 f"rows {rows.shape} and total {total.shape} do not fit dimension {dim}"

@@ -74,7 +74,7 @@ def run_algorithm(
 def certificate_passes(algo: str, eps: float, cert: SandwichCertificate) -> bool:
     """Per-algorithm acceptance window for a raw (unwrapped) run."""
     if algo == "bss":
-        return cert.lambda_min >= 1.0 - 1e-7 and (
+        return cert.lambda_min >= 1.0 - CHECK_TOL and (
             cert.lambda_max / cert.lambda_min <= ((2.0 + eps) / (2.0 - eps)) ** 2 + CHECK_TOL
         )
     return cert.within_window(1.0 - eps, 1.0 + eps)

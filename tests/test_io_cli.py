@@ -324,6 +324,78 @@ class TestErrorsAcrossBatches:
                 assert _first_error("\n".join(both) + "\n") == earlier
 
 
+_EDIT_LINES = st.one_of(
+    st.builds(
+        "{} {} {!r}".format,
+        st.integers(min_value=0, max_value=_BATCHED_N - 1),
+        st.integers(min_value=0, max_value=_BATCHED_N - 1),
+        st.floats(min_value=-2.0, max_value=2.0),
+    ),
+    st.sampled_from(
+        ["0 0", "0 1 1 1", "0 x 1", "0 1.0 1", "1.0 0 1", "0 3 1", "-1 0 1", "0 40000 1",
+         "0 0 inf", "0 0 nan", "0 0 1e999", "0 0 1,5", "0 0 1 # c", "0 0 1#c", "+1 +1 1"]
+    ),
+    st.sampled_from(["", "  ", "# c", "\t# note"]),
+    st.builds("mat {}".format, st.integers(min_value=0, max_value=2 * FACTOR_BATCH + 5)),
+)
+
+
+@st.composite
+def _edited(draw):
+    """The batched text after one to four line edits."""
+    lines = list(_BATCHED_LINES)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        op = draw(st.sampled_from(["replace", "insert", "delete", "mirror"]))
+        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        parts = lines[at].split()
+        if op == "replace":
+            lines[at] = draw(_EDIT_LINES)
+        elif op == "insert":
+            lines.insert(at, draw(_EDIT_LINES))
+        elif op == "delete":
+            del lines[at]
+        elif len(parts) == 3:  # the entry again, mirrored, with its value or another
+            i, j, value = parts
+            other = draw(st.floats(min_value=-2.0, max_value=2.0).map(repr))
+            lines.insert(at + 1, f"{j} {i} {draw(st.sampled_from([value, other]))}")
+    return "\n".join(lines) + "\n"
+
+
+def _read(text: str, bulk: bool):
+    """The parsed stack's bytes, not checked for PSD, or the parse error's type and text."""
+    unchecked = staticmethod(lambda stack: stack)
+    with mock.patch.object(io_formats, "_BULK", bulk), mock.patch.object(
+        io_formats.PsdCollection, "from_matrices", unchecked
+    ):
+        try:
+            return parse_matrix_collection(text).tobytes()
+        except ParseError as exc:
+            return type(exc), str(exc)
+
+
+def _repeats_with_another_value(text: str) -> bool:
+    """Whether an entry line repeats an earlier one of its block with another value."""
+    seen = {}
+    for parts in map(str.split, text.splitlines()):
+        if parts[:1] == ["mat"]:
+            seen = {}
+        elif len(parts) == 3 and not parts[0].startswith("#"):
+            key, value = tuple(sorted(map(int, parts[:2]))), float(parts[2])
+            if seen.setdefault(key, value) != value:
+                return True
+    return False
+
+
+class TestFastPathAgreesWithScan:
+    @given(_edited())
+    @settings(max_examples=150, deadline=None)
+    def test_same_error_or_same_bits(self, text):
+        bulk = _read(text, True)
+        assert bulk == _read(text, False)
+        if isinstance(bulk, bytes):  # an accepted text has no asymmetric duplicate
+            assert not _repeats_with_another_value(text)
+
+
 _FILLER = ["", "   ", "\t", "# note", "  # indented note", "#"]
 
 

@@ -298,6 +298,20 @@ class TestPsdCollection:
             with pytest.raises(DimMismatch):
                 PsdCollection.from_matrices(bad)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PsdCollection.from_matrices([5.0]),
+            lambda: PsdCollection.from_matrices([np.zeros((0, 0))]),
+            lambda: PsdCollection.from_matrices(np.zeros((2, 0, 0))),
+            lambda: PsdCollection.from_rows(0, np.zeros((1, 0)), [0, 1], np.zeros((0, 0))),
+        ],
+        ids=["scalar-member", "empty-member", "empty-stack", "rows-of-dimension-0"],
+    )
+    def test_rejects_members_without_a_dimension(self, build):
+        with pytest.raises(DimMismatch):
+            build()
+
     def test_total(self, diag_split):
         np.testing.assert_allclose(diag_split.total(), np.diag([1.0, 2.0]))
 
