@@ -224,10 +224,10 @@ def weight_difference(a: dict, b: dict) -> float:
 def compare(name: str, parent: Path, change: Path, codes: tuple):
     """Print one line for one output.
 
-    Returns whether the two files are byte-identical, the relative
-    differences of the weights, lambda_min and lambda_max when they differ
-    and both were read (else None), and the label of a differing output
-    (else None).
+    Returns whether the two files, and the two stderr files next to them,
+    are byte-identical, the relative differences of the weights,
+    lambda_min and lambda_max when they differ and both were read (else
+    None), and the label of a differing output (else None).
     """
     same_err = same_file(parent.with_suffix(".err"), change.with_suffix(".err"))
     same = same_err and same_file(parent, change)

@@ -283,11 +283,12 @@ class _Cursor:
 
 
 def _stored(out: np.ndarray, entries: np.ndarray, counts: list) -> bool:
-    """Whether the entries of consecutive blocks pass the check, which they do
-    when every index is in range, every value is finite and a repeated entry
-    repeats its value within its block.  Only entries that pass are written,
-    each block's into the upper triangle of its member of ``out``; a
-    repeated entry's last occurrence is written.
+    """Check the entries of consecutive blocks and, only if they pass, write
+    each block's into the upper triangle of its member of ``out``.
+
+    They pass when every index is in range, every value is finite and a
+    repeated entry repeats its value within its block; its last occurrence
+    is written.  Returns whether they passed.
     """
     n = out.shape[1]
     i, j, v = entries["i"], entries["j"], entries["v"]

@@ -142,3 +142,21 @@ def test_a_differing_output_is_labelled(
     assert f"DIFFERS  {label}" in line
     rounding, moved = (1, 0) if label == "rounding" else (0, 1)
     assert f"0 of 1 outputs byte-identical, {rounding} rounding, {moved} moved" in counts
+
+
+def test_a_differing_stderr_is_moved(compare_outputs, monkeypatch, tmp_path, capsys):
+    def run_side(src, argv, output):
+        output.write_text(OUTPUT, encoding="utf-8")
+        error = "error: line 7: bad\n" if src.endswith("change") else "error: line 8: bad\n"
+        output.with_suffix(".err").write_text(error, encoding="utf-8")
+        return 0
+
+    monkeypatch.setattr(compare_outputs, "jobs", lambda work, algos: [("job0", ["0"])])
+    monkeypatch.setattr(compare_outputs, "run_side", run_side)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    argv = ["compare_outputs.py", str(tmp_path / "parent"), str(tmp_path / "change")]
+    monkeypatch.setattr(sys, "argv", argv + ["--work", str(tmp_path / "work")])
+    assert compare_outputs.main() == 1
+    line, counts = capsys.readouterr().out.splitlines()[:2]
+    assert "DIFFERS  moved" in line and line.endswith("stderr differs")
+    assert counts == "0 of 1 outputs byte-identical, 0 rounding, 1 moved, 0 exit codes differ"
