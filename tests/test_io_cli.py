@@ -347,14 +347,13 @@ def _edited(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         op = draw(st.sampled_from(["replace", "insert", "delete", "mirror"]))
         at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-        parts = lines[at].split()
         if op == "replace":
             lines[at] = draw(_EDIT_LINES)
         elif op == "insert":
             lines.insert(at, draw(_EDIT_LINES))
         elif op == "delete":
             del lines[at]
-        elif len(parts) == 3:  # the entry again, mirrored, with its value or another
+        elif len(parts := lines[at].split()) == 3:  # mirrored, with its value or another
             i, j, value = parts
             other = draw(st.floats(min_value=-2.0, max_value=2.0).map(repr))
             lines.insert(at + 1, f"{j} {i} {draw(st.sampled_from([value, other]))}")
