@@ -5,7 +5,9 @@
 
 The inputs are small fixtures (three of them with comment and blank lines
 between their entry lines, one of these spread over three read batches of
-``mat`` blocks), each run with every algorithm at eps 0.45
+``mat`` blocks; the graph-type ones cover every lift: edges, costs with
+and without left-out slots, one and two family members, and 3-uniform
+and mixed-size hypergraphs), each run with every algorithm at eps 0.45
 and 0.5; malformed fixtures, each run once (``MALFORMED_RUN``): the
 spread text with one corruption in its second or third read batch, or
 two in different batches, and an ``sdp`` text with a bad line in its
@@ -61,7 +63,7 @@ def fixture_files(directory: Path) -> dict:
     from psdsparsify import instances
     from psdsparsify import io_formats as io
 
-    k4 = io.emit_graph(instances.complete_graph(4))
+    k4, k5 = (io.emit_graph(instances.complete_graph(n)) for n in (4, 5))
     # twelve 1 x 1 members, whose sums a pairwise summation would round
     # differently from a running sum
     scalars = [10.0 ** ((5 * k) % 7 - 3) / 3.0 for k in range(12)]
@@ -118,13 +120,31 @@ def fixture_files(directory: Path) -> dict:
         ),
         "scalars12": ("matrices", {"input": f"1 12\n{scalar_mats}"}),
         "random4x150-commented": ("matrices", {"input": spread({})}),
-        "k5": ("graph", {"input": io.emit_graph(instances.complete_graph(5))}),
+        "k5": ("graph", {"input": k5}),
         "k6": ("graph", {"input": io.emit_graph(instances.complete_graph(6))}),
         "k4-costs": ("graph", {"input": k4, "costs": "1 6\n1 1 1 1 1 1\n"}),
         "k4-family": ("graph", {"input": k4, "family": "1\n3\n1 2\n2 3\n1 3\n"}),
+        # two members sharing the edge 2-3
+        "k5-family2": (
+            "graph",
+            {"input": k5, "family": "2\n3\n1 2\n2 3\n3 4\n3\n2 3\n3 5\n4 5\n"},
+        ),
+        # zero entries leave out those edges' cost slots
+        "k5-costs-sparse": (
+            "graph",
+            {"input": k5, "costs": "2 10\n1 0 2 0 0.5 3 0 1 0 4\n0 0 1.5 2 0 0 0.25 0 1 0\n"},
+        ),
         "hypergraph": (
             "hypergraph",
             {"input": io.emit_hypergraph(instances.random_uniform_hypergraph(6, 8, 3, seed=0))},
+        ),
+        # sizes 2 to 5 in mixed order, two of them pairs
+        "hypergraph-mixed": (
+            "hypergraph",
+            {
+                "input": "7\n3 1 2 3 1.5\n2 2 5 1000.0\n4 1 4 6 7 0.25\n5 2 3 4 5 6 0.001\n"
+                "2 3 7 12.5\n3 5 6 7 3.0\n4 1 2 5 7 0.75\n"
+            },
         ),
         "sdp": ("sdp", {"input": sdp.format(gap="")}),
         "sdp-commented": ("sdp", {"input": sdp.format(gap=GAP)}),

@@ -5,9 +5,11 @@
 
 Builds ``random_psd_collection(n, m)``, then prints, for
 ``emit_matrix_collection`` and for ``parse_matrix_collection`` on the
-emitted text, the best of 5 wall-clock times and the tracemalloc peak of
-one call as a multiple of the text's length; and the same for
-``reduce_to_identity`` on the parsed collection, its peak as a multiple
+emitted text, the best of 5 wall-clock times and the median and the
+min-max of the tracemalloc peaks of 5 more calls as multiples of the
+text's length (a single call's peak moves with how the whitening threads
+interleave); and the same for
+``reduce_to_identity`` on the parsed collection, its peaks as multiples
 of the bytes of the collection's stack, followed by the bytes of the
 arrays the returned ``ReducedInstance`` keeps (its factor rows, their
 row bounds and the traces) as a multiple of the same stack, and by the
@@ -31,19 +33,22 @@ REPEATS = 5
 
 
 def measure(call, arg):
-    """(best seconds of REPEATS calls, tracemalloc peak bytes of one call, its result)."""
+    """(best seconds of REPEATS calls, the tracemalloc peak bytes of each of
+    REPEATS more calls, the last call's result)."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
         call(arg)
         best = min(best, time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        result = call(arg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return best, peak, result
+    peaks = []
+    for _ in range(REPEATS):
+        tracemalloc.start()
+        try:
+            result = call(arg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return best, np.array(peaks), result
 
 
 def main():
@@ -62,8 +67,12 @@ def main():
         ("parse", parse_matrix_collection, text, len(text), "text"),
         ("whiten", reduce_to_identity, parsed, parsed.matrices.nbytes, "stack"),
     ):
-        seconds, peak, result = measure(call, arg)
-        line = f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak: {peak / size:.2f} x {unit}"
+        seconds, peaks, result = measure(call, arg)
+        peaks = peaks / size
+        line = (
+            f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak median of {REPEATS}: "
+            f"{np.median(peaks):.3f} [{peaks.min():.3f}-{peaks.max():.3f}] x {unit}"
+        )
         if name == "whiten":
             kept = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
             line += f"  kept: {kept / size:.2f} x {unit}  usable CPUs: {_usable_cpus()}"

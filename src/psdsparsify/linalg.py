@@ -479,10 +479,13 @@ def whiten(coll: PsdCollection) -> np.ndarray:
     validation.  With N an orthonormal basis of the complement of range(B),
     a dense member is judged by |N^T B_i N|_F and a rows member by
     |F_j N|^2, the trace of its part outside range(B), which bounds that
-    norm.  At full rank N has no columns.
+    norm.  At full rank N has no columns.  A sum whose eigenvalue is
+    beyond the float64 range raises InvalidMatrix.
     """
     rank_tol = 1e-10 * coll.dim  # relative rank cutoff, scaled with dimension to absorb rounding
     w, q = eigh(coll.total())
+    if not np.isfinite(w).all():
+        raise InvalidMatrix("an eigenvalue of the sum of the collection overflows float64")
     lam_max = float(w[-1])
     if lam_max <= 0.0 or not np.any(w > rank_tol * lam_max):
         raise EmptyProblem("sum of the collection is numerically zero")

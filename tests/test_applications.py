@@ -70,6 +70,18 @@ def traced_peak(call, *args) -> int:
         tracemalloc.stop()
 
 
+@st.composite
+def mixed_hypergraphs(draw):
+    """Hypergraphs on 6 to 10 vertices with 1 to 12 hyperedges of 2 to 6
+    vertices each, their weights log-uniform in [1e-6, 1e6]."""
+    n = draw(st.integers(min_value=6, max_value=10))
+    hyperedges = []
+    for k in draw(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=12)):
+        verts = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+        hyperedges.append((tuple(verts), 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))))
+    return WeightedHypergraph(n=n, hyperedges=hyperedges)
+
+
 def running_outer_sum(n, pairs, weights):
     """sum of w (e_u - e_v)(e_u - e_v)^T over 1-based pairs, added in order."""
     out = np.zeros((n, n))
@@ -265,6 +277,25 @@ class TestHypergraphLaplacian:
     def test_clique_spectrum(self):
         lap = clique_laplacian((1, 2, 3, 4), 4)
         np.testing.assert_allclose(np.linalg.eigvalsh(lap), [0.0, 4.0, 4.0, 4.0], atol=1e-12)
+
+    @given(mixed_hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_sizes_lift_as_their_cliques(self, h):
+        coll = hyperedge_collection(h)
+        # B is the running sum of the clique blocks, added in hyperedge order
+        want = np.zeros((h.n, h.n))
+        for verts, w in h.hyperedges:
+            at = np.array(sorted(verts)) - 1
+            want[np.ix_(at, at)] += w * (len(at) * np.eye(len(at)) - 1.0)
+        assert coll.total().tobytes() == want.tobytes()
+        members = dense_members(coll)
+        for j, (verts, w) in enumerate(h.hyperedges):
+            block = w * clique_laplacian(verts, h.n)
+            assert np.abs(members[j] - block).max() <= 1e-12 * np.abs(block).max()
+            if len(verts) == 2:
+                edge = edge_collection(WeightedGraph(n=h.n, edges=[(*sorted(verts), w)]))
+                rows = coll.rows[coll.bounds[j] : coll.bounds[j + 1]]
+                assert rows.tobytes() == edge.rows.tobytes()
 
 
 class TestCutWeights:

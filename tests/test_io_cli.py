@@ -754,6 +754,20 @@ class TestCli:
         assert code == 2
         assert "line 1: cannot allocate" in capsys.readouterr().err
 
+    def test_overflowing_laplacian_is_one_typed_error(self, tmp_path, capsys):
+        # the Laplacian is finite, but its largest eigenvalue is beyond float64
+        inp = tmp_path / "big.txt"
+        inp.write_text("3\n1 2 1.5e308\n2 3 1.0\n1 3 1.0\n")
+        argv = ["--algo", "bss", "--eps", "0.5", "--kind", "graph", "--input", str(inp)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = self.run_cli(tmp_path, *argv)
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: an eigenvalue of the sum of the collection overflows float64"
+        ]
+
     def test_bad_epsilon_exit_code(self, tmp_path, identity_pair_file):
         code, _ = self.run_cli(
             tmp_path, "--algo", "bss", "--eps", "1.2", "--input", str(identity_pair_file)

@@ -189,6 +189,13 @@ class TestReduceToIdentity:
         with pytest.raises(EmptyProblem):
             reduce_to_identity(coll)
 
+    def test_overflowing_sum_is_not_numerically_zero(self):
+        # the sum is finite, but its largest eigenvalue is beyond float64
+        big = [[1e308, -1e308], [-1e308, 1.5e308]]
+        coll = PsdCollection.from_matrices([np.eye(2), big])
+        with pytest.raises(InvalidMatrix, match="overflows float64"):
+            reduce_to_identity(coll)
+
     @given(
         st.integers(min_value=2, max_value=7),
         st.integers(min_value=2, max_value=20),
