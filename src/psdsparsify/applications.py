@@ -8,12 +8,12 @@ Laplacians for a subgraph family.  Because every lifted matrix is block
 diagonal, the single sandwich certificate splits into one certificate per
 block.
 
-Graph, hypergraph, cost and family collections are built as factor rows
-(``PsdCollection.from_rows``), with B summed in closed form by
-``laplacian``-style running sums, so they take O(K n) memory for K rows:
-an edge is sqrt(w) (e_u - e_v), a hyperedge k - 1 scaled Helmert rows, a
-cost slot sqrt(w c_i) e_{n+i} and a family section the edge row inside
-the section.  The SDP and simplex lifts stay dense (m, n, n) stacks.
+A graph-type member (graph, hypergraph, cost or family) is a sum of
+cliques w (k I - J), and an edge is the clique on its two vertices: one
+builder gives each clique's k - 1 scaled Helmert rows (``from_rows``) and
+one sums B clique by clique, in O(K n) memory for K rows.  A cost slot is
+the single row sqrt(w c_i) e_{n+i}, a family section the edge's 2-clique
+inside it.  The SDP and simplex lifts stay dense (m, n, n) stacks.
 """
 
 from __future__ import annotations
@@ -118,33 +118,65 @@ def _edge_weights(g: WeightedGraph) -> np.ndarray:
     return np.array([w for _, _, w in g.edges], dtype=float)
 
 
-def _edge_pairs(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """0-based endpoints u < v of every edge, in edge order."""
-    return np.array([(u - 1, v - 1) for u, v, _ in g.edges], dtype=int).reshape(-1, 2).T
+def _cliques(weighted) -> list:
+    """Cliques given as tuples of 1-based vertices followed by a weight, such
+    as an edge (u, v, w), grouped in runs of consecutive cliques of one size
+    k: a (c, k) array of their sorted 0-based vertices and their c weights."""
+    runs = []
+    for *verts, w in weighted:
+        if not runs or len(runs[-1][-1][0]) != len(verts):
+            runs.append([])
+        runs[-1].append((sorted(verts), w))
+    return [(np.array(at) - 1, np.array(w, dtype=float)) for at, w in (zip(*r) for r in runs)]
 
 
-def _pair_laplacian(dim: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum over pairs of w (e_u - e_v)(e_u - e_v)^T, added pair by pair as a
-    running sum would add it, so it is exactly symmetric."""
+def _clique_laplacian(dim: int, runs) -> np.ndarray:
+    """sum over cliques of w (k I - J) on the clique's k vertices, added
+    clique by clique as a running sum would add it, so it is exactly
+    symmetric: one pair is w (e_u - e_v)(e_u - e_v)^T."""
     out = np.zeros((dim, dim))
-    rows, cols = np.stack([u, v, u, v], axis=1), np.stack([u, v, v, u], axis=1)
-    np.add.at(out, (rows, cols), np.stack([w, w, -w, -w], axis=1))
+    for at, w in runs:
+        k = at.shape[1]
+        np.add.at(out, (at[:, :, None], at[:, None, :]), w[:, None, None] * (k * np.eye(k) - 1.0))
     return out
 
 
-def _pair_rows(dim: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The row sqrt(w) (e_u - e_v) of every pair, as one (len(w), dim) stack."""
-    rows = np.zeros((len(w), dim))
-    at, root = np.arange(len(w)), np.sqrt(w)
-    rows[at, u] = root
-    rows[at, v] = -root
+def _clique_rows(dim: int, runs) -> np.ndarray:
+    """The k - 1 rows of every clique, in clique order, as one stack.
+
+    Row i of the clique on the sorted vertices v_1 < ... < v_k is
+    sqrt(w k / (i (i + 1))) (e_{v_1} + ... + e_{v_i} - i e_{v_{i+1}}): the
+    Helmert basis of the complement of the all-ones vector, scaled.  A pair
+    gives the edge row sqrt(w) (e_{v_1} - e_{v_2}) bit for bit.
+    """
+    starts = np.cumsum([0] + [at.size - len(at) for at, _ in runs])
+    rows = np.zeros((starts[-1], dim))
+    for (at, w), lo in zip(runs, starts):
+        c, k = at.shape
+        i = np.arange(1, k)
+        helmert = np.tri(k - 1, k) - i[:, None] * np.eye(k - 1, k, 1)
+        # halving k and i (i + 1) changes no bit and keeps a pair's w k / 2 = w
+        # finite; where w k / 2 overflows, B does too, and whiten rejects it
+        with np.errstate(over="ignore"):
+            scale = np.sqrt(w[:, None] * (k / 2) / (i * (i + 1) / 2))
+        at_rows = lo + np.arange(c * (k - 1)).reshape(c, k - 1, 1)
+        rows[at_rows, at[:, None, :]] = scale[:, :, None] * helmert
     return rows
+
+
+def _clique_collection(dim: int, runs, bounds=None) -> PsdCollection:
+    """The cliques' rows, member j owning rows ``bounds[j]:bounds[j + 1]``
+    (one clique each by default), and their Laplacian as B."""
+    if bounds is None:
+        bounds = np.cumsum([0] + [at.shape[1] - 1 for at, w in runs for _ in w])
+    rows, total = _clique_rows(dim, runs), _clique_laplacian(dim, runs)
+    return PsdCollection.from_rows(dim, rows, bounds, total)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """sum over edges of w * (e_u - e_v)(e_u - e_v)^T, added edge by edge
     as a running sum would add it, so it is exactly symmetric."""
-    return _pair_laplacian(g.n, *_edge_pairs(g), _edge_weights(g))
+    return _clique_laplacian(g.n, _cliques(g.edges))
 
 
 def _with_slots(blocks: np.ndarray, slots: np.ndarray) -> PsdCollection:
@@ -158,19 +190,9 @@ def _with_slots(blocks: np.ndarray, slots: np.ndarray) -> PsdCollection:
     return PsdCollection.from_matrices(out, validate=False)
 
 
-def _pair_collection(dim: int, u, v, w, bounds=None) -> PsdCollection:
-    """The rows sqrt(w) (e_u - e_v) of the pairs, member j owning the pairs
-    ``bounds[j]:bounds[j + 1]`` (one pair each when ``bounds`` is None), and
-    their Laplacian as B."""
-    bounds = np.arange(len(w) + 1) if bounds is None else bounds
-    return PsdCollection.from_rows(
-        dim, _pair_rows(dim, u, v, w), bounds, _pair_laplacian(dim, u, v, w)
-    )
-
-
 def edge_collection(g: WeightedGraph) -> PsdCollection:
     """One rank-one Laplacian per edge, in edge order, as its row sqrt(w) (e_u - e_v)."""
-    return _pair_collection(g.n, *_edge_pairs(g), _edge_weights(g))
+    return _clique_collection(g.n, _cliques(g.edges))
 
 
 def graph_cut_weight(g: WeightedGraph, s) -> float:
@@ -280,13 +302,12 @@ def cost_lifted_collection(g: WeightedGraph, costs) -> PsdCollection:
     dim = n + slots.shape[1]
     filled = slots > 0.0
     bounds = np.concatenate(([0], np.cumsum(1 + filled.sum(axis=1))))
-    u, v = _edge_pairs(g)
+    edges = _cliques(g.edges)
     rows = np.zeros((bounds[-1], dim))
-    rows[bounds[:-1], :n] = _pair_rows(n, u, v, w)
+    rows[bounds[:-1]] = _clique_rows(dim, edges)
     edge, slot = np.nonzero(filled)
     rows[bounds[edge] + np.cumsum(filled, axis=1)[edge, slot], n + slot] = np.sqrt(slots[filled])
-    total = np.zeros((dim, dim))
-    total[:n, :n] = _pair_laplacian(n, u, v, w)
+    total = _clique_laplacian(dim, edges)
     if g.m:
         # each slot's sum runs over the edges in order, as a running sum would
         total[np.arange(n, dim), np.arange(n, dim)] = np.add.accumulate(slots)[-1]
@@ -373,38 +394,19 @@ def rainbow_sparsify(
 def clique_laplacian(vertices, n: int) -> np.ndarray:
     """Laplacian of the complete graph on the given distinct vertices
     inside [1..n]: k I - J on their rows and columns, for k vertices."""
-    at = np.asarray(sorted(vertices), dtype=int) - 1
-    out = np.zeros((n, n))
-    out[np.ix_(at, at)] = len(at) * np.eye(len(at)) - 1.0
-    return out
+    return _clique_laplacian(n, _cliques([(*vertices, 1.0)]))
 
 
 def hypergraph_laplacian(h: WeightedHypergraph) -> np.ndarray:
-    """sum over hyperedges of w_E times the clique Laplacian on E."""
-    out = np.zeros((h.n, h.n))
-    for verts, w in h.hyperedges:
-        out += w * clique_laplacian(verts, h.n)
-    return symmetrize(out)
+    """sum over hyperedges of w_E times the clique Laplacian on E, added
+    hyperedge by hyperedge, so it is exactly symmetric."""
+    return _clique_laplacian(h.n, _cliques((*verts, w) for verts, w in h.hyperedges))
 
 
 def hyperedge_collection(h: WeightedHypergraph) -> PsdCollection:
-    """One clique Laplacian w (k I - J) per hyperedge on k vertices, as k - 1 rows.
-
-    Row i of the hyperedge on the sorted vertices v_1 < ... < v_k is
-    sqrt(w k / (i (i + 1))) (e_{v_1} + ... + e_{v_i} - i e_{v_{i+1}}): the
-    Helmert basis of the complement of the all-ones vector, scaled.  Two
-    vertices give the edge row sqrt(w) (e_{v_1} - e_{v_2}) bit for bit.
-    """
-    bounds = np.concatenate(([0], np.cumsum([len(verts) - 1 for verts, _ in h.hyperedges])))
-    rows = np.zeros((bounds[-1], h.n))
-    for lo, (verts, w) in zip(bounds, h.hyperedges):
-        at = np.asarray(sorted(verts), dtype=int) - 1
-        k = len(at)
-        i = np.arange(1, k)
-        helmert = np.tri(k - 1, k)
-        helmert[i - 1, i] = -i
-        rows[lo : lo + k - 1, at] = np.sqrt(w * k / (i * (i + 1.0)))[:, None] * helmert
-    return PsdCollection.from_rows(h.n, rows, bounds, hypergraph_laplacian(h))
+    """One clique Laplacian w (k I - J) per hyperedge on k vertices, as its
+    k - 1 clique rows; two vertices give the edge row bit for bit."""
+    return _clique_collection(h.n, _cliques((*verts, w) for verts, w in h.hyperedges))
 
 
 def sparsify_hypergraph(
@@ -670,11 +672,12 @@ def caratheodory(
     )
 
 
-def _local_pairs(f_sorted) -> np.ndarray:
-    """0-based positions of the endpoints of each edge among the sorted
-    vertices of the edge list, as one (2, len) array."""
-    order = {vtx: pos for pos, vtx in enumerate(sorted({x for e in f_sorted for x in e}))}
-    return np.array([(order[u], order[v]) for u, v in f_sorted], dtype=int).reshape(-1, 2).T
+def _member_graph(g: WeightedGraph, indices) -> WeightedGraph:
+    """The edges ``g.edges[i]`` for i in ``indices``, in that order, on their
+    own vertices numbered from 1 in sorted order."""
+    edges = [g.edges[i] for i in indices]
+    order = {vtx: pos for pos, vtx in enumerate(sorted({x for e in edges for x in e[:2]}), 1)}
+    return WeightedGraph(n=len(order), edges=[(order[u], order[v], w) for u, v, w in edges])
 
 
 def family_members(g: WeightedGraph, family) -> list:
@@ -705,18 +708,15 @@ def family_lifted_collection(g: WeightedGraph, family) -> PsdCollection:
     """
     # every edge's pairs, in edge order: the Laplacian adds them as the
     # running sum over the members would
-    pairs = [[(u - 1, v - 1)] for u, v, _ in g.edges]
+    pairs = [[edge] for edge in g.edges]
     dim = g.n
-    for f_sorted, indices in family_members(g, family):
-        local = _local_pairs(f_sorted)
-        for i, a, b in zip(indices, *local):
-            pairs[i].append((dim + a, dim + b))
-        dim += int(local.max()) + 1
-
-    counts = [len(p) for p in pairs]
-    a, b = np.array([p for edge in pairs for p in edge], dtype=int).reshape(-1, 2).T
-    w = np.repeat(_edge_weights(g), counts)
-    return _pair_collection(dim, a, b, w, np.concatenate(([0], np.cumsum(counts))))
+    for _, indices in family_members(g, family):
+        member = _member_graph(g, indices)
+        for i, (a, b, w) in zip(indices, member.edges):
+            pairs[i].append((dim + a, dim + b, w))
+        dim += member.n
+    bounds = np.cumsum([0] + [len(p) for p in pairs])
+    return _clique_collection(dim, _cliques(p for edge in pairs for p in edge), bounds)
 
 
 def subgraph_family_sparsify(
@@ -741,12 +741,11 @@ def subgraph_family_sparsify(
     y = result.weights
 
     cert_g = certificate_for(reduce_to_identity(edge_collection(g)), y)
-    member_certs = []
-    for f_sorted, indices in family_members(g, family):
-        # the member's own edge Laplacians, in its sorted edge order
-        local = _local_pairs(f_sorted)
-        f_coll = _pair_collection(int(local.max()) + 1, *local, _edge_weights(g)[indices])
-        member_certs.append(certificate_for(reduce_to_identity(f_coll), y[indices]))
+    # each member's own edge Laplacians, in its sorted edge order
+    member_certs = [
+        certificate_for(reduce_to_identity(edge_collection(_member_graph(g, edges))), y[edges])
+        for _, edges in family_members(g, family)
+    ]
     checks = tuple(
         (
             f"member {i} lambda_min {cert.lambda_min:.16e} lambda_max {cert.lambda_max:.16e}",
