@@ -6,11 +6,11 @@
 Builds ``random_psd_collection(n, m)``, then prints, for
 ``emit_matrix_collection`` and for ``parse_matrix_collection`` on the
 emitted text, the best of 5 wall-clock times and the median and the
-min-max of the tracemalloc peaks of 5 more calls as multiples of the
-text's length (a single call's peak moves with how the whitening threads
-interleave); and the same for
-``reduce_to_identity`` on the parsed collection, its peaks as multiples
-of the bytes of the collection's stack, followed by the bytes of the
+min-max of the tracemalloc peaks of 5 more calls, as multiples of the
+text's length; and the same for ``reduce_to_identity`` on the parsed
+collection, its peaks as multiples of the bytes of the collection's
+stack (one call's peak moves with how the whitening threads
+interleave), followed by the bytes of the
 arrays the returned ``ReducedInstance`` keeps (its factor rows, their
 row bounds and the traces) as a multiple of the same stack, and by the
 number of CPUs the process may use: each holds one batch of the
