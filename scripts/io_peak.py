@@ -7,14 +7,14 @@ Builds ``random_psd_collection(n, m)``, then prints, for
 ``emit_matrix_collection`` and for ``parse_matrix_collection`` on the
 emitted text, the best of 5 wall-clock times and the median and the
 min-max of the tracemalloc peaks of 5 more calls, as multiples of the
-text's length; and the same for ``reduce_to_identity`` on the parsed
-collection, its peaks as multiples of the bytes of the collection's
-stack (one call's peak moves with how the whitening threads
-interleave), followed by the bytes of the
-arrays the returned ``ReducedInstance`` keeps (its factor rows, their
-row bounds and the traces) as a multiple of the same stack, and by the
-number of CPUs the process may use: each holds one batch of the
-whitening at a time, so its peak grows with that number.  The parse
+text's length.  For ``reduce_to_identity`` on the parsed collection it
+prints the same, its peaks as multiples of the bytes of the collection's
+stack, once for each of 1, 2, 4 and 10 usable CPUs (``linalg._usable_cpus``
+patched, so the whitening runs on that many threads whatever the machine
+has); then the bytes of the arrays the returned ``ReducedInstance`` keeps
+(its factor rows, their row bounds and the traces) as a multiple of the
+same stack, the number of CPUs the process may use, and the largest
+median peak against its bound of ``PEAK_BOUND`` x stack.  The parse
 includes the PSD check of the parsed stack.  The defaults match the
 ``dense-r30`` benchmark input (about 7 MB of text).
 """
@@ -22,14 +22,18 @@ includes the PSD check of the parsed stack.  The defaults match the
 import argparse
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
+from psdsparsify import linalg
 from psdsparsify.instances import random_psd_collection
 from psdsparsify.io_formats import emit_matrix_collection, parse_matrix_collection
-from psdsparsify.linalg import _usable_cpus, reduce_to_identity
 
 REPEATS = 5
+CPUS = (1, 2, 4, 10)
+# the whitening peak bound, as a multiple of the stack, at every CPU count
+PEAK_BOUND = 0.45
 
 
 def measure(call, arg):
@@ -51,6 +55,18 @@ def measure(call, arg):
     return best, np.array(peaks), result
 
 
+def report(name, call, arg, size, unit, suffix=""):
+    """Print one line for ``measure(call, arg)``, its peaks as multiples of
+    ``size``; return the median peak and the result."""
+    seconds, peaks, result = measure(call, arg)
+    peaks = peaks / size
+    print(
+        f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak median of {REPEATS}: "
+        f"{np.median(peaks):.3f} [{peaks.min():.3f}-{peaks.max():.3f}] x {unit}{suffix}"
+    )
+    return np.median(peaks), result
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=30)
@@ -61,22 +77,21 @@ def main():
     coll = random_psd_collection(args.n, args.m, seed=args.seed)
     text = emit_matrix_collection(coll)
     print(f"random_psd_collection({args.n}, {args.m}, seed={args.seed}): {len(text)} bytes of text")
-    parsed = parse_matrix_collection(text)
-    for name, call, arg, size, unit in (
-        ("emit", emit_matrix_collection, coll, len(text), "text"),
-        ("parse", parse_matrix_collection, text, len(text), "text"),
-        ("whiten", reduce_to_identity, parsed, parsed.matrices.nbytes, "stack"),
-    ):
-        seconds, peaks, result = measure(call, arg)
-        peaks = peaks / size
-        line = (
-            f"{name:6s}  best of {REPEATS}: {seconds:.3f} s  peak median of {REPEATS}: "
-            f"{np.median(peaks):.3f} [{peaks.min():.3f}-{peaks.max():.3f}] x {unit}"
-        )
-        if name == "whiten":
-            kept = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
-            line += f"  kept: {kept / size:.2f} x {unit}  usable CPUs: {_usable_cpus()}"
-        print(line)
+    report("emit", emit_matrix_collection, coll, len(text), "text")
+    _, parsed = report("parse", parse_matrix_collection, text, len(text), "text")
+    stack = parsed.matrices.nbytes
+    medians = []
+    for cpus in CPUS:
+        with mock.patch.object(linalg, "_usable_cpus", lambda: cpus):
+            median, reduced = report(
+                "whiten", linalg.reduce_to_identity, parsed, stack, "stack", f"  at {cpus} CPUs"
+            )
+        medians.append(median)
+    kept = sum(v.nbytes for v in vars(reduced).values() if isinstance(v, np.ndarray))
+    print(
+        f"whiten  kept: {kept / stack:.2f} x stack  usable CPUs: {linalg._usable_cpus()}  "
+        f"largest peak median: {max(medians):.3f} x stack (bound {PEAK_BOUND})"
+    )
 
 
 if __name__ == "__main__":

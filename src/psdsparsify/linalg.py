@@ -32,12 +32,14 @@ most FACTOR_CUT * sum_j y_j tr(C_j).  A rows member is whitened by the
 one product F W and keeps every row, so the ``FACTOR_CUT`` bounds apply to
 dense members only.
 
-Dense members are checked for PSD, and whitened and factored,
-``FACTOR_BATCH`` at a time, the batches dealt in turn to one plain thread
-per CPU the process may use (``os.sched_getaffinity``); numpy's LAPACK
-and BLAS loops release the GIL, so the threads decompose side by side.
+Dense members are checked for PSD, and whitened and factored, in slices
+on a thread pool of one worker per CPU the process may use
+(``os.sched_getaffinity``) and per ``FACTOR_BATCH`` members; with w
+workers a slice holds ceil(``FACTOR_BATCH`` / w) members, so about
+``FACTOR_BATCH`` members are in flight on any CPU count.  numpy's LAPACK
+and BLAS loops release the GIL, so the workers decompose side by side.
 The results are joined in member order, so they equal a serial run bit
-for bit, and the error of the earliest failing batch is the one raised.
+for bit, and the error of the earliest failing slice is the one raised.
 
 Every solver ends with ``certificate_for`` on its weights, and ``rescaled``
 is the one lambda_min rescale.  ``verify_sandwich`` certifies weights in the
@@ -48,7 +50,6 @@ member.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -73,8 +74,8 @@ EXP_OVERFLOW_LIMIT = 700.0
 # out of its factor rows
 FACTOR_CUT = 1e-12
 
-# dense members whitened, factored, checked or summed at a time by one thread,
-# which bounds the transient arrays of each thread
+# dense members checked, whitened and factored in flight across all threads,
+# or summed at a time, which bounds their transient arrays
 FACTOR_BATCH = 64
 
 # factor rows weighted and summed at a time, which bounds the weighted copy
@@ -122,41 +123,27 @@ def _usable_cpus() -> int:
 
 
 def _map_batches(call, count: int) -> list:
-    """[call(lo) for lo in range(0, count, FACTOR_BATCH)], on every usable CPU.
+    """[call(part) for every slice part of range(count)], in slice order.
 
-    With w workers, one per usable CPU and at most one per batch, worker t
-    calls batches t, t + w, t + 2w, ... in turn, and the calling thread is
-    worker 0; numpy's LAPACK and BLAS loops release the GIL, so the batches
-    decompose side by side.  A worker stores each result, or its first
-    exception, in its own batches' slots and stops at that exception, so
-    every batch before the earliest failing one has run.  The results come
-    back in batch order, and the exception of the earliest failing batch is
-    raised, as a serial run would raise it.  One worker starts no thread.
+    With w = min(usable CPUs, ceil(count / FACTOR_BATCH)) workers, each
+    slice holds ceil(FACTOR_BATCH / w) members, so about FACTOR_BATCH
+    members are in flight however many CPUs there are; numpy's LAPACK and
+    BLAS loops release the GIL, so the slices decompose side by side.  The
+    exception of the earliest failing slice is raised once every slice
+    before it has run, as a serial run would raise it.  One worker runs the
+    slices in the calling thread and starts no thread.
     """
-    starts = range(0, count, FACTOR_BATCH)
-    workers = max(min(_usable_cpus(), len(starts)), 1)
-    results = [None] * len(starts)
+    workers = max(min(_usable_cpus(), -(-count // FACTOR_BATCH)), 1)
+    size = -(-FACTOR_BATCH // workers)
+    parts = [slice(lo, lo + size) for lo in range(0, count, size)]
+    if workers == 1:
+        return [call(part) for part in parts]
+    # imported here: concurrent.futures loads logging (about 5 ms), which
+    # neither a graph-type input nor a stack of one batch needs
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work(t):
-        for k in range(t, len(starts), workers):
-            try:
-                results[k] = call(starts[k])
-            except Exception as exc:  # raised after the join
-                results[k] = exc
-                return
-
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(call, parts))
 
 
 def _checked_square(m: np.ndarray) -> np.ndarray:
@@ -223,19 +210,20 @@ def ln_sum_exp(w: np.ndarray) -> np.ndarray:
     return top + np.log(np.sum(np.exp(w - top[..., None]), axis=-1))
 
 
-def _check_members(stack: np.ndarray, lo: int):
-    """Raise for the first member of stack[lo : lo + FACTOR_BATCH] that is not PSD.
+def _check_members(stack: np.ndarray, part: slice):
+    """Raise for the first member of stack[part] that is not PSD.
 
     Members before the first non-finite one are judged first: NotPsd names
     the first of them that fails, and otherwise the non-finite one raises
     InvalidMatrix.
     """
-    batch = stack[lo : lo + FACTOR_BATCH]
+    batch = stack[part]
     finite = np.isfinite(batch).all(axis=(1, 2))
     upto = int(np.argmin(finite)) if not finite.all() else len(batch)
     psd = is_psd(batch[:upto]) if upto else np.ones(0, dtype=bool)
     if not psd.all():
-        raise NotPsd(f"matrix {lo + int(np.argmin(psd))} is not PSD at tolerance {DEFAULT_PSD_TOL}")
+        bad = part.start + int(np.argmin(psd))
+        raise NotPsd(f"matrix {bad} is not PSD at tolerance {DEFAULT_PSD_TOL}")
     if upto < len(batch):
         eigvalsh(batch[upto])
 
@@ -371,9 +359,9 @@ def _factor(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return traces, q.swapaxes(1, 2)[keep], keep.sum(axis=1)
 
 
-def _whitened_factors(coll: "PsdCollection", whitener: np.ndarray, lo: int):
-    """``_factor`` of the dense members lo .. lo + FACTOR_BATCH - 1, whitened."""
-    c = whitener.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ whitener
+def _whitened_factors(coll: "PsdCollection", whitener: np.ndarray, part: slice):
+    """``_factor`` of the dense members coll.matrices[part], whitened."""
+    c = whitener.T @ coll.matrices[part] @ whitener
     c *= 0.5
     c += c.swapaxes(1, 2)  # symmetrize(c), bit for bit, with one copy fewer
     return _factor(c)
@@ -511,7 +499,8 @@ def reduce_to_identity(coll: PsdCollection) -> ReducedInstance:
     """Whiten a collection so its members sum to the identity on range(B).
 
     Rows members are whitened by one product with the whitener; dense
-    members are whitened and factored ``FACTOR_BATCH`` at a time.
+    members are whitened and factored in slices, at most about
+    ``FACTOR_BATCH`` of them in flight.
     """
     whitener = whiten(coll)
     if coll.rows is not None:

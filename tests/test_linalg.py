@@ -639,32 +639,46 @@ class TestFactoredScoring:
 
 # three batches, the last one short
 _BATCHED = 2 * FACTOR_BATCH + 5
+# ten batches, so ten usable CPUs give ten workers
+_TEN_BATCHES = 9 * FACTOR_BATCH + 5
+_CPUS = [1, 2, 3, 10]
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Decompose batches on two threads whatever this machine has."""
-    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+def _slice_size(cpus):
+    """Members per slice with ``cpus`` workers."""
+    return -(-FACTOR_BATCH // cpus)
+
+
+@pytest.fixture(scope="module")
+def dense_r30():
+    return random_psd_collection(30, 600, seed=1)
 
 
 class TestThreadedBatches:
-    def test_reduce_matches_serial_factoring_bit_for_bit(self, two_cpus):
-        coll = random_psd_collection(5, _BATCHED, seed=8)
+    @pytest.mark.parametrize("cpus", _CPUS)
+    def test_reduce_matches_serial_factoring_bit_for_bit(self, monkeypatch, cpus):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        coll = random_psd_collection(5, _TEN_BATCHES, seed=8)
         w = whiten(coll)
         serial = ReducedInstance.factored(
             symmetrize(w.T @ coll.matrices[lo : lo + FACTOR_BATCH] @ w)
-            for lo in range(0, _BATCHED, FACTOR_BATCH)
+            for lo in range(0, _TEN_BATCHES, FACTOR_BATCH)
         )
         reduced = reduce_to_identity(coll)
         for name in ("rows", "bounds", "traces"):
             assert getattr(reduced, name).tobytes() == getattr(serial, name).tobytes()
 
+    @pytest.mark.parametrize("cpus", _CPUS)
     @pytest.mark.parametrize(
         "bad",
-        [(3, FACTOR_BATCH + 7), (FACTOR_BATCH + 1, 2 * FACTOR_BATCH + 2), (2, 2 * FACTOR_BATCH)],
+        [(3, FACTOR_BATCH + 7), (FACTOR_BATCH + 1, 2 * FACTOR_BATCH + 2), (2, 2 * FACTOR_BATCH)]
+        # one on each side of a slice boundary at 1, 2, 3 and 10 workers
+        + [(_slice_size(w) - 1, _slice_size(w)) for w in _CPUS]
+        + [(8 * FACTOR_BATCH + 3, _TEN_BATCHES - 1)],
     )
-    def test_not_psd_names_the_lowest_index(self, two_cpus, bad):
-        stack = random_psd_collection(4, _BATCHED, seed=9).matrices.copy()
+    def test_not_psd_names_the_lowest_index(self, monkeypatch, cpus, bad):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        stack = random_psd_collection(4, _TEN_BATCHES, seed=9).matrices.copy()
         for k in bad:
             stack[k] = -stack[k]
         with pytest.raises(NotPsd, match=f"matrix {bad[0]} "):
@@ -672,33 +686,38 @@ class TestThreadedBatches:
 
     def test_a_later_failure_never_hides_an_earlier_one(self, monkeypatch):
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
-        late = threading.Event()
+        starts, ran, late = range(0, _BATCHED, _slice_size(3)), [], threading.Event()
 
-        def call(lo):
-            if lo == 2 * FACTOR_BATCH:
+        def call(part):
+            ran.append(part.start)
+            if part.start == starts[-1]:
                 late.set()
                 raise ValueError("late")
-            if lo == 0:
-                late.wait(10.0)  # fails after the later batch did
+            if part.start == starts[1]:
+                late.wait(10.0)  # fails after the last slice did
                 raise ValueError("early")
-            return lo
+            return part.start
 
         with pytest.raises(ValueError, match="early"):
             linalg._map_batches(call, _BATCHED)
-        assert late.is_set()
-        assert linalg._map_batches(lambda lo: lo, _BATCHED) == [0, FACTOR_BATCH, 2 * FACTOR_BATCH]
+        assert late.is_set() and 0 in ran
+        assert linalg._map_batches(lambda part: part.start, _BATCHED) == list(starts)
 
     def test_every_batch_runs_once_under_contention(self, monkeypatch):
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 8)
-        calls, count = [], 300 * FACTOR_BATCH - 1
+        starts, count = [], 300 * FACTOR_BATCH - 1
+        members = np.arange(count)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = linalg._map_batches(lambda lo: calls.append(lo) or lo, count)
+            results = linalg._map_batches(
+                lambda part: starts.append(part.start) or members[part], count
+            )
         finally:
             sys.setswitchinterval(interval)
-        assert results == list(range(0, count, FACTOR_BATCH))
-        assert sorted(calls) == results
+        assert np.array_equal(np.concatenate(results), members)
+        assert max(map(len, results)) == _slice_size(8)
+        assert sorted(starts) == list(range(0, count, _slice_size(8)))
 
     def test_one_batch_starts_no_thread(self, monkeypatch):
         started = []
@@ -709,10 +728,26 @@ class TestThreadedBatches:
                 super().start()
 
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(linalg.threading, "Thread", Counted)
+        monkeypatch.setattr(threading, "Thread", Counted)
         coll = random_psd_collection(4, FACTOR_BATCH, seed=10)
         reduce_to_identity(PsdCollection.from_matrices(coll.matrices))
         assert started == []
-        coll = random_psd_collection(4, _BATCHED, seed=10)
-        reduce_to_identity(PsdCollection.from_matrices(coll.matrices))
-        assert len(started) == 2 * 2  # two more threads for the check, two for the factoring
+        # three batches give three workers, whatever the CPU count above that
+        coll = PsdCollection.from_matrices(random_psd_collection(4, _BATCHED, seed=10).matrices)
+        checked = len(started)
+        reduce_to_identity(coll)
+        assert 0 < checked <= 3
+        assert 0 < len(started) - checked <= 3
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 10])
+    def test_whitening_peak_is_bounded_by_the_batch(self, monkeypatch, dense_r30, cpus):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                reduce_to_identity(dense_r30)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.median(peaks) <= 0.45 * dense_r30.matrices.nbytes
