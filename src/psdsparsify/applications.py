@@ -156,7 +156,7 @@ def _clique_rows(dim: int, runs) -> np.ndarray:
         i = np.arange(1, k)
         helmert = np.tri(k - 1, k) - i[:, None] * np.eye(k - 1, k, 1)
         # halving k and i (i + 1) changes no bit and keeps a pair's w k / 2 = w
-        # finite; where w k / 2 overflows, B does too, and whiten rejects it
+        # finite; where w k / 2 overflows, B does too, and from_rows rejects it
         with np.errstate(over="ignore"):
             scale = np.sqrt(w[:, None] * (k / 2) / (i * (i + 1) / 2))
         at_rows = lo + np.arange(c * (k - 1)).reshape(c, k - 1, 1)
@@ -169,7 +169,9 @@ def _clique_collection(dim: int, runs, bounds=None) -> PsdCollection:
     (one clique each by default), and their Laplacian as B."""
     if bounds is None:
         bounds = np.cumsum([0] + [at.shape[1] - 1 for at, w in runs for _ in w])
-    rows, total = _clique_rows(dim, runs), _clique_laplacian(dim, runs)
+    rows = _clique_rows(dim, runs)
+    with np.errstate(over="ignore"):  # from_rows rejects a B beyond float64
+        total = _clique_laplacian(dim, runs)
     return PsdCollection.from_rows(dim, rows, bounds, total)
 
 
@@ -298,19 +300,21 @@ def cost_lifted_collection(g: WeightedGraph, costs) -> PsdCollection:
         if not np.isfinite(c).all():
             raise InvalidCost(f"cost {i} has a non-finite entry")
     n, w = g.n, _edge_weights(g)
-    slots = np.reshape(costs, (len(costs), g.m)).T * w[:, None]
-    dim = n + slots.shape[1]
+    edges = _cliques(g.edges)
+    # a product or sum beyond float64 is inf in B, which from_rows rejects
+    with np.errstate(over="ignore"):
+        slots = np.reshape(costs, (len(costs), g.m)).T * w[:, None]
+        dim = n + slots.shape[1]
+        total = _clique_laplacian(dim, edges)
+        if g.m:
+            # each slot's sum runs over the edges in order, as a running sum would
+            total[np.arange(n, dim), np.arange(n, dim)] = np.add.accumulate(slots)[-1]
     filled = slots > 0.0
     bounds = np.concatenate(([0], np.cumsum(1 + filled.sum(axis=1))))
-    edges = _cliques(g.edges)
     rows = np.zeros((bounds[-1], dim))
     rows[bounds[:-1]] = _clique_rows(dim, edges)
     edge, slot = np.nonzero(filled)
     rows[bounds[edge] + np.cumsum(filled, axis=1)[edge, slot], n + slot] = np.sqrt(slots[filled])
-    total = _clique_laplacian(dim, edges)
-    if g.m:
-        # each slot's sum runs over the edges in order, as a running sum would
-        total[np.arange(n, dim), np.arange(n, dim)] = np.add.accumulate(slots)[-1]
     return PsdCollection.from_rows(dim, rows, bounds, total)
 
 

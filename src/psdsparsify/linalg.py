@@ -284,6 +284,7 @@ class PsdCollection:
 
         Member j owns ``rows[bounds[j]:bounds[j + 1]]``; ``total`` is B, which
         the caller sums in closed form, so its bits do not depend on the rows.
+        A ``total`` with an entry beyond float64 raises InvalidMatrix.
         """
         rows = np.ascontiguousarray(rows, dtype=float)
         bounds = np.asarray(bounds, dtype=np.int64)
@@ -298,6 +299,8 @@ class PsdCollection:
             )
         if bounds[0] != 0 or bounds[-1] != len(rows) or np.any(np.diff(bounds) < 0):
             raise DimMismatch(f"row bounds do not split {len(rows)} rows into members")
+        if not np.isfinite(total).all():
+            raise InvalidMatrix("an entry of the sum of the collection overflows float64")
         return PsdCollection(dim=dim, rows=rows, bounds=bounds, b=total)
 
     def total(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Graph, hypergraph, SDP, and convex-combination applications."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import hypothesis.extra.numpy as hnp
@@ -574,6 +575,31 @@ class TestBlockLiftings:
         for mat in dense_members(coll):
             assert is_psd(mat, tol=1e-9)
         assert family_members(g, family)[0] == ([(1, 2), (2, 3)], [0, 3])
+
+    @pytest.mark.parametrize(
+        "lift",
+        [
+            lambda: edge_collection(WeightedGraph(3, [(1, 2, 1e308), (2, 3, 1e308)])),
+            lambda: hyperedge_collection(WeightedHypergraph(3, [((1, 2, 3), 1e308)])),
+            lambda: family_lifted_collection(
+                WeightedGraph(3, [(1, 2, 1e308), (2, 3, 1e308)]), [[(1, 2), (2, 3)]]
+            ),
+            # the slot w c overflows
+            lambda: cost_lifted_collection(
+                WeightedGraph(3, [(1, 2, 1e300), (2, 3, 1.0), (1, 3, 1.0)]), [[1e10, 1.0, 1.0]]
+            ),
+            # every slot is finite, their sum is not
+            lambda: cost_lifted_collection(
+                WeightedGraph(4, [(1, 2, 1e308), (3, 4, 1e308)]), [[1.0, 1.0]]
+            ),
+        ],
+        ids=["edge", "hyperedge", "family", "cost-slot", "cost-sum"],
+    )
+    def test_overflowing_lift_is_one_typed_error(self, lift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrix, match="overflows float64"):
+                lift()
 
 
 def _gnp_with_costs():

@@ -768,6 +768,31 @@ class TestCli:
             "error: an eigenvalue of the sum of the collection overflows float64"
         ]
 
+    @pytest.mark.parametrize(
+        "kind, text, costs",
+        [
+            ("graph", "3\n1 2 1e308\n2 3 1e308\n", None),
+            ("hypergraph", "3\n3 1 2 3 1e308\n", None),
+            ("graph", "3\n1 2 1e300\n2 3 1.0\n1 3 1.0\n", "1 3\n1e10 1 1\n"),
+        ],
+        ids=["graph", "hypergraph", "costs"],
+    )
+    def test_overflowing_lift_is_one_typed_error(self, tmp_path, capsys, kind, text, costs):
+        inp = tmp_path / "big.txt"
+        inp.write_text(text)
+        argv = ["--algo", "bss", "--eps", "0.5", "--kind", kind, "--input", str(inp)]
+        if costs is not None:
+            (tmp_path / "costs.txt").write_text(costs)
+            argv += ["--costs", str(tmp_path / "costs.txt")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = self.run_cli(tmp_path, *argv)
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: an entry of the sum of the collection overflows float64"
+        ]
+
     def test_bad_epsilon_exit_code(self, tmp_path, identity_pair_file):
         code, _ = self.run_cli(
             tmp_path, "--algo", "bss", "--eps", "1.2", "--input", str(identity_pair_file)
