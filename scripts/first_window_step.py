@@ -8,9 +8,9 @@ Writes the inputs of every benchmark workload for one seed
 ``compare_outputs.py`` does) and parses them as the CLI does.  Each job
 runs its solver the way ``cli.run`` does: at the raw eps on the
 ``matrices`` kind, and at ``internal_epsilon(eps)`` on the whitened lift
-(the edge or cost lift) for the graph kind.  The run passes
-``history=[]``; the script then adds up alpha C_j step by step and takes
-lambda_max / lambda_min of the running sum after each step.
+(the edge or cost lift) for the graph kind.  The script reads the run's
+``picks``, the (j, alpha) of every step, adds up alpha C_j step by step
+and takes lambda_max / lambda_min of the running sum after each step.
 
 For each job it prints T, the support at T, the ratio at T, and the
 first step (with the support there) at which the ratio is within
@@ -73,13 +73,13 @@ def reduced_input(w, inputs):
     return reduce_to_identity(lifted), internal_epsilon(w.eps)
 
 
-def first_steps(reduced, history: list, bounds: tuple) -> tuple:
+def first_steps(reduced, picks: list, bounds: tuple) -> tuple:
     """(ratio at T, support at T, and per bound its first (step, support) or None)."""
     a = np.zeros((reduced.rank, reduced.rank))
     picked = set()
     found = [None] * len(bounds)
     ratio = np.inf
-    for t, (j, alpha) in enumerate(history, start=1):
+    for t, (j, alpha) in enumerate(picks, start=1):
         a = a + alpha * reduced.member(j)
         picked.add(j)
         w = np.linalg.eigvalsh(a)
@@ -112,12 +112,11 @@ def main() -> int:
             for algo in w.algos:
                 if algo not in SOLVERS:
                     continue  # aw-sample draws at random and has no steps to replay
-                history = []
-                SOLVERS[algo](reduced, eps, history=history)
+                picks = SOLVERS[algo](reduced, eps).picks
                 bounds = (raw_ratio(algo, eps), 1.0 + w.eps)
-                ratio, support, (raw, target) = first_steps(reduced, history, bounds)
+                ratio, support, (raw, target) = first_steps(reduced, picks, bounds)
                 print(
-                    f"{w.name} seed={args.seed} {algo}: T {len(history)}, support {support},"
+                    f"{w.name} seed={args.seed} {algo}: T {len(picks)}, support {support},"
                     f" ratio {ratio:.4f} at T; raw window {bounds[0]:.4f}: {describe(raw)};"
                     f" 1+eps {bounds[1]:.4f}: {describe(target)}",
                     flush=True,

@@ -162,7 +162,6 @@ def _bss_pick(
 def bss_sparsify(
     reduced: ReducedInstance,
     eps: float,
-    history: list | None = None,
     max_seconds: float | None = None,
 ) -> SparsifierResult:
     """Run the barrier-potential sparsifier to completion.
@@ -170,7 +169,7 @@ def bss_sparsify(
     Returns weights scaled by 1/lambda_min(sum y_i C_i), so the certificate
     has lambda_min = 1 and lambda_max <= ((2+eps)/(2-eps))^2 up to rounding.
     Support is at most T = ceil(4r/eps^2).
-    A ``history`` list gets the pair (j, alpha) of every step.
     """
-    y = scan.drive(reduced, BssParams.from_epsilon(eps, reduced.rank), max_seconds, history)
-    return rescaled(SparsifierResult(weights=y, certificate=certificate_for(reduced, y)), "bss")
+    y, picks = scan.drive(reduced, BssParams.from_epsilon(eps, reduced.rank), max_seconds)
+    raw = SparsifierResult(y, certificate_for(reduced, y), t_used=len(picks), picks=picks)
+    return rescaled(raw, "bss")

@@ -543,14 +543,16 @@ class SparsifierResult:
 
     ``reduced_rank`` records the whitened dimension the run worked in when
     the caller went through the reduction wrapper; ``t_used`` records the
-    number of draws or greedy steps a sampling run quantized its weights
-    by.
+    number of draws or steps the run took; ``picks`` holds a scanning
+    solver's (j, alpha) of every step as ``scan.drive`` returns them, before
+    the solver scales its weights (None for ``aw_sample``).
     """
 
     weights: np.ndarray
     certificate: SandwichCertificate
     reduced_rank: int | None = None
     t_used: int | None = None
+    picks: list | None = None
 
     @property
     def support(self) -> np.ndarray:

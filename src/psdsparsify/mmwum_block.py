@@ -129,18 +129,17 @@ def _block_pick(
 def block_sparsify(
     reduced: ReducedInstance,
     eps: float,
-    history: list | None = None,
     max_seconds: float | None = None,
 ) -> SparsifierResult:
     """Run the two-block update for T rounds and average the oracle answers.
 
     Certificate eigenvalues land inside [1 - eps, 1 + eps]; support is at
     most T = ceil(2 (rho + ell) ln n / (beta eps)).
-    A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = BlockParams.from_epsilon(eps, reduced.rank)
-    y_bar = scan.drive(reduced, params, max_seconds, history) / params.T
-    return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
+    y, picks = scan.drive(reduced, params, max_seconds)
+    y_bar = y / params.T
+    return SparsifierResult(y_bar, certificate_for(reduced, y_bar), t_used=len(picks), picks=picks)
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,6 @@ def wf_sparsify(
     reduced: ReducedInstance,
     eps: float,
     gamma: float | None = None,
-    history: list | None = None,
     max_seconds: float | None = None,
 ) -> SparsifierResult:
     """Run the width-free update for T rounds and return the scaled average.
@@ -200,9 +199,8 @@ def wf_sparsify(
     The final weights are y * (r * gamma / (eta * T)); with the default
     gamma = eta/r this is y/T.  Certificate eigenvalues land inside
     [1 - eps, 1 + eps] and support is at most T.
-    A ``history`` list gets the pair (j, alpha) of every step.
     """
     params = WfParams.from_epsilon(eps, reduced.rank, gamma=gamma)
-    y = scan.drive(reduced, params, max_seconds, history)
+    y, picks = scan.drive(reduced, params, max_seconds)
     y_bar = y * (reduced.rank * params.gamma / (params.eta * params.T))
-    return SparsifierResult(weights=y_bar, certificate=certificate_for(reduced, y_bar))
+    return SparsifierResult(y_bar, certificate_for(reduced, y_bar), t_used=len(picks), picks=picks)

@@ -180,18 +180,17 @@ def pe_sparsify(
     reduced: ReducedInstance,
     eps: float,
     *,
-    history: list | None = None,
     max_seconds: float | None = None,
 ) -> SparsifierResult:
     """Deterministic sparsifier via T greedy pessimistic-estimator steps.
 
     The weights are (r/T) times the driver's, the quantization of
     ``aw_sample``; the certificate eigenvalues lie inside [1-eps, 1+eps]
-    with no randomness involved.  A ``history`` list gets the pair
-    (j, 1/tr(C_j)) of every step.  Raises TimeBudgetExceeded when
-    ``max_seconds`` run out before the last step.
+    with no randomness involved; every pick is (j, 1/tr(C_j)).  Raises
+    TimeBudgetExceeded when ``max_seconds`` run out before the last step.
     """
     trace_probabilities(reduced, eps)  # checks eps and that the traces sum to r
     params = PeParams.from_epsilon(eps, reduced.rank)
-    y = scan.drive(reduced, params, max_seconds, history) * (reduced.rank / params.T)
-    return SparsifierResult(weights=y, certificate=certificate_for(reduced, y), t_used=params.T)
+    y, picks = scan.drive(reduced, params, max_seconds)
+    y = y * (reduced.rank / params.T)
+    return SparsifierResult(y, certificate_for(reduced, y), t_used=len(picks), picks=picks)

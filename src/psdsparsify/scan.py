@@ -13,9 +13,9 @@ a field, as ``cli.param_dump`` prints every field), a step count ``T``,
 ``coefficients(w, t)`` giving both columns from the spectrum of A after t
 steps or raising the solver's typed errors, and ``pick(scores, coeffs,
 reduced)`` giving (j, alpha) from the (m, 2) scores of the members of
-``reduced``.  A ``history=`` list gets the pair (j, alpha) of every step;
-A, and every quantity derived from it, can be rebuilt from the pairs.
-``drive`` returns the weights y alone; the solver certifies them.
+``reduced``.  ``drive`` returns the weights y and the picks, the (j, alpha)
+of every step, from which A and all that derives from it can be rebuilt;
+the solver scales and certifies y and returns the picks with it.
 
 The shared rules live here once: ``drive`` owns the one ``errstate``
 (a member with no trace scores 0/0, which the picks mask out) and the
@@ -65,24 +65,22 @@ def step(
     return params.pick(reduced.scores_in_basis(spec.eigenvectors, coeffs), coeffs, reduced)
 
 
-def drive(
-    reduced: ReducedInstance, params, max_seconds: float | None, history: list | None
-) -> np.ndarray:
-    """Run ``params.T`` steps from A = 0; return the weights y.
+def drive(reduced: ReducedInstance, params, max_seconds: float | None) -> tuple[np.ndarray, list]:
+    """Run ``params.T`` steps from A = 0; return the weights y and the picks.
 
-    Appends each step's (j, alpha) to ``history`` when it is a list.
+    The picks are every step's (j, alpha), in step order.
     Raises TimeBudgetExceeded when ``max_seconds`` run out before the last step.
     """
     over_budget = budget(params.name, max_seconds)
     a = np.zeros((reduced.rank, reduced.rank))
     y = np.zeros(len(reduced))
     coeffs = np.empty((reduced.rank, 2))
+    picks = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(params.T):
             over_budget(t + 1)
             j, alpha = step(reduced, params, a, t, coeffs)
             a = a + alpha * reduced.member(j)
             y[j] += alpha
-            if history is not None:
-                history.append((j, alpha))
-    return y
+            picks.append((j, alpha))
+    return y, picks

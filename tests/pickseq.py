@@ -22,15 +22,16 @@ relative difference of the step size while the picks agree.
 ``reference_block_sparsify`` are the three scanning loops as they were
 before ``scan.drive`` took them over, with their step and pick functions,
 copied verbatim: each keeps its own loop, deadline and symmetrized update,
-and appends the same (j, alpha) pairs to ``history``.  The update adds
+and appends to ``history`` the (j, alpha) pairs the solver returns as its
+picks.  The update adds
 ``dense_member``, the G_j^T G_j that ``scan.drive`` adds.  Each finishes as
 the solvers do, with ``certificate_for`` on the weights it returns (and
 ``bss`` with ``rescaled``).  ``BssState`` is the loop state of
 ``reference_bss_sparsify``.
 ``compare_with_reference`` runs a solver and its reference loop on the
 same instance.  ``replay`` rebuilds the running sum A of every step from
-a ``history=`` list; ``assert_bss_invariants`` and ``assert_wf_chain``
-check the invariants of ``bss`` and ``mmwum-wf`` on it.
+a run's picks; ``assert_bss_invariants`` and ``assert_wf_chain`` check the
+invariants of ``bss`` and ``mmwum-wf`` on them.
 """
 
 from __future__ import annotations
@@ -247,8 +248,8 @@ def reference_pe_sparsify(
 
     Returns the steps, each with the scores as ``_pe_pick`` would get them
     and the reference's own pick, and the weights (None after
-    ``max_steps``).  With ``follow``, a ``history=`` list of the kernel, the
-    sums take the kernel's picks instead, so every step is scored on the
+    ``max_steps``).  With ``follow``, the picks of a kernel run, the sums
+    take the kernel's picks instead, so every step is scored on the
     kernel's own history.
     """
     params = PeParams.from_epsilon(eps, reduced.rank)
@@ -296,17 +297,17 @@ def pe_estimator(params: PeParams, p: np.ndarray, i: int) -> float:
     return float(phi + upper * np.exp(params.t_upper * w).sum())
 
 
-def pe_lockstep_moves(reduced: ReducedInstance, eps: float, history: list) -> list:
+def pe_lockstep_moves(reduced: ReducedInstance, eps: float, picks: list) -> list:
     """(step, kernel pick, reference pick, gap) at every step of a kernel
-    ``history=`` list where the reference, scoring the same history, picks
+    run's ``picks`` where the reference, scoring the same history, picks
     another member.
 
     Unlike ``first_difference`` this keeps comparing after a moved pick.
     """
-    steps, _ = reference_pe_sparsify(reduced, eps, follow=history)
+    steps, _ = reference_pe_sparsify(reduced, eps, follow=picks)
     return [
         (t, j, step.j, _gap(_pe_criterion, step.args, j, step.j))
-        for t, ((j, _), step) in enumerate(zip(history, steps), start=1)
+        for t, ((j, _), step) in enumerate(zip(picks, steps), start=1)
         if j != step.j
     ]
 
@@ -545,17 +546,16 @@ PARAMS = {"bss": BssParams, "mmwum-wf": WfParams, "mmwum-block": BlockParams}
 class ReferenceRun:
     """A solver against its reference loop on one instance.
 
-    ``result`` and ``picks`` come from the solver without ``history=``,
-    the picks as its pick function returned them; ``history`` and
-    ``history_result`` come from a second run with ``history=[]``.
-    ``reference_result`` and ``reference_history`` are the reference
-    loop's, from one run with ``history=[]``.
+    ``result`` and ``picks`` come from the solver with its pick function
+    recorded, the picks as that function returned them; ``plain`` comes
+    from a second run as it is.  ``reference_result`` and
+    ``reference_history`` are the reference loop's, from one run with
+    ``history=[]``.
     """
 
     result: SparsifierResult
     picks: list
-    history: list
-    history_result: SparsifierResult
+    plain: SparsifierResult
     reference_result: SparsifierResult
     reference_history: list
 
@@ -572,34 +572,32 @@ def compare_with_reference(solver: str, reduced: ReducedInstance, eps: float) ->
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, pick_name, recording_pick)
         result = solve(reduced, eps)
-    history, reference_history = [], []
-    history_result = solve(reduced, eps, history=history)
+    reference_history = []
     reference_result = REFERENCES[solver](reduced, eps, history=reference_history)
     return ReferenceRun(
         result=result,
         picks=picks,
-        history=history,
-        history_result=history_result,
+        plain=solve(reduced, eps),
         reference_result=reference_result,
         reference_history=reference_history,
     )
 
 
-def replay(reduced: ReducedInstance, history: list):
-    """Yield (t, j, alpha, A before, A after) for every step t of a ``history=`` list.
+def replay(reduced: ReducedInstance, picks: list):
+    """Yield (t, j, alpha, A before, A after) for every step t of a run's picks.
 
     A starts at 0 and takes A + alpha C_j in the driver's arithmetic, not
     symmetrized, so with exactly symmetric members (whitened ones are)
     each A has the bits of the driver's A at that step.
     """
     a = np.zeros((reduced.rank, reduced.rank))
-    for t, (j, alpha) in enumerate(history, start=1):
+    for t, (j, alpha) in enumerate(picks, start=1):
         before, a = a, a + alpha * dense_member(reduced, j)
         yield t, j, alpha, before, a
 
 
-def assert_bss_invariants(reduced: ReducedInstance, eps: float, history: list) -> int:
-    """Assert the barrier invariants of ``bss`` after every step of ``history``.
+def assert_bss_invariants(reduced: ReducedInstance, eps: float, picks: list) -> int:
+    """Assert the barrier invariants of ``bss`` after every step of ``picks``.
 
     After step t, both potentials at the barriers u_t and ell_t are at most
     their values a step earlier (eps_U and eps_L at the start), the
@@ -609,7 +607,7 @@ def assert_bss_invariants(reduced: ReducedInstance, eps: float, history: list) -
     """
     params = BssParams.from_epsilon(eps, reduced.rank)
     prev_u, prev_l = params.eps_U, params.eps_L
-    for t, _, _, _, a in replay(reduced, history):
+    for t, _, _, _, a in replay(reduced, picks):
         u, ell = params.upper_barrier(t), params.lower_barrier(t)
         phi_u, phi_l = phi_upper(a, u), phi_lower(a, ell)
         assert phi_u <= prev_u * (1 + 1e-9)
@@ -624,11 +622,11 @@ def assert_bss_invariants(reduced: ReducedInstance, eps: float, history: list) -
         scores = reduced.scores_in_basis(spec.eigenvectors, coeffs)
         assert scores[:, 1].sum() >= scores[:, 0].sum() * (1 - 1e-9)
         prev_u, prev_l = phi_u, phi_l
-    return len(history)
+    return len(picks)
 
 
-def assert_wf_chain(reduced: ReducedInstance, params: WfParams, history: list) -> None:
-    """Assert the multiplicative chain of ``mmwum-wf`` over every step of ``history``.
+def assert_wf_chain(reduced: ReducedInstance, params: WfParams, picks: list) -> None:
+    """Assert the multiplicative chain of ``mmwum-wf`` over every step of ``picks``.
 
     Each step multiplies trace exp(gamma A) by at most 1 + delta_U and
     trace exp(-gamma A) by at most 1 - delta_L, up to 1e-8 relative; both
@@ -637,7 +635,7 @@ def assert_wf_chain(reduced: ReducedInstance, params: WfParams, history: list) -
     gamma = params.gamma
     a = np.zeros((reduced.rank, reduced.rank))
     before = psi_upper(a, 0.0, gamma), psi_lower(a, 0.0, gamma)
-    for *_, a in replay(reduced, history):
+    for *_, a in replay(reduced, picks):
         after = psi_upper(a, 0.0, gamma), psi_lower(a, 0.0, gamma)
         assert after[0] <= (1.0 + params.delta_U) * before[0] * (1 + 1e-8)
         assert after[1] <= (1.0 - params.delta_L) * before[1] * (1 + 1e-8)

@@ -55,16 +55,14 @@ def bss_runs(instance_family):
     start = time.monotonic()
     for reduced in instance_family:
         for eps in (0.3, 0.5):
-            history = []
-            result = bss_sparsify(reduced, eps, history=history)
-            runs.append((reduced, eps, history, result))
+            runs.append((reduced, eps, bss_sparsify(reduced, eps)))
     return runs, time.monotonic() - start
 
 
 def test_criterion_01_bss_guarantee(bss_runs):
     runs, elapsed = bss_runs
     worst_ratio_slack = 0.0
-    for reduced, eps, _, result in runs:
+    for reduced, eps, result in runs:
         cert = result.certificate
         bound = ((2.0 + eps) / (2.0 - eps)) ** 2
         assert cert.support_size <= math.ceil(4.0 * reduced.rank / eps**2)
@@ -82,12 +80,12 @@ def test_criterion_01_bss_guarantee(bss_runs):
 def test_criterion_02_bss_potential_monotonicity(bss_runs):
     runs, _ = bss_runs
     checked = 0
-    for reduced, eps, history, _ in runs:
+    for reduced, eps, result in runs:
         params = BssParams.from_epsilon(eps, reduced.rank)
         zero = np.zeros((reduced.rank, reduced.rank))
         assert phi_upper(zero, params.u_0) == pytest.approx(params.eps_U, rel=1e-9)
         assert phi_lower(zero, params.ell_0) == pytest.approx(params.eps_L, rel=1e-9)
-        checked += assert_bss_invariants(reduced, eps, history)
+        checked += assert_bss_invariants(reduced, eps, result.picks)
     report(2, True, f"barriers and potentials monotone across {checked} iterations")
 
 
@@ -97,14 +95,13 @@ def test_criterion_03_width_free_mmwum(instance_family):
     for reduced, eps in [(red, e) for red in instance_family for e in (0.3, 0.5)]:
         eta = eps / 2.0
         params = WfParams.from_epsilon(eps, reduced.rank)
-        history = []
-        result = wf_sparsify(reduced, eps, history=history)
+        result = wf_sparsify(reduced, eps)
         cert = result.certificate
         assert cert.support_size <= math.ceil(reduced.rank * math.log(reduced.rank) / eta**2)
         assert cert.lambda_min >= 1.0 - eps - 1e-6
         assert cert.lambda_max <= 1.0 + eps + 1e-6
-        assert_wf_chain(reduced, params, history)
-        for t, j, alpha, a, _ in replay(reduced, history):
+        assert_wf_chain(reduced, params, result.picks)
+        for t, j, alpha, a, _ in replay(reduced, result.picks):
             assert check_potential_equivalence(a, reduced.member(j), alpha, t - 1, params)
             steps_checked += 1
     elapsed = time.monotonic() - start
@@ -118,13 +115,12 @@ def test_criterion_03_width_free_mmwum(instance_family):
 def test_criterion_04_gamma_invariance(instance_family):
     reduced = instance_family[3]
     base = WfParams.from_epsilon(0.5, reduced.rank)
-    hist_a, hist_b = [], []
-    res_a = wf_sparsify(reduced, 0.5, history=hist_a)
-    res_b = wf_sparsify(reduced, 0.5, gamma=10.0 * base.gamma, history=hist_b)
-    same_indices = [j for j, _ in hist_a] == [j for j, _ in hist_b]
+    res_a = wf_sparsify(reduced, 0.5)
+    res_b = wf_sparsify(reduced, 0.5, gamma=10.0 * base.gamma)
+    same_indices = [j for j, _ in res_a.picks] == [j for j, _ in res_b.picks]
     assert same_indices
     np.testing.assert_allclose(res_a.weights, res_b.weights, rtol=1e-9)
-    report(4, True, f"index sequences identical over {len(hist_a)} steps, weights at 1e-9")
+    report(4, True, f"index sequences identical over {len(res_a.picks)} steps, weights at 1e-9")
 
 
 def test_criterion_05_block_mmwum():
@@ -133,13 +129,12 @@ def test_criterion_05_block_mmwum():
         reduced = reduce_to_identity(random_psd_collection(r, 6 * r, seed=seed))
         params = BlockParams.from_epsilon(0.5, reduced.rank)
         assert params.error_bound() <= 0.5
-        history = []
-        result = block_sparsify(reduced, 0.5, history=history)
+        result = block_sparsify(reduced, 0.5)
         cert = result.certificate
         assert cert.lambda_min >= 1.0 - 0.5 - 1e-6
         assert cert.lambda_max <= 1.0 + 0.5 + 1e-6
         width_cap = (1.0 + params.eta) * reduced.rank / params.eta
-        for j, alpha in history:
+        for j, alpha in result.picks:
             assert alpha * reduced.traces[j] <= width_cap * (1 + 1e-12)
     elapsed = time.monotonic() - start
     report(5, elapsed < 600.0, f"3 runs (T up to {params.T}) in {elapsed:.1f}s (< 600s)")
@@ -194,14 +189,14 @@ def test_criterion_08_pessimistic_estimators():
         rng_r = 3 + i % 4
         reduced = reduce_to_identity(random_psd_collection(rng_r, 5 * rng_r + 3 * i, seed=200 + i))
         params = PeParams.from_epsilon(eps, reduced.rank)
-        history = []
-        y = pe_sparsify(reduced, eps, history=history).weights
+        result = pe_sparsify(reduced, eps)
+        y = result.weights
         # phi + psi recomputed from the dense P of every step
         r = reduced.rank
         values = [pe_estimator(params, np.zeros((r, r)), 0)]
-        values += [pe_estimator(params, a, t) for t, _, _, _, a in replay(reduced, history)]
+        values += [pe_estimator(params, a, t) for t, _, _, _, a in replay(reduced, result.picks)]
         assert values[0] < 1.0
-        assert len(history) == params.T
+        assert len(result.picks) == params.T
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev * (1 + 1e-12)
         assert values[-1] < 1.0

@@ -201,14 +201,13 @@ class TestStep:
         j, _ = bss_step(np.zeros((3, 3)), 0, red, params)
         assert j == 0
 
-    @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
-    def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
+    def test_one_eigh_per_step(self, reduced_random, eigh_calls):
         eigh_calls.clear()
         params = BssParams.from_epsilon(0.5, reduced_random.rank)
         bss_step(np.zeros((6, 6)), 0, reduced_random, params)
         assert eigh_calls == [(6, 6)]
         eigh_calls.clear()
-        bss_sparsify(reduced_random, 0.5, history=history)
+        bss_sparsify(reduced_random, 0.5)
         # one per step and one for the certificate
         assert eigh_calls == [(6, 6)] * (params.T + 1)
 
@@ -256,6 +255,5 @@ class TestSparsify:
         assert cert.support_size <= int(np.ceil(4 * 10 / 0.25))
 
     def test_monotone_potentials_and_barriers(self, reduced_random):
-        history = []
-        bss_sparsify(reduced_random, 0.5, history=history)
-        assert_bss_invariants(reduced_random, 0.5, history)
+        picks = bss_sparsify(reduced_random, 0.5).picks
+        assert_bss_invariants(reduced_random, 0.5, picks)

@@ -90,13 +90,12 @@ class TestOracle:
 
 class TestSparsify:
     def test_identity_pair(self, reduced_pair):
-        history = []
-        res = block_sparsify(reduced_pair, 0.5, history=history)
+        res = block_sparsify(reduced_pair, 0.5)
         cert = res.certificate
         assert 0.5 - 1e-6 <= cert.lambda_min <= cert.lambda_max <= 1.5 + 1e-6
         params = BlockParams.from_epsilon(0.5, 2)
         assert cert.support_size <= params.T
-        for j, alpha in history:
+        for j, alpha in res.picks:
             assert alpha * reduced_pair.traces[j] <= params.rho * (1 + 1e-12)
 
     def test_single_matrix(self):
@@ -107,9 +106,8 @@ class TestSparsify:
 
     def test_spectrum_hypothesis_and_conclusion(self, reduced_random):
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)
-        history = []
-        res = block_sparsify(reduced_random, 0.5, history=history)
-        for j, alpha in history:
+        res = block_sparsify(reduced_random, 0.5)
+        for j, alpha in res.picks:
             step = alpha * reduced_random.member(j)
             w = np.linalg.eigvalsh(step - np.eye(reduced_random.rank))
             assert w[0] >= -params.ell - 1e-12
@@ -119,10 +117,9 @@ class TestSparsify:
         assert cert.lambda_min >= 1.0 - err - 1e-9
         assert cert.lambda_max <= 1.0 + err + 1e-9
 
-    @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
-    def test_one_eigh_per_iteration(self, reduced_random, eigh_calls, history):
+    def test_one_eigh_per_iteration(self, reduced_random, eigh_calls):
         eigh_calls.clear()
-        block_sparsify(reduced_random, 0.5, history=history)
+        block_sparsify(reduced_random, 0.5)
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)
         # one per step and one for the certificate
         assert eigh_calls == [(6, 6)] * (params.T + 1)

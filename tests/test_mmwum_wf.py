@@ -129,9 +129,8 @@ class TestEquivalence:
 
     def test_accepted_steps_hold(self, reduced_random):
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
-        history = []
-        wf_sparsify(reduced_random, 0.5, history=history)
-        for t, j, alpha, a, _ in replay(reduced_random, history[:40]):
+        picks = wf_sparsify(reduced_random, 0.5).picks
+        for t, j, alpha, a, _ in replay(reduced_random, picks[:40]):
             x = reduced_random.member(j)
             assert check_potential_equivalence(a, x, alpha, t - 1, params)
 
@@ -153,11 +152,10 @@ class TestSparsify:
 
     def test_width_free_upper_bound(self, reduced_random):
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
-        history = []
-        res = wf_sparsify(reduced_random, 0.5, history=history)
+        res = wf_sparsify(reduced_random, 0.5)
         # rebuild A(T) from the raw picks and compare against the bound
         a = np.zeros((reduced_random.rank, reduced_random.rank))
-        for j, alpha in history:
+        for j, alpha in res.picks:
             a = symmetrize(a + alpha * reduced_random.member(j))
         lam_max = float(np.linalg.eigvalsh(a)[-1]) / params.T
         bound = (
@@ -169,25 +167,21 @@ class TestSparsify:
 
     def test_multiplicative_potential_chain(self, reduced_random):
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
-        history = []
-        wf_sparsify(reduced_random, 0.5, history=history)
-        assert_wf_chain(reduced_random, params, history)
+        assert_wf_chain(reduced_random, params, wf_sparsify(reduced_random, 0.5).picks)
 
     def test_gamma_invariance(self, reduced_random):
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
-        hist_a, hist_b = [], []
-        res_a = wf_sparsify(reduced_random, 0.5, history=hist_a)
-        res_b = wf_sparsify(reduced_random, 0.5, gamma=10.0 * params.gamma, history=hist_b)
-        assert [j for j, _ in hist_a] == [j for j, _ in hist_b]
+        res_a = wf_sparsify(reduced_random, 0.5)
+        res_b = wf_sparsify(reduced_random, 0.5, gamma=10.0 * params.gamma)
+        assert [j for j, _ in res_a.picks] == [j for j, _ in res_b.picks]
         np.testing.assert_allclose(res_a.weights, res_b.weights, rtol=1e-9)
         assert res_a.certificate.lambda_max == pytest.approx(
             res_b.certificate.lambda_max, rel=1e-9
         )
 
-    @pytest.mark.parametrize("history", [None, []], ids=["no-history", "history"])
-    def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
+    def test_one_eigh_per_step(self, reduced_random, eigh_calls):
         eigh_calls.clear()
-        wf_sparsify(reduced_random, 0.5, history=history)
+        wf_sparsify(reduced_random, 0.5)
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
         # one per step and one for the certificate
         assert eigh_calls == [(6, 6)] * (params.T + 1)

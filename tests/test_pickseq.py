@@ -91,9 +91,7 @@ def test_pe_picks_match_the_two_eigh_reference(seed):
     report = compare_pe_picks(reduced, 0.45)
     assert report.first_difference is None, (report.picks, report.score_gap)
     assert len(report.kernel) == len(report.reference) > 0
-    history = []
-    pe_sparsify(reduced, 0.45, history=history)
-    assert pe_lockstep_moves(reduced, 0.45, history) == []
+    assert pe_lockstep_moves(reduced, 0.45, pe_sparsify(reduced, 0.45).picks) == []
     got, want = report.weights
     assert np.array_equal(got, want)
 
@@ -110,9 +108,7 @@ def test_pe_on_k5_moves_picks_only_at_ties():
     assert report.kernel[0].j == report.reference[0].j == 0
     if report.first_difference is not None:
         assert report.score_gap <= 1e-12
-    history = []
-    pe_sparsify(reduced, eps, history=history)
-    for step, _, _, gap in pe_lockstep_moves(reduced, eps, history):
+    for step, _, _, gap in pe_lockstep_moves(reduced, eps, pe_sparsify(reduced, eps).picks):
         assert gap <= 1e-12, step
     got, want = report.weights
     assert np.count_nonzero(got) == np.count_nonzero(want)
@@ -133,10 +129,10 @@ def test_driver_matches_the_reference_loop_bit_for_bit(solver, name, eps):
     reduced = reduce_to_identity(REFERENCE_INSTANCES[name]())
     run = compare_with_reference(solver, reduced, eps)
     steps = PARAMS[solver].from_epsilon(eps, reduced.rank).T
-    assert len(run.picks) == len(run.history) == len(run.reference_history) == steps > 0
-    assert run.picks == run.history == run.reference_history
+    assert len(run.picks) == len(run.plain.picks) == len(run.reference_history) == steps > 0
+    assert run.picks == run.result.picks == run.plain.picks == run.reference_history
     weights = run.result.weights.tobytes()
-    assert run.history_result.weights.tobytes() == weights
+    assert run.plain.weights.tobytes() == weights
     assert run.reference_result.weights.tobytes() == weights
-    assert run.history_result.certificate == run.result.certificate
+    assert run.plain.certificate == run.result.certificate
     assert run.reference_result.certificate == run.result.certificate

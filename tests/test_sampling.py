@@ -142,12 +142,6 @@ def _linear_bounds(params, reduced, p, i):
     return shared, linear, size
 
 
-def _pe_history(reduced, eps):
-    history = []
-    pe_sparsify(reduced, eps, history=history)
-    return history
-
-
 def _check_norms(reduced, members, eps=0.45):
     """The estimator's one-step factor 1 + (e^s - 1) mu is the norm of the
     p-mean of the members' linear bounds I + (e^s - 1) X_j, which dominate
@@ -220,10 +214,10 @@ class TestPeGreedy:
     def test_estimator_decreases(self, reduced_random):
         # phi + psi recomputed from the dense P of every step never rises
         params = PeParams.from_epsilon(0.45, reduced_random.rank)
-        history = _pe_history(reduced_random, 0.45)
+        picks = pe_sparsify(reduced_random, 0.45).picks
         r = reduced_random.rank
         values = [pe_estimator(params, np.zeros((r, r)), 0)]
-        values += [pe_estimator(params, a, t) for t, _, _, _, a in replay(reduced_random, history)]
+        values += [pe_estimator(params, a, t) for t, _, _, _, a in replay(reduced_random, picks)]
         assert len(values) == params.T + 1
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev * (1 + 1e-12)
@@ -234,8 +228,8 @@ class TestPeGreedy:
         # current phi + psi, and the bound holds for the value it bounds
         params = PeParams.from_epsilon(0.45, reduced_random.rank)
         probabilities = trace_probabilities(reduced_random, 0.45)
-        history = _pe_history(reduced_random, 0.45)
-        for t, j, _, before, after in replay(reduced_random, history):
+        picks = pe_sparsify(reduced_random, 0.45).picks
+        for t, j, _, before, after in replay(reduced_random, picks):
             shared, linear, _ = _linear_bounds(params, reduced_random, before, t - 1)
             live = probabilities > 0.0
             average = shared + float(probabilities[live] @ linear[live])
@@ -281,8 +275,8 @@ class TestPeBatchedScoring:
         # <X_j, C> one dense member at a time, picked under the same tie rule
         red = reduce_to_identity(random_psd_collection(5, 25, seed=seed))
         params = PeParams.from_epsilon(0.45, red.rank)
-        history = _pe_history(red, 0.45)
-        for t, j, alpha, before, _ in replay(red, history):
+        picks = pe_sparsify(red, 0.45).picks
+        for t, j, alpha, before, _ in replay(red, picks):
             _, linear, size = _linear_bounds(params, red, before, t - 1)
             best = int(np.argmin(linear))
             ref_pick = int(np.argmax(linear <= linear[best] + PE_TIE_RTOL * size[best]))
@@ -290,8 +284,8 @@ class TestPeBatchedScoring:
             assert alpha == 1.0 / red.traces[j]
 
     def test_exact_ties_pick_lowest_index(self):
-        history = _pe_history(reduce_to_identity(identity_decomposition(4)), 0.45)
-        assert [j for j, _ in history[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
+        picks = pe_sparsify(reduce_to_identity(identity_decomposition(4)), 0.45).picks
+        assert [j for j, _ in picks[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
 
     @pytest.mark.parametrize(
         "make",
@@ -338,10 +332,10 @@ class TestPeSpectrumOfPickSums:
         # both score matrices are functions of P alone: its coefficient
         # columns, back in the eigenbasis, are the scaled e^{-t P} and e^{t' P}
         params = PeParams.from_epsilon(0.45, reduced_random.rank)
-        history = _pe_history(reduced_random, 0.45)
-        *_, (_, _, _, _, p) = itertools.islice(replay(reduced_random, history), 5)
+        picks = pe_sparsify(reduced_random, 0.45).picks
+        *_, (_, _, _, _, p) = itertools.islice(replay(reduced_random, picks), 5)
         assert np.array_equal(p, p.T)
-        units = [reduced_random.member(j) / reduced_random.traces[j] for j, _ in history[:5]]
+        units = [reduced_random.member(j) / reduced_random.traces[j] for j, _ in picks[:5]]
         np.testing.assert_allclose(p, sum(units), rtol=0.0, atol=1e-14)
         w = np.linalg.eigvalsh(p)
         lower, upper = params.coefficients(w, 5)

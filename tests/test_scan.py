@@ -18,7 +18,8 @@ from psdsparsify.linalg import (
 )
 from psdsparsify.mmwum_block import BlockParams
 from psdsparsify.mmwum_wf import WfParams
-from psdsparsify.solve import run_algorithm, sparsify_sum
+from psdsparsify.sampling import aw_iteration_count
+from psdsparsify.solve import SCHEDULES, internal_epsilon, run_algorithm, sparsify_sum
 
 from pickseq import SOLVERS
 
@@ -81,10 +82,49 @@ def test_a_hand_built_member_is_symmetrized_once(reduced_random, monkeypatch):
 
     monkeypatch.setattr(scan, "eigh", recording_eigh)
     potential = WfParams.from_epsilon(0.5, hand.rank)
-    y = scan.drive(hand, potential, None, None)
+    y, _ = scan.drive(hand, potential, None)
     assert np.count_nonzero(y) > 1
     assert len(decomposed) == potential.T
     assert all(np.array_equal(a, a.T) for a in decomposed)
+
+
+@pytest.mark.parametrize("solver", SCANNING)
+def test_a_run_returns_every_pick_of_the_driver(solver, monkeypatch):
+    driven, drive = [], scan.drive
+
+    def recording_drive(*args):
+        y, picks = drive(*args)
+        driven.append(y.copy())
+        return y, picks
+
+    monkeypatch.setattr(scan, "drive", recording_drive)
+    coll = random_psd_collection(6, 30, seed=7)
+    rank = reduce_to_identity(coll).rank
+    runs = (
+        (0.45, lambda: run_algorithm(reduce_to_identity(coll), 0.45, solver)),
+        (internal_epsilon(0.45), lambda: sparsify_sum(coll, 0.45, algo=solver)),
+    )
+    for eps, run in runs:
+        result = run()
+        (y,) = driven
+        driven.clear()
+        assert result.t_used == len(result.picks) == SCHEDULES[solver].from_epsilon(eps, rank).T
+        # the weights are the picks' alphas added in step order
+        rebuilt = np.zeros(len(coll))
+        for j, alpha in result.picks:
+            rebuilt[j] += alpha
+        assert rebuilt.tobytes() == y.tobytes()
+
+
+def test_aw_sample_counts_its_draws_and_has_no_picks():
+    coll = random_psd_collection(6, 30, seed=7)
+    rank = reduce_to_identity(coll).rank
+    for eps, result in (
+        (0.45, run_algorithm(reduce_to_identity(coll), 0.45, "aw-sample")),
+        (internal_epsilon(0.45), sparsify_sum(coll, 0.45, algo="aw-sample")),
+    ):
+        assert result.t_used == aw_iteration_count(rank, eps)
+        assert result.picks is None
 
 
 @pytest.mark.parametrize("schedule", [BssParams, WfParams, BlockParams], ids=lambda p: p.name)

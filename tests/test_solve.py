@@ -105,7 +105,10 @@ def test_sparsify_sum_reports_the_pe_budget():
 
 
 def test_sparsify_sum_reports_no_budget_for_bss():
-    assert solve.sparsify_sum(identity_decomposition(4), 0.45).t_used is None
+    # bss quantizes by no budget; its t_used counts the steps it ran
+    result = solve.sparsify_sum(identity_decomposition(4), 0.45)
+    steps = bss.BssParams.from_epsilon(solve.internal_epsilon(0.45), result.reduced_rank).T
+    assert result.t_used == steps
 
 
 # eps 0.9 runs at the internal accuracy 0.31, where mmwum-block takes about
