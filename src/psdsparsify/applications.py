@@ -133,11 +133,15 @@ def _cliques(weighted) -> list:
 def _clique_laplacian(dim: int, runs) -> np.ndarray:
     """sum over cliques of w (k I - J) on the clique's k vertices, added
     clique by clique as a running sum would add it, so it is exactly
-    symmetric: one pair is w (e_u - e_v)(e_u - e_v)^T."""
+    symmetric: one pair is w (e_u - e_v)(e_u - e_v)^T.  Raises
+    InvalidMatrix when an entry leaves float64."""
     out = np.zeros((dim, dim))
-    for at, w in runs:
-        k = at.shape[1]
-        np.add.at(out, (at[:, :, None], at[:, None, :]), w[:, None, None] * (k * np.eye(k) - 1.0))
+    with np.errstate(over="ignore"):
+        for at, w in runs:
+            k = at.shape[1]
+            np.add.at(out, (at[:, :, None], at[:, None, :]), w[:, None, None] * (k * np.eye(k) - 1))
+    if not np.isfinite(out).all():
+        raise InvalidMatrix("an entry of the sum of the collection overflows float64")
     return out
 
 
@@ -170,9 +174,7 @@ def _clique_collection(dim: int, runs, bounds=None) -> PsdCollection:
     if bounds is None:
         bounds = np.cumsum([0] + [at.shape[1] - 1 for at, w in runs for _ in w])
     rows = _clique_rows(dim, runs)
-    with np.errstate(over="ignore"):  # from_rows rejects a B beyond float64
-        total = _clique_laplacian(dim, runs)
-    return PsdCollection.from_rows(dim, rows, bounds, total)
+    return PsdCollection.from_rows(dim, rows, bounds, _clique_laplacian(dim, runs))
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:

@@ -304,12 +304,14 @@ class PsdCollection:
         return PsdCollection(dim=dim, rows=rows, bounds=bounds, b=total)
 
     def total(self) -> np.ndarray:
-        """B = sum_i B_i."""
+        """B = sum_i B_i; raises InvalidMatrix when an entry leaves float64."""
         if self.rows is not None:
             return self.b
-        out = member_sum(self.matrices)
-        # a sum of exactly symmetric members is exactly symmetric
-        return out if (out == out.T).all() else symmetrize(out)
+        with np.errstate(over="ignore"):
+            out = member_sum(self.matrices)
+        if not np.isfinite(out).all():
+            raise InvalidMatrix("an entry of the sum of the collection overflows float64")
+        return out
 
     def weighted_sum(self, y: np.ndarray) -> np.ndarray:
         """sum_i y_i B_i for nonnegative weights y.

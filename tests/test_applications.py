@@ -592,8 +592,13 @@ class TestBlockLiftings:
             lambda: cost_lifted_collection(
                 WeightedGraph(4, [(1, 2, 1e308), (3, 4, 1e308)]), [[1.0, 1.0]]
             ),
+            # the public Laplacians raise what the lifts built on them raise
+            lambda: laplacian(WeightedGraph(3, [(1, 2, 1e308), (2, 3, 1e308)])),
+            lambda: hypergraph_laplacian(WeightedHypergraph(3, [((1, 2, 3), 1e308)])),
         ],
-        ids=["edge", "hyperedge", "family", "cost-slot", "cost-sum"],
+        ids=[
+            "edge", "hyperedge", "family", "cost-slot", "cost-sum", "laplacian", "hyper-laplacian"
+        ],
     )
     def test_overflowing_lift_is_one_typed_error(self, lift):
         with warnings.catch_warnings():

@@ -774,8 +774,10 @@ class TestCli:
             ("graph", "3\n1 2 1e308\n2 3 1e308\n", None),
             ("hypergraph", "3\n3 1 2 3 1e308\n", None),
             ("graph", "3\n1 2 1e300\n2 3 1.0\n1 3 1.0\n", "1 3\n1e10 1 1\n"),
+            # every member is finite, their sum is not
+            ("matrices", "2 2\nmat 0\n0 0 1e308\n1 1 1\nmat 1\n0 0 1e308\n1 1 1\n", None),
         ],
-        ids=["graph", "hypergraph", "costs"],
+        ids=["graph", "hypergraph", "costs", "dense-sum"],
     )
     def test_overflowing_lift_is_one_typed_error(self, tmp_path, capsys, kind, text, costs):
         inp = tmp_path / "big.txt"

@@ -189,6 +189,14 @@ class TestReduceToIdentity:
         with pytest.raises(EmptyProblem):
             reduce_to_identity(coll)
 
+    def test_a_dense_sum_beyond_float64_is_one_typed_error(self):
+        # every member is finite, their sum is not
+        coll = PsdCollection.from_matrices([np.diag([1e308, 1.0])] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrix, match="^an entry of the sum of the collection"):
+                coll.total()
+
     def test_overflowing_sum_is_not_numerically_zero(self):
         # the sum is finite, but its largest eigenvalue is beyond float64
         big = [[1e308, -1e308], [-1e308, 1.5e308]]
