@@ -201,15 +201,19 @@ class TestStep:
         j, _ = bss_step(np.zeros((3, 3)), 0, red, params)
         assert j == 0
 
-    def test_one_eigh_per_step(self, reduced_random, eigh_calls):
+    @pytest.mark.parametrize("history", [False, True], ids=["no-history", "history"])
+    def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
         eigh_calls.clear()
         params = BssParams.from_epsilon(0.5, reduced_random.rank)
         bss_step(np.zeros((6, 6)), 0, reduced_random, params)
         assert eigh_calls == [(6, 6)]
         eigh_calls.clear()
-        bss_sparsify(reduced_random, 0.5)
-        # one per step and one for the certificate
+        res = bss_sparsify(reduced_random, 0.5)
+        # one per step and one for the certificate; the returned picks,
+        # one (j, alpha) per step, are recorded with no further eigh
         assert eigh_calls == [(6, 6)] * (params.T + 1)
+        if history:
+            assert len(res.picks) == params.T
 
     # pair instance at eps 0.5: u_0 = 40/3, ell_0 = -8, delta_L = 1
     @pytest.mark.parametrize(

@@ -117,12 +117,16 @@ class TestSparsify:
         assert cert.lambda_min >= 1.0 - err - 1e-9
         assert cert.lambda_max <= 1.0 + err + 1e-9
 
-    def test_one_eigh_per_iteration(self, reduced_random, eigh_calls):
+    @pytest.mark.parametrize("history", [False, True], ids=["no-history", "history"])
+    def test_one_eigh_per_iteration(self, reduced_random, eigh_calls, history):
         eigh_calls.clear()
-        block_sparsify(reduced_random, 0.5)
+        res = block_sparsify(reduced_random, 0.5)
         params = BlockParams.from_epsilon(0.5, reduced_random.rank)
-        # one per step and one for the certificate
+        # one per step and one for the certificate; the returned picks,
+        # one (j, alpha) per step, are recorded with no further eigh
         assert eigh_calls == [(6, 6)] * (params.T + 1)
+        if history:
+            assert len(res.picks) == params.T
 
     def test_overflow_guard_sees_the_negated_block(self, reduced_pair, monkeypatch):
         # the exponents -beta/(ell+rho) s are never positive, so only block

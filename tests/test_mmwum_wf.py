@@ -179,12 +179,16 @@ class TestSparsify:
             res_b.certificate.lambda_max, rel=1e-9
         )
 
-    def test_one_eigh_per_step(self, reduced_random, eigh_calls):
+    @pytest.mark.parametrize("history", [False, True], ids=["no-history", "history"])
+    def test_one_eigh_per_step(self, reduced_random, eigh_calls, history):
         eigh_calls.clear()
-        wf_sparsify(reduced_random, 0.5)
+        res = wf_sparsify(reduced_random, 0.5)
         params = WfParams.from_epsilon(0.5, reduced_random.rank)
-        # one per step and one for the certificate
+        # one per step and one for the certificate; the returned picks,
+        # one (j, alpha) per step, are recorded with no further eigh
         assert eigh_calls == [(6, 6)] * (params.T + 1)
+        if history:
+            assert len(res.picks) == params.T
 
     def test_overflow_guard(self, reduced_pair, monkeypatch):
         # gamma * lambda_max starts at 0 and grows to about 2.9 on this run
